@@ -1,0 +1,181 @@
+"""Behaviour lock: fixed seeds give fixed final states and traces.
+
+Each scenario runs a world at a fixed seed with tracing on and pins two
+values: the final `state_hash` and the sha256 of the trace lines joined by
+newlines.  A change that keeps behaviour keeps both; any change to the
+scheduler's choices, a handler's output or the trace format moves them.
+"""
+
+import hashlib
+
+import pytest
+
+from relaysim import oracle, rules, suites
+from relaysim.apps import RandomDeliberateApp
+from relaysim.departure import build_departure_world
+from relaysim.kernel import (
+    MODE_ROUND_ROBIN,
+    adversarial_init,
+    fig_triangle,
+    random_connected_world,
+)
+
+
+def _attach(world, **kwargs):
+    for proc in world.processes.values():
+        proc.app = RandomDeliberateApp(**kwargs)
+
+
+def triangle():
+    world = fig_triangle(seed=3)
+    _attach(world, max_relays=3)
+    world.trace = []
+    world.run(1500)
+    return world
+
+
+def adversarial_mixed():
+    world = adversarial_init(41, 4, 12, 15, "mixed")
+    _attach(world, max_relays=4)
+    world.trace = []
+    world.run(3000)
+    return world
+
+
+def departure_line():
+    world = build_departure_world(43, 5, [(i, i + 1) for i in range(4)], [1, 3])
+    initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    world.trace = []
+    res = world.run_until(lambda w: oracle.fdp_legitimate(w, initial), 40_000)
+    assert res.reached
+    return world
+
+
+def transform():
+    source = rules.random_multigraph(47, 5, extra=3)
+    target = rules.random_multigraph(48, 5, extra=3)
+    world = rules.build_simple_realization(47, source, shared_sinks=True)
+    world.trace = []
+    assert world.run_until(lambda w: w.is_settled(), 8_000).reached
+    rules.execute_plan(world, rules.plan_transform(world, target))
+    assert rules.cpg(world).edges == target.edges
+    return world
+
+
+def sparse_64():
+    # 64 processes keep hundreds of messages in flight: nearly every pick
+    # is a fairness-forced one.
+    world = random_connected_world(53, 64, extra_edges=32, chains=4)
+    _attach(world, max_relays=8)
+    world.trace = []
+    world.run(2500)
+    return world
+
+
+def round_robin():
+    world = random_connected_world(59, 4, extra_edges=2, chains=1)
+    world.mode = MODE_ROUND_ROBIN
+    _attach(world, max_relays=4)
+    world.trace = []
+    world.run(2000)
+    return world
+
+
+def shutdown():
+    # Apps are removed and processes stopped one by one while messages are
+    # in flight; the dying layers leave orphans behind.
+    world = random_connected_world(61, 5, extra_edges=3, chains=2)
+    _attach(world, send_refs="never", max_relays=3)
+    world.trace = []
+    world.run(300)
+    for pid in sorted(world.processes):
+        world.processes[pid].app = None
+        world.run(10)
+        world.ctx(pid).stop()
+    assert world.run_until(lambda w: not w.layers, 60_000).reached
+    return world
+
+
+def delivery():
+    run = suites._delivery_run(100)
+    return run["hash"], _sha(run["trace"])
+
+
+def convergence():
+    world = adversarial_init(500, 4, 12, 15, "mixed", fairness_bound=suites.FAIRNESS_BOUND)
+    _attach(world, max_relays=4)
+    world.trace = []
+    res = world.run_until(oracle.is_legal, 60_000)
+    assert res.reached
+    world.run(suites.CLOSURE_WINDOW)
+    return world
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(scenario) -> tuple:
+    out = scenario()
+    if isinstance(out, tuple):
+        return out
+    return out.state_hash(), _sha("\n".join(out.trace))
+
+
+SCENARIOS = {
+    "triangle": triangle,
+    "adversarial_mixed": adversarial_mixed,
+    "departure_line": departure_line,
+    "transform": transform,
+    "sparse_64": sparse_64,
+    "round_robin": round_robin,
+    "shutdown": shutdown,
+    "delivery": delivery,
+    "convergence": convergence,
+}
+
+# (state_hash, sha256 of the joined trace), recorded before the incremental
+# scheduler replaced the full action scan.
+GOLDEN = {
+    "adversarial_mixed": (
+        "04e44c031683a4afc326914fa6247c71b7aa4f662b936ccd6a4ac88730baa8b8",
+        "86353b41072523979e7c7ac2c15d040d03e659b4e41c8da15e438db80aedd041",
+    ),
+    "convergence": (
+        "3e82744a0b38042e2bbda7d90a1bdb9cc123fda19f61ee8897e9fc016b69f5c5",
+        "b1ed660d6054b494a7ed7551870d08a2fa398242ed9330f710a5be9a18692825",
+    ),
+    "delivery": (
+        "32210e9ad27d71906c91a961e63ca43204c1d3e72467e2f4b753d5556923f9c2",
+        "b5ed2e73c31194adfeb509c4db24f24e79720b8fcc63c2d9cedd099e37528213",
+    ),
+    "departure_line": (
+        "f29dc0ea3806f564b4bd5b508f82558f01708c3f33f6329894301a7467a5ccf1",
+        "a63bb9486ff956650be4aed4ee59ab241f3f15969ffce83f757a9c32cbe19bea",
+    ),
+    "round_robin": (
+        "0db108f13aabb2cda19b2222ec45969c39302cae99e3681b5936ab8ef5774492",
+        "e663e48064fa8f51a7ab6c7ba24e6a8ea8105b07ba970a7b56c1c52984021576",
+    ),
+    "shutdown": (
+        "7d233eec585b5e518ec1a573089bee4ab4139edc36c8080135ccaa970a235ba0",
+        "b60bf408c696687b8bf2216e655602925bc54035d1e9d9bd77b07fff6cbf7b35",
+    ),
+    "sparse_64": (
+        "835cb0d5aee871bbe7189cd7dd74bf3e07104891294688644ac90d2b67ae89d8",
+        "2bc433b8e030b6da513fede84b9890562da1f0b6676139f19eb48a60de4cd622",
+    ),
+    "transform": (
+        "8075596d0a710ee674e9722e838c14458c2013485a51d36e7189895d69a73957",
+        "f536b47e104c1edea48839be42b03af108c6d481bd67ef545e5d66e7580862df",
+    ),
+    "triangle": (
+        "e76da3e1e969fb5df1476fb2f4c6c30e7e35f780eb62e07793cff3cd4b41655f",
+        "61acfb80680564e26c136cc50a1eb6f046d270e9cd71cabd01c358b0f4432f72",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_golden(name):
+    assert fingerprint(SCENARIOS[name]) == GOLDEN[name]
