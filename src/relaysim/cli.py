@@ -17,7 +17,9 @@ from . import oracle, rules
 from .apps import IdleApp, RandomDeliberateApp
 from .departure import DepartureApp, build_departure_world
 from .kernel import (
+    CORRUPTION_PROFILES,
     MODE_RANDOM,
+    MODE_ROUND_ROBIN,
     WorldState,
     adversarial_init,
     fig_triangle,
@@ -34,7 +36,43 @@ class ScenarioError(Exception):
     pass
 
 
+PREDICATES = {
+    "is_legal": oracle.is_legal,
+    "settled": lambda w: w.is_settled(),
+    "none": lambda w: False,
+    "all_stopped": lambda w: not w.layers,
+}
+
+APPS = {"idle": IdleApp, "random_deliberate": RandomDeliberateApp, "departure": DepartureApp}
+
+# Integer fields: default and least allowed value.  `relays` defaults to
+# three per process.
+_INTEGERS = {
+    "seed": (0, None),
+    "processes": (3, 1),
+    "relays": (None, 0),
+    "messages": (12, 0),
+    "fairness_bound": (64, 0),
+    "max_steps": (20000, 0),
+    "extra_edges": (2, 0),
+    "chains": (1, 0),
+}
+# Fields with a closed set of values: default and allowed values.
+_CHOICES = {
+    "scheduler": (MODE_RANDOM, (MODE_RANDOM, MODE_ROUND_ROBIN)),
+    "topology": ("random_connected", ("triangle", "random_connected", "adversarial", "departure_line")),
+    "corruption_profile": ("mixed", CORRUPTION_PROFILES),
+    "app": ("idle", tuple(APPS)),
+    "predicate": ("is_legal", (*PREDICATES, "fdp_legitimate")),
+}
+
+
 def load_scenario(path: str) -> dict:
+    """Read a scenario file into a complete, typed scenario.
+
+    Every field is checked and every missing one gets its default, so
+    building and running the world cannot fail on the file's contents.
+    """
     try:
         with open(path) as fh:
             scenario = json.load(fh)
@@ -42,72 +80,57 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(str(e))
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
-    unknown = set(scenario) - {
-        "seed", "processes", "relays", "messages", "corruption_profile",
-        "scheduler", "fairness_bound", "max_steps", "predicate", "topology",
-        "leaving", "app", "extra_edges", "chains",
-    }
+    unknown = set(scenario) - set(_INTEGERS) - set(_CHOICES) - {"leaving"}
     if unknown:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-    return scenario
+    typed = {}
+    for name, (default, least) in _INTEGERS.items():
+        value = scenario.get(name, default)
+        if value is None:
+            continue
+        if type(value) is not int:  # JSON true/false would pass isinstance
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ScenarioError(f"{name} must be at least {least}, got {value}")
+        typed[name] = value
+    for name, (default, allowed) in _CHOICES.items():
+        value = scenario.get(name, default)
+        if value not in allowed:
+            raise ScenarioError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
+        typed[name] = value
+    typed.setdefault("relays", 3 * typed["processes"])
+    n = 3 if typed["topology"] == "triangle" else typed["processes"]
+    leaving = scenario.get("leaving", [])
+    if not isinstance(leaving, list) or any(type(p) is not int or not 0 <= p < n for p in leaving):
+        raise ScenarioError(f"leaving must be a list of process ids below {n}, got {leaving!r}")
+    typed["leaving"] = leaving
+    return typed
 
 
-def build_world(scenario: dict) -> tuple:
-    seed = int(scenario.get("seed", 0))
-    n = int(scenario.get("processes", 3))
-    fairness = int(scenario.get("fairness_bound", 64))
-    mode = scenario.get("scheduler", MODE_RANDOM)
-    topology = scenario.get("topology", "random_connected")
-    leaving = [int(p) for p in scenario.get("leaving", [])]
-    app_kind = scenario.get("app", "idle")
-
+def build_world(scenario: dict) -> WorldState:
+    """The world a scenario from `load_scenario` describes."""
+    seed, n, fairness = scenario["seed"], scenario["processes"], scenario["fairness_bound"]
+    mode, topology, leaving = scenario["scheduler"], scenario["topology"], scenario["leaving"]
     if topology == "adversarial":
         world = adversarial_init(
-            seed,
-            n,
-            int(scenario.get("relays", 3 * n)),
-            int(scenario.get("messages", 12)),
-            scenario.get("corruption_profile", "mixed"),
-            fairness_bound=fairness,
-            mode=mode,
+            seed, n, scenario["relays"], scenario["messages"], scenario["corruption_profile"],
+            fairness_bound=fairness, mode=mode,
         )
     elif topology == "triangle":
         world = fig_triangle(seed=seed)
-        world.fairness_bound = fairness
-        world.mode = mode
     elif topology == "random_connected":
-        world = random_connected_world(
-            seed, n, extra_edges=int(scenario.get("extra_edges", 2)),
-            chains=int(scenario.get("chains", 1)),
-        )
-        world.fairness_bound = fairness
-        world.mode = mode
-    elif topology == "departure_line":
+        world = random_connected_world(seed, n, extra_edges=scenario["extra_edges"], chains=scenario["chains"])
+    else:
         edges = [(i, i + 1) for i in range(n - 1)]
         world = build_departure_world(seed, n, edges, leaving, fairness_bound=fairness)
-    else:
-        raise ScenarioError(f"unknown topology: {topology}")
-
+    world.fairness_bound = fairness
+    world.mode = mode
+    app = APPS[scenario["app"]]
     for pid, proc in world.processes.items():
         proc.leaving = proc.leaving or pid in leaving
         if proc.app is None:
-            if app_kind == "idle":
-                proc.app = IdleApp()
-            elif app_kind == "random_deliberate":
-                proc.app = RandomDeliberateApp()
-            elif app_kind == "departure":
-                proc.app = DepartureApp()
-            else:
-                raise ScenarioError(f"unknown app: {app_kind}")
-    return world, scenario
-
-
-PREDICATES = {
-    "is_legal": oracle.is_legal,
-    "settled": lambda w: w.is_settled(),
-    "none": lambda w: False,
-    "all_stopped": lambda w: not w.layers,
-}
+            proc.app = app()
+    return world
 
 
 def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir: str = None,
@@ -116,21 +139,18 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
         scenario = load_scenario(path)
         if seed is not None:
             scenario["seed"] = seed
-        world, scenario = build_world(scenario)
+        world = build_world(scenario)
     except ScenarioError as e:
         print(f"error=parse detail={e}", file=out)
         return EXIT_PARSE
 
-    predicate_name = scenario.get("predicate", "is_legal")
+    predicate_name = scenario["predicate"]
     if predicate_name == "fdp_legitimate":
         initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
         predicate = lambda w: oracle.fdp_legitimate(w, initial)
-    elif predicate_name in PREDICATES:
-        predicate = PREDICATES[predicate_name]
     else:
-        print(f"error=parse detail=unknown predicate {predicate_name}", file=out)
-        return EXIT_PARSE
-    budget = int(max_steps if max_steps is not None else scenario.get("max_steps", 20000))
+        predicate = PREDICATES[predicate_name]
+    budget = max_steps if max_steps is not None else scenario["max_steps"]
 
     if trace_path:
         world.trace = []

@@ -4,7 +4,9 @@ The kernel owns the world: processes, their relay layers, and every message
 still in some buffer.  One step executes exactly one enabled action, chosen
 by a seeded weakly fair scheduler: a layer timeout, a single message
 delivery (non-FIFO, any buffered message may go next), or one application
-action.  Same seed, same scenario, same state sequence.
+action.  Same seed, same scenario, same state sequence.  The scheduler
+indexes the enabled actions as they change, so a step costs O(log n) in
+the number of pending messages instead of a scan of all of them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .core import (
@@ -50,13 +54,197 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-@dataclass(slots=True)
 class ProcessState:
-    pid: int
-    leaving: bool = False
-    active: bool = True
-    app: Optional[object] = None
-    store: dict = field(default_factory=dict)
+    """One process: its flags, its application and its private store.
+
+    Assigning `active` or `app` calls `on_change`, so the world's scheduler
+    keeps its set of enabled application actions current without rescanning
+    the processes on every step.  The hook must not hold the world: a
+    reference cycle would keep finished worlds alive until the cyclic
+    garbage collector runs.
+    """
+
+    __slots__ = ("pid", "leaving", "store", "_active", "_app", "on_change")
+
+    def __init__(self, pid: int, leaving: bool = False, active: bool = True,
+                 app: Optional[object] = None, on_change: Optional[Callable] = None) -> None:
+        self.pid = pid
+        self.leaving = leaving
+        self.store: dict = {}
+        self._active = active
+        self._app = app
+        self.on_change = on_change
+
+    @property
+    def active(self) -> bool:
+        return self._active
+
+    @active.setter
+    def active(self, value: bool) -> None:
+        self._active = value
+        if self.on_change is not None:
+            self.on_change(self)
+
+    @property
+    def app(self) -> Optional[object]:
+        return self._app
+
+    @app.setter
+    def app(self, value: Optional[object]) -> None:
+        self._app = value
+        if self.on_change is not None:
+            self.on_change(self)
+
+    @property
+    def enabled(self) -> bool:
+        """The process has an application action for the scheduler."""
+        return self._active and self._app is not None
+
+
+class _Recurring:
+    """Actions that stay enabled across runs, one per pid: layer timeouts or
+    application ticks.  Each one's age counts the steps since it last ran.
+
+    `order` lists the enabled pids in scheduling order (ascending); `heap`
+    holds (last run, -pid) entries, and stale ones are dropped when they
+    reach the top.
+    """
+
+    __slots__ = ("last", "on", "order", "heap")
+
+    def __init__(self) -> None:
+        self.last: list[int] = []  # by pid; 0 until the first run
+        self.on: list[bool] = []
+        self.order: list[int] = []
+        self.heap: list = []
+
+    def add(self, enabled: bool) -> None:
+        self.last.append(0)
+        self.on.append(False)
+        self.set(len(self.on) - 1, enabled)
+
+    def set(self, pid: int, enabled: bool) -> None:
+        if enabled == self.on[pid]:
+            return
+        self.on[pid] = enabled
+        if enabled:
+            insort(self.order, pid)
+            heappush(self.heap, (self.last[pid], -pid))
+        else:
+            self.order.remove(pid)
+
+    def changed(self, proc: ProcessState) -> None:
+        self.set(proc.pid, proc.enabled)
+
+    def ran(self, pid: int, now: int) -> None:
+        self.last[pid] = now
+        heappush(self.heap, (now, -pid))
+
+    def oldest(self) -> Optional[tuple]:
+        """(last run, -pid) of the enabled action that waited longest,
+        the highest pid among ties; None if none is enabled."""
+        heap, last, on = self.heap, self.last, self.on
+        while heap and (not on[-heap[0][1]] or last[-heap[0][1]] != heap[0][0]):
+            heappop(heap)
+        return heap[0] if heap else None
+
+
+class _LayerCounts:
+    """Pending envelopes per layer, indexed by rid value, as a Fenwick tree
+    (Fenwick 1994): the layer holding the j-th pending envelope is found in
+    O(log P)."""
+
+    __slots__ = ("tree", "top")
+
+    def __init__(self) -> None:
+        self.top = 8  # capacity in layers, a power of two
+        self.tree = [0] * (self.top + 1)  # 1-based; tree[0] is unused
+
+    def ensure(self, size: int) -> None:
+        """Make room for `size` layers.  Doubling the capacity keeps every
+        node; the new root covers the old root's range and empty layers."""
+        while self.top < size:
+            self.tree += [0] * self.top
+            self.top *= 2
+            self.tree[self.top] = self.tree[self.top // 2]
+
+    def add(self, i: int, delta: int) -> None:
+        tree, top = self.tree, self.top
+        i += 1
+        while i <= top:
+            tree[i] += delta
+            i += i & -i
+
+    def find(self, j: int) -> tuple[int, int]:
+        """(i, k): the j-th pending envelope is the k-th one of layer i."""
+        tree, pos, step = self.tree, 0, self.top
+        while step:
+            if tree[pos + step] <= j:
+                pos += step
+                j -= tree[pos]
+            step >>= 1
+        return pos, j
+
+
+# Kind ranks of the message actions in the forced pick's tie-break; ticks
+# rank 1 and timeouts 0, below every message.
+_RELAY, _LAYER, _ORPHAN = 2, 3, 4
+
+
+class PendingIndex(IdSource):
+    """Every pending envelope of one world, indexed as buffers report.
+
+    `holder` maps each pending uid to its relay, or to None in a layer
+    buffer or the orphan list.  `heap` orders pending envelopes for the
+    fairness-forced pick: oldest birth first, then the highest kind rank,
+    rid and uid (an orphan's key is its rank and uid).  Entries of
+    delivered envelopes are dropped when they reach the top.  `counts` and `in_layers` give each layer's share
+    of the random pick; orphans are the kernel's own list.
+
+    An envelope's birth is the step count of the first `step()` that can
+    pick it: the kernel sets `stamp` to that value when a step begins.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stamp = 0
+        self.holder: dict[int, Optional[Relay]] = {}
+        self.heap: list = []  # (birth, -rank, -rid, -uid, uid) or (birth, -rank, -uid, 0, uid)
+        self.counts = _LayerCounts()
+        self.in_layers = 0
+
+    def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
+        uid = self._next
+        self._next = uid + 1
+        self.holder[uid] = relay
+        rank = _LAYER if relay is None else _RELAY
+        heappush(self.heap, (self.stamp, -rank, -rid.value, -uid, uid))
+        self.counts.add(rid.value, 1)
+        self.in_layers += 1
+        return uid
+
+    def moved(self, envelopes: list, relay: Relay) -> None:
+        for env in envelopes:
+            self.holder[env.uid] = relay
+
+    def delivered(self, uid: int, rid: Optional[Rid]) -> None:
+        """The kernel took `uid` out of layer `rid`, or out of the orphans."""
+        del self.holder[uid]
+        if rid is not None:
+            self.counts.add(rid.value, -1)
+            self.in_layers -= 1
+
+    def orphaned(self, rid: Rid, envelopes: list) -> None:
+        """The layer buffer of `rid` moves to the orphans: its sort key changes."""
+        moving = {env.uid for env in envelopes}
+        if not moving:
+            return
+        self.counts.add(rid.value, -len(moving))
+        self.in_layers -= len(moving)
+        # Once per dead layer: the births are read back from the heap.
+        for entry in [e for e in self.heap if e[-1] in moving]:
+            uid = entry[-1]
+            heappush(self.heap, (entry[0], -_ORPHAN, -uid, 0, uid))
 
 
 @dataclass(slots=True)
@@ -148,24 +336,29 @@ class WorldState:
         self.rng = random.Random(seed)
         self.fairness_bound = fairness_bound
         self.mode = mode
-        self.env_source = IdSource()
+        self.env_source = PendingIndex()
         self.processes: dict[int, ProcessState] = {}
         self.layers: dict[Rid, RelayLayer] = {}
         self.orphan_out: list[OutEnvelope] = []
         self.process_rngs: dict[int, random.Random] = {}
         self.step_count = 0
         self.trace: Optional[list] = None
-        self._birth: dict[int, int] = {}
-        self._last_timeout: dict[Rid, int] = {}
-        self._last_app: dict[int, int] = {}
+        # Scheduler state, indexed by pid (which is also the rid value).
+        self._rids: list[Rid] = []
+        self._timeouts = _Recurring()
+        self._apps = _Recurring()
 
     # -- construction ------------------------------------------------------
 
     def add_process(self, leaving: bool = False, app: Optional[object] = None) -> int:
         pid = len(self.processes)
         rid = Rid(pid)
-        self.processes[pid] = ProcessState(pid=pid, leaving=leaving, app=app)
+        self._rids.append(rid)
+        self.processes[pid] = proc = ProcessState(pid, leaving=leaving, app=app, on_change=self._apps.changed)
+        self._apps.add(proc.enabled)
         self.layers[rid] = RelayLayer(rid, self.env_source)
+        self._timeouts.add(True)
+        self.env_source.counts.ensure(pid + 1)
         self.process_rngs[pid] = random.Random(derive_seed(self.seed, "proc", pid))
         return pid
 
@@ -175,15 +368,26 @@ class WorldState:
     def layer_of(self, pid: int) -> Optional[RelayLayer]:
         return self.layers.get(Rid(pid))
 
-    # -- enabled actions ----------------------------------------------------
+    # -- scheduling ----------------------------------------------------------
+    #
+    # The enabled actions, in this order: one timeout per layer (in `layers`
+    # order), one action per process with an active application (ascending
+    # pid), then every buffered message: per layer its relay buffers (in
+    # `relays` order) and its layer buffer, then the orphans.  A timeout's
+    # or application's age counts the steps since it last ran (since step 0
+    # if never); a message's age counts the steps since its birth.  When the
+    # oldest age exceeds `fairness_bound`, or always in round-robin mode,
+    # the step runs the oldest action with the highest sort key: messages
+    # above ticks above timeouts, orphans above layer buffers above relay
+    # buffers; then the highest pid, then the highest uid (orphans: the
+    # highest uid).  Otherwise it runs the action at
+    # `rng.randrange(len(actions))`.  The indexes below keep each kind in
+    # this order as it changes, so `step` never rebuilds the list.
 
     def enabled_actions(self) -> list:
-        actions = []
-        for rid in self.layers:
-            actions.append(("timeout", rid))
-        for pid, proc in self.processes.items():
-            if proc.active and proc.app is not None:
-                actions.append(("app", pid))
+        """Every enabled action in scheduling order (inspection only)."""
+        actions = [("timeout", rid) for rid in self.layers]
+        actions += [("app", pid) for pid in self._apps.order]
         for rid, layer in self.layers.items():
             for relay in layer.relays.values():
                 for env in relay.buf:
@@ -195,96 +399,123 @@ class WorldState:
         return actions
 
     def _action_age(self, action) -> int:
+        """Age of an enabled action (inspection only)."""
         kind = action[0]
         if kind == "timeout":
-            return self.step_count - self._last_timeout.get(action[1], 0)
-        if kind == "app":
-            return self.step_count - self._last_app.get(action[1], 0)
-        uid = action[-1]
-        born = self._birth.setdefault(uid, self.step_count)
-        return self.step_count - born
+            last = self._timeouts.last[action[1].value]
+        elif kind == "app":
+            last = self._apps.last[action[1]]
+        else:
+            uid = action[-1]
+            last = min(e[0] for e in self.env_source.heap if e[-1] == uid)
+        return self.step_count - last
 
     def step(self) -> None:
-        actions = self.enabled_actions()
-        if not actions:
-            self.step_count += 1
-            return
-        max_age = -1
-        oldest: list = []
-        for a in actions:
-            age = self._action_age(a)
-            if age > max_age:
-                max_age = age
-                oldest = [a]
-            elif age == max_age:
-                oldest.append(a)
-        if self.mode == MODE_ROUND_ROBIN or max_age > self.fairness_bound:
-            chosen = max(oldest, key=_action_sort_key) if len(oldest) > 1 else oldest[0]
-        else:
-            chosen = actions[self.rng.randrange(len(actions))]
-        self._execute(chosen)
+        action = self._pick()
+        if action is not None:
+            self._execute(action)
         self.step_count += 1
-        if self.step_count % 1024 == 0:
-            self._prune_birth()
 
-    def _prune_birth(self) -> None:
-        live = {a[-1] for a in self.enabled_actions() if a[0] in ("relay", "layer", "orphan")}
-        self._birth = {uid: born for uid, born in self._birth.items() if uid in live}
+    def _pick(self):
+        """The action this step runs, or None when nothing is enabled."""
+        now = self.step_count
+        pending = self.env_source
+        pending.stamp = now + 1
+        timeout, app = self._timeouts.oldest(), self._apps.oldest()
+        messages, holder = pending.heap, pending.holder
+        while messages and messages[0][-1] not in holder:
+            heappop(messages)  # delivered
+        if timeout is None and app is None and not messages:
+            return None
+
+        oldest = timeout[0] if timeout else now
+        if app and app[0] < oldest:
+            oldest = app[0]
+        if messages and messages[0][0] < oldest:
+            oldest = messages[0][0]
+        if self.mode == MODE_ROUND_ROBIN or now - oldest > self.fairness_bound:
+            # Each heap holds its highest sort key first among equal ages.
+            if messages and messages[0][0] == oldest:
+                _, rank, rid, _, uid = messages[0]
+                if rank == -_RELAY:
+                    relay = holder[uid]
+                    return ("relay", relay.id.rid, relay.id, uid)
+                if rank == -_LAYER:
+                    return ("layer", self._rids[-rid], uid)
+                return ("orphan", uid)
+            if app and app[0] == oldest:
+                return ("app", -app[1])
+            return ("timeout", self._rids[-timeout[1]])
+
+        timeouts, apps = self._timeouts.order, self._apps.order
+        i = self.rng.randrange(len(timeouts) + len(apps) + pending.in_layers + len(self.orphan_out))
+        if i < len(timeouts):
+            return ("timeout", self._rids[timeouts[i]])
+        i -= len(timeouts)
+        if i < len(apps):
+            return ("app", apps[i])
+        i -= len(apps)
+        if i >= pending.in_layers:
+            return ("orphan", self.orphan_out[i - pending.in_layers].uid)
+        pid, i = pending.counts.find(i)
+        layer = self.layers[self._rids[pid]]
+        for relay in layer.relays.values():
+            if i < len(relay.buf):
+                return ("relay", layer.rid, relay.id, relay.buf[i].uid)
+            i -= len(relay.buf)
+        return ("layer", layer.rid, layer.layer_buf[i].uid)
 
     def _execute(self, action) -> None:
         kind = action[0]
+        now = self.step_count
         if kind == "timeout":
             rid = action[1]
             layer = self.layers[rid]
             layer.timeout()
-            self._last_timeout[rid] = self.step_count
+            self._timeouts.ran(rid.value, now)
             if layer.shut_down:
+                self.env_source.orphaned(rid, layer.layer_buf)
                 self.orphan_out.extend(layer.layer_buf)
                 layer.layer_buf.clear()
                 del self.layers[rid]
-            self._trace(kind, rid.value, "")
+                self._timeouts.set(rid.value, False)
+            self._trace(kind, rid.value)
             return
         if kind == "app":
             pid = action[1]
             proc = self.processes[pid]
-            if proc.active and proc.app is not None:
+            if proc.enabled:
                 proc.app.on_tick(self.ctx(pid))
-            self._last_app[pid] = self.step_count
-            self._trace(kind, pid, "")
+            self._apps.ran(pid, now)
+            self._trace(kind, pid)
             return
+        pending = self.env_source
         if kind == "relay":
             _, rid, relay_id, uid = action
-            layer = self.layers[rid]
-            relay = layer.relays[relay_id]
+            relay = self.layers[rid].relays[relay_id]
             env = _pop_envelope(relay.buf, uid)
-            self._birth.pop(uid, None)
-            self._trace(kind, rid.value, message_digest(env.message))
+            pending.delivered(uid, rid)
+            self._trace(kind, rid.value, env.message)
             if relay.out_id is None:
                 self._deliver_local(rid, relay, env.message)
             else:
-                target = self.layers.get(env_target := relay.out_id.rid)
+                target = self.layers.get(relay.out_id.rid)
                 if target is not None:
                     target.receive(env.message)
             return
         if kind == "layer":
             _, rid, uid = action
-            layer = self.layers[rid]
-            env = _pop_out_envelope(layer.layer_buf, uid)
-            self._birth.pop(uid, None)
-            self._trace(kind, rid.value, message_digest(env.message))
-            target = self.layers.get(env.target_rid)
-            if target is not None:
-                target.receive(env.message)
-            return
-        if kind == "orphan":
+            env = _pop_envelope(self.layers[rid].layer_buf, uid)
+            pending.delivered(uid, rid)
+            self._trace(kind, rid.value, env.message)
+        else:
             uid = action[1]
-            env = _pop_out_envelope(self.orphan_out, uid)
-            self._birth.pop(uid, None)
-            self._trace(kind, env.target_rid.value, message_digest(env.message))
-            target = self.layers.get(env.target_rid)
-            if target is not None:
-                target.receive(env.message)
-            return
+            env = _pop_envelope(self.orphan_out, uid)
+            pending.delivered(uid, None)
+            self._trace(kind, env.target_rid.value, env.message)
+        target = self.layers.get(env.target_rid)
+        if target is not None:
+            target.receive(env.message)
 
     def _deliver_local(self, rid: Rid, relay: Relay, message: Message) -> None:
         # Sink buffers deliver to the owning process; everything that is not
@@ -292,12 +523,13 @@ class WorldState:
         if not isinstance(message, ActionInvocation):
             return
         proc = self.processes.get(rid.value)
-        if proc is None or not proc.active or proc.app is None:
+        if proc is None or not proc.enabled:
             return
         proc.app.on_message(self.ctx(proc.pid), message, RelayRef(relay.id))
 
-    def _trace(self, kind: str, actor: int, digest: str) -> None:
+    def _trace(self, kind: str, actor: int, message: Optional[Message] = None) -> None:
         if self.trace is not None:
+            digest = "" if message is None else message_digest(message)
             self.trace.append(f"{self.step_count} {kind} {actor} {digest}")
 
     # -- predicates / inspection ---------------------------------------------
@@ -312,20 +544,6 @@ class WorldState:
     def run(self, steps: int) -> None:
         for _ in range(steps):
             self.step()
-
-    def all_messages(self):
-        """Yield (location, message) for every buffered message.
-
-        Locations: ("relay", relay_id), ("layer", rid), ("orphan", None).
-        """
-        for rid, layer in self.layers.items():
-            for relay in layer.relays.values():
-                for env in relay.buf:
-                    yield ("relay", relay.id), env.message
-            for env in layer.layer_buf:
-                yield ("layer", rid), env.message
-        for env in self.orphan_out:
-            yield ("orphan", None), env.message
 
     def is_settled(self) -> bool:
         """No transient protocol work left: only steady-state noise remains.
@@ -389,29 +607,7 @@ class WorldState:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _action_sort_key(action) -> tuple:
-    # Order only matters for deterministic tie-breaks among equally starved
-    # actions; invert nothing, just give every action a total order.
-    kind = action[0]
-    if kind == "timeout":
-        return (0, action[1].value, 0)
-    if kind == "app":
-        return (1, action[1], 0)
-    if kind == "relay":
-        return (2, action[1].value, action[3])
-    if kind == "layer":
-        return (3, action[1].value, action[2])
-    return (4, action[1], 0)
-
-
 def _pop_envelope(buf: list, uid: int) -> Envelope:
-    for i, env in enumerate(buf):
-        if env.uid == uid:
-            return buf.pop(i)
-    raise KeyError(uid)
-
-
-def _pop_out_envelope(buf: list, uid: int) -> OutEnvelope:
     for i, env in enumerate(buf):
         if env.uid == uid:
             return buf.pop(i)
@@ -562,11 +758,6 @@ def adversarial_init(
         return world
     _corrupt(world, rng, n_messages)
     return world
-
-
-def _random_relay(world: WorldState, rng: random.Random) -> Relay:
-    pool = [r for layer in world.layers.values() for r in layer.relays.values()]
-    return pool[rng.randrange(len(pool))]
 
 
 def _fabricated_id(world: WorldState, rng: random.Random) -> RelayId:

@@ -39,15 +39,27 @@ from .core import (
 
 
 class IdSource:
-    """Monotonic counter shared by all layers of one world (envelope uids)."""
+    """Envelope uids of one world, and the sink for its buffer reports.
+
+    Uids come from one monotonic counter shared by all layers of a world.
+    Every change to a buffer is reported here: a layer's emissions and
+    merge moves, and the kernel's deliveries.  This base class only hands
+    out uids; the kernel's scheduler extends it into an index of every
+    pending envelope.
+    """
 
     def __init__(self) -> None:
         self._next = 0
 
-    def next(self) -> int:
-        v = self._next
-        self._next += 1
-        return v
+    def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
+        """Uid of a new envelope entering `relay`'s buffer, or the layer
+        buffer of `rid` when `relay` is None."""
+        uid = self._next
+        self._next = uid + 1
+        return uid
+
+    def moved(self, envelopes: list, relay: Relay) -> None:
+        """`envelopes` moved into `relay`'s buffer within the same layer."""
 
 
 @dataclass(slots=True)
@@ -95,10 +107,10 @@ class RelayLayer:
     # -- emission ----------------------------------------------------------
 
     def _emit_buf(self, relay: Relay, message: Message) -> None:
-        relay.buf.append(Envelope(self.env_source.next(), message))
+        relay.buf.append(Envelope(self.env_source.emit(self.rid, relay), message))
 
     def _emit_control(self, target: Rid, message: Message) -> None:
-        self.layer_buf.append(OutEnvelope(self.env_source.next(), target, message))
+        self.layer_buf.append(OutEnvelope(self.env_source.emit(self.rid, None), target, message))
 
     # -- primitives --------------------------------------------------------
 
@@ -156,6 +168,7 @@ class RelayLayer:
         for r in relays:
             # Buffers and keys move to the merged relay; the originals stay
             # as drained tombstones until the repair loop collects them.
+            self.env_source.moved(r.buf, merged)
             merged.buf.extend(r.buf)
             r.buf = []
             r.out_keys = set()

@@ -85,6 +85,26 @@ def test_unknown_field_is_parse_error(tmp_path):
     assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
 
 
+BAD_FIELDS = {
+    "seed_not_a_number": {"seed": "abc"},
+    "fairness_bound_not_a_number": {"fairness_bound": "x"},
+    "no_processes": {"processes": 0},
+    "unknown_scheduler": {"scheduler": "bogus"},
+    "leaving_pid_out_of_range": {"processes": 3, "leaving": [7]},
+    "leaving_not_a_list": {"processes": 3, "leaving": "01"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+def test_bad_field_is_parse_error(tmp_path, name):
+    path = write_scenario(tmp_path, topology="random_connected", predicate="none", max_steps=5,
+                          **BAD_FIELDS[name])
+    out = io.StringIO()
+    assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+    assert "steps=" not in out.getvalue()
+
+
 def test_budget_exhaustion_exit_code(tmp_path):
     path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
     out = io.StringIO()

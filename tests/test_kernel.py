@@ -3,15 +3,19 @@
 import pytest
 
 from relaysim import oracle
+from relaysim.apps import RandomDeliberateApp
 from relaysim.core import Rid
 from relaysim.kernel import (
+    MODE_RANDOM,
     MODE_ROUND_ROBIN,
+    WorldState,
     adversarial_init,
     connect_door,
     fig_triangle,
     new_world,
     random_connected_world,
 )
+from relaysim.layer import RelayLayer
 
 
 def test_only_timeouts_enabled_in_quiet_world():
@@ -181,3 +185,273 @@ def test_layer_shutdown_detaches_pending_notifications():
     assert res.reached
     res = world.run_until(lambda w: not target_layer.relays[door_id].in_set, 8000)
     assert res.reached, "teardown notice was lost with the dying layer"
+
+
+# -- lock-step differential test against the full-scan scheduler --------------
+
+
+def _reference_sort_key(action) -> tuple:
+    kind = action[0]
+    if kind == "timeout":
+        return (0, action[1].value, 0)
+    if kind == "app":
+        return (1, action[1], 0)
+    if kind == "relay":
+        return (2, action[1].value, action[3])
+    if kind == "layer":
+        return (3, action[1].value, action[2])
+    return (4, action[1], 0)
+
+
+class FullScanScheduler:
+    """The scheduler before the incremental index, kept as the reference.
+
+    Every step rebuilds the list of enabled actions, scans every action's
+    age and breaks ties by the sort key; a message is born at the step count
+    of the first step that sees it.  It drives `world._execute` directly.
+    """
+
+    def __init__(self, world):
+        self.world = world
+        self.birth = {}
+        self.last_timeout = {}
+        self.last_app = {}
+        self.forced = 0
+        self.random = 0
+
+    def enabled_actions(self) -> list:
+        w = self.world
+        actions = []
+        for rid in w.layers:
+            actions.append(("timeout", rid))
+        for pid, proc in w.processes.items():
+            if proc.active and proc.app is not None:
+                actions.append(("app", pid))
+        for rid, layer in w.layers.items():
+            for relay in layer.relays.values():
+                for env in relay.buf:
+                    actions.append(("relay", rid, relay.id, env.uid))
+            for env in layer.layer_buf:
+                actions.append(("layer", rid, env.uid))
+        for env in w.orphan_out:
+            actions.append(("orphan", env.uid))
+        return actions
+
+    def action_age(self, action) -> int:
+        now = self.world.step_count
+        kind = action[0]
+        if kind == "timeout":
+            return now - self.last_timeout.get(action[1], 0)
+        if kind == "app":
+            return now - self.last_app.get(action[1], 0)
+        return now - self.birth.setdefault(action[-1], now)
+
+    def step(self):
+        w = self.world
+        actions = self.enabled_actions()
+        chosen = None
+        if actions:
+            max_age, oldest = -1, []
+            for a in actions:
+                age = self.action_age(a)
+                if age > max_age:
+                    max_age, oldest = age, [a]
+                elif age == max_age:
+                    oldest.append(a)
+            if w.mode == MODE_ROUND_ROBIN or max_age > w.fairness_bound:
+                chosen = max(oldest, key=_reference_sort_key)
+                self.forced += 1
+            else:
+                chosen = actions[w.rng.randrange(len(actions))]
+                self.random += 1
+            w._execute(chosen)
+            if chosen[0] == "timeout":
+                self.last_timeout[chosen[1]] = w.step_count
+            elif chosen[0] == "app":
+                self.last_app[chosen[1]] = w.step_count
+            else:
+                self.birth.pop(chosen[-1], None)
+        w.step_count += 1
+        return chosen
+
+
+def _with_apps(world, **kwargs):
+    for proc in world.processes.values():
+        proc.app = RandomDeliberateApp(**kwargs)
+    return world
+
+
+def _configured(world, **settings):
+    for name, value in settings.items():
+        setattr(world, name, value)
+    return world
+
+
+def _send_between_steps(world, i):
+    # A payload sent from outside any step, every 37 steps.
+    if i % 37 == 5:
+        pid = i % len(world.processes)
+        refs = world.ctx(pid).get_relays()
+        if refs:
+            world.ctx(pid).send(refs[i % len(refs)], "note", (i,))
+
+
+def _toggle_apps_and_mode(world, i):
+    _send_between_steps(world, i)
+    if i == 150:
+        world.processes[1].app = None
+    if i == 300:
+        world.mode = MODE_ROUND_ROBIN
+    if i == 350:
+        world.processes[1].app = RandomDeliberateApp(max_relays=4)
+        world.processes[2].active = False
+    if i == 450:
+        world.mode = MODE_RANDOM
+        world.processes[2].active = True
+
+
+def _shut_down_one_by_one(world, i):
+    # Apps leave mid-run, then every process stops: dying layers orphan
+    # their buffered notifications.
+    if i >= 300 and (i - 300) % 10 == 0 and (i - 300) // 10 < 2 * len(world.processes):
+        pid, phase = divmod((i - 300) // 10, 2)
+        if phase == 0:
+            world.processes[pid].app = None
+        else:
+            world.ctx(pid).stop()
+
+
+def _parallel_relays(seed):
+    # Three relays per process feed the same door, so they can be merged.
+    world = new_world(seed, 4)
+    for pid in range(4):
+        for _ in range(3):
+            connect_door(world, pid, (pid + 1) % 4)
+    return _with_apps(world, max_relays=6)
+
+
+def _merge_between_steps(world, i):
+    # Every 23 steps one process loads two parallel relays and merges them,
+    # so buffered envelopes move to the merged relay; without a pair it
+    # wires a new parallel relay instead.
+    _send_between_steps(world, i)
+    if i % 23 != 7:
+        return
+    pid = i % len(world.processes)
+    ctx = world.ctx(pid)
+    free = [r for r in ctx.get_relays() if not ctx.is_sink(r) and ctx.incoming(r) == 0]
+    pairs = [(a, b) for a in free for b in free if a.relay_id < b.relay_id and ctx.same_target(a, b)]
+    if pairs:
+        a, b = pairs[0]
+        ctx.send(a, "note", (i,))
+        ctx.send(b, "note", (i,))
+        assert ctx.merge({a, b}) is not None
+    else:
+        connect_door(world, pid, (pid + 1) % len(world.processes))
+
+
+def _add_processes(world, i):
+    # Processes join mid-run while messages are in flight; the ninth one
+    # outgrows the scheduler's initial per-layer capacity.
+    _send_between_steps(world, i)
+    if i in (200, 400):
+        pid = world.add_process(app=RandomDeliberateApp(max_relays=4))
+        connect_door(world, pid, i % pid)
+        connect_door(world, i % pid, pid)
+
+
+LOCKSTEP = {
+    # name: (world builder, steps, hook between steps)
+    "random": (lambda s: _with_apps(random_connected_world(s, 4, 2, 1), max_relays=4), 1500, None),
+    "tight_bound": (
+        lambda s: _with_apps(_configured(random_connected_world(s, 5, 3, 1), fairness_bound=s % 5),
+                             max_relays=4),
+        1200,
+        _send_between_steps,
+    ),
+    "forced_at_scale": (lambda s: _with_apps(random_connected_world(s, 40, 20, 4), max_relays=8), 400, None),
+    "round_robin": (
+        lambda s: _with_apps(_configured(random_connected_world(s, 4, 2, 1), mode=MODE_ROUND_ROBIN),
+                             max_relays=4),
+        800,
+        None,
+    ),
+    "add_processes": (lambda s: _with_apps(random_connected_world(s, 8, 4, 1), max_relays=4), 700,
+                      _add_processes),
+    "adversarial": (lambda s: _with_apps(adversarial_init(s, 4, 12, 15, "mixed"), max_relays=4), 1200, None),
+    "merges": (_parallel_relays, 1000, _merge_between_steps),
+    "outside_changes": (lambda s: _with_apps(random_connected_world(s, 4, 2, 1), max_relays=4), 700,
+                        _toggle_apps_and_mode),
+    "shutdown": (
+        lambda s: _with_apps(random_connected_world(s, 5, 3, 2), send_refs="never", max_relays=3),
+        450,
+        _shut_down_one_by_one,
+    ),
+}
+
+
+CASES = [(name, seed) for name in sorted(LOCKSTEP) for seed in (3, 4, 5)] + [
+    ("random", seed) for seed in (6, 7, 8)
+]
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_incremental_scheduler_matches_full_scan(name, seed):
+    build, steps, between = LOCKSTEP[name]
+    ref_world, world = build(seed), build(seed)
+    reference = FullScanScheduler(ref_world)
+    picked = []
+    execute = world._execute
+    world._execute = lambda action: (picked.append(action), execute(action))
+    for i in range(steps):
+        if between:
+            between(ref_world, i)
+            between(world, i)
+        if i % 97 == 0:
+            actions = reference.enabled_actions()
+            assert world.enabled_actions() == actions
+            assert [world._action_age(a) for a in actions] == [reference.action_age(a) for a in actions]
+        picked.clear()
+        expected = reference.step()
+        world.step()
+        assert (picked[0] if picked else None) == expected, f"step {i}"
+    assert world.state_hash() == ref_world.state_hash()
+    assert reference.forced + reference.random > 0
+
+
+def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
+    merged = []
+    original = RelayLayer.merge
+
+    def merge(layer, refs):
+        result = original(layer, refs)
+        merged.append(result is not None)
+        return result
+
+    monkeypatch.setattr(RelayLayer, "merge", merge)
+    forced = random_picks = orphans = 0
+    for name, seed in CASES:
+        build, steps, between = LOCKSTEP[name]
+        world = build(seed)
+        reference = FullScanScheduler(world)
+        for i in range(steps):
+            if between:
+                between(world, i)
+            action = reference.step()
+            orphans += action is not None and action[0] == "orphan"
+        forced += reference.forced
+        random_picks += reference.random
+    assert forced > 1000 and random_picks > 1000
+    assert orphans > 0 and sum(merged) > 0
+
+
+def test_step_never_rebuilds_the_action_list(monkeypatch):
+    world = _with_apps(random_connected_world(7, 256, extra_edges=128, chains=16), max_relays=8)
+
+    def rebuild(*args):
+        raise AssertionError("step() scanned every action")
+
+    monkeypatch.setattr(WorldState, "enabled_actions", rebuild)
+    monkeypatch.setattr(WorldState, "_action_age", rebuild)
+    world.run(500)
+    assert world.step_count == 500
