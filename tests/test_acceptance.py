@@ -3,11 +3,60 @@
 One test per criterion; each prints its suite's summary line so a full run
 reads as a scorecard.  Budgets: desk scale (3-8 processes), zero tolerated
 violations everywhere, deterministic seeds throughout.
+
+The scorecard is pinned: each suite's summary line, the sha256 of its trace
+(the joined per-run hashes, "" when the suite keeps none) and the number of
+states it sampled for cycle-freeness must stay byte-identical across
+refactors.
 """
+
+import hashlib
 
 import pytest
 
 from relaysim import suites
+
+PINNED = {
+    "delivery": (
+        "criterion=delivery runs=100 tracked_sends=10308 undelivered=0 misdelivered=0 pass=yes",
+        "76b7c34e7c4d37a4fbcc37c400d18dd000e9af6f37416740e60e13144bdf1ed1",
+        100,
+    ),
+    "closure": (
+        "criterion=closure runs=100 steps_each=10000 illegal_states=0 pass=yes",
+        "ebe5d04aa52306de6317cc8a728dd9213ad2b6275806cf54146f300d96456603",
+        2000,
+    ),
+    "convergence": (
+        "criterion=convergence runs=200 converged=200 max_steps=203 window=640 window_violations=0 pass=yes",
+        "9fa4971386fbf6a881cfccd0621976a79fea936e4a7a5f9499e48447decb8fde",
+        200,
+    ),
+    "shutdown": (
+        "criterion=shutdown runs=100 surviving_layers=0 pass=yes",
+        "e53ca40c0fdbacef811d1d864168229a4d78376ea61c324b0f4c9211282e0e57",
+        0,
+    ),
+    "connectivity": (
+        "criterion=connectivity applications=1000 disconnections=0 pass=yes",
+        "586b5f9fde669ac2fe555829551bbe087dc97da98995a8ade79771e97ec449ed",
+        100,
+    ),
+    "universality": (
+        "criterion=universality pairs=50 matched=50 disconnections=0 pass=yes",
+        "213fa9ba6492390bbb6edbe2c20307a66916058705bf8a6b3d502469d4802d79",
+        50,
+    ),
+    "emulation": ("criterion=emulation cases=100 executed=100 delta_mismatches=0 pass=yes", "", 0),
+    "fdp": (
+        "criterion=fdp runs=100 reached_legitimate=100 safety_violations=0 pass=yes",
+        "b9d6ee6612841bdaa6afb22fb3c1815ecc9311a31d7287890550df9ae3a7b2a2",
+        100,
+    ),
+    "cycle_freeness": ("criterion=cycle_freeness sampled_states=3200 directed_cycles=0 pass=yes", "", 3200),
+    "determinism": ("criterion=determinism reruns=2 trace_bytes=391931 identical=yes pass=yes", "", 0),
+}
+AGGREGATE = "criterion=cycle_freeness_aggregate sampled_states=5750 directed_cycles=0"
 
 _reports = {}
 
@@ -17,6 +66,10 @@ def _run(name):
     _reports[name] = report
     for line in report.lines:
         print(line)
+    line, digest, sampled = PINNED[name]
+    assert report.lines == [line]
+    assert (hashlib.sha256(report.trace.encode()).hexdigest() if report.trace else "") == digest
+    assert (report.cycle_checks, report.cycle_violations) == (sampled, 0)
     return report
 
 
@@ -66,8 +119,11 @@ def test_criterion_9_cycle_freeness():
     # every state the other suites sampled counts as well
     checks = sum(r.cycle_checks for r in _reports.values())
     violations = sum(r.cycle_violations for r in _reports.values())
-    print(f"criterion=cycle_freeness_aggregate sampled_states={checks} directed_cycles={violations}")
+    aggregate = f"criterion=cycle_freeness_aggregate sampled_states={checks} directed_cycles={violations}"
+    print(aggregate)
     assert checks > 0 and violations == 0
+    if len(_reports) == len(PINNED) - 1:  # criteria 1-9 all ran in this session
+        assert aggregate == AGGREGATE
 
 
 def test_criterion_10_determinism():
