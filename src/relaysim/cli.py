@@ -275,11 +275,10 @@ def run_transform(source_path: str, target_path: str, seed: int = 0, out=sys.std
 def run_suite(name: str, out=sys.stdout) -> int:
     from . import suites
 
-    try:
-        report = suites.run_suite(name)
-    except KeyError:
+    if name not in suites.SUITES:
         print(f"error=parse detail=unknown suite {name}", file=out)
         return EXIT_PARSE
+    report = suites.run_suite(name)
     for line in report.lines:
         print(line, file=out)
     return EXIT_OK if report.passed else EXIT_ORACLE

@@ -109,7 +109,8 @@ class InEntry:
         return self.from_rid is not None
 
     def sort_key(self) -> tuple:
-        return (self.key, 0 if self.confirmed else 1, self.from_rid or Rid(-1), self.via or RelayId(Rid(-1), -1))
+        # Confirmed entries first, then by sender address or announcing relay.
+        return (self.key, self.via is not None, self.from_rid or self.via)
 
 
 def confirmed_entry(key: Key, sender: Rid) -> InEntry:
@@ -229,10 +230,6 @@ class Ping:
 
 Message = Union[Transmit, ProbeFail, NotAuthorized, InRelayClosed, OutRelayClosed, Ping, ActionInvocation]
 
-RELAY_STATE_ALIVE = "alive"
-RELAY_STATE_DEAD = "dead"
-
-
 @dataclass(slots=True)
 class Envelope:
     """Buffer entry: a message plus the kernel-assigned delivery identity."""
@@ -251,17 +248,13 @@ class Relay:
     """
 
     id: RelayId
-    state: str = RELAY_STATE_ALIVE
+    alive: bool = True
     out_keys: set = field(default_factory=set)
     out_id: Optional[RelayId] = None
     level: int = 0
     sink_rid: Rid = None  # type: ignore[assignment]
     in_set: set = field(default_factory=set)
     buf: list = field(default_factory=list)
-
-    @property
-    def alive(self) -> bool:
-        return self.state == RELAY_STATE_ALIVE
 
     @property
     def is_sink(self) -> bool:
@@ -344,7 +337,7 @@ def relay_json(r: Relay) -> dict:
     """Canonical dict form of one relay record."""
     return {
         "id": _id_json(r.id),
-        "state": r.state,
+        "state": "alive" if r.alive else "dead",
         "out": {"Key": [_key_json(k) for k in r.sorted_out_keys()], "ID": _id_json(r.out_id) if r.out_id else None},
         "level": r.level,
         "sinkRID": r.sink_rid.value,

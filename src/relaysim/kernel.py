@@ -253,6 +253,15 @@ class RunResult:
     reached: bool
 
 
+# Stands in for the layer of a process whose layer is gone.  A stopped layer
+# without relays gives every primitive its default: no relay (None, []), 0,
+# False, dead, and nothing to send, merge, delete or stop.  Every primitive
+# that could change a layer returns early once its owner is stopped, so this
+# shared instance never changes.
+_STOPPED_LAYER = RelayLayer(Rid(-1), IdSource())
+_STOPPED_LAYER.owner_alive = False
+
+
 class ProcessContext:
     """Primitive access handed to application code; one process, one layer."""
 
@@ -265,8 +274,8 @@ class ProcessContext:
         return Rid(self.pid)
 
     @property
-    def _layer(self) -> Optional[RelayLayer]:
-        return self.world.layers.get(Rid(self.pid))
+    def _layer(self) -> RelayLayer:
+        return self.world.layers.get(Rid(self.pid), _STOPPED_LAYER)
 
     @property
     def process(self) -> ProcessState:
@@ -285,49 +294,38 @@ class ProcessContext:
         return self.world.process_rngs[self.pid]
 
     def new_relay(self) -> Optional[RelayRef]:
-        layer = self._layer
-        return layer.new_relay() if layer else None
+        return self._layer.new_relay()
 
     def delete_relay(self, ref: RelayRef) -> None:
-        if self._layer:
-            self._layer.delete_relay(ref)
+        self._layer.delete_relay(ref)
 
     def merge(self, refs) -> Optional[RelayRef]:
-        layer = self._layer
-        return layer.merge(refs) if layer else None
+        return self._layer.merge(refs)
 
     def get_relays(self) -> list:
-        layer = self._layer
-        return layer.get_relays() if layer else []
+        return self._layer.get_relays()
 
     def incoming(self, ref: RelayRef) -> int:
-        layer = self._layer
-        return layer.incoming(ref) if layer else 0
+        return self._layer.incoming(ref)
 
     def direct(self, ref: RelayRef) -> bool:
-        layer = self._layer
-        return layer.direct(ref) if layer else False
+        return self._layer.direct(ref)
 
     def is_sink(self, ref: RelayRef) -> bool:
-        layer = self._layer
-        return layer.is_sink(ref) if layer else False
+        return self._layer.is_sink(ref)
 
     def dead(self, ref: RelayRef) -> bool:
-        layer = self._layer
-        return layer.dead(ref) if layer else True
+        return self._layer.dead(ref)
 
     def same_target(self, a: RelayRef, b: RelayRef) -> bool:
-        layer = self._layer
-        return layer.same_target(a, b) if layer else False
+        return self._layer.same_target(a, b)
 
     def send(self, ref: RelayRef, label: str, params: tuple = (), relay_positions: tuple = ()) -> None:
-        if self._layer:
-            self._layer.send(ref, ActionInvocation(label, params, relay_positions))
+        self._layer.send(ref, ActionInvocation(label, params, relay_positions))
 
     def stop(self) -> None:
         self.process.active = False
-        if self._layer:
-            self._layer.stop_process()
+        self._layer.stop_process()
 
 
 class WorldState:
@@ -798,7 +796,7 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
         if rng.random() < 0.15 and relay.out_id is not None:
             relay.out_keys.clear()
         if rng.random() < 0.1:
-            relay.state = "dead"
+            relay.alive = False
 
     # A relay aimed at a fabricated target, and one two-relay cycle.
     for _ in range(2):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
-    RELAY_STATE_DEAD,
     ActionInvocation,
     Envelope,
     Header,
+    InEntry,
     InRelayClosed,
     Key,
     Message,
@@ -249,7 +249,7 @@ class RelayLayer:
     def _delete(self, relay: Relay, internal: bool = True) -> None:
         if internal and relay.alive:
             self.events.append(("internal_delete", relay.id))
-        relay.state = RELAY_STATE_DEAD
+        relay.alive = False
         for rid in sorted({e.from_rid for e in relay.in_set if e.confirmed}):
             self._emit_control(rid, OutRelayClosed(relay.id))
         relay.in_set.clear()
@@ -315,9 +315,8 @@ class RelayLayer:
     def _activate_connection(self, relay: Relay, header: Header) -> None:
         # First message over a fresh connection confirms the announced key.
         sender = rid_of(header.in_id)
-        for e in relay.sorted_in():
-            if e.confirmed or e.key != header.key:
-                continue
+        announced = [e for e in relay.in_set if e.via is not None and e.key == header.key]
+        for e in sorted(announced, key=InEntry.sort_key):
             via = self.relays.get(e.via)
             if via is not None and via.sink_rid == sender:
                 relay.in_set.discard(e)

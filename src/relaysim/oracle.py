@@ -655,19 +655,7 @@ def fdp_legitimate(world: WorldState, initial_components: Iterable) -> bool:
             return False
         if not proc.leaving and not proc.active:
             return False
-    current = weakly_connected_components(extract_relay_graph(world))
-    membership = {}
-    for i, comp in enumerate(current):
-        for pid in comp:
-            membership[pid] = i
-    for component in initial_components:
-        stayers = [pid for pid in component if not world.processes[pid].leaving]
-        if len(stayers) <= 1:
-            continue
-        buckets = {membership.get(pid, ("missing", pid)) for pid in stayers}
-        if len(buckets) != 1:
-            return False
-    return True
+    return stayers_connected(world, initial_components)
 
 
 def stayers_connected(world: WorldState, initial_components: Iterable) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import ActionInvocation, RelayRef
@@ -171,7 +171,6 @@ PlanStep = Union[NewRelayStep, IntroductionStep, ReversalStep, FusionStep]
 class TransformPlan:
     steps: list
     initial_slots: dict  # (pid, slot) -> RelayId
-    tree_meta: dict = field(default_factory=dict)
 
     def to_lines(self) -> list:
         out = []
@@ -526,9 +525,7 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     mirrored = target.reversed().edge_counter()
     planner.phase_to_multiset(mirrored)
     planner.phase_rebuild(target)
-    plan = TransformPlan(planner.steps, planner.initial_slots)
-    plan.tree_meta = {"edges": list(target.edges)}
-    return plan
+    return TransformPlan(planner.steps, planner.initial_slots)
 
 
 # ---------------------------------------------------------------------------

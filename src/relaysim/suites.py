@@ -4,16 +4,22 @@ relay layer makes, at desk scale.
 Each suite returns a report with one summary line per property and carries
 the cycle-freeness tally of every state it sampled through the oracle.
 Suites are deterministic: identical seeds produce byte-identical traces.
+
+A suite is a run function mapped over its seeds plus a summary of the
+results; `_suite` does the mapping, the sums and the report.
 """
 
 from __future__ import annotations
 
+import os
 import random
-from dataclasses import dataclass
-from multiprocessing import Pool, cpu_count
+from collections import Counter
+from dataclasses import asdict, dataclass
+from multiprocessing import Pool
 
 from . import oracle, rules
 from .apps import DeliveryTracker, RandomDeliberateApp
+from .core import RelayRef
 from .departure import build_departure_world
 from .kernel import WorldState, adversarial_init, random_connected_world
 
@@ -34,21 +40,56 @@ class SuiteReport:
 
 @dataclass
 class _CycleTally:
-    checks: int = 0
-    violations: int = 0
+    cycle_checks: int = 0
+    cycle_violations: int = 0
 
     def sample(self, world: WorldState, check=None) -> None:
-        self.checks += 1
+        self.cycle_checks += 1
         if not oracle.valid_graph_cycle_free(world, check):
-            self.violations += 1
+            self.cycle_violations += 1
+
+
+def _end_sample(world: WorldState) -> dict:
+    """Result fields of one cycle-freeness sample taken at the end of a run."""
+    tally = _CycleTally()
+    tally.sample(world)
+    return asdict(tally)
+
+
+def _connected(world: WorldState) -> bool:
+    return len(oracle.process_components(world)) == 1
 
 
 def _pool_map(fn, args):
-    workers = min(2, cpu_count() or 1)
+    workers = min(os.cpu_count() or 1, len(args))
     if workers < 2 or len(args) < 4:
         return [fn(a) for a in args]
     with Pool(workers) as pool:
         return pool.map(fn, args, chunksize=max(1, len(args) // (workers * 4)))
+
+
+def _report(name: str, passed: bool, fields: str, cycle_checks=0, cycle_violations=0, trace="") -> SuiteReport:
+    line = f"criterion={name} {fields} pass={'yes' if passed else 'no'}"
+    return SuiteReport(name, passed, [line], cycle_checks, cycle_violations, trace)
+
+
+def _suite(name: str, run, args, summarise) -> SuiteReport:
+    """Map `run` over `args` and report the results, merged in `args` order.
+
+    `summarise(total, results)` returns `(passed, "field=value ...")`; `total`
+    holds the sum of every numeric result field over all runs (a bool counts
+    the runs where it is true).  The cycle tallies are summed and the runs'
+    `trace` and `hash` fields joined into the report's trace.
+    """
+    results = _pool_map(run, args)
+    total = Counter()
+    for r in results:
+        for k, v in r.items():
+            if not isinstance(v, str):
+                total[k] += v
+    passed, fields = summarise(total, results)
+    trace = "\n".join(r[k] for r in results for k in ("trace", "hash") if k in r)
+    return _report(name, passed, fields, total["cycle_checks"], total["cycle_violations"], trace)
 
 
 # ---------------------------------------------------------------------------
@@ -69,37 +110,25 @@ def _delivery_run(seed: int) -> dict:
     for app in apps:
         app.frozen = True
     world.run_until(lambda w: not tracker.undelivered_valid(), 40_000)
-    tally = _CycleTally()
-    tally.sample(world)
     return {
-        "seed": seed,
+        **_end_sample(world),
         "undelivered": len(tracker.undelivered_valid()),
         "misdelivered": len(tracker.misdelivered()),
         "tracked": len(tracker.sent),
-        "cycle_checks": tally.checks,
-        "cycle_violations": tally.violations,
         "trace": "\n".join(world.trace),
         "hash": world.state_hash(),
     }
 
 
 def run_delivery(runs: int = 100, seed_base: int = 100) -> SuiteReport:
-    results = _pool_map(_delivery_run, [seed_base + i for i in range(runs)])
-    undelivered = sum(r["undelivered"] for r in results)
-    misdelivered = sum(r["misdelivered"] for r in results)
-    tracked = sum(r["tracked"] for r in results)
-    passed = undelivered == 0 and misdelivered == 0 and tracked > 0
-    return SuiteReport(
-        "delivery",
-        passed,
-        [
-            f"criterion=delivery runs={len(results)} tracked_sends={tracked} "
-            f"undelivered={undelivered} misdelivered={misdelivered} pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=sum(r["cycle_checks"] for r in results),
-        cycle_violations=sum(r["cycle_violations"] for r in results),
-        trace="\n".join(r["trace"] + "\n" + r["hash"] for r in results),
-    )
+    def summarise(t, results):
+        passed = t["undelivered"] == 0 and t["misdelivered"] == 0 and t["tracked"] > 0
+        return passed, (
+            f"runs={len(results)} tracked_sends={t['tracked']} "
+            f"undelivered={t['undelivered']} misdelivered={t['misdelivered']}"
+        )
+
+    return _suite("delivery", _delivery_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +140,8 @@ def _closure_run(seed: int) -> dict:
     world = random_connected_world(seed, 3, extra_edges=1, chains=0)
     for pid in world.processes:
         world.processes[pid].app = RandomDeliberateApp(max_relays=3)
-    violations = 0
+    violations = 0 if oracle.is_legal(world) else 1
     tally = _CycleTally()
-    if not oracle.is_legal(world):
-        violations += 1
     for step in range(CLOSURE_STEPS):
         world.step()
         check = oracle.WorldCheck(world)
@@ -122,30 +149,16 @@ def _closure_run(seed: int) -> dict:
             violations += 1
         if step % 500 == 0:
             tally.sample(world, check)
-    return {
-        "seed": seed,
-        "violations": violations,
-        "cycle_checks": tally.checks,
-        "cycle_violations": tally.violations,
-        "hash": world.state_hash(),
-    }
+    return {**asdict(tally), "violations": violations, "hash": world.state_hash()}
 
 
 def run_closure(runs: int = 100, seed_base: int = 300) -> SuiteReport:
-    results = _pool_map(_closure_run, [seed_base + i for i in range(runs)])
-    violations = sum(r["violations"] for r in results)
-    passed = violations == 0
-    return SuiteReport(
-        "closure",
-        passed,
-        [
-            f"criterion=closure runs={len(results)} steps_each={CLOSURE_STEPS} "
-            f"illegal_states={violations} pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=sum(r["cycle_checks"] for r in results),
-        cycle_violations=sum(r["cycle_violations"] for r in results),
-        trace="\n".join(r["hash"] for r in results),
-    )
+    def summarise(t, results):
+        return t["violations"] == 0, (
+            f"runs={len(results)} steps_each={CLOSURE_STEPS} illegal_states={t['violations']}"
+        )
+
+    return _suite("closure", _closure_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -158,43 +171,26 @@ def _convergence_run(seed: int) -> dict:
     for pid in world.processes:
         world.processes[pid].app = RandomDeliberateApp(max_relays=4)
     res = world.run_until(oracle.is_legal, 60_000)
-    tally = _CycleTally()
     flicker = 0
+    sample = {}
     if res.reached:
         for _ in range(CLOSURE_WINDOW):
             world.step()
             if not oracle.is_legal(world):
                 flicker += 1
-        tally.sample(world)
-    return {
-        "seed": seed,
-        "converged": res.reached,
-        "steps": res.steps,
-        "flicker": flicker,
-        "cycle_checks": tally.checks,
-        "cycle_violations": tally.violations,
-        "hash": world.state_hash(),
-    }
+        sample = _end_sample(world)
+    return {**sample, "converged": res.reached, "steps": res.steps, "flicker": flicker, "hash": world.state_hash()}
 
 
 def run_convergence(runs: int = 200, seed_base: int = 500) -> SuiteReport:
-    results = _pool_map(_convergence_run, [seed_base + i for i in range(runs)])
-    converged = sum(1 for r in results if r["converged"])
-    flicker = sum(r["flicker"] for r in results)
-    worst = max(r["steps"] for r in results)
-    passed = converged == len(results) and flicker == 0
-    return SuiteReport(
-        "convergence",
-        passed,
-        [
-            f"criterion=convergence runs={len(results)} converged={converged} "
-            f"max_steps={worst} window={CLOSURE_WINDOW} window_violations={flicker} "
-            f"pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=sum(r["cycle_checks"] for r in results),
-        cycle_violations=sum(r["cycle_violations"] for r in results),
-        trace="\n".join(r["hash"] for r in results),
-    )
+    def summarise(t, results):
+        n = len(results)
+        return t["converged"] == n and t["flicker"] == 0, (
+            f"runs={n} converged={t['converged']} max_steps={max(r['steps'] for r in results)} "
+            f"window={CLOSURE_WINDOW} window_violations={t['flicker']}"
+        )
+
+    return _suite("convergence", _convergence_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +206,15 @@ def _shutdown_run(seed: int) -> dict:
         world.processes[pid].app = None
         world.run(10)
         world.ctx(pid).stop()
-    res = world.run_until(lambda w: not w.layers, 60_000)
-    return {"seed": seed, "survivors": len(world.layers), "steps": res.steps, "hash": world.state_hash()}
+    world.run_until(lambda w: not w.layers, 60_000)
+    return {"survivors": len(world.layers), "hash": world.state_hash()}
 
 
 def run_shutdown(runs: int = 100, seed_base: int = 900) -> SuiteReport:
-    results = _pool_map(_shutdown_run, [seed_base + i for i in range(runs)])
-    survivors = sum(r["survivors"] for r in results)
-    passed = survivors == 0
-    return SuiteReport(
-        "shutdown",
-        passed,
-        [
-            f"criterion=shutdown runs={len(results)} surviving_layers={survivors} "
-            f"pass={'yes' if passed else 'no'}"
-        ],
-        trace="\n".join(r["hash"] for r in results),
-    )
+    def summarise(t, results):
+        return t["survivors"] == 0, f"runs={len(results)} surviving_layers={t['survivors']}"
+
+    return _suite("shutdown", _shutdown_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +222,7 @@ def run_shutdown(runs: int = 100, seed_base: int = 900) -> SuiteReport:
 #    weakly connected.
 
 
-def _applicable_rules(world: WorldState, rng: random.Random):
+def _applicable_rules(world: WorldState):
     """All rule instances whose preconditions hold right now."""
     out = []
     for pid in sorted(world.processes):
@@ -262,57 +250,29 @@ def _connectivity_run(args) -> dict:
     rng = random.Random(seed)
     world = random_connected_world(seed, 3 + seed % 4, extra_edges=2, chains=1)
     world.run_until(lambda w: w.is_settled(), 8_000)
-    bad = 0
+    bad = 0 if _connected(world) else 1
     applied = 0
-    tally = _CycleTally()
-    for _ in range(applications):
-        if len(oracle.weakly_connected_components(oracle.extract_relay_graph(world))) != 1:
-            bad += 1
-            break
-        candidates = _applicable_rules(world, rng)
+    while not bad and applied < applications:
+        candidates = _applicable_rules(world)
         if not candidates:
             break
         kind, pid, r, s = candidates[rng.randrange(len(candidates))]
-        if kind == "introduction":
-            rules.relay_introduction(world, pid, r, s)
-        elif kind == "fusion":
-            rules.relay_fusion(world, pid, r, s)
-        else:
-            rules.relay_reversal(world, pid, r, s)
+        getattr(rules, "relay_" + kind)(world, pid, r, s)
         applied += 1
         world.run_until(lambda w: w.is_settled(), 8_000)
-        if len(oracle.weakly_connected_components(oracle.extract_relay_graph(world))) != 1:
-            bad += 1
-            break
-    tally.sample(world)
-    return {
-        "seed": seed,
-        "applied": applied,
-        "violations": bad,
-        "cycle_checks": tally.checks,
-        "cycle_violations": tally.violations,
-        "hash": world.state_hash(),
-    }
+        bad = 0 if _connected(world) else 1
+    return {**_end_sample(world), "applied": applied, "violations": bad, "hash": world.state_hash()}
 
 
 def run_connectivity(applications: int = 1000, seed_base: int = 1200) -> SuiteReport:
     per_world = 10
     worlds = (applications + per_world - 1) // per_world
-    results = _pool_map(_connectivity_run, [(seed_base + i, per_world) for i in range(worlds)])
-    applied = sum(r["applied"] for r in results)
-    violations = sum(r["violations"] for r in results)
-    passed = violations == 0 and applied >= applications * 0.9
-    return SuiteReport(
-        "connectivity",
-        passed,
-        [
-            f"criterion=connectivity applications={applied} "
-            f"disconnections={violations} pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=sum(r["cycle_checks"] for r in results),
-        cycle_violations=sum(r["cycle_violations"] for r in results),
-        trace="\n".join(r["hash"] for r in results),
-    )
+
+    def summarise(t, results):
+        passed = t["violations"] == 0 and t["applied"] >= applications * 0.9
+        return passed, f"applications={t['applied']} disconnections={t['violations']}"
+
+    return _suite("connectivity", _connectivity_run, [(seed_base + i, per_world) for i in range(worlds)], summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -329,41 +289,26 @@ def _universality_run(seed: int) -> dict:
     disconnections = []
 
     def on_step(w, i, step):
-        comps = oracle.weakly_connected_components(oracle.extract_relay_graph(w))
-        if len(comps) != 1:
+        if not _connected(w):
             disconnections.append(i)
 
     rules.execute_plan(world, plan, on_step=on_step)
-    final = rules.cpg(world)
-    tally = _CycleTally()
-    tally.sample(world)
     return {
-        "seed": seed,
-        "match": final.edges == target.edges,
+        **_end_sample(world),
+        "match": rules.cpg(world).edges == target.edges,
         "disconnections": len(disconnections),
-        "plan_len": len(plan.steps),
-        "cycle_checks": tally.checks,
-        "cycle_violations": tally.violations,
         "hash": world.state_hash(),
     }
 
 
 def run_universality(runs: int = 50, seed_base: int = 1400) -> SuiteReport:
-    results = _pool_map(_universality_run, [seed_base + i for i in range(runs)])
-    matches = sum(1 for r in results if r["match"])
-    disconnections = sum(r["disconnections"] for r in results)
-    passed = matches == len(results) and disconnections == 0
-    return SuiteReport(
-        "universality",
-        passed,
-        [
-            f"criterion=universality pairs={len(results)} matched={matches} "
-            f"disconnections={disconnections} pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=sum(r["cycle_checks"] for r in results),
-        cycle_violations=sum(r["cycle_violations"] for r in results),
-        trace="\n".join(r["hash"] for r in results),
-    )
+    def summarise(t, results):
+        n = len(results)
+        return t["match"] == n and t["disconnections"] == 0, (
+            f"pairs={n} matched={t['match']} disconnections={t['disconnections']}"
+        )
+
+    return _suite("universality", _universality_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +320,12 @@ def _emulation_case(args) -> dict:
     rule, seed = args
     for attempt in range(8):
         result = _emulation_attempt(rule, seed * 131 + attempt)
-        if not result.get("skipped"):
+        if not result["skipped"]:
             return result
     return result
 
 
 def _emulation_attempt(rule: str, seed: int) -> dict:
-    from collections import Counter as C
-
     rng = random.Random(seed)
     n = 3 + seed % 3
     if rule == "fusion":
@@ -406,57 +349,41 @@ def _emulation_attempt(rule: str, seed: int) -> dict:
         for r in layer.relays.values():
             init[(rid.value, f"w{r.id.rid.value}_{r.id.serial}")] = r.id
 
-    before = C(rules.cpg(world).edges)
+    before = Counter(rules.cpg(world).edges)
+    skipped = {"ok": True, "skipped": True}
 
-    if rule == "introduction":
-        cands = [(u, v, w) for (u, v) in slots for (u2, w) in slots if u2 == u and w != v]
+    if rule in ("introduction", "delegation"):
+        # Delegation hands u's edge to w over to v, so u, v and w differ.
+        cands = [
+            (u, v, w) for (u, v) in slots for (u2, w) in slots
+            if u2 == u and w != v and (rule == "introduction" or u not in (v, w))
+        ]
         if not cands:
-            return {"ok": True, "skipped": True}
+            return skipped
         u, v, w = sorted(cands)[rng.randrange(len(cands))]
         steps = rules.emulate_process_rule(
-            "introduction", {"u": u, "v": v, "w": w, "u_to_v": slots[(u, v)][0], "u_to_w": slots[(u, w)][0]}
+            rule, {"u": u, "v": v, "w": w, "u_to_v": slots[(u, v)][0], "u_to_w": slots[(u, w)][0]}
         )
-        expected_add, expected_del = C({(v, w): 1}), C()
-    elif rule == "delegation":
-        cands = [(u, v, w) for (u, v) in slots for (u2, w) in slots if u2 == u and w != v and u != v and u != w]
-        if not cands:
-            return {"ok": True, "skipped": True}
-        u, v, w = sorted(cands)[rng.randrange(len(cands))]
-        steps = rules.emulate_process_rule(
-            "delegation", {"u": u, "v": v, "w": w, "u_to_v": slots[(u, v)][0], "u_to_w": slots[(u, w)][0]}
-        )
-        expected_add, expected_del = C({(v, w): 1}), C({(u, w): 1})
+        expected_add = Counter({(v, w): 1})
+        expected_del = Counter({(u, w): 1} if rule == "delegation" else {})
     elif rule == "fusion":
         pair = next(((u, v) for (u, v), names in slots.items() if len(names) >= 2), None)
         if pair is None:
-            return {"ok": True, "skipped": True}
+            return skipped
         u, v = pair
-        same = world.layer_of(u).same_target(
-            _ref_of(world, u, slots[pair][0]), _ref_of(world, u, slots[pair][1])
-        )
-        steps = rules.emulate_process_rule(
-            "fusion", {"u": u, "v": v, "slot_a": slots[pair][0], "slot_b": slots[pair][1], "same_target": same}
-        )
-        expected_add, expected_del = C(), C({(u, v): 1})
+        a, b = slots[pair][:2]
+        same = world.layer_of(u).same_target(RelayRef(init[(u, a)]), RelayRef(init[(u, b)]))
+        steps = rules.emulate_process_rule("fusion", {"u": u, "v": v, "slot_a": a, "slot_b": b, "same_target": same})
+        expected_add, expected_del = Counter(), Counter({(u, v): 1})
     else:
         pair = sorted(slots)[rng.randrange(len(slots))]
         u, v = pair
         steps = rules.emulate_process_rule("reversal", {"u": u, "v": v, "u_to_v": slots[pair][0]})
-        expected_add, expected_del = C({(v, u): 1}), C({(u, v): 1})
+        expected_add, expected_del = Counter({(v, u): 1}), Counter({(u, v): 1})
 
-    plan = rules.TransformPlan(steps, init)
-    rules.execute_plan(world, plan)
-    after = C(rules.cpg(world).edges)
-    ok = (after - before) == expected_add and (before - after) == expected_del
-    return {"ok": ok, "skipped": False, "rule": rule, "seed": seed}
-
-
-def _ref_of(world: WorldState, pid: int, slot: str):
-    from .core import RelayId, RelayRef, Rid
-
-    _, rest = slot.split("w", 1)
-    rid_v, serial = rest.split("_")
-    return RelayRef(RelayId(Rid(int(rid_v)), int(serial)))
+    rules.execute_plan(world, rules.TransformPlan(steps, init))
+    after = Counter(rules.cpg(world).edges)
+    return {"ok": (after - before) == expected_add and (before - after) == expected_del, "skipped": False}
 
 
 def run_emulation(per_rule: int = 25, seed_base: int = 1600) -> SuiteReport:
@@ -465,18 +392,13 @@ def run_emulation(per_rule: int = 25, seed_base: int = 1600) -> SuiteReport:
         for rule in ("introduction", "delegation", "fusion", "reversal")
         for i in range(per_rule)
     ]
-    results = _pool_map(_emulation_case, cases)
-    failed = [r for r in results if not r["ok"]]
-    executed = sum(1 for r in results if not r.get("skipped"))
-    passed = not failed and executed == len(cases)
-    return SuiteReport(
-        "emulation",
-        passed,
-        [
-            f"criterion=emulation cases={len(cases)} executed={executed} "
-            f"delta_mismatches={len(failed)} pass={'yes' if passed else 'no'}"
-        ],
-    )
+
+    def summarise(t, results):
+        executed, mismatches = len(cases) - t["skipped"], len(cases) - t["ok"]
+        passed = mismatches == 0 and executed == len(cases)
+        return passed, f"cases={len(cases)} executed={executed} delta_mismatches={mismatches}"
+
+    return _suite("emulation", _emulation_case, cases, summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +415,7 @@ def _fdp_run(seed: int) -> dict:
             edges.append((u, v))
     leaving = rng.sample(range(n), 1 + seed % 3)
     world = build_departure_world(seed, n, edges, leaving)
-    initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    initial = oracle.process_components(world)
     reached = False
     safety_violations = 0
     for _ in range(40_000):
@@ -504,34 +426,22 @@ def _fdp_run(seed: int) -> dict:
             safety_violations += 1
             break
         world.step()
-    tally = _CycleTally()
-    tally.sample(world)
     return {
-        "seed": seed,
+        **_end_sample(world),
         "reached": reached,
         "safety_violations": safety_violations,
-        "cycle_checks": tally.checks,
-        "cycle_violations": tally.violations,
         "hash": world.state_hash(),
     }
 
 
 def run_fdp(runs: int = 100, seed_base: int = 1800) -> SuiteReport:
-    results = _pool_map(_fdp_run, [seed_base + i for i in range(runs)])
-    reached = sum(1 for r in results if r["reached"])
-    safety = sum(r["safety_violations"] for r in results)
-    passed = reached == len(results) and safety == 0
-    return SuiteReport(
-        "fdp",
-        passed,
-        [
-            f"criterion=fdp runs={len(results)} reached_legitimate={reached} "
-            f"safety_violations={safety} pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=sum(r["cycle_checks"] for r in results),
-        cycle_violations=sum(r["cycle_violations"] for r in results),
-        trace="\n".join(r["hash"] for r in results),
-    )
+    def summarise(t, results):
+        n = len(results)
+        return t["reached"] == n and t["safety_violations"] == 0, (
+            f"runs={n} reached_legitimate={t['reached']} safety_violations={t['safety_violations']}"
+        )
+
+    return _suite("fdp", _fdp_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +460,15 @@ def _cycle_run(seed: int) -> dict:
     for _ in range(40):
         tally.sample(world2)
         world2.run(25)
-    return {"checks": tally.checks, "violations": tally.violations}
+    return asdict(tally)
 
 
 def run_cycle_freeness(runs: int = 40, seed_base: int = 2100) -> SuiteReport:
-    results = _pool_map(_cycle_run, [seed_base + i for i in range(runs)])
-    checks = sum(r["checks"] for r in results)
-    violations = sum(r["violations"] for r in results)
-    passed = violations == 0 and checks > 0
-    return SuiteReport(
-        "cycle_freeness",
-        passed,
-        [
-            f"criterion=cycle_freeness sampled_states={checks} directed_cycles={violations} "
-            f"pass={'yes' if passed else 'no'}"
-        ],
-        cycle_checks=checks,
-        cycle_violations=violations,
-    )
+    def summarise(t, results):
+        checks, violations = t["cycle_checks"], t["cycle_violations"]
+        return violations == 0 and checks > 0, f"sampled_states={checks} directed_cycles={violations}"
+
+    return _suite("cycle_freeness", _cycle_run, range(seed_base, seed_base + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -577,18 +478,11 @@ def run_cycle_freeness(runs: int = 40, seed_base: int = 2100) -> SuiteReport:
 def run_determinism(runs: int = 12, seed_base: int = 100) -> SuiteReport:
     first = run_delivery(runs=runs, seed_base=seed_base)
     second = run_delivery(runs=runs, seed_base=seed_base)
-    identical = first.trace == second.trace and first.trace != ""
     third = run_convergence(runs=10, seed_base=500)
     fourth = run_convergence(runs=10, seed_base=500)
-    identical = identical and third.trace == fourth.trace
-    return SuiteReport(
-        "determinism",
-        identical,
-        [
-            f"criterion=determinism reruns=2 trace_bytes={len(first.trace)} "
-            f"identical={'yes' if identical else 'no'} pass={'yes' if identical else 'no'}"
-        ],
-    )
+    identical = first.trace == second.trace and first.trace != "" and third.trace == fourth.trace
+    verdict = "yes" if identical else "no"
+    return _report("determinism", identical, f"reruns=2 trace_bytes={len(first.trace)} identical={verdict}")
 
 
 SUITES = {

@@ -12,8 +12,6 @@ refactors.
 
 import hashlib
 
-import pytest
-
 from relaysim import suites
 
 PINNED = {
@@ -122,7 +120,7 @@ def test_criterion_9_cycle_freeness():
     aggregate = f"criterion=cycle_freeness_aggregate sampled_states={checks} directed_cycles={violations}"
     print(aggregate)
     assert checks > 0 and violations == 0
-    if len(_reports) == len(PINNED) - 1:  # criteria 1-9 all ran in this session
+    if len(_reports) == len(PINNED) - 1:  # criteria 1-9 all ran in this pytest run
         assert aggregate == AGGREGATE
 
 

@@ -176,3 +176,20 @@ def test_transform_bad_dot_is_parse_error(tmp_path):
 def test_main_entry_point(tmp_path):
     path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="is_legal")
     assert cli.main(["run", path]) == cli.EXIT_OK
+
+
+def test_unknown_suite_is_parse_error():
+    out = io.StringIO()
+    assert cli.run_suite("no_such_suite", out=out) == cli.EXIT_PARSE
+    assert out.getvalue() == "error=parse detail=unknown suite no_such_suite\n"
+
+
+def test_suite_internal_key_error_propagates(monkeypatch):
+    from relaysim import suites
+
+    def broken():
+        raise KeyError("inside a run")
+
+    monkeypatch.setitem(suites.SUITES, "delivery", broken)
+    with pytest.raises(KeyError, match="inside a run"):
+        cli.run_suite("delivery", out=io.StringIO())

@@ -187,6 +187,23 @@ def test_layer_shutdown_detaches_pending_notifications():
     assert res.reached, "teardown notice was lost with the dying layer"
 
 
+def test_context_primitives_after_shutdown_return_defaults():
+    world = new_world(37, 2)
+    out = connect_door(world, 0, 1)
+    ctx = world.ctx(0)
+    ctx.stop()
+    assert world.run_until(lambda w: Rid(0) not in w.layers, 8000).reached
+    before = world.state_hash()
+    for _ in range(2):  # the second round sees whatever the first one left behind
+        assert ctx.new_relay() is None and ctx.merge([out]) is None and ctx.get_relays() == []
+        assert (ctx.incoming(out), ctx.direct(out), ctx.is_sink(out), ctx.dead(out)) == (0, False, False, True)
+        assert not ctx.same_target(out, out)
+        ctx.send(out, "late", ("x",))
+        ctx.delete_relay(out)
+        ctx.stop()
+    assert world.state_hash() == before
+
+
 # -- lock-step differential test against the full-scan scheduler --------------
 
 

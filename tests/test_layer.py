@@ -73,7 +73,7 @@ def test_delete_notifies_confirmed_senders_once_per_rid():
     relay.in_set.add(confirmed_entry(layer.mint_key(), Rid(1)))
     relay.in_set.add(confirmed_entry(layer.mint_key(), Rid(1)))
     layer.delete_relay(ref)
-    assert relay.state == "dead" and not relay.in_set
+    assert not relay.alive and not relay.in_set
     notices = [(t, m) for t, m in layer_messages(layer) if isinstance(m, OutRelayClosed)]
     assert notices == [(Rid(1), OutRelayClosed(relay.id))]
 
@@ -83,7 +83,7 @@ def test_delete_with_empty_in_sends_nothing():
     layer = world.layer_of(0)
     ref = layer.new_relay()
     layer.delete_relay(ref)
-    assert layer.relays[ref.relay_id].state == "dead"
+    assert not layer.relays[ref.relay_id].alive
     assert not layer.layer_buf
 
 
@@ -404,7 +404,7 @@ def test_not_authorized_last_key_closes_relay_and_purges():
     key = next(iter(relay.out_keys))
     m = Transmit(Header(key, relay.id, relay.out_id, relay.level), ActionInvocation("x", ()))
     layer.handle_notauthorized(m)
-    assert relay.state == "dead" and not relay.out_keys
+    assert not relay.alive and not relay.out_keys
     assert not layer.relays[s.relay_id].in_set
 
 
@@ -440,7 +440,7 @@ def test_ping_deletes_when_level_too_low():
     layer, relay = ping_setup(world)
     relay.level = 1
     layer.handle_ping(relay.out_id, 3, relay.sink_rid, next(iter(relay.out_keys)))
-    assert relay.state == "dead"
+    assert not relay.alive
 
 
 def test_ping_without_holder_answers_in_relay_closed():
@@ -503,7 +503,7 @@ def test_out_relay_closed_tears_down_and_purges():
     world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
     relay = layer.relays[via.relay_id]
     layer.handle_outrelayclosed(relay.out_id)
-    assert relay.state == "dead"
+    assert not relay.alive
     assert relay.out_id is None and not relay.out_keys
     assert not layer.relays[s.relay_id].in_set
     assert layer.dead(via)
@@ -537,7 +537,7 @@ def test_timeout_deletes_keyless_non_sink():
     layer.relays[ref.relay_id].out_keys.clear()
     layer.timeout()
     gone = layer.relays.get(ref.relay_id)
-    assert gone is None or gone.state == "dead"
+    assert gone is None or not gone.alive
 
 
 def test_timeout_purges_duplicate_in_keys():
@@ -613,7 +613,7 @@ def test_stop_deletes_sinks_but_keeps_draining_non_sinks():
     world.ctx(0).send(out, "note", ("bye",))
     world.ctx(0).stop()
     layer = world.layer_of(0)
-    assert layer.relays[door.relay_id].state == "dead"
+    assert not layer.relays[door.relay_id].alive
     assert layer.relays[out.relay_id].alive
     res = world.run_until(lambda w: Rid(0) not in w.layers, 6000)
     assert res.reached

@@ -71,7 +71,7 @@ def test_dead_next_hop_violates_validity():
     world = new_world(4, 2)
     ref = connect_door(world, 0, 1)
     door_id = world.processes[1].store["door"].relay_id
-    world.layer_of(1).relays[door_id].state = "dead"
+    world.layer_of(1).relays[door_id].alive = False
     ok, violations = oracle.valid_relay(world, ref.relay_id)
     assert not ok and "P11b" in violations
 
