@@ -5,8 +5,11 @@ from relaysim.core import (
     ActionInvocation,
     Header,
     InRelayClosed,
+    NotAuthorized,
     OutRelayClosed,
     Ping,
+    Probe,
+    ProbeFail,
     RelayParameter,
     Rid,
     Transmit,
@@ -138,6 +141,63 @@ def test_in_relay_closed_matching_keys_violates_p11f():
     layer._emit_control(Rid(1), InRelayClosed(frozenset(relay.out_keys), Rid(0), relay.out_id))
     ok, violations = oracle.valid_relay(world, ref.relay_id)
     assert not ok and "P11f" in violations
+
+
+def test_alive_out_key_co_holder_violates_p11e():
+    world = new_world(22, 2)
+    ref = connect_door(world, 0, 1)
+    layer = world.layer_of(0)
+    relay = layer.relays[ref.relay_id]
+    twin = layer.relays[layer.new_relay().relay_id]
+    twin.out_id, twin.out_keys = relay.out_id, set(relay.out_keys)
+    twin.level, twin.sink_rid = relay.level, relay.sink_rid
+    assert oracle.valid_relay(world, relay.id) == (False, ["P11e"])
+    assert oracle.valid_relay(world, twin.id) == (False, ["P11e"])
+    # A merge tombstone still holding the key is not a co-holder.
+    twin.alive = False
+    assert oracle.valid_relay(world, relay.id) == (True, [])
+
+
+def test_not_authorized_against_held_permission_violates_p8():
+    world = new_world(23, 2)
+    sender = connect_door(world, 0, 1)
+    layer1 = world.layer_of(1)
+    door = layer1.relays[world.processes[1].store["door"].relay_id]
+    key = next(iter(door.in_set)).key
+    rejected = Transmit(Header(key, sender.relay_id, door.id, 1), ActionInvocation("x", ()))
+    assert oracle.valid_relay(world, door.id) == (True, [])
+    layer1._emit_control(Rid(0), NotAuthorized(rejected))
+    assert oracle.valid_relay(world, door.id) == (False, ["P8"])
+
+
+def _sent_parameter(seed):
+    """A two-process world with one freshly sent parameter: (world, the
+    announcing relay, the parameter's carrier id, the parameter)."""
+    world = new_world(seed, 2)
+    via = connect_door(world, 0, 1)
+    layer = world.layer_of(0)
+    world.ctx(0).send(via, "meet", (layer.new_relay(),), relay_positions=(0,))
+    carrier, _, param = oracle.WorldCheck(world).params[0]
+    assert oracle.valid_relay_parameter(world, carrier, param) == (True, [])
+    return world, layer.relays[via.relay_id], carrier, param
+
+
+def test_probefail_for_announced_key_rejects_parameter():
+    world, via, carrier, param = _sent_parameter(24)
+    world.layer_of(1)._emit_control(Rid(0), ProbeFail(param.key, (min(via.out_keys),)))
+    # The same ProbeFail leaves the target's pending entry unbacked (P9), so
+    # the parameter fails on its target (C3) before C9 is reached.
+    assert oracle.valid_relay(world, param.id) == (False, ["P9"])
+    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C3"])
+
+
+def test_probe_ahead_of_its_announcement_violates_c10():
+    world, via, carrier, param = _sent_parameter(25)
+    key = min(via.out_keys)
+    hunter = Probe(frozenset({param.key}), (key,))
+    world.layer_of(0)._emit_buf(via, Transmit(Header(key, via.id, via.out_id, via.level), hunter))
+    assert oracle.valid_relay(world, param.id) == (True, [])
+    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C10"])
 
 
 def test_valid_header_confirmed_and_unconfirmed_clauses():
