@@ -5,6 +5,7 @@ from relaysim.core import (
     ActionInvocation,
     Header,
     InRelayClosed,
+    Key,
     NotAuthorized,
     OutRelayClosed,
     Ping,
@@ -191,6 +192,17 @@ def test_probefail_for_announced_key_rejects_parameter():
     assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C3"])
 
 
+def test_probe_hunting_pending_key_off_its_chain_violates_p9():
+    world, via, carrier, param = _sent_parameter(26)
+    key = min(via.out_keys)
+    # The hunted key is not the probe's first control key, and the probe
+    # sits in a layer buffer, off the announcing relay's chain.
+    hunter = Probe(frozenset({Key(Rid(0), 0), param.key}), (key,))
+    world.layer_of(0)._emit_control(Rid(1), Transmit(Header(key, via.id, via.out_id, via.level), hunter))
+    assert oracle.valid_relay(world, param.id) == (False, ["P9"])
+    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C3"])
+
+
 def test_probe_ahead_of_its_announcement_violates_c10():
     world, via, carrier, param = _sent_parameter(25)
     key = min(via.out_keys)
@@ -198,6 +210,13 @@ def test_probe_ahead_of_its_announcement_violates_c10():
     world.layer_of(0)._emit_buf(via, Transmit(Header(key, via.id, via.out_id, via.level), hunter))
     assert oracle.valid_relay(world, param.id) == (True, [])
     assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C10"])
+
+
+def test_in_relay_closed_for_parameter_key_violates_c11():
+    world, via, carrier, param = _sent_parameter(27)
+    world.layer_of(1)._emit_control(Rid(0), InRelayClosed(frozenset({param.key}), Rid(1), param.id))
+    assert oracle.valid_relay(world, param.id) == (True, [])
+    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C11"])
 
 
 def test_valid_header_confirmed_and_unconfirmed_clauses():
