@@ -384,11 +384,7 @@ class RelayLayer:
         if not key_sequence:
             return
         last = key_sequence[-1]
-        holder = None
-        for r in sorted(self.relays.values(), key=lambda r: r.id):
-            if last in r.out_keys:
-                holder = r
-                break
+        holder = min((r for r in self.relays.values() if last in r.out_keys), key=lambda r: r.id, default=None)
         if holder is None:
             return
         if len(key_sequence) > 1:
@@ -398,11 +394,10 @@ class RelayLayer:
                     self._emit_control(e.from_rid, ProbeFail(key, key_sequence[:-1]))
                     return
         else:
-            for r in sorted(self.relays.values(), key=lambda r: r.id):
-                entry = next((e for e in r.sorted_in() if not e.confirmed and e.key == key and e.via == holder.id), None)
-                if entry is not None:
-                    r.in_set.discard(entry)
-                    return
+            entry = unconfirmed_entry(key, holder.id)
+            announcer = min((r for r in self.relays.values() if entry in r.in_set), key=lambda r: r.id, default=None)
+            if announcer is not None:
+                announcer.in_set.discard(entry)
 
     # -- not authorized ---------------------------------------------------------
 
@@ -428,11 +423,11 @@ class RelayLayer:
     def handle_ping(self, id: RelayId, level: int, sink_rid: Rid, key: Key) -> None:
         if id is None:
             return
-        holder = None
-        for r in sorted(self.relays.values(), key=lambda r: r.id):
-            if r.out_id == id and key in r.out_keys:
-                holder = r
-                break
+        holder = min(
+            (r for r in self.relays.values() if r.out_id == id and key in r.out_keys),
+            key=lambda r: r.id,
+            default=None,
+        )
         if holder is not None:
             holder.sink_rid = sink_rid
             if holder.level > level + 1:
@@ -452,9 +447,7 @@ class RelayLayer:
                 r.in_set -= gone
 
     def handle_outrelayclosed(self, id: RelayId) -> None:
-        for relay in sorted(self.relays.values(), key=lambda r: r.id):
-            if relay.out_id != id:
-                continue
+        for relay in sorted((r for r in self.relays.values() if r.out_id == id), key=lambda r: r.id):
             self._purge_unconfirmed_via(relay)
             relay.out_keys.clear()
             relay.out_id = None

@@ -45,39 +45,43 @@ def _params_of(transmit: Transmit) -> list:
 
 
 class WorldCheck:
-    """Single-pass verification context: index once, query many times."""
+    """Single-pass verification context: index once, query many times.
+
+    One pass over the relays and one over the buffers build every index the
+    checks look up: relays by next hop, in-flight probes by control key,
+    ProbeFail first keys by key and InRelayClosed by target.  A full check
+    is then linear in relays plus messages in flight.
+    """
 
     def __init__(self, world: WorldState) -> None:
         self.world = world
         self.relays: dict[RelayId, Relay] = {}
         self.layer_rids: dict[RelayId, Rid] = {}
+        self.in_key_count: dict[Key, int] = {}
+        self.out_key_holders: dict[Key, list] = {}
+        self.relays_by_out: dict[RelayId, list] = {}
         for rid, layer in world.layers.items():
             for relay in layer.relays.values():
                 self.relays[relay.id] = relay
                 self.layer_rids[relay.id] = rid
-
-        self.in_key_count: dict[Key, int] = {}
-        self.out_key_holders: dict[Key, list] = {}
-        for relay in self.relays.values():
-            for e in relay.in_set:
-                self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
-            for k in relay.out_keys:
-                self.out_key_holders.setdefault(k, []).append(relay.id)
+                for e in relay.in_set:
+                    self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
+                for k in relay.out_keys:
+                    self.out_key_holders.setdefault(k, []).append(relay.id)
+                if relay.out_id is not None:
+                    self.relays_by_out.setdefault(relay.out_id, []).append(relay)
 
         self.pings_by_id: dict[RelayId, list] = {}
         self.orc_ids: set = set()
-        self.notauth: list = []
         self.notauth_by_out: dict[RelayId, list] = {}
-        self.probefails: list = []
-        self.inrelays: list = []
-        # (carrier relay id | None, transmit); carrier None for layer/orphan
-        self.transmits: list = []
-        self.probe_locs: list = []  # (carrier relay id | None, Probe)
+        self.probefail_starts: dict[Key, set] = {}  # key -> first keys of its ProbeFails
+        self.inrelays_by_target: dict[RelayId, list] = {}
+        self.probes_by_control: dict[Key, list] = {}  # (carrier relay id | None, Probe)
         self.header_key_count: dict[Key, int] = {}
         self.param_count: dict[Key, int] = {}
         self.params: list = []  # (carrier relay id | None, Transmit, RelayParameter)
 
-        for rid, layer in world.layers.items():
+        for layer in world.layers.values():
             for relay in layer.relays.values():
                 for env in relay.buf:
                     self._index_message(relay.id, env.message)
@@ -88,34 +92,26 @@ class WorldCheck:
 
         self._valid: dict[RelayId, bool] = {}
         self._violations: dict[RelayId, list] = {}
-        self._in_idx: dict[RelayId, dict] = {}
         self._evaluated = False
 
-    def _in_by_key(self, relay: Relay) -> dict:
-        idx = self._in_idx.get(relay.id)
-        if idx is None:
-            idx = {}
-            for e in relay.in_set:
-                idx.setdefault(e.key, []).append(e)
-            self._in_idx[relay.id] = idx
-        return idx
-
     def _index_message(self, carrier, msg) -> None:
-        if isinstance(msg, Transmit):
-            self.transmits.append((carrier, msg))
+        kind = type(msg)
+        if kind is Transmit:
             self.header_key_count[msg.header.key] = self.header_key_count.get(msg.header.key, 0) + 1
-            if isinstance(msg.action, Probe):
-                self.probe_locs.append((carrier, msg.action))
+            if type(msg.action) is Probe:
+                probe = msg.action
+                if probe.key_sequence:
+                    for k in probe.control_keys:
+                        self.probes_by_control.setdefault(k, []).append((carrier, probe))
             else:
                 for p in _params_of(msg):
                     self.param_count[p.key] = self.param_count.get(p.key, 0) + 1
                     self.params.append((carrier, msg, p))
-        elif isinstance(msg, Ping):
+        elif kind is Ping:
             self.pings_by_id.setdefault(msg.id, []).append(msg)
-        elif isinstance(msg, OutRelayClosed):
+        elif kind is OutRelayClosed:
             self.orc_ids.add(msg.id)
-        elif isinstance(msg, NotAuthorized):
-            self.notauth.append(msg.original)
+        elif kind is NotAuthorized:
             self.notauth_by_out.setdefault(msg.original.header.out_id, []).append(msg.original)
             # wrapped header and parameters still occupy their keys
             self.header_key_count[msg.original.header.key] = (
@@ -123,10 +119,16 @@ class WorldCheck:
             )
             for p in _params_of(msg.original):
                 self.param_count[p.key] = self.param_count.get(p.key, 0) + 1
-        elif isinstance(msg, ProbeFail):
-            self.probefails.append(msg)
-        elif isinstance(msg, InRelayClosed):
-            self.inrelays.append(msg)
+        elif kind is ProbeFail:
+            if msg.key_sequence:
+                self.probefail_starts.setdefault(msg.key, set()).add(msg.key_sequence[0])
+        elif kind is InRelayClosed:
+            self.inrelays_by_target.setdefault(msg.target_id, []).append(msg)
+
+    def _probe_failed(self, key: Key, via: Relay) -> bool:
+        """A ProbeFail for `key` started over one of `via`'s out-keys is in flight."""
+        starts = self.probefail_starts.get(key)
+        return starts is not None and not starts.isdisjoint(via.out_keys)
 
     # -- relay validity ------------------------------------------------------
     #
@@ -147,14 +149,15 @@ class WorldCheck:
         next_dep: dict[RelayId, RelayId] = {}
         for relay in self.relays.values():
             local[relay.id] = self._check_relay_local(relay, via_deps, next_dep)
-        # Reverse dependency edges: if dep becomes invalid, holder gains code.
-        dependents: dict[RelayId, list] = {}
-        for holder, vias in via_deps.items():
-            for via in vias:
-                dependents.setdefault(via, []).append((holder, "P4"))
-        for holder, nxt in next_dep.items():
-            dependents.setdefault(nxt, []).append((holder, "P11b"))
         worklist = [rid for rid, v in local.items() if v]
+        if worklist:
+            # Reverse dependency edges: if dep becomes invalid, holder gains code.
+            dependents: dict[RelayId, list] = {}
+            for holder, vias in via_deps.items():
+                for via in vias:
+                    dependents.setdefault(via, []).append((holder, "P4"))
+            for holder, nxt in next_dep.items():
+                dependents.setdefault(nxt, []).append((holder, "P11b"))
         while worklist:
             bad = worklist.pop()
             for holder, code in dependents.get(bad, ()):
@@ -244,11 +247,10 @@ class WorldCheck:
                 ):
                     v.append("P11e")
                     break
-            if self.inrelays:
-                for m in self.inrelays:
-                    if m.sender_rid == rid and m.target_id == relay.out_id and m.keys & relay.out_keys:
-                        v.append("P11f")
-                        break
+            for m in self.inrelays_by_target.get(relay.out_id, ()):
+                if m.sender_rid == rid and m.keys & relay.out_keys:
+                    v.append("P11f")
+                    break
         return v
 
     def _notauthorized_conflicts(self, relay: Relay) -> bool:
@@ -283,9 +285,7 @@ class WorldCheck:
     def _no_killer_probe(self, key: Key, via: Relay, allowed: set) -> bool:
         """No probe carrying `key` as a control key, started over `via`'s
         out-keys, sits in a buffer outside the allowed chain prefix."""
-        for carrier, probe in self.probe_locs:
-            if key not in probe.control_keys or not probe.key_sequence:
-                continue
+        for carrier, probe in self.probes_by_control.get(key, ()):
             if probe.key_sequence[0] not in via.out_keys:
                 continue
             if carrier is None or carrier not in allowed:
@@ -295,11 +295,8 @@ class WorldCheck:
     def _pending_entry_backed(self, relay: Relay, entry) -> bool:
         """The unconfirmed In entry still has a live confirmation path."""
         via = self.relays.get(entry.via)
-        if via is None:
+        if via is None or self._probe_failed(entry.key, via):
             return False
-        for pf in self.probefails:
-            if pf.key == entry.key and pf.key_sequence and pf.key_sequence[0] in via.out_keys:
-                return False
         chain = self._chain_from(via)
         if chain is None:
             return False
@@ -307,10 +304,9 @@ class WorldCheck:
         # Far side already created its relay and the activation probe is on
         # its way back.
         sink_rid = via.sink_rid
-        for candidate in self.relays.values():
+        for candidate in self.relays_by_out.get(relay.id, ()):
             if (
                 self.layer_rids[candidate.id] == sink_rid
-                and candidate.out_id == relay.id
                 and key in candidate.out_keys
                 and candidate.level == relay.level + 1
             ):
@@ -343,24 +339,26 @@ class WorldCheck:
 
     def _one_key_anchored(self, relay: Relay, target: Relay) -> bool:
         rid = self.layer_rids[relay.id]
-        idx = self._in_by_key(target)
-        for key in relay.out_keys:
-            for e in idx.get(key, ()):
-                if e.confirmed and e.from_rid == rid:
+        for e in target.in_set:
+            key = e.key
+            if key not in relay.out_keys:
+                continue
+            if e.confirmed:
+                if e.from_rid == rid:
                     return True
-                if not e.confirmed:
-                    via = self.relays.get(e.via)
-                    if via is not None and via.sink_rid == rid:
-                        if any(
-                            isinstance(env.message, Transmit)
-                            and isinstance(env.message.action, Probe)
-                            and env.message.header.key == key
-                            and env.message.header.in_id == relay.id
-                            and env.message.header.out_id == relay.out_id
-                            and env.message.action.key_sequence == (key,)
-                            for env in relay.buf
-                        ):
-                            return True
+                continue
+            via = self.relays.get(e.via)
+            if via is not None and via.sink_rid == rid:
+                if any(
+                    isinstance(env.message, Transmit)
+                    and isinstance(env.message.action, Probe)
+                    and env.message.header.key == key
+                    and env.message.header.in_id == relay.id
+                    and env.message.header.out_id == relay.out_id
+                    and env.message.action.key_sequence == (key,)
+                    for env in relay.buf
+                ):
+                    return True
         return False
 
     # -- header validity -------------------------------------------------------
@@ -410,26 +408,20 @@ class WorldCheck:
         if self.header_key_count.get(param.key, 0) > 0:
             v.append("C8")
         if announced is not None:
-            for pf in self.probefails:
-                if pf.key == param.key and pf.key_sequence and pf.key_sequence[0] in announced.out_keys:
-                    v.append("C9")
-                    break
+            if self._probe_failed(param.key, announced):
+                v.append("C9")
             if not self._probe_positions_ok(param.key, announced, message):
                 v.append("C10")
-        for m in self.inrelays:
-            if param.key in m.keys and m.target_id == target.id:
-                v.append("C11")
-                break
+        if any(param.key in m.keys for m in self.inrelays_by_target.get(target.id, ())):
+            v.append("C11")
         return v
 
     def _probe_positions_ok(self, key: Key, announced: Relay, message: Transmit) -> bool:
         """Every probe hunting `key` must trail the announcing message."""
         relevant = [
             (carrier, probe)
-            for carrier, probe in self.probe_locs
-            if key in probe.control_keys
-            and probe.key_sequence
-            and probe.key_sequence[0] in announced.out_keys
+            for carrier, probe in self.probes_by_control.get(key, ())
+            if probe.key_sequence[0] in announced.out_keys
         ]
         if not relevant:
             return True
@@ -456,7 +448,9 @@ class WorldCheck:
     # -- aggregates ---------------------------------------------------------------
 
     def all_alive_valid(self) -> bool:
-        return all(self.relay_valid(r.id) for r in self.relays.values() if r.alive)
+        self._evaluate_all()
+        valid = self._valid
+        return all(valid[r.id] for r in self.relays.values() if r.alive)
 
     def is_legal(self) -> bool:
         if not self.all_alive_valid():
