@@ -381,10 +381,16 @@ class RelayLayer:
     # -- probe failure ---------------------------------------------------------
 
     def handle_probefail(self, key: Key, key_sequence: tuple) -> None:
+        # Each lookup below takes the lowest-id match in one pass over the
+        # relays; a plain loop is cheaper here than sorted() or min() over
+        # a generator.
         if not key_sequence:
             return
         last = key_sequence[-1]
-        holder = min((r for r in self.relays.values() if last in r.out_keys), key=lambda r: r.id, default=None)
+        holder = None
+        for r in self.relays.values():
+            if last in r.out_keys and (holder is None or r.id < holder.id):
+                holder = r
         if holder is None:
             return
         if len(key_sequence) > 1:
@@ -395,7 +401,10 @@ class RelayLayer:
                     return
         else:
             entry = unconfirmed_entry(key, holder.id)
-            announcer = min((r for r in self.relays.values() if entry in r.in_set), key=lambda r: r.id, default=None)
+            announcer = None
+            for r in self.relays.values():
+                if entry in r.in_set and (announcer is None or r.id < announcer.id):
+                    announcer = r
             if announcer is not None:
                 announcer.in_set.discard(entry)
 
@@ -423,11 +432,10 @@ class RelayLayer:
     def handle_ping(self, id: RelayId, level: int, sink_rid: Rid, key: Key) -> None:
         if id is None:
             return
-        holder = min(
-            (r for r in self.relays.values() if r.out_id == id and key in r.out_keys),
-            key=lambda r: r.id,
-            default=None,
-        )
+        holder = None
+        for r in self.relays.values():
+            if key in r.out_keys and r.out_id == id and (holder is None or r.id < holder.id):
+                holder = r
         if holder is not None:
             holder.sink_rid = sink_rid
             if holder.level > level + 1:

@@ -90,7 +90,6 @@ class WorldCheck:
         for env in world.orphan_out:
             self._index_message(None, env.message)
 
-        self._valid: dict[RelayId, bool] = {}
         self._violations: dict[RelayId, list] = {}
         self._evaluated = False
 
@@ -168,11 +167,9 @@ class WorldCheck:
                     if was_valid:
                         worklist.append(holder)
         self._violations = local
-        self._valid = {rid: not v for rid, v in local.items()}
 
     def relay_valid(self, relay_id: RelayId) -> bool:
-        self._evaluate_all()
-        return self._valid.get(relay_id, False)
+        return not self.relay_violations(relay_id)
 
     def relay_violations(self, relay_id: RelayId) -> list:
         self._evaluate_all()
@@ -241,9 +238,9 @@ class WorldCheck:
             for key in relay.out_keys:
                 # Only alive co-holders violate uniqueness; merge leaves
                 # its tombstones holding the inherited keys until collected.
-                if any(
-                    h != relay.id and h.rid == rid and self.relays[h].alive
-                    for h in self.out_key_holders.get(key, ())
+                holders = self.out_key_holders[key]
+                if len(holders) > 1 and any(
+                    h != relay.id and h.rid == rid and self.relays[h].alive for h in holders
                 ):
                     v.append("P11e")
                     break
@@ -449,8 +446,8 @@ class WorldCheck:
 
     def all_alive_valid(self) -> bool:
         self._evaluate_all()
-        valid = self._valid
-        return all(valid[r.id] for r in self.relays.values() if r.alive)
+        # One violation list per relay, in the order of `relays`.
+        return not any(v for r, v in zip(self.relays.values(), self._violations.values()) if r.alive)
 
     def is_legal(self) -> bool:
         if not self.all_alive_valid():
