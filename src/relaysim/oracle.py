@@ -47,7 +47,7 @@ def _params_of(transmit: Transmit) -> list:
 class WorldCheck:
     """Single-pass verification context: index once, query many times.
 
-    One pass over the relays and one over the buffers build every index the
+    One pass over the relays and their buffers builds every index the
     checks look up: relays by next hop, in-flight probes by control key,
     ProbeFail first keys by key and InRelayClosed by target.  A full check
     is then linear in relays plus messages in flight.
@@ -60,17 +60,6 @@ class WorldCheck:
         self.in_key_count: dict[Key, int] = {}
         self.out_key_holders: dict[Key, list] = {}
         self.relays_by_out: dict[RelayId, list] = {}
-        for rid, layer in world.layers.items():
-            for relay in layer.relays.values():
-                self.relays[relay.id] = relay
-                self.layer_rids[relay.id] = rid
-                for e in relay.in_set:
-                    self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
-                for k in relay.out_keys:
-                    self.out_key_holders.setdefault(k, []).append(relay.id)
-                if relay.out_id is not None:
-                    self.relays_by_out.setdefault(relay.out_id, []).append(relay)
-
         self.pings_by_id: dict[RelayId, list] = {}
         self.orc_ids: set = set()
         self.notauth_by_out: dict[RelayId, list] = {}
@@ -81,14 +70,23 @@ class WorldCheck:
         self.param_count: dict[Key, int] = {}
         self.params: list = []  # (carrier relay id | None, Transmit, RelayParameter)
 
-        for layer in world.layers.values():
+        index = self._index_message
+        for rid, layer in world.layers.items():
             for relay in layer.relays.values():
+                self.relays[relay.id] = relay
+                self.layer_rids[relay.id] = rid
+                for e in relay.in_set:
+                    self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
+                for k in relay.out_keys:
+                    self.out_key_holders.setdefault(k, []).append(relay.id)
+                if relay.out_id is not None:
+                    self.relays_by_out.setdefault(relay.out_id, []).append(relay)
                 for env in relay.buf:
-                    self._index_message(relay.id, env.message)
+                    index(relay.id, env.message)
             for env in layer.layer_buf:
-                self._index_message(None, env.message)
+                index(None, env.message)
         for env in world.orphan_out:
-            self._index_message(None, env.message)
+            index(None, env.message)
 
         self._violations: dict[RelayId, list] = {}
         self._evaluated = False
@@ -99,7 +97,7 @@ class WorldCheck:
             self.header_key_count[msg.header.key] = self.header_key_count.get(msg.header.key, 0) + 1
             if type(msg.action) is Probe:
                 probe = msg.action
-                if probe.key_sequence:
+                if probe.key_sequence:  # one without a start hunts nothing
                     for k in probe.control_keys:
                         self.probes_by_control.setdefault(k, []).append((carrier, probe))
             else:
@@ -145,21 +143,20 @@ class WorldCheck:
         self._evaluated = True
         local: dict[RelayId, list] = {}
         via_deps: dict[RelayId, list] = {}
-        next_dep: dict[RelayId, RelayId] = {}
         for relay in self.relays.values():
-            local[relay.id] = self._check_relay_local(relay, via_deps, next_dep)
+            local[relay.id] = self._check_relay_local(relay, via_deps)
         worklist = [rid for rid, v in local.items() if v]
-        if worklist:
-            # Reverse dependency edges: if dep becomes invalid, holder gains code.
-            dependents: dict[RelayId, list] = {}
-            for holder, vias in via_deps.items():
-                for via in vias:
-                    dependents.setdefault(via, []).append((holder, "P4"))
-            for holder, nxt in next_dep.items():
-                dependents.setdefault(nxt, []).append((holder, "P11b"))
+        # Reverse dependency edges: if dep becomes invalid, holder gains code.
+        # Next-hop edges (P11b) are `relays_by_out`.
+        announced_via: dict[RelayId, list] = {}
+        for holder, vias in via_deps.items():
+            for via in vias:
+                announced_via.setdefault(via, []).append(holder)
         while worklist:
             bad = worklist.pop()
-            for holder, code in dependents.get(bad, ()):
+            dependents = [(h, "P4") for h in announced_via.get(bad, ())]
+            dependents += [(r.id, "P11b") for r in self.relays_by_out.get(bad, ())]
+            for holder, code in dependents:
                 v = local[holder]
                 if code not in v:
                     was_valid = not v
@@ -175,7 +172,7 @@ class WorldCheck:
         self._evaluate_all()
         return self._violations.get(relay_id, ["P2"])
 
-    def _check_relay_local(self, relay: Relay, via_deps: dict, next_dep: dict) -> list:
+    def _check_relay_local(self, relay: Relay, via_deps: dict) -> list:
         v: list = []
         rid = relay.id.rid
         if not relay.alive:
@@ -216,9 +213,9 @@ class WorldCheck:
             if unconfirmed_keys and ping.key in unconfirmed_keys:
                 v.append("P6")
                 break
-        if relay.id in self.orc_ids:
+        if self.orc_ids and relay.id in self.orc_ids:
             v.append("P7")
-        if relay.id in self.notauth_by_out and self._notauthorized_conflicts(relay):
+        if self.notauth_by_out and relay.id in self.notauth_by_out and self._notauthorized_conflicts(relay):
             v.append("P8")
         if p9:
             v.append("P9")
@@ -230,14 +227,13 @@ class WorldCheck:
             if target is None:
                 v.append("P11b")
             else:
-                next_dep[relay.id] = relay.out_id
                 if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:
                     v.append("P11c")
                 if not self._one_key_anchored(relay, target):
                     v.append("P11d")
             for key in relay.out_keys:
-                # Only alive co-holders violate uniqueness; merge leaves
-                # its tombstones holding the inherited keys until collected.
+                # Only alive co-holders violate uniqueness; a deleted relay
+                # keeps its out-keys until the repair loop collects it.
                 holders = self.out_key_holders[key]
                 if len(holders) > 1 and any(
                     h != relay.id and h.rid == rid and self.relays[h].alive for h in holders

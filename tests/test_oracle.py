@@ -154,7 +154,7 @@ def test_alive_out_key_co_holder_violates_p11e():
     twin.level, twin.sink_rid = relay.level, relay.sink_rid
     assert oracle.valid_relay(world, relay.id) == (False, ["P11e"])
     assert oracle.valid_relay(world, twin.id) == (False, ["P11e"])
-    # A merge tombstone still holding the key is not a co-holder.
+    # A deleted relay still holding the key is a tombstone, not a co-holder.
     twin.alive = False
     assert oracle.valid_relay(world, relay.id) == (True, [])
 
