@@ -70,7 +70,6 @@ class WorldCheck:
         self.param_count: dict[Key, int] = {}
         self.params: list = []  # (carrier relay id | None, Transmit, RelayParameter)
 
-        index = self._index_message
         for rid, layer in world.layers.items():
             for relay in layer.relays.values():
                 self.relays[relay.id] = relay
@@ -82,11 +81,11 @@ class WorldCheck:
                 if relay.out_id is not None:
                     self.relays_by_out.setdefault(relay.out_id, []).append(relay)
                 for env in relay.buf:
-                    index(relay.id, env.message)
+                    self._index_message(relay.id, env.message)
             for env in layer.layer_buf:
-                index(None, env.message)
+                self._index_message(None, env.message)
         for env in world.orphan_out:
-            index(None, env.message)
+            self._index_message(None, env.message)
 
         self._violations: dict[RelayId, list] = {}
         self._evaluated = False
