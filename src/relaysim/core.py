@@ -256,10 +256,6 @@ class Relay:
     in_set: set = field(default_factory=set)
     buf: list = field(default_factory=list)
 
-    @property
-    def is_sink(self) -> bool:
-        return self.out_id is None
-
     def sorted_in(self) -> list:
         return sorted(self.in_set, key=InEntry.sort_key)
 

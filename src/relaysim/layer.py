@@ -71,13 +71,14 @@ class OutEnvelope:
     message: Message
 
 
-def message_carries_param_key(message: Message, key: Key) -> bool:
-    """True if a relay parameter with `key` rides inside `message`."""
-    if isinstance(message, Transmit):
-        action = message.action
-        if isinstance(action, ActionInvocation):
-            return any(isinstance(p, RelayParameter) and p.key == key for p in action.params)
-    return False
+def buffered_param_keys(buf: list) -> set:
+    """Keys of the relay parameters riding in the Transmits of `buf`."""
+    keys = set()
+    for env in buf:
+        message = env.message
+        if isinstance(message, Transmit) and isinstance(message.action, ActionInvocation):
+            keys.update(p.key for p in message.action.params if isinstance(p, RelayParameter))
+    return keys
 
 
 class RelayLayer:
@@ -371,11 +372,7 @@ class RelayLayer:
         action = m.action
         if isinstance(action, Probe):
             sequence = action.key_sequence + (new_key,)
-            controls = frozenset(
-                k for k in action.control_keys
-                if not any(message_carries_param_key(env.message, k) for env in relay.buf)
-            )
-            action = Probe(controls, sequence)
+            action = Probe(action.control_keys - buffered_param_keys(relay.buf), sequence)
         self._emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
 
     # -- probe failure ---------------------------------------------------------
@@ -449,10 +446,9 @@ class RelayLayer:
     # -- in/out relay closed --------------------------------------------------------
 
     def handle_inrelayclosed(self, keys: frozenset, sender_rid: Rid, target_id: RelayId) -> None:
-        for key in sorted(keys):
-            for r in self.relays.values():
-                gone = {e for e in r.in_set if e.confirmed and e.key == key}
-                r.in_set -= gone
+        for r in self.relays.values():
+            gone = {e for e in r.in_set if e.confirmed and e.key in keys}
+            r.in_set -= gone
 
     def handle_outrelayclosed(self, id: RelayId) -> None:
         for relay in sorted((r for r in self.relays.values() if r.out_id == id), key=lambda r: r.id):
@@ -465,11 +461,21 @@ class RelayLayer:
 
     def timeout(self) -> None:
         """Periodically executed self-repair; guard is always true."""
-        # Key multiplicity snapshot: duplicated In keys are purged everywhere.
+        # One snapshot of the relay table per call: In-key multiplicity
+        # (duplicated In keys are purged everywhere), the unconfirmed entries
+        # announced via each relay, and the holders of each out-key.  The
+        # loop only removes In entries and out-keys, never adds them, so a
+        # lookup that re-checks membership reads the current table.
         key_count: dict[Key, int] = {}
+        announced: dict[RelayId, list] = {}  # via id -> [(holder, entry)]
+        holders: dict[Key, list] = {}
         for r in self.relays.values():
             for e in r.in_set:
                 key_count[e.key] = key_count.get(e.key, 0) + 1
+                if e.via is not None:
+                    announced.setdefault(e.via, []).append((r, e))
+            for k in r.out_keys:
+                holders.setdefault(k, []).append(r)
 
         for relay in sorted(list(self.relays.values()), key=lambda r: r.id):
             if relay.id not in self.relays:
@@ -481,21 +487,18 @@ class RelayLayer:
                 relay.level = 1
             if relay.out_id is None and relay.out_keys:
                 relay.out_keys.clear()
+            # Announcements via this relay whose announcing message still sits
+            # in its buffer (`in_buf`) are neither purged nor probed for: the
+            # far side confirms them on delivery.
+            via_me = announced.get(relay.id, ())
+            in_buf = buffered_param_keys(relay.buf) if via_me else ()
             if relay.out_id is not None and not relay.out_keys:
                 # Keyless non-sink: the outgoing link is unusable, exactly
                 # the exhaustion case of the not-authorized handler, so
                 # announcements via this relay can never be probed again.
-                # Entries whose announcing message still sits in the buffer
-                # are kept: the far side will confirm them on delivery.
-                for r in self.relays.values():
-                    stale = {
-                        e
-                        for e in r.in_set
-                        if not e.confirmed
-                        and e.via == relay.id
-                        and not any(message_carries_param_key(env.message, e.key) for env in relay.buf)
-                    }
-                    r.in_set -= stale
+                for holder, e in via_me:
+                    if e.key not in in_buf:
+                        holder.in_set.discard(e)
                 if relay.alive:
                     self._delete(relay)
             bad = {e for e in relay.in_set if key_count.get(e.key, 0) > 1 or not belongs_to(e.key, self.rid)}
@@ -506,11 +509,7 @@ class RelayLayer:
             dangling = {e for e in relay.in_set if not e.confirmed and e.via not in self.relays}
             relay.in_set -= dangling
 
-            pending_via = any(
-                not e.confirmed and e.via == relay.id
-                for r in self.relays.values()
-                for e in r.in_set
-            )
+            pending_via = any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:
                 # Removal waits for the buffer: a deleted relay keeps
                 # delivering what was already sent through it.
@@ -521,15 +520,16 @@ class RelayLayer:
                 # Keys inherited by an alive relay (merge) are still in use
                 # and must not be revoked on the tombstone's behalf.
                 closed = frozenset(
-                    k
-                    for k in relay.out_keys
-                    if not any(o.alive and k in o.out_keys for o in self.relays.values())
+                    k for k in relay.out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
                 )
                 if closed:
                     self._emit_control(
                         rid_of(relay.out_id),
                         InRelayClosed(closed, self.rid, relay.out_id),
                     )
+                # The collected relay leaves the table, and with it the
+                # announcements it holds.
+                relay.in_set.clear()
                 del self.relays[relay.id]
                 continue
             if (
@@ -543,18 +543,11 @@ class RelayLayer:
             if relay.alive and relay.out_keys:
                 # Out-key collisions are resolved between alive relays only;
                 # a merge tombstone legitimately shares keys with its heir.
-                for other in self.relays.values():
-                    if other.alive and other.id > relay.id and other.out_keys & relay.out_keys:
+                for k in relay.out_keys:
+                    if any(o.alive and o.id > relay.id and k in o.out_keys for o in holders[k]):
                         self._delete(relay)
                         break
-            controls = frozenset(
-                e.key
-                for r in self.relays.values()
-                for e in r.in_set
-                if not e.confirmed
-                and e.via == relay.id
-                and not any(message_carries_param_key(env.message, e.key) for env in relay.buf)
-            )
+            controls = frozenset(e.key for holder, e in via_me if e.key not in in_buf and e in holder.in_set)
             # Alive relays probe while their owner lives or keys may still
             # arrive.  A dead relay probes only while announcements made via
             # it are unresolved: probing any longer would keep refilling its

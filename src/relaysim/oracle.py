@@ -32,7 +32,6 @@ from .core import (
     Rid,
     Transmit,
     belongs_to,
-    rid_of,
 )
 from .kernel import WorldState
 
@@ -214,7 +213,7 @@ class WorldCheck:
                 break
         if self.orc_ids and relay.id in self.orc_ids:
             v.append("P7")
-        if self.notauth_by_out and relay.id in self.notauth_by_out and self._notauthorized_conflicts(relay):
+        if self.notauth_by_out and any(self.valid_header(m, relay.id) for m in self.notauth_by_out.get(relay.id, ())):
             v.append("P8")
         if p9:
             v.append("P9")
@@ -244,21 +243,6 @@ class WorldCheck:
                     v.append("P11f")
                     break
         return v
-
-    def _notauthorized_conflicts(self, relay: Relay) -> bool:
-        for original in self.notauth_by_out.get(relay.id, ()):
-            h = original.header
-            for e in relay.in_set:
-                if e.key != h.key:
-                    continue
-                if e.confirmed:
-                    if rid_of(h.in_id) == e.from_rid:
-                        return True
-                else:
-                    via = self.relays.get(e.via)
-                    if via is not None and rid_of(h.in_id) == via.sink_rid:
-                        return True
-        return False
 
     def _chain_from(self, start: Relay) -> Optional[list]:
         """Out-connection sequence from `start` to its sink; None if broken."""
@@ -399,11 +383,11 @@ class WorldCheck:
             v.append("C7")
         if self.header_key_count.get(param.key, 0) > 0:
             v.append("C8")
-        if announced is not None:
-            if self._probe_failed(param.key, announced):
-                v.append("C9")
-            if not self._probe_positions_ok(param.key, announced, message):
-                v.append("C10")
+        # No C9 check: a ProbeFail for the key over `announced` would leave the
+        # target's pending entry unbacked (`_pending_entry_backed` tests
+        # `_probe_failed`), and the target passed C3, so it has none.
+        if announced is not None and not self._probe_positions_ok(param.key, announced, message):
+            v.append("C10")
         if any(param.key in m.keys for m in self.inrelays_by_target.get(target.id, ())):
             v.append("C11")
         return v
@@ -512,9 +496,6 @@ class RelayGraph:
     @property
     def edges(self) -> set:
         return self.explicit_edges | self.implicit_edges
-
-    def process_vertices(self) -> list:
-        return sorted(v[1] for v in self.vertices if v[0] == PROCESS)
 
     def relay_vertices(self) -> list:
         return sorted((v[1] for v in self.vertices if v[0] == RELAY))

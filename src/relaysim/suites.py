@@ -501,7 +501,3 @@ SUITES = {
 
 def run_suite(name: str) -> SuiteReport:
     return SUITES[name]()
-
-
-def run_all() -> list:
-    return [run_suite(name) for name in SUITES]

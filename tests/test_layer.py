@@ -1,25 +1,41 @@
 """Primitive and handler behavior, one scenario per pseudocode branch."""
 
+from collections import Counter
+
 import pytest
 
 from relaysim import oracle
+from relaysim.apps import RandomDeliberateApp
 from relaysim.core import (
     ActionInvocation,
     Header,
     InRelayClosed,
+    Key,
+    Message,
     NotAuthorized,
     OutRelayClosed,
     Ping,
     Probe,
     ProbeFail,
+    Relay,
     RelayParameter,
     RelayRef,
     Rid,
     Transmit,
+    belongs_to,
     confirmed_entry,
+    rid_of,
     unconfirmed_entry,
 )
-from relaysim.kernel import connect, connect_door, give_door, new_world
+from relaysim.kernel import (
+    adversarial_init,
+    connect,
+    connect_door,
+    give_door,
+    new_world,
+    random_connected_world,
+)
+from relaysim.layer import RelayLayer
 
 
 def make_world(n=2):
@@ -327,6 +343,21 @@ def test_forwarding_rewrites_header():
     assert forwarded.header.out_id == layer1.relays[mid_ref.relay_id].out_id
     assert forwarded.header.key in layer1.relays[mid_ref.relay_id].out_keys
     assert forwarded.header.level == 1
+
+
+def test_forwarded_probe_drops_control_keys_announced_in_buffer():
+    world = make_world(3)
+    mid_ref = connect_door(world, 1, 2)
+    far_ref = connect(world, 0, mid_ref.relay_id)
+    layer1 = world.layer_of(1)
+    world.ctx(1).send(mid_ref, "meet", (layer1.new_relay(),), relay_positions=(0,))
+    mid, far = layer1.relays[mid_ref.relay_id], world.layer_of(0).relays[far_ref.relay_id]
+    announced, other = mid.buf[-1].message.action.params[0].key, layer1.mint_key()
+    key = min(far.out_keys)
+    probe = Probe(frozenset({announced, other}), (key,))
+    layer1.handle_transmit(Transmit(Header(key, far.id, far.out_id, far.level), probe))
+    # The announcement is still ahead of the probe, so only `other` is hunted.
+    assert mid.buf[-1].message.action == Probe(frozenset({other}), (key, min(mid.out_keys)))
 
 
 # -- probe failure ----------------------------------------------------------------
@@ -637,8 +668,6 @@ def test_stop_is_idempotent_and_freezes_primitives():
 
 
 def test_no_internal_delete_on_valid_relays_under_deliberate_app():
-    from relaysim.apps import RandomDeliberateApp
-
     world = new_world(7, 3)
     for pid in range(3):
         connect_door(world, pid, (pid + 1) % 3)
@@ -650,3 +679,310 @@ def test_no_internal_delete_on_valid_relays_under_deliberate_app():
         e for layer in world.layers.values() for e in layer.events if e[0] == "internal_delete"
     ]
     assert internal == []
+
+
+# -- lock-step differential test of the repair loop ------------------------------------
+
+
+def message_carries_param_key(message: Message, key: Key) -> bool:
+    """True if a relay parameter with `key` rides inside `message`."""
+    if isinstance(message, Transmit):
+        action = message.action
+        if isinstance(action, ActionInvocation):
+            return any(isinstance(p, RelayParameter) and p.key == key for p in action.params)
+    return False
+
+
+class RescanningLayer(RelayLayer):
+    """The relay layer before its repair loop took one snapshot per call,
+    kept as the reference.  `timeout` rescans the relay table for every
+    relay, `_forward` tests each control key against the buffer and
+    `handle_inrelayclosed` scans the relays once per key.  The method bodies
+    are copied unchanged."""
+
+    def _forward(self, relay: Relay, m: Transmit) -> None:
+        if not relay.out_keys:
+            return  # header cannot be rewritten; repair loop deletes this relay
+        new_key = min(relay.out_keys)
+        action = m.action
+        if isinstance(action, Probe):
+            sequence = action.key_sequence + (new_key,)
+            controls = frozenset(
+                k for k in action.control_keys
+                if not any(message_carries_param_key(env.message, k) for env in relay.buf)
+            )
+            action = Probe(controls, sequence)
+        self._emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
+
+    def handle_inrelayclosed(self, keys, sender_rid, target_id) -> None:
+        for key in sorted(keys):
+            for r in self.relays.values():
+                gone = {e for e in r.in_set if e.confirmed and e.key == key}
+                r.in_set -= gone
+
+    def timeout(self) -> None:
+        """Periodically executed self-repair; guard is always true."""
+        # Key multiplicity snapshot: duplicated In keys are purged everywhere.
+        key_count: dict[Key, int] = {}
+        for r in self.relays.values():
+            for e in r.in_set:
+                key_count[e.key] = key_count.get(e.key, 0) + 1
+
+        for relay in sorted(list(self.relays.values()), key=lambda r: r.id):
+            if relay.id not in self.relays:
+                continue
+            if relay.out_id is None:
+                relay.level = 0
+                relay.sink_rid = self.rid
+            elif relay.level < 1:
+                relay.level = 1
+            if relay.out_id is None and relay.out_keys:
+                relay.out_keys.clear()
+            if relay.out_id is not None and not relay.out_keys:
+                # Keyless non-sink: the outgoing link is unusable, exactly
+                # the exhaustion case of the not-authorized handler, so
+                # announcements via this relay can never be probed again.
+                # Entries whose announcing message still sits in the buffer
+                # are kept: the far side will confirm them on delivery.
+                for r in self.relays.values():
+                    stale = {
+                        e
+                        for e in r.in_set
+                        if not e.confirmed
+                        and e.via == relay.id
+                        and not any(message_carries_param_key(env.message, e.key) for env in relay.buf)
+                    }
+                    r.in_set -= stale
+                if relay.alive:
+                    self._delete(relay)
+            bad = {e for e in relay.in_set if key_count.get(e.key, 0) > 1 or not belongs_to(e.key, self.rid)}
+            relay.in_set -= bad
+            for e in relay.sorted_in():
+                if e.confirmed:
+                    self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
+            dangling = {e for e in relay.in_set if not e.confirmed and e.via not in self.relays}
+            relay.in_set -= dangling
+
+            pending_via = any(
+                not e.confirmed and e.via == relay.id
+                for r in self.relays.values()
+                for e in r.in_set
+            )
+            if not relay.alive and not pending_via and not relay.buf:
+                # Removal waits for the buffer: a deleted relay keeps
+                # delivering what was already sent through it.
+                if relay.out_id is None:
+                    self._delete(relay)
+                    del self.relays[relay.id]
+                    continue
+                # Keys inherited by an alive relay (merge) are still in use
+                # and must not be revoked on the tombstone's behalf.
+                closed = frozenset(
+                    k
+                    for k in relay.out_keys
+                    if not any(o.alive and k in o.out_keys for o in self.relays.values())
+                )
+                if closed:
+                    self._emit_control(
+                        rid_of(relay.out_id),
+                        InRelayClosed(closed, self.rid, relay.out_id),
+                    )
+                del self.relays[relay.id]
+                continue
+            if (
+                not self.owner_alive
+                and relay.alive
+                and not relay.in_set
+                and not relay.buf
+                and not pending_via
+            ):
+                self._delete(relay)
+            if relay.alive and relay.out_keys:
+                # Out-key collisions are resolved between alive relays only;
+                # a merge tombstone legitimately shares keys with its heir.
+                for other in self.relays.values():
+                    if other.alive and other.id > relay.id and other.out_keys & relay.out_keys:
+                        self._delete(relay)
+                        break
+            controls = frozenset(
+                e.key
+                for r in self.relays.values()
+                for e in r.in_set
+                if not e.confirmed
+                and e.via == relay.id
+                and not any(message_carries_param_key(env.message, e.key) for env in relay.buf)
+            )
+            # Alive relays probe while their owner lives or keys may still
+            # arrive.  A dead relay probes only while announcements made via
+            # it are unresolved: probing any longer would keep refilling its
+            # buffer and prevent its own collection, probing any less would
+            # strand the announcements of a stopped process.
+            if controls or (relay.alive and (self.owner_alive or relay.in_set)):
+                for key in relay.sorted_out_keys():
+                    self._emit_buf(
+                        relay,
+                        Transmit(Header(key, relay.id, relay.out_id, relay.level), Probe(controls, (key,))),
+                    )
+
+        if not self.owner_alive and not self.relays:
+            self.shut_down = True
+
+
+def _rescanning(world):
+    for layer in world.layers.values():
+        layer.__class__ = RescanningLayer
+    return world
+
+
+def _with_apps(world, **kwargs):
+    for proc in world.processes.values():
+        proc.app = RandomDeliberateApp(**kwargs)
+    return world
+
+
+def _disturb(world, i):
+    # Every 25 steps one layer in turn gets, by rotation, an out-key collision
+    # (its newest alive relay takes a key of its oldest), an announcement
+    # sent via a relay that then loses its out-keys, or a merge of two
+    # parallel relays.
+    if i % 25 != 0:
+        return
+    pid = i // 25 % len(world.processes)
+    layer, ctx = world.layer_of(pid), world.ctx(pid)
+    if layer is None:
+        return
+    live = sorted((r for r in layer.relays.values() if r.alive and r.out_id is not None and r.out_keys),
+                  key=lambda r: r.id)
+    kind = i // 25 % 3
+    if kind == 0 and len(live) >= 2:
+        live[-1].out_keys.add(min(live[0].out_keys))
+    elif kind == 1 and live:
+        ctx.send(RelayRef(live[0].id), "meet", (ctx.get_relays()[0],), relay_positions=(0,))
+        live[0].out_keys.clear()
+    elif kind == 2:
+        refs = [RelayRef(r.id) for r in live if not r.in_set]
+        for a in refs:
+            for b in refs:
+                if a.relay_id < b.relay_id and ctx.same_target(a, b) and ctx.merge({a, b}) is not None:
+                    return
+
+
+def _shut_down_one_by_one(world, i):
+    # Apps leave mid-run, then every process stops while its announcements
+    # may still be pending.
+    if i >= 200 and (i - 200) % 10 == 0 and (i - 200) // 10 < 2 * len(world.processes):
+        pid, phase = divmod((i - 200) // 10, 2)
+        if phase == 0:
+            world.processes[pid].app = None
+        else:
+            world.ctx(pid).stop()
+
+
+REPAIR_RUNS = {
+    # name: (world builder, steps, hook between steps)
+    "mixed": (lambda s: _with_apps(adversarial_init(s, 4, 96, 48, "mixed"), max_relays=16), 120,
+              _disturb),
+    "shutdown": (lambda s: _with_apps(random_connected_world(s, 5, 3, 2), max_relays=4), 700,
+                 _shut_down_one_by_one),
+}
+
+REPAIR_CASES = [("mixed", seed) for seed in range(1, 13)] + [("shutdown", seed) for seed in range(1, 5)]
+
+
+@pytest.mark.parametrize("name,seed", REPAIR_CASES)
+def test_repair_loop_matches_rescanning_reference(name, seed):
+    build, steps, between = REPAIR_RUNS[name]
+    world, reference = build(seed), _rescanning(build(seed))
+    for i in range(steps):
+        between(world, i)
+        between(reference, i)
+        world.step()
+        reference.step()
+        assert world.state_hash() == reference.state_hash(), f"step {i}"
+
+
+def test_repair_runs_cover_purge_collision_collection_and_dead_probes(monkeypatch):
+    seen = Counter()
+    timeout, merge = RelayLayer.timeout, RelayLayer.merge
+
+    def observed_timeout(layer):
+        keyless = {r.id for r in layer.relays.values() if r.out_id is not None and not r.out_keys}
+        count = Counter(e.key for r in layer.relays.values() for e in r.in_set)
+        via_keyless = [
+            (r, e) for r in layer.relays.values() for e in r.in_set
+            if e.via in keyless and count[e.key] == 1 and belongs_to(e.key, layer.rid)
+        ]
+        may_collide = [r for r in layer.relays.values() if r.alive and r.out_keys and r.out_id is not None]
+        sent, first_uid = len(layer.layer_buf), layer.env_source._next
+        timeout(layer)
+        # An entry of an alive holder, neither duplicated nor foreign, can
+        # only leave through the keyless purge of its announcing relay.
+        seen["keyless purge"] += sum(r.alive and e not in r.in_set for r, e in via_keyless)
+        if layer.owner_alive:
+            seen["collision delete"] += sum(not r.alive for r in may_collide)
+        seen["collected with InRelayClosed"] += sum(
+            isinstance(env.message, InRelayClosed) for env in layer.layer_buf[sent:]
+        )
+        seen["dead relay probes with controls"] += sum(
+            env.uid >= first_uid and bool(env.message.action.control_keys)
+            for r in layer.relays.values() if not r.alive for env in r.buf
+        )
+
+    def counted_merge(layer, refs):
+        merged = merge(layer, refs)
+        seen["merge"] += merged is not None
+        return merged
+
+    monkeypatch.setattr(RelayLayer, "timeout", observed_timeout)
+    monkeypatch.setattr(RelayLayer, "merge", counted_merge)
+    for name, seed in REPAIR_CASES:
+        build, steps, between = REPAIR_RUNS[name]
+        world = build(seed)
+        for i in range(steps):
+            between(world, i)
+            world.step()
+    assert min(seen[k] for k in ("keyless purge", "collision delete", "collected with InRelayClosed",
+                                 "dead relay probes with controls", "merge")) > 0, seen
+
+
+def test_collected_relay_stops_counting_its_announcements():
+    # A dead non-sink relay is collected with an entry announced via a later
+    # relay still in its In set.  Once collected it has left the table, so
+    # that entry must not make the later relay probe for its key.
+    hashes = []
+    for cls in (RelayLayer, RescanningLayer):
+        world = make_world(2)
+        layer = world.layer_of(0)
+        layer.__class__ = cls
+        tomb = layer.relays[layer.new_relay().relay_id]
+        via = layer.relays[connect_door(world, 0, 1).relay_id]
+        tomb.out_id, tomb.level, tomb.alive = via.out_id, via.level, False
+        tomb.in_set.add(unconfirmed_entry(layer.mint_key(), via.id))
+        layer.timeout()
+        assert tomb.id not in layer.relays
+        assert [env.message.action for env in via.buf] == [Probe(frozenset(), (min(via.out_keys),))]
+        hashes.append(world.state_hash())
+    assert hashes[0] == hashes[1]
+
+
+def test_collection_closes_only_keys_no_alive_relay_still_holds():
+    # A collected tombstone shares one out-key with an alive sink, which
+    # clears it earlier in the same call, and one with an alive relay.
+    hashes = []
+    for cls in (RelayLayer, RescanningLayer):
+        world = make_world(2)
+        layer = world.layer_of(0)
+        layer.__class__ = cls
+        sink = layer.relays[layer.new_relay().relay_id]
+        heir = layer.relays[connect_door(world, 0, 1).relay_id]
+        tomb = layer.relays[layer.new_relay().relay_id]
+        dropped = world.layer_of(1).mint_key()
+        sink.out_keys.add(dropped)
+        tomb.out_id, tomb.level, tomb.alive = heir.out_id, heir.level, False
+        tomb.out_keys = {dropped, min(heir.out_keys)}
+        layer.timeout()
+        assert tomb.id not in layer.relays
+        closed = [m for _, m in layer_messages(layer) if isinstance(m, InRelayClosed)]
+        assert closed == [InRelayClosed(frozenset({dropped}), Rid(0), heir.out_id)]
+        hashes.append(world.state_hash())
+    assert hashes[0] == hashes[1]

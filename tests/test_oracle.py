@@ -187,7 +187,8 @@ def test_probefail_for_announced_key_rejects_parameter():
     world, via, carrier, param = _sent_parameter(24)
     world.layer_of(1)._emit_control(Rid(0), ProbeFail(param.key, (min(via.out_keys),)))
     # The same ProbeFail leaves the target's pending entry unbacked (P9), so
-    # the parameter fails on its target (C3) before C9 is reached.
+    # the parameter fails on its target (C3); this is why the oracle has no
+    # separate C9 check.
     assert oracle.valid_relay(world, param.id) == (False, ["P9"])
     assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C3"])
 
