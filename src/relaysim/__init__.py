@@ -45,11 +45,6 @@ from .oracle import (
     process_components,
     stayers_connected,
     to_dot,
-    valid_graph_cycle_free,
-    valid_header,
-    valid_relay,
-    valid_relay_graph,
-    valid_relay_parameter,
     weakly_connected_components,
 )
 from .rules import (
@@ -75,8 +70,6 @@ __all__ = [
     "RelayLayer",
     "RelayGraph", "WorldCheck", "extract_relay_graph", "fdp_legitimate",
     "is_legal", "process_components", "stayers_connected", "to_dot",
-    "valid_graph_cycle_free", "valid_header", "valid_relay",
-    "valid_relay_graph", "valid_relay_parameter",
     "weakly_connected_components",
     "ProcessMultigraph", "TransformPlan", "cpg", "emulate_process_rule",
     "execute_plan", "plan_transform", "relay_fusion", "relay_introduction",

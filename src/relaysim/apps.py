@@ -12,6 +12,7 @@ from typing import Optional
 
 from .core import ActionInvocation, RelayRef
 from .kernel import ProcessContext, WorldState
+from .oracle import WorldCheck
 
 
 class DeliveryTracker:
@@ -28,15 +29,12 @@ class DeliveryTracker:
         self.received: dict = {}  # marker -> pid
 
     def on_send(self, ctx: ProcessContext, ref: RelayRef) -> Optional[tuple]:
-        from . import oracle
-
         layer = self.world.layers.get(ctx.rid)
         relay = layer.relays.get(ref.relay_id) if layer else None
         if relay is None:
             return None
         marker = (ctx.pid, len(self.sent))
-        ok, _ = oracle.valid_relay(self.world, relay.id)
-        self.sent[marker] = (relay.sink_rid.value, ok)
+        self.sent[marker] = (relay.sink_rid.value, WorldCheck(self.world).relay_valid(relay.id))
         return marker
 
     def on_receive(self, ctx: ProcessContext, marker: tuple) -> None:

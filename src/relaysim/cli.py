@@ -171,7 +171,7 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
 
     check = oracle.WorldCheck(world)
     legal = check.is_legal()
-    cycle_free = oracle.valid_graph_cycle_free(world, check)
+    cycle_free = check.valid_graph_cycle_free()
     components = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
     print(f"scenario={path}", file=out)
     print(f"seed={world.seed}", file=out)
@@ -189,10 +189,6 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
     if predicate_name == "is_legal" and not cycle_free:
         return EXIT_ORACLE
     return EXIT_OK
-
-
-def export_dot(world: WorldState, path: str) -> None:
-    Path(path).write_text(oracle.to_dot(world))
 
 
 # -- tiny DOT subset parser for the transform command ------------------------

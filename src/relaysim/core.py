@@ -138,11 +138,6 @@ class RelayParameter:
             self.sink_rid.value,
         )
 
-    @staticmethod
-    def from_tuple(t: tuple) -> "RelayParameter":
-        (kc, ks), (ir, isr), level, sink = t
-        return RelayParameter(Key(Rid(kc), ks), RelayId(Rid(ir), isr), level, Rid(sink))
-
 
 @dataclass(frozen=True, slots=True)
 class RelayRef:

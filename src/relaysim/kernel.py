@@ -380,33 +380,7 @@ class WorldState:
     # buffers; then the highest pid, then the highest uid (orphans: the
     # highest uid).  Otherwise it runs the action at
     # `rng.randrange(len(actions))`.  The indexes below keep each kind in
-    # this order as it changes, so `step` never rebuilds the list.
-
-    def enabled_actions(self) -> list:
-        """Every enabled action in scheduling order (inspection only)."""
-        actions = [("timeout", rid) for rid in self.layers]
-        actions += [("app", pid) for pid in self._apps.order]
-        for rid, layer in self.layers.items():
-            for relay in layer.relays.values():
-                for env in relay.buf:
-                    actions.append(("relay", rid, relay.id, env.uid))
-            for env in layer.layer_buf:
-                actions.append(("layer", rid, env.uid))
-        for env in self.orphan_out:
-            actions.append(("orphan", env.uid))
-        return actions
-
-    def _action_age(self, action) -> int:
-        """Age of an enabled action (inspection only)."""
-        kind = action[0]
-        if kind == "timeout":
-            last = self._timeouts.last[action[1].value]
-        elif kind == "app":
-            last = self._apps.last[action[1]]
-        else:
-            uid = action[-1]
-            last = min(e[0] for e in self.env_source.heap if e[-1] == uid)
-        return self.step_count - last
+    # this order as it changes, so `step` never builds the list.
 
     def step(self) -> None:
         action = self._pick()
@@ -665,12 +639,8 @@ def connect_door(world: WorldState, u: int, v: int) -> RelayRef:
     return connect(world, u, door.relay_id)
 
 
-def fig_triangle(valid: bool = True, seed: int = 0) -> WorldState:
-    """Three processes u, v, w: v owns a sink r; relays q (at u) and p (at w) feed r.
-
-    With ``valid=False`` the relay q carries a wrong level, which makes it
-    indirect-looking and breaks its validity; graph extraction is unaffected.
-    """
+def fig_triangle(seed: int = 0) -> WorldState:
+    """Three processes u, v, w: v owns a sink r; relays q (at u) and p (at w) feed r."""
     world = new_world(seed, 3)
     u, v, w = 0, 1, 2
     r_ref = give_door(world, v)
@@ -678,8 +648,6 @@ def fig_triangle(valid: bool = True, seed: int = 0) -> WorldState:
     p_ref = connect(world, w, r_ref.relay_id)
     world.processes[u].store["out"] = q_ref
     world.processes[w].store["out"] = p_ref
-    if not valid:
-        world.layer_of(u).relays[q_ref.relay_id].level = 2
     return world
 
 

@@ -91,9 +91,6 @@ class RelayLayer:
         self.shut_down = False
         self._id_serial = 0
         self._key_serial = 0
-        # (event, relay_id) log; "internal_delete" entries back the
-        # deliberate-application guard checks in the test harness.
-        self.events: list = []
 
     # -- minting -----------------------------------------------------------
 
@@ -135,7 +132,7 @@ class RelayLayer:
             return
         relay = self._resolve(ref)
         if relay is not None:
-            self._delete(relay, internal=False)
+            self._delete(relay)
 
     def merge(self, refs: Iterable[RelayRef]) -> Optional[RelayRef]:
         if not self.owner_alive:
@@ -173,7 +170,7 @@ class RelayLayer:
             merged.buf.extend(r.buf)
             r.buf = []
             r.out_keys = set()
-            self._delete(r, internal=False)
+            self._delete(r)
         # Announcements routed via an original are now carried by the heir,
         # so their entries must point there for confirmation and probing.
         for holder in self.relays.values():
@@ -243,13 +240,11 @@ class RelayLayer:
         self.owner_alive = False
         for relay in sorted(self.relays.values(), key=lambda r: r.id):
             if relay.alive and relay.out_id is None:
-                self._delete(relay, internal=False)
+                self._delete(relay)
 
     # -- internal delete (shared by primitives and handlers) ----------------
 
-    def _delete(self, relay: Relay, internal: bool = True) -> None:
-        if internal and relay.alive:
-            self.events.append(("internal_delete", relay.id))
+    def _delete(self, relay: Relay) -> None:
         relay.alive = False
         for rid in sorted({e.from_rid for e in relay.in_set if e.confirmed}):
             self._emit_control(rid, OutRelayClosed(relay.id))

@@ -1,9 +1,11 @@
 """Omniscient checkers over a world snapshot.
 
-Everything here is read-only: relay-graph extraction, per-relay validity
-with the full property list, in-flight parameter validity, header validity,
-legality, connectivity, and the departure-problem end-state predicate.
-Protocol code never consults this module.
+Everything here is read-only.  `WorldCheck` indexes one snapshot and
+answers per-relay validity with the full property list, in-flight
+parameter validity, header validity, legality and cycle-freeness of the
+valid relays' connections.  The module functions extract the relay graph
+and its connected components, decide the departure problem's end state and
+export DOT.  Protocol code never consults this module.
 
 Vertices of the extracted graph include dead relays still draining their
 buffers: their outgoing and in-buffer reference edges are what keeps the
@@ -448,32 +450,27 @@ class WorldCheck:
                 return False
         return True
 
+    def valid_graph_cycle_free(self) -> bool:
+        """No directed cycle among valid relays' outgoing connections."""
+        valid_ids = {r.id for r in self.relays.values() if r.alive and self.relay_valid(r.id)}
+        color: dict = {}
 
-# ---------------------------------------------------------------------------
-# Public operations.
+        def dfs(rid: RelayId) -> bool:
+            color[rid] = 1
+            nxt = self.relays[rid].out_id
+            if nxt in valid_ids:
+                c = color.get(nxt, 0)
+                if c == 1:
+                    return False
+                if c == 0 and not dfs(nxt):
+                    return False
+            color[rid] = 2
+            return True
 
-
-def valid_relay(world: WorldState, relay_id: RelayId, check: Optional[WorldCheck] = None):
-    check = check or WorldCheck(world)
-    ok = check.relay_valid(relay_id)
-    return ok, check.relay_violations(relay_id)
-
-
-def valid_relay_parameter(world: WorldState, carrier_id: RelayId, param: RelayParameter, check: Optional[WorldCheck] = None):
-    check = check or WorldCheck(world)
-    message = None
-    for cid, m, p in check.params:
-        if cid == carrier_id and p == param:
-            message = m
-            break
-    if message is None:
-        return False, ["C1"]
-    violations = check.param_violations(carrier_id, message, param)
-    return not violations, violations
-
-
-def valid_header(world: WorldState, message: Transmit, relay_id: RelayId) -> bool:
-    return WorldCheck(world).valid_header(message, relay_id)
+        for rid in valid_ids:
+            if color.get(rid, 0) == 0 and not dfs(rid):
+                return False
+        return True
 
 
 def is_legal(world: WorldState) -> bool:
@@ -496,9 +493,6 @@ class RelayGraph:
     @property
     def edges(self) -> set:
         return self.explicit_edges | self.implicit_edges
-
-    def relay_vertices(self) -> list:
-        return sorted((v[1] for v in self.vertices if v[0] == RELAY))
 
 
 def extract_relay_graph(world: WorldState) -> RelayGraph:
@@ -526,36 +520,6 @@ def extract_relay_graph(world: WorldState) -> RelayGraph:
                 for p in _params_of(msg):
                     if p.id in all_relays:
                         g.implicit_edges.add(((RELAY, relay.id), (RELAY, p.id)))
-    return g
-
-
-def valid_relay_graph(world: WorldState, check: Optional[WorldCheck] = None) -> RelayGraph:
-    check = check or WorldCheck(world)
-    g = RelayGraph()
-    for pid, proc in world.processes.items():
-        if proc.active:
-            g.vertices.add((PROCESS, pid))
-    for relay in check.relays.values():
-        if relay.alive and check.relay_valid(relay.id):
-            g.vertices.add((RELAY, relay.id))
-    for relay in check.relays.values():
-        node = (RELAY, relay.id)
-        if node not in g.vertices:
-            continue
-        owner = (PROCESS, relay.id.rid.value)
-        if owner in g.vertices:
-            g.explicit_edges.add((owner, node))
-        if relay.out_id is None:
-            if owner in g.vertices:
-                g.explicit_edges.add((node, owner))
-        elif (RELAY, relay.out_id) in g.vertices:
-            g.explicit_edges.add((node, (RELAY, relay.out_id)))
-    for carrier_id, message, param in check.params:
-        if carrier_id is None:
-            continue
-        if (RELAY, carrier_id) in g.vertices and (RELAY, param.id) in g.vertices:
-            if not check.param_violations(carrier_id, message, param):
-                g.implicit_edges.add(((RELAY, carrier_id), (RELAY, param.id)))
     return g
 
 
@@ -589,31 +553,6 @@ def weakly_connected_components(graph: RelayGraph) -> list:
 
 def process_components(world: WorldState) -> list:
     return weakly_connected_components(extract_relay_graph(world))
-
-
-def valid_graph_cycle_free(world: WorldState, check: Optional[WorldCheck] = None) -> bool:
-    """No directed cycle among valid relays' outgoing connections."""
-    check = check or WorldCheck(world)
-    valid_ids = {r.id for r in check.relays.values() if r.alive and check.relay_valid(r.id)}
-    color: dict = {}
-
-    def dfs(rid: RelayId) -> bool:
-        color[rid] = 1
-        relay = check.relays[rid]
-        nxt = relay.out_id
-        if nxt in valid_ids:
-            c = color.get(nxt, 0)
-            if c == 1:
-                return False
-            if c == 0 and not dfs(nxt):
-                return False
-        color[rid] = 2
-        return True
-
-    for rid in valid_ids:
-        if color.get(rid, 0) == 0 and not dfs(rid):
-            return False
-    return True
 
 
 def fdp_legitimate(world: WorldState, initial_components: Iterable) -> bool:
@@ -654,8 +593,8 @@ def _node_name(node) -> str:
     return f"r{rid.rid.value}_{rid.serial}"
 
 
-def to_dot(world: WorldState, graph: Optional[RelayGraph] = None) -> str:
-    g = graph or extract_relay_graph(world)
+def to_dot(world: WorldState) -> str:
+    g = extract_relay_graph(world)
     lines = ["digraph relays {"]
     for node in sorted(g.vertices):
         if node[0] == PROCESS:

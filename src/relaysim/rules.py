@@ -9,7 +9,7 @@ classical process rules, and plans full topology transformations executed
 step by step inside the simulator.
 
 Plans are symbolic: steps name relays through per-process slots so a plan
-can be serialized, inspected, and replayed.  The receiving side of every
+can be inspected and replayed.  The receiving side of every
 introduction files the new reference under the slot the planner chose.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .core import ActionInvocation, RelayRef
 from .kernel import ProcessContext, WorldState, connect, new_world
@@ -41,9 +41,6 @@ class ProcessMultigraph:
     def of(processes, edges) -> "ProcessMultigraph":
         return ProcessMultigraph(tuple(sorted(processes)), tuple(sorted(edges)))
 
-    def edge_counter(self) -> Counter:
-        return Counter(self.edges)
-
     def undirected_adjacency(self) -> dict:
         adj = {p: set() for p in self.processes}
         for u, v in self.edges:
@@ -63,9 +60,6 @@ class ProcessMultigraph:
                     seen.add(nb)
                     stack.append(nb)
         return len(seen) == len(self.processes)
-
-    def reversed(self) -> "ProcessMultigraph":
-        return ProcessMultigraph.of(self.processes, [(v, u) for u, v in self.edges])
 
 
 def cpg(world: WorldState) -> ProcessMultigraph:
@@ -134,7 +128,6 @@ def relay_reversal(world: WorldState, pid: int, r: RelayRef, s: RelayRef) -> boo
 class NewRelayStep:
     pid: int
     slot: str
-    rule = "new"
 
 
 @dataclass(frozen=True)
@@ -143,7 +136,6 @@ class IntroductionStep:
     via_slot: str
     carry_slot: str
     to_slot: str
-    rule = "introduction"
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,6 @@ class ReversalStep:
     via_slot: str
     carry_slot: str
     to_slot: Optional[str]  # None: the receiver discards the reference
-    rule = "reversal"
 
 
 @dataclass(frozen=True)
@@ -161,30 +152,12 @@ class FusionStep:
     slot_a: str
     slot_b: str
     to_slot: str
-    rule = "fusion"
-
-
-PlanStep = Union[NewRelayStep, IntroductionStep, ReversalStep, FusionStep]
 
 
 @dataclass
 class TransformPlan:
     steps: list
     initial_slots: dict  # (pid, slot) -> RelayId
-
-    def to_lines(self) -> list:
-        out = []
-        for i, s in enumerate(self.steps):
-            if isinstance(s, NewRelayStep):
-                out.append(f"{i} new {s.pid} {s.slot}")
-            elif isinstance(s, IntroductionStep):
-                out.append(f"{i} introduction {s.pid} via={s.via_slot} carry={s.carry_slot} to={s.to_slot}")
-            elif isinstance(s, ReversalStep):
-                to = s.to_slot if s.to_slot is not None else "discard"
-                out.append(f"{i} reversal {s.pid} via={s.via_slot} carry={s.carry_slot} to={to}")
-            else:
-                out.append(f"{i} fusion {s.pid} {s.slot_a}+{s.slot_b} to={s.to_slot}")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +216,17 @@ def attach_transform_apps(world: WorldState, plan: TransformPlan) -> None:
         world.processes[pid].store["slots"][slot] = RelayRef(relay_id)
 
 
-def execute_plan(world: WorldState, plan: TransformPlan, per_step_budget: int = 8000, on_step=None) -> None:
+PER_STEP_BUDGET = 8000  # kernel steps a plan step may take to settle
+
+
+def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
     """Run a plan to completion, settling the world between steps."""
     attach_transform_apps(world, plan)
     for i, step in enumerate(plan.steps):
         world.processes[step.pid].store["queue"].append(step)
-        res = world.run_until(lambda w: _queues_empty(w) and w.is_settled(), per_step_budget)
+        res = world.run_until(lambda w: _queues_empty(w) and w.is_settled(), PER_STEP_BUDGET)
         if not res.reached:
-            raise PlanError(f"step {i} ({step}) did not settle within {per_step_budget} steps")
+            raise PlanError(f"step {i} ({step}) did not settle within {PER_STEP_BUDGET} steps")
         if on_step is not None:
             on_step(world, i, step)
 
@@ -522,8 +498,7 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     planner.phase_eliminate_indirect()
     if not planner.multigraph().is_weakly_connected():
         raise PlanError("source graph is not weakly connected")
-    mirrored = target.reversed().edge_counter()
-    planner.phase_to_multiset(mirrored)
+    planner.phase_to_multiset(Counter((v, u) for u, v in target.edges))
     planner.phase_rebuild(target)
     return TransformPlan(planner.steps, planner.initial_slots)
 

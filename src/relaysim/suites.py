@@ -43,16 +43,16 @@ class _CycleTally:
     cycle_checks: int = 0
     cycle_violations: int = 0
 
-    def sample(self, world: WorldState, check=None) -> None:
+    def sample(self, check: oracle.WorldCheck) -> None:
         self.cycle_checks += 1
-        if not oracle.valid_graph_cycle_free(world, check):
+        if not check.valid_graph_cycle_free():
             self.cycle_violations += 1
 
 
 def _end_sample(world: WorldState) -> dict:
     """Result fields of one cycle-freeness sample taken at the end of a run."""
     tally = _CycleTally()
-    tally.sample(world)
+    tally.sample(oracle.WorldCheck(world))
     return asdict(tally)
 
 
@@ -148,7 +148,7 @@ def _closure_run(seed: int) -> dict:
         if not check.is_legal():
             violations += 1
         if step % 500 == 0:
-            tally.sample(world, check)
+            tally.sample(check)
     return {**asdict(tally), "violations": violations, "hash": world.state_hash()}
 
 
@@ -452,13 +452,13 @@ def _cycle_run(seed: int) -> dict:
     tally = _CycleTally()
     world = adversarial_init(seed, 4, 12, 15, "mixed")
     for _ in range(40):
-        tally.sample(world)
+        tally.sample(oracle.WorldCheck(world))
         world.run(25)
     world2 = random_connected_world(seed, 4, extra_edges=2, chains=1)
     for pid in world2.processes:
         world2.processes[pid].app = RandomDeliberateApp(max_relays=4)
     for _ in range(40):
-        tally.sample(world2)
+        tally.sample(oracle.WorldCheck(world2))
         world2.run(25)
     return asdict(tally)
 

@@ -129,11 +129,8 @@ def test_report_is_reproducible(tmp_path):
     assert a.getvalue() == b.getvalue()
 
 
-def test_dot_export_round_trips_through_own_parser(tmp_path):
-    world = fig_triangle()
-    dot_path = tmp_path / "world.dot"
-    cli.export_dot(world, str(dot_path))
-    text = dot_path.read_text()
+def test_dot_export_round_trips_through_own_parser():
+    text = oracle.to_dot(fig_triangle())
     assert text.startswith("digraph")
     # process-level dot files parse back into multigraphs
     g = rules.ProcessMultigraph.of(range(3), [(0, 1), (1, 2)])

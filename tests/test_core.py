@@ -73,7 +73,8 @@ def test_layers_never_share_minted_tokens():
 )
 def test_relay_parameter_roundtrip(creator, serial, level, sink):
     param = RelayParameter(Key(Rid(creator), serial), RelayId(Rid(sink), serial + 1), level, Rid(sink))
-    assert RelayParameter.from_tuple(param.to_tuple()) == param
+    (kc, ks), (ir, isr), lv, sk = param.to_tuple()
+    assert RelayParameter(Key(Rid(kc), ks), RelayId(Rid(ir), isr), lv, Rid(sk)) == param
 
 
 def test_relay_json_is_stable_and_canonical():

@@ -68,8 +68,7 @@ def test_new_relay_ids_distinct():
 def test_new_relay_valid_in_legal_world():
     world = make_world()
     ref = world.layer_of(0).new_relay()
-    ok, violations = oracle.valid_relay(world, ref.relay_id)
-    assert ok, violations
+    assert oracle.WorldCheck(world).relay_violations(ref.relay_id) == []
 
 
 def test_new_relay_noop_after_stop():
@@ -164,11 +163,10 @@ def test_merge_requires_empty_in():
 def test_merge_of_valid_relays_yields_valid_relay():
     world = make_world()
     layer, a, b = merge_pair(world)
-    assert oracle.valid_relay(world, a.relay_id)[0]
+    assert oracle.WorldCheck(world).relay_valid(a.relay_id)
     merged = layer.merge({a, b})
     world.run_until(lambda w: w.is_settled(), 4000)
-    ok, violations = oracle.valid_relay(world, merged.relay_id)
-    assert ok, violations
+    assert oracle.WorldCheck(world).relay_violations(merged.relay_id) == []
 
 
 # -- introspection -------------------------------------------------------------
@@ -667,18 +665,40 @@ def test_stop_is_idempotent_and_freezes_primitives():
 # -- deliberate-application guard -------------------------------------------------------
 
 
-def test_no_internal_delete_on_valid_relays_under_deliberate_app():
+def test_no_internal_delete_on_valid_relays_under_deliberate_app(monkeypatch):
+    # Records every delete of an alive relay that the layer makes on its
+    # own, inside its repair loop or a message handler.
+    internal, depth = [], []
+    delete = RelayLayer._delete
+
+    def inside(method):
+        def run(layer, *args):
+            depth.append(method)
+            try:
+                return method(layer, *args)
+            finally:
+                depth.pop()
+        return run
+
+    def recording_delete(layer, relay):
+        if depth and relay.alive:
+            internal.append(relay.id)
+        delete(layer, relay)
+
+    monkeypatch.setattr(RelayLayer, "timeout", inside(RelayLayer.timeout))
+    monkeypatch.setattr(RelayLayer, "receive", inside(RelayLayer.receive))
+    monkeypatch.setattr(RelayLayer, "_delete", recording_delete)
     world = new_world(7, 3)
     for pid in range(3):
         connect_door(world, pid, (pid + 1) % 3)
         world.processes[pid].app = RandomDeliberateApp(max_relays=3)
-    for layer in world.layers.values():
-        layer.events.clear()
     world.run(4000)
-    internal = [
-        e for layer in world.layers.values() for e in layer.events if e[0] == "internal_delete"
-    ]
     assert internal == []
+    # The recorder sees the repair loop delete a keyless relay.
+    ref = connect(world, 0, world.layer_of(1).new_relay().relay_id)
+    world.layer_of(0).relays[ref.relay_id].out_keys.clear()
+    world.layer_of(0).timeout()
+    assert internal == [ref.relay_id]
 
 
 # -- lock-step differential test of the repair loop ------------------------------------

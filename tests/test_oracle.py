@@ -67,8 +67,8 @@ def test_reference_in_buffer_is_implicit_edge():
 def test_fresh_sink_is_valid():
     world = new_world(3, 1)
     ref = world.layer_of(0).new_relay()
-    ok, violations = oracle.valid_relay(world, ref.relay_id)
-    assert ok, violations
+    violations = oracle.WorldCheck(world).relay_violations(ref.relay_id)
+    assert violations == []
 
 
 def test_dead_next_hop_violates_validity():
@@ -76,16 +76,14 @@ def test_dead_next_hop_violates_validity():
     ref = connect_door(world, 0, 1)
     door_id = world.processes[1].store["door"].relay_id
     world.layer_of(1).relays[door_id].alive = False
-    ok, violations = oracle.valid_relay(world, ref.relay_id)
-    assert not ok and "P11b" in violations
+    assert "P11b" in oracle.WorldCheck(world).relay_violations(ref.relay_id)
 
 
 def test_wrong_level_violates_validity():
     world = new_world(5, 2)
     ref = connect_door(world, 0, 1)
     world.layer_of(0).relays[ref.relay_id].level = 3
-    ok, violations = oracle.valid_relay(world, ref.relay_id)
-    assert not ok and "P11c" in violations
+    assert "P11c" in oracle.WorldCheck(world).relay_violations(ref.relay_id)
 
 
 def test_duplicate_in_key_violates_p5():
@@ -95,8 +93,8 @@ def test_duplicate_in_key_violates_p5():
     key = layer.mint_key()
     layer.relays[a.relay_id].in_set.add(confirmed_entry(key, Rid(1)))
     layer.relays[b.relay_id].in_set.add(confirmed_entry(key, Rid(1)))
-    assert "P5" in oracle.valid_relay(world, a.relay_id)[1]
-    assert "P5" in oracle.valid_relay(world, b.relay_id)[1]
+    assert "P5" in oracle.WorldCheck(world).relay_violations(a.relay_id)
+    assert "P5" in oracle.WorldCheck(world).relay_violations(b.relay_id)
 
 
 def test_contradicting_ping_violates_p6():
@@ -104,16 +102,14 @@ def test_contradicting_ping_violates_p6():
     door = give_door(world, 0)
     layer = world.layer_of(0)
     layer._emit_control(Rid(1), Ping(door.relay_id, 3, Rid(0), layer.mint_key()))
-    ok, violations = oracle.valid_relay(world, door.relay_id)
-    assert not ok and "P6" in violations
+    assert "P6" in oracle.WorldCheck(world).relay_violations(door.relay_id)
 
 
 def test_out_relay_closed_in_flight_violates_p7():
     world = new_world(8, 2)
     door = give_door(world, 0)
     world.layer_of(1)._emit_control(Rid(0), OutRelayClosed(door.relay_id))
-    ok, violations = oracle.valid_relay(world, door.relay_id)
-    assert not ok and "P7" in violations
+    assert "P7" in oracle.WorldCheck(world).relay_violations(door.relay_id)
 
 
 def test_unbacked_pending_entry_violates_p9():
@@ -122,16 +118,14 @@ def test_unbacked_pending_entry_violates_p9():
     via = connect_door(world, 0, 1)
     s = layer.new_relay()
     layer.relays[s.relay_id].in_set.add(unconfirmed_entry(layer.mint_key(), via.relay_id))
-    ok, violations = oracle.valid_relay(world, s.relay_id)
-    assert not ok and "P9" in violations
+    assert "P9" in oracle.WorldCheck(world).relay_violations(s.relay_id)
 
 
 def test_sink_with_foreign_sink_rid_violates_p10():
     world = new_world(10, 2)
     door = give_door(world, 0)
     world.layer_of(0).relays[door.relay_id].sink_rid = Rid(1)
-    ok, violations = oracle.valid_relay(world, door.relay_id)
-    assert not ok and "P10" in violations
+    assert "P10" in oracle.WorldCheck(world).relay_violations(door.relay_id)
 
 
 def test_in_relay_closed_matching_keys_violates_p11f():
@@ -140,8 +134,7 @@ def test_in_relay_closed_matching_keys_violates_p11f():
     layer = world.layer_of(0)
     relay = layer.relays[ref.relay_id]
     layer._emit_control(Rid(1), InRelayClosed(frozenset(relay.out_keys), Rid(0), relay.out_id))
-    ok, violations = oracle.valid_relay(world, ref.relay_id)
-    assert not ok and "P11f" in violations
+    assert "P11f" in oracle.WorldCheck(world).relay_violations(ref.relay_id)
 
 
 def test_alive_out_key_co_holder_violates_p11e():
@@ -152,11 +145,11 @@ def test_alive_out_key_co_holder_violates_p11e():
     twin = layer.relays[layer.new_relay().relay_id]
     twin.out_id, twin.out_keys = relay.out_id, set(relay.out_keys)
     twin.level, twin.sink_rid = relay.level, relay.sink_rid
-    assert oracle.valid_relay(world, relay.id) == (False, ["P11e"])
-    assert oracle.valid_relay(world, twin.id) == (False, ["P11e"])
+    assert oracle.WorldCheck(world).relay_violations(relay.id) == ["P11e"]
+    assert oracle.WorldCheck(world).relay_violations(twin.id) == ["P11e"]
     # A deleted relay still holding the key is a tombstone, not a co-holder.
     twin.alive = False
-    assert oracle.valid_relay(world, relay.id) == (True, [])
+    assert oracle.WorldCheck(world).relay_violations(relay.id) == []
 
 
 def test_not_authorized_against_held_permission_violates_p8():
@@ -166,9 +159,16 @@ def test_not_authorized_against_held_permission_violates_p8():
     door = layer1.relays[world.processes[1].store["door"].relay_id]
     key = next(iter(door.in_set)).key
     rejected = Transmit(Header(key, sender.relay_id, door.id, 1), ActionInvocation("x", ()))
-    assert oracle.valid_relay(world, door.id) == (True, [])
+    assert oracle.WorldCheck(world).relay_violations(door.id) == []
     layer1._emit_control(Rid(0), NotAuthorized(rejected))
-    assert oracle.valid_relay(world, door.id) == (False, ["P8"])
+    assert oracle.WorldCheck(world).relay_violations(door.id) == ["P8"]
+
+
+def _param_violations(world, carrier, param):
+    """Violation codes of the one in-flight copy of `param` on `carrier`."""
+    check = oracle.WorldCheck(world)
+    (message,) = [m for c, m, p in check.params if c == carrier and p == param]
+    return check.param_violations(carrier, message, param)
 
 
 def _sent_parameter(seed):
@@ -179,7 +179,7 @@ def _sent_parameter(seed):
     layer = world.layer_of(0)
     world.ctx(0).send(via, "meet", (layer.new_relay(),), relay_positions=(0,))
     carrier, _, param = oracle.WorldCheck(world).params[0]
-    assert oracle.valid_relay_parameter(world, carrier, param) == (True, [])
+    assert _param_violations(world, carrier, param) == []
     return world, layer.relays[via.relay_id], carrier, param
 
 
@@ -189,8 +189,8 @@ def test_probefail_for_announced_key_rejects_parameter():
     # The same ProbeFail leaves the target's pending entry unbacked (P9), so
     # the parameter fails on its target (C3); this is why the oracle has no
     # separate C9 check.
-    assert oracle.valid_relay(world, param.id) == (False, ["P9"])
-    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C3"])
+    assert oracle.WorldCheck(world).relay_violations(param.id) == ["P9"]
+    assert _param_violations(world, carrier, param) == ["C3"]
 
 
 def test_probe_hunting_pending_key_off_its_chain_violates_p9():
@@ -200,8 +200,8 @@ def test_probe_hunting_pending_key_off_its_chain_violates_p9():
     # sits in a layer buffer, off the announcing relay's chain.
     hunter = Probe(frozenset({Key(Rid(0), 0), param.key}), (key,))
     world.layer_of(0)._emit_control(Rid(1), Transmit(Header(key, via.id, via.out_id, via.level), hunter))
-    assert oracle.valid_relay(world, param.id) == (False, ["P9"])
-    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C3"])
+    assert oracle.WorldCheck(world).relay_violations(param.id) == ["P9"]
+    assert _param_violations(world, carrier, param) == ["C3"]
 
 
 def test_probe_ahead_of_its_announcement_violates_c10():
@@ -209,15 +209,15 @@ def test_probe_ahead_of_its_announcement_violates_c10():
     key = min(via.out_keys)
     hunter = Probe(frozenset({param.key}), (key,))
     world.layer_of(0)._emit_buf(via, Transmit(Header(key, via.id, via.out_id, via.level), hunter))
-    assert oracle.valid_relay(world, param.id) == (True, [])
-    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C10"])
+    assert oracle.WorldCheck(world).relay_violations(param.id) == []
+    assert _param_violations(world, carrier, param) == ["C10"]
 
 
 def test_in_relay_closed_for_parameter_key_violates_c11():
     world, via, carrier, param = _sent_parameter(27)
     world.layer_of(1)._emit_control(Rid(0), InRelayClosed(frozenset({param.key}), Rid(1), param.id))
-    assert oracle.valid_relay(world, param.id) == (True, [])
-    assert oracle.valid_relay_parameter(world, carrier, param) == (False, ["C11"])
+    assert oracle.WorldCheck(world).relay_violations(param.id) == []
+    assert _param_violations(world, carrier, param) == ["C11"]
 
 
 def test_valid_header_confirmed_and_unconfirmed_clauses():
@@ -228,9 +228,9 @@ def test_valid_header_confirmed_and_unconfirmed_clauses():
     door = layer1.relays[door_ref.relay_id]
     key = next(iter(door.in_set)).key
     good = Transmit(Header(key, sender.relay_id, door.id, 1), ActionInvocation("x", ()))
-    assert oracle.valid_header(world, good, door.id)
+    assert oracle.WorldCheck(world).valid_header(good, door.id)
     stranger = Transmit(Header(key, world.layer_of(1).mint_relay_id(), door.id, 1), ActionInvocation("x", ()))
-    assert not oracle.valid_header(world, stranger, door.id)
+    assert not oracle.WorldCheck(world).valid_header(stranger, door.id)
 
     # unconfirmed clause: announcing relay's sink must match the sender
     layer0 = world.layer_of(0)
@@ -241,7 +241,7 @@ def test_valid_header_confirmed_and_unconfirmed_clauses():
         Header(entry.key, world.layer_of(1).mint_relay_id(), s.relay_id, 1),
         ActionInvocation("x", ()),
     )
-    assert oracle.valid_header(world, incoming, s.relay_id)
+    assert oracle.WorldCheck(world).valid_header(incoming, s.relay_id)
 
 
 def test_parameter_valid_when_minted_and_across_forwarding():
@@ -254,16 +254,14 @@ def test_parameter_valid_when_minted_and_across_forwarding():
     chk = oracle.WorldCheck(world)
     assert chk.params, "expected an in-flight parameter"
     carrier, message, param = chk.params[0]
-    ok, violations = oracle.valid_relay_parameter(world, carrier, param)
-    assert ok, violations
+    assert _param_violations(world, carrier, param) == []
     # one delivery hop: the message moves into the middle relay's buffer
     world.layers[Rid(1)].handle_transmit(message)
     world.layer_of(0).relays[far.relay_id].buf.clear()
     chk2 = oracle.WorldCheck(world)
     stored = [(c, p) for c, m, p in chk2.params if p.key == param.key]
     assert stored and stored[0][0] == mid.relay_id
-    ok2, violations2 = oracle.valid_relay_parameter(world, mid.relay_id, param)
-    assert ok2, violations2
+    assert _param_violations(world, mid.relay_id, param) == []
 
 
 def test_parameter_with_existing_out_key_violates_c7():
@@ -278,8 +276,7 @@ def test_parameter_with_existing_out_key_violates_c7():
     layer.relays[ghost.relay_id].out_id = via.relay_id
     layer.relays[ghost.relay_id].out_keys = {param.key}
     layer.relays[ghost.relay_id].level = 2
-    ok, violations = oracle.valid_relay_parameter(world, carrier, param)
-    assert not ok and "C7" in violations
+    assert "C7" in _param_violations(world, carrier, param)
 
 
 def test_legal_worlds_and_counterexample():
@@ -297,15 +294,24 @@ def test_legal_worlds_and_counterexample():
 def test_legal_world_valid_graph_cycle_free():
     world = fig_triangle()
     assert oracle.is_legal(world)
-    assert oracle.valid_graph_cycle_free(world)
+    assert oracle.WorldCheck(world).valid_graph_cycle_free()
 
 
 def test_valid_subgraph_is_subset_of_graph():
     world = adversarial_init(16, 4, 12, 10, "mixed")
     full = oracle.extract_relay_graph(world)
-    valid = oracle.valid_relay_graph(world)
-    assert valid.vertices <= full.vertices
-    assert valid.explicit_edges <= full.explicit_edges
+    check = oracle.WorldCheck(world)
+    valid = {r.id for r in check.relays.values() if r.alive and check.relay_valid(r.id)}
+    assert valid
+    for rid in valid:
+        # The valid relays' ownership, sink-delivery and next-hop arcs.
+        node, owner = (RELAY, rid), (PROCESS, rid.rid.value)
+        assert node in full.vertices and (owner, node) in full.explicit_edges
+        out_id = check.relays[rid].out_id
+        if out_id is None:
+            assert (node, owner) in full.explicit_edges
+        elif out_id in valid:
+            assert (node, (RELAY, out_id)) in full.explicit_edges
 
 
 def test_levels_strictly_decrease_in_valid_graph():
@@ -337,9 +343,13 @@ def test_oracle_calls_do_not_mutate_state():
     before = world.state_hash()
     oracle.is_legal(world)
     oracle.extract_relay_graph(world)
-    oracle.valid_relay_graph(world)
     oracle.weakly_connected_components(oracle.extract_relay_graph(world))
-    oracle.valid_graph_cycle_free(world)
+    check = oracle.WorldCheck(world)
+    check.valid_graph_cycle_free()
+    for relay_id in check.relays:
+        check.relay_violations(relay_id)
+    for carrier, message, param in check.params:
+        check.param_violations(carrier, message, param)
     assert world.state_hash() == before
 
 

@@ -244,8 +244,7 @@ def test_plan_contains_only_rule_steps():
     world = settled(rules.build_simple_realization(16, src))
     plan = rules.plan_transform(world, tgt)
     allowed = (rules.NewRelayStep, rules.IntroductionStep, rules.ReversalStep, rules.FusionStep)
-    assert all(isinstance(s, allowed) for s in plan.steps)
-    assert plan.to_lines()
+    assert plan.steps and all(isinstance(s, allowed) for s in plan.steps)
 
 
 def test_plan_eliminates_indirect_relays_first():
