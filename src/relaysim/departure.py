@@ -14,7 +14,7 @@ relays (doors and fresh sinks are level zero, stored edges level one).
 from __future__ import annotations
 
 from .core import ActionInvocation, RelayRef
-from .kernel import ProcessContext, WorldState, give_door, connect_door
+from .kernel import ProcessContext, WorldState, connect_door, give_door, new_world
 
 
 def safe_to_stop(ctx: ProcessContext) -> bool:
@@ -157,13 +157,12 @@ class DepartureApp:
             ref, from_pid = action.params
             if ref is None:
                 return
+            door = store["door"] = store.get("door") or ctx.new_relay()
+            ctx.send(ref, "welcome", (door, ctx.pid), relay_positions=(0,))
             if from_pid in retired:
                 # The sender is weaving itself out: do not route through it,
                 # but do hand it our door; its continued handoffs are what
                 # links its dependents to us.
-                door = store.get("door") or give_door(ctx.world, ctx.pid)
-                store["door"] = door
-                ctx.send(ref, "welcome", (door, ctx.pid), relay_positions=(0,))
                 ctx.delete_relay(ref)
                 return
             old = peers.get(from_pid)
@@ -171,9 +170,6 @@ class DepartureApp:
                 discards.append(old)
             peers[from_pid] = ref
             store["retire_sent"] = store.get("retire_sent", set()) - {from_pid}
-            door = store.get("door") or give_door(ctx.world, ctx.pid)
-            store["door"] = door
-            ctx.send(ref, "welcome", (door, ctx.pid), relay_positions=(0,))
             return
 
         if action.label == "welcome":
@@ -200,8 +196,6 @@ def build_departure_world(
 ) -> WorldState:
     """Bidirectional overlay over the given undirected edges, everyone
     running the departure actor, the listed processes tagged leaving."""
-    from .kernel import new_world
-
     world = new_world(seed, n_processes, fairness_bound=fairness_bound)
     leaving = set(leaving)
     for pid in range(n_processes):
