@@ -9,7 +9,7 @@ order on keys and relay ids so identical inputs yield identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from .core import (
@@ -166,6 +166,12 @@ class RelayLayer:
         for r in relays:
             # Buffers and keys move to the merged relay; the originals stay
             # as drained tombstones until the repair loop collects them.
+            # Messages the original sent now name the merged relay as their
+            # sender, so anchoring and NotAuthorized replies reach the heir.
+            for env in r.buf:
+                m = env.message
+                if isinstance(m, Transmit) and m.header.in_id == r.id:
+                    env.message = Transmit(replace(m.header, in_id=merged.id), m.action)
             self.env_source.moved(r.buf, merged)
             merged.buf.extend(r.buf)
             r.buf = []

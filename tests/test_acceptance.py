@@ -17,7 +17,7 @@ from relaysim import suites
 PINNED = {
     "delivery": (
         "criterion=delivery runs=100 tracked_sends=10308 undelivered=0 misdelivered=0 pass=yes",
-        "76b7c34e7c4d37a4fbcc37c400d18dd000e9af6f37416740e60e13144bdf1ed1",
+        "b22a0b99f0f5e8b9b6f02a1b62fcc8dbef30d9cd89e4fd80f4e5ef45532864b4",
         100,
     ),
     "closure": (
@@ -27,7 +27,7 @@ PINNED = {
     ),
     "convergence": (
         "criterion=convergence runs=200 converged=200 max_steps=203 window=640 window_violations=0 pass=yes",
-        "9fa4971386fbf6a881cfccd0621976a79fea936e4a7a5f9499e48447decb8fde",
+        "fb9ea96ac8b3e5f7b57cc75cadb82545dfa329ed0ea9e6d5c622b040c5388224",
         200,
     ),
     "shutdown": (

@@ -139,7 +139,7 @@ SCENARIOS = {
 GOLDEN = {
     "adversarial_mixed": (
         "04e44c031683a4afc326914fa6247c71b7aa4f662b936ccd6a4ac88730baa8b8",
-        "86353b41072523979e7c7ac2c15d040d03e659b4e41c8da15e438db80aedd041",
+        "f096c5c64e83de73a542c2e88607049509a73bf634b43b5da3f8718702f0dee7",
     ),
     "convergence": (
         "3e82744a0b38042e2bbda7d90a1bdb9cc123fda19f61ee8897e9fc016b69f5c5",

@@ -169,6 +169,48 @@ def test_merge_of_valid_relays_yields_valid_relay():
     assert oracle.WorldCheck(world).relay_violations(merged.relay_id) == []
 
 
+def test_merged_relay_stays_anchored_while_its_moved_probe_drains(monkeypatch):
+    # Merging moved an original's activation probe to the heir; while the
+    # probe still named the original, the heir failed P11d (steps 102-104).
+    world = random_connected_world(5670938551795071837, 3, 1, 0)
+    for proc in world.processes.values():
+        proc.app = RandomDeliberateApp(max_relays=3)
+    merges = Counter()
+    merge = RelayLayer.merge
+
+    def counted(layer, refs):
+        merged = merge(layer, refs)
+        merges[merged is not None] += 1
+        return merged
+
+    monkeypatch.setattr(RelayLayer, "merge", counted)
+    for _ in range(2000):
+        world.step()
+        assert oracle.is_legal(world), f"step {world.step_count}"
+    assert merges[True] > 0
+
+
+def test_not_authorized_for_moved_message_reaches_the_heir():
+    world = make_world()
+    layer, a, b = merge_pair(world)
+    door = world.layer_of(1).relays[world.processes[1].store["door"].relay_id]
+    layer.send(a, ActionInvocation("note", ("x",)))
+    (key,) = layer.relays[a.relay_id].out_keys
+    heir = layer.relays[layer.merge({a, b}).relay_id]
+    (env,) = heir.buf
+    assert env.message.header.in_id == heir.id
+    # The target revokes the key before the moved message arrives.
+    door.in_set -= {e for e in door.in_set if e.key == key}
+    heir.buf.clear()
+    world.layer_of(1).receive(env.message)
+    (rejection,) = [m for _, m in layer_messages(world.layer_of(1)) if isinstance(m, NotAuthorized)]
+    layer.receive(rejection)
+    assert key not in heir.out_keys and heir.out_keys
+    (resent,) = heir.buf
+    assert resent.message.header == Header(min(heir.out_keys), heir.id, door.id, heir.level)
+    assert resent.message.action == env.message.action
+
+
 # -- introspection -------------------------------------------------------------
 
 
