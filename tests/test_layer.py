@@ -175,19 +175,19 @@ def test_merged_relay_stays_anchored_while_its_moved_probe_drains(monkeypatch):
     world = random_connected_world(5670938551795071837, 3, 1, 0)
     for proc in world.processes.values():
         proc.app = RandomDeliberateApp(max_relays=3)
-    merges = Counter()
+    merged = []
     merge = RelayLayer.merge
 
-    def counted(layer, refs):
-        merged = merge(layer, refs)
-        merges[merged is not None] += 1
-        return merged
+    def recorded(layer, refs):
+        result = merge(layer, refs)
+        merged.append(result is not None)
+        return result
 
-    monkeypatch.setattr(RelayLayer, "merge", counted)
+    monkeypatch.setattr(RelayLayer, "merge", recorded)
     for _ in range(2000):
         world.step()
         assert oracle.is_legal(world), f"step {world.step_count}"
-    assert merges[True] > 0
+    assert any(merged)
 
 
 def test_not_authorized_for_moved_message_reaches_the_heir():
