@@ -345,6 +345,8 @@ class WorldState:
         self._rids: list[Rid] = []
         self._timeouts = _Recurring()
         self._apps = _Recurring()
+        # The offender the last `is_settled` found, re-checked before a scan.
+        self._unsettled: Optional[tuple] = None
 
     # -- construction ------------------------------------------------------
 
@@ -524,28 +526,57 @@ class WorldState:
         repair loop emits those forever); everything else - unconfirmed
         entries, dead relays, application payloads in transit, teardown
         notifications - must have drained.
+
+        An unsettled answer keeps its first offender as a witness, and the
+        next call re-checks that witness against the live state before it
+        scans: polling every step costs amortized O(1), because a world
+        usually stays unsettled for the same reason from one step to the
+        next.  True only ever comes from a full scan, and False only from
+        an offender that exists now, so edits made outside a step cannot
+        make the answer stale.
         """
+        witness = self._unsettled
+        if witness is not None and self._still_offends(*witness):
+            return False
+        self._unsettled = self._find_offender()
+        return self._unsettled is None
+
+    def _still_offends(self, layer, relay, env) -> bool:
+        """The witness (layer, relay, envelope) is still in the world and
+        still breaks settledness."""
+        if layer is None:
+            buf = self.orphan_out
+        elif self.layers.get(layer.rid) is not layer:
+            return False
+        elif relay is None:
+            buf = layer.layer_buf
+        elif layer.relays.get(relay.id) is not relay:
+            return False
+        elif env is None:
+            return _relay_unsettled(relay)
+        else:
+            buf = relay.buf
+        if not any(e is env for e in buf):
+            return False
+        return _envelope_unsettled(relay, env.message)
+
+    def _find_offender(self) -> Optional[tuple]:
+        """The first (layer, relay, envelope) that breaks settledness, with
+        None in the parts that do not apply; None if the world is settled."""
         for layer in self.layers.values():
             for relay in layer.relays.values():
-                if not relay.alive:
-                    return False
-                if any(not e.confirmed for e in relay.in_set):
-                    return False
+                if _relay_unsettled(relay):
+                    return (layer, relay, None)
                 for env in relay.buf:
-                    msg = env.message
-                    if (
-                        not isinstance(msg, Transmit)
-                        or not isinstance(msg.action, Probe)
-                        or msg.action.control_keys
-                    ):
-                        return False
+                    if _envelope_unsettled(relay, env.message):
+                        return (layer, relay, env)
             for env in layer.layer_buf:
-                if not isinstance(env.message, Ping):
-                    return False
+                if _envelope_unsettled(None, env.message):
+                    return (layer, None, env)
         for env in self.orphan_out:
-            if not isinstance(env.message, Ping):
-                return False
-        return True
+            if _envelope_unsettled(None, env.message):
+                return (None, None, env)
+        return None
 
     def find_relay(self, relay_id: RelayId) -> Optional[Relay]:
         layer = self.layers.get(relay_id.rid)
@@ -579,6 +610,18 @@ class WorldState:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _relay_unsettled(relay: Relay) -> bool:
+    return not relay.alive or any(not e.confirmed for e in relay.in_set)
+
+
+def _envelope_unsettled(relay: Optional[Relay], msg: Message) -> bool:
+    """A relay buffer may hold control-free probes, a layer buffer or the
+    orphan list (relay None) pings; anything else is transient work."""
+    if relay is None:
+        return not isinstance(msg, Ping)
+    return not isinstance(msg, Transmit) or not isinstance(msg.action, Probe) or bool(msg.action.control_keys)
+
+
 def _pop_envelope(buf: list, uid: int) -> Envelope:
     for i, env in enumerate(buf):
         if env.uid == uid:
@@ -603,9 +646,13 @@ def new_world(seed: int, n_processes: int, fairness_bound: int = 64, mode: str =
 
 
 def give_door(world: WorldState, pid: int) -> RelayRef:
-    """Create (or return) the process's designated inbound sink relay."""
+    """Return the process's designated inbound sink relay, creating a new
+    one when there is none or the stored one is no longer an alive relay of
+    its layer (an application may delete it, and the repair loop collect it)."""
     store = world.processes[pid].store
-    if "door" not in store:
+    door = store.get("door")
+    relay = world.find_relay(door.relay_id) if door is not None else None
+    if relay is None or not relay.alive:
         store["door"] = world.layer_of(pid).new_relay()
     return store["door"]
 

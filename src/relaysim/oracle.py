@@ -524,7 +524,12 @@ def extract_relay_graph(world: WorldState) -> RelayGraph:
 
 
 def weakly_connected_components(graph: RelayGraph) -> list:
-    """Partition of the process vertices by weak connectivity."""
+    """Partition of the process vertices by weak connectivity, each part
+    sorted, the parts ordered by their smallest pid.
+
+    Walks start from process vertices only, in ascending pid order:
+    components that hold only relays are never walked.
+    """
     adj: dict = {v: [] for v in graph.vertices}
     for a, b in graph.edges:
         if a in adj and b in adj:
@@ -532,7 +537,7 @@ def weakly_connected_components(graph: RelayGraph) -> list:
             adj[b].append(a)
     seen: set = set()
     components = []
-    for v in sorted(graph.vertices):
+    for v in sorted(v for v in graph.vertices if v[0] == PROCESS):
         if v in seen:
             continue
         stack = [v]
@@ -545,9 +550,7 @@ def weakly_connected_components(graph: RelayGraph) -> list:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        pids = sorted(n[1] for n in members if n[0] == PROCESS)
-        if pids:
-            components.append(pids)
+        components.append(sorted(n[1] for n in members if n[0] == PROCESS))
     return components
 
 
@@ -566,7 +569,7 @@ def fdp_legitimate(world: WorldState, initial_components: Iterable) -> bool:
 
 def stayers_connected(world: WorldState, initial_components: Iterable) -> bool:
     """Safety half of the departure problem, checkable at every step."""
-    current = weakly_connected_components(extract_relay_graph(world))
+    current = process_components(world)
     membership = {}
     for i, comp in enumerate(current):
         for pid in comp:

@@ -203,10 +203,6 @@ class TransformApp:
                 ctx.delete_relay(ref)
 
 
-def _queues_empty(world: WorldState) -> bool:
-    return all(not p.store.get("queue") for p in world.processes.values())
-
-
 def attach_transform_apps(world: WorldState, plan: TransformPlan) -> None:
     for pid, proc in world.processes.items():
         proc.app = TransformApp()
@@ -220,11 +216,19 @@ PER_STEP_BUDGET = 8000  # kernel steps a plan step may take to settle
 
 
 def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
-    """Run a plan to completion, settling the world between steps."""
+    """Run a plan to completion, settling the world between steps.
+
+    Each plan step is queued at its process; the world then runs until
+    every queue is empty and `is_settled` holds.  The queues are the deques
+    `TransformApp.on_tick` pops, listed once, and `is_settled` re-checks
+    its last offender before it scans, so the poll after every kernel step
+    costs amortized O(1).
+    """
     attach_transform_apps(world, plan)
+    queues = [proc.store["queue"] for proc in world.processes.values()]
     for i, step in enumerate(plan.steps):
         world.processes[step.pid].store["queue"].append(step)
-        res = world.run_until(lambda w: _queues_empty(w) and w.is_settled(), PER_STEP_BUDGET)
+        res = world.run_until(lambda w: not any(queues) and w.is_settled(), PER_STEP_BUDGET)
         if not res.reached:
             raise PlanError(f"step {i} ({step}) did not settle within {PER_STEP_BUDGET} steps")
         if on_step is not None:

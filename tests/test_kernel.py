@@ -1,20 +1,35 @@
 """Scheduler, link layer, adversarial generator, determinism."""
 
+from collections import Counter
+
 import pytest
 
-from relaysim import oracle
+from relaysim import oracle, rules
 from relaysim.apps import RandomDeliberateApp
-from relaysim.core import Rid
+from relaysim.core import (
+    ActionInvocation,
+    Envelope,
+    Header,
+    OutRelayClosed,
+    Ping,
+    Probe,
+    Rid,
+    Transmit,
+    confirmed_entry,
+    unconfirmed_entry,
+)
 from relaysim.kernel import (
     MODE_RANDOM,
     MODE_ROUND_ROBIN,
+    WorldState,
     adversarial_init,
     connect_door,
     fig_triangle,
+    give_door,
     new_world,
     random_connected_world,
 )
-from relaysim.layer import RelayLayer
+from relaysim.layer import OutEnvelope, RelayLayer
 
 
 def test_only_timeouts_enabled_in_quiet_world():
@@ -472,3 +487,237 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
         random_picks += reference.random
     assert forced > 1000 and random_picks > 1000
     assert orphans > 0 and sum(merged) > 0
+
+
+# -- give_door -------------------------------------------------------------------
+
+
+def test_give_door_replaces_a_door_the_repair_loop_collected():
+    world = new_world(7, 3)
+    for pid in range(3):
+        connect_door(world, pid, (pid + 1) % 3)
+    for proc in world.processes.values():
+        proc.app = RandomDeliberateApp(max_relays=3)
+    world.run(4000)
+    stale = world.processes[1].store["door"].relay_id
+    assert stale not in world.layers[Rid(1)].relays  # the application deleted it
+    out = world.find_relay(connect_door(world, 0, 1).relay_id)
+    door = world.find_relay(out.out_id)
+    assert door is not None and door.id != stale
+    assert door.alive and door.out_id is None
+    [key] = out.out_keys
+    assert confirmed_entry(key, Rid(0)) in door.in_set
+    assert give_door(world, 1).relay_id == door.id  # an alive door is kept
+
+
+# -- settle polling: the witness against the full scan ---------------------------
+
+
+def full_scan_settled(world) -> bool:
+    """`WorldState.is_settled` before it kept a witness: one full scan."""
+    for layer in world.layers.values():
+        for relay in layer.relays.values():
+            if not relay.alive:
+                return False
+            if any(not e.confirmed for e in relay.in_set):
+                return False
+            for env in relay.buf:
+                msg = env.message
+                if (
+                    not isinstance(msg, Transmit)
+                    or not isinstance(msg.action, Probe)
+                    or msg.action.control_keys
+                ):
+                    return False
+        for env in layer.layer_buf:
+            if not isinstance(env.message, Ping):
+                return False
+    for env in world.orphan_out:
+        if not isinstance(env.message, Ping):
+            return False
+    return True
+
+
+def _witness_kind(witness) -> str:
+    layer, relay, env = witness
+    if layer is None:
+        return "orphan"
+    if relay is None:
+        return "layer_buf"
+    if env is not None:
+        return "relay_buf"
+    return "unconfirmed" if relay.alive else "dead"
+
+
+class SettleProbe:
+    """Holds every `is_settled` answer to the full scan, polls once more
+    after every step, and counts polls, full scans and witness kinds.  A
+    poll either re-checks the witness (a hit) or runs one full scan."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.polls = self.scans = 0
+        self.kinds = Counter()
+        is_settled, scan, step = WorldState.is_settled, WorldState._find_offender, WorldState.step
+
+        def polled(world):
+            answer = is_settled(world)
+            assert answer == full_scan_settled(world), f"step {world.step_count}"
+            self.polls += 1
+            if not answer:
+                self.kinds[_witness_kind(world._unsettled)] += 1
+            return answer
+
+        def scanned(world):
+            self.scans += 1
+            return scan(world)
+
+        def stepped(world):
+            step(world)
+            world.is_settled()
+
+        monkeypatch.setattr(WorldState, "is_settled", polled)
+        monkeypatch.setattr(WorldState, "_find_offender", scanned)
+        monkeypatch.setattr(WorldState, "step", stepped)
+
+
+def _settle(world):
+    assert world.run_until(lambda w: w.is_settled(), 8000).reached
+    return world
+
+
+def _transform_run(seed, n=5):
+    source = rules.random_multigraph(seed, n)
+    target = rules.random_multigraph(seed + 1, n)
+    world = _settle(rules.build_simple_realization(seed, source))
+    rules.execute_plan(world, rules.plan_transform(world, target))
+    assert rules.cpg(world).edges == target.edges
+
+
+def _shutdown_run(seed):
+    # Every process stops; dying layers orphan their notifications.
+    build, steps, between = LOCKSTEP["shutdown"]
+    world = build(seed)
+    for i in range(steps + 300):
+        between(world, i)
+        world.step()
+
+
+def _edit_offenders(seed):
+    # Make and clear each kind of offender by editing a settled world
+    # between steps.  No step runs while an edit is in place: the scheduler
+    # does not know about the envelopes added here.
+    world = _settle(random_connected_world(seed, 4, 2, 1))
+    layer = world.layers[Rid(1)]
+    relay = world.find_relay(connect_door(world, 1, 0).relay_id)
+    door = world.find_relay(world.processes[0].store["door"].relay_id)
+    _settle(world)
+    header = Header(next(iter(relay.out_keys)), relay.id, relay.out_id, relay.level)
+    payload = Envelope(10**9, Transmit(header, ActionInvocation("note", ())))
+    closed = OutEnvelope(10**9 + 1, Rid(0), OutRelayClosed(relay.id))
+
+    relay.alive = False
+    assert not world.is_settled()
+    relay.alive = True
+    assert world.is_settled()
+
+    entry = unconfirmed_entry(world.layers[Rid(0)].mint_key(), relay.id)
+    door.in_set.add(entry)
+    assert not world.is_settled()
+    door.in_set.discard(entry)
+    assert world.is_settled()
+
+    for buf, env in ((relay.buf, payload), (layer.layer_buf, closed), (world.orphan_out, closed)):
+        buf.append(env)
+        assert not world.is_settled()
+        buf.remove(env)
+        assert world.is_settled()
+        _settle(world)
+
+    # The witnessed envelope keeps its place, its message does not.
+    relay.buf.append(payload)
+    assert not world.is_settled()
+    payload.message = Transmit(header, Probe(frozenset(), ()))
+    assert world.is_settled()
+    relay.buf.remove(payload)
+    layer.layer_buf.append(closed)
+    assert not world.is_settled()
+    closed.message = Ping(relay.id, relay.level, relay.sink_rid, header.key)
+    assert world.is_settled()
+    layer.layer_buf.remove(closed)
+
+    # The witnessed relay leaves its table, then its layer leaves the world.
+    relay.alive = False
+    assert not world.is_settled()
+    del layer.relays[relay.id]
+    assert world.is_settled()
+    layer.relays[relay.id] = relay
+    assert not world.is_settled()
+    del world.layers[layer.rid]
+    assert world.is_settled()
+    world.layers[layer.rid] = layer
+    assert not world.is_settled()
+    relay.alive = True
+    assert world.is_settled()
+    world.run(300)
+
+
+def _merge_moves_witnessed_envelope(seed):
+    world = new_world(seed, 2)
+    a, b = connect_door(world, 0, 1), connect_door(world, 0, 1)
+    _settle(world)
+    ctx = world.ctx(0)
+    ctx.send(a, "note", ("x",))
+    assert not world.is_settled()
+    _, relay, env = world._unsettled
+    assert relay.id == a.relay_id and env is not None
+    merged = world.find_relay(ctx.merge({a, b}).relay_id)
+    assert any(e is env for e in merged.buf)
+    assert not world.is_settled()
+    _settle(world)
+
+
+SETTLE_RUNS = {
+    "transform": _transform_run,
+    "shutdown": _shutdown_run,
+    "mixed": lambda s: adversarial_init(s, 4, 12, 15, "mixed").run(1500),
+    "mixed_apps": lambda s: _with_apps(adversarial_init(s, 4, 12, 15, "mixed"), max_relays=4).run(1500),
+    "edits": _edit_offenders,
+    "merge": _merge_moves_witnessed_envelope,
+}
+
+SETTLE_CASES = [(name, seed) for name in sorted(SETTLE_RUNS) for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("name,seed", SETTLE_CASES)
+def test_is_settled_matches_full_scan(monkeypatch, name, seed):
+    probe = SettleProbe(monkeypatch)
+    SETTLE_RUNS[name](seed)
+    assert probe.polls > 0
+
+
+def test_settle_cases_cover_every_witness_kind_hits_and_scans(monkeypatch):
+    probe = SettleProbe(monkeypatch)
+    for name, seed in SETTLE_CASES:
+        SETTLE_RUNS[name](seed)
+    assert set(probe.kinds) == {"dead", "unconfirmed", "relay_buf", "layer_buf", "orphan"}
+    assert probe.scans > 0 and probe.polls - probe.scans > 0
+
+
+def test_settle_polling_rarely_scans(monkeypatch):
+    polls = scans = 0
+    is_settled, scan = WorldState.is_settled, WorldState._find_offender
+
+    def polled(world):
+        nonlocal polls
+        polls += 1
+        return is_settled(world)
+
+    def scanned(world):
+        nonlocal scans
+        scans += 1
+        return scan(world)
+
+    monkeypatch.setattr(WorldState, "is_settled", polled)
+    monkeypatch.setattr(WorldState, "_find_offender", scanned)
+    _transform_run(1, n=6)
+    assert polls > 1000 and scans <= polls // 10, (polls, scans)

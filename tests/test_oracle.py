@@ -11,6 +11,7 @@ from relaysim.core import (
     Ping,
     Probe,
     ProbeFail,
+    RelayId,
     RelayParameter,
     Rid,
     Transmit,
@@ -336,6 +337,59 @@ def test_isolated_processes_are_singletons():
     give_door(world, 1)
     comps = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
     assert comps == [[0], [1]]
+
+
+def _components_from_every_vertex(graph):
+    """`weakly_connected_components` as it was: a walk from every vertex in
+    sorted order, relays included, dropping relay-only components.  Also
+    returns how many it dropped."""
+    adj = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen, components, dropped = set(), [], 0
+    for v in sorted(graph.vertices):
+        if v in seen:
+            continue
+        stack, members = [v], []
+        seen.add(v)
+        while stack:
+            node = stack.pop()
+            members.append(node)
+            for nb in adj[node]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        pids = sorted(n[1] for n in members if n[0] == PROCESS)
+        if pids:
+            components.append(pids)
+        else:
+            dropped += 1
+    return components, dropped
+
+
+def test_components_walked_from_processes_match_walks_from_every_vertex():
+    islands = 0
+    for seed in range(40):
+        world = adversarial_init(seed, 3 + seed % 4, 12, 10, "mixed")
+        # Stopped processes leave their relays behind as relay-only islands.
+        for pid in range(seed % 3):
+            world.processes[pid].active = False
+        world.run(seed * 5)
+        graph = oracle.extract_relay_graph(world)
+        expected, dropped = _components_from_every_vertex(graph)
+        assert oracle.weakly_connected_components(graph) == expected, seed
+        islands += dropped
+    assert islands > 0
+    r = lambda pid, serial: (RELAY, RelayId(Rid(pid), serial))
+    graph = oracle.RelayGraph(
+        vertices={(PROCESS, 3), (PROCESS, 1), (PROCESS, 0), r(2, 1), r(2, 2), r(0, 1), r(3, 1)},
+        explicit_edges={(r(2, 1), r(2, 2)), ((PROCESS, 3), r(0, 1)), (r(0, 1), (PROCESS, 0)),
+                        (r(3, 1), (PROCESS, 2))},
+    )
+    assert oracle.weakly_connected_components(graph) == [[0, 3], [1]]
+    assert _components_from_every_vertex(graph) == ([[0, 3], [1]], 2)
 
 
 def test_oracle_calls_do_not_mutate_state():
