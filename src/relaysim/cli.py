@@ -76,7 +76,7 @@ def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
             scenario = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ScenarioError(str(e))
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -234,7 +234,7 @@ def run_transform(source_path: str, target_path: str, seed: int = 0, out=sys.std
     try:
         source = parse_process_dot(Path(source_path).read_text())
         target = parse_process_dot(Path(target_path).read_text())
-    except (OSError, ScenarioError) as e:
+    except (OSError, UnicodeDecodeError, ScenarioError) as e:
         print(f"error=parse detail={e}", file=out)
         return EXIT_PARSE
     world = rules.build_simple_realization(seed, source)

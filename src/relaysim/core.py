@@ -109,8 +109,12 @@ class InEntry:
         return self.from_rid is not None
 
     def sort_key(self) -> tuple:
-        # Confirmed entries first, then by sender address or announcing relay.
-        return (self.key, self.via is not None, self.from_rid or self.via)
+        # Key, then confirmed entries first, then by sender address or
+        # announcing relay; plain ints, so sorting calls no dataclass compare.
+        key = self.key
+        if self.via is None:
+            return (key.creator.value, key.serial, 0, self.from_rid.value, 0)
+        return (key.creator.value, key.serial, 1, self.via.rid.value, self.via.serial)
 
 
 def confirmed_entry(key: Key, sender: Rid) -> InEntry:

@@ -466,7 +466,9 @@ class RelayLayer:
         # (duplicated In keys are purged everywhere), the unconfirmed entries
         # announced via each relay, and the holders of each out-key.  The
         # loop only removes In entries and out-keys, never adds them, so a
-        # lookup that re-checks membership reads the current table.
+        # lookup that re-checks membership reads the current table, a relay
+        # whose In set is empty at its turn has nothing to purge or ping, and
+        # a key with one holder in the snapshot cannot collide.
         key_count: dict[Key, int] = {}
         announced: dict[RelayId, list] = {}  # via id -> [(holder, entry)]
         holders: dict[Key, list] = {}
@@ -478,7 +480,7 @@ class RelayLayer:
             for k in r.out_keys:
                 holders.setdefault(k, []).append(r)
 
-        for relay in sorted(list(self.relays.values()), key=lambda r: r.id):
+        for relay in sorted(self.relays.values(), key=lambda r: (r.id.rid.value, r.id.serial)):
             if relay.id not in self.relays:
                 continue
             if relay.out_id is None:
@@ -502,15 +504,16 @@ class RelayLayer:
                         holder.in_set.discard(e)
                 if relay.alive:
                     self._delete(relay)
-            bad = {e for e in relay.in_set if key_count.get(e.key, 0) > 1 or not belongs_to(e.key, self.rid)}
-            relay.in_set -= bad
-            for e in relay.sorted_in():
-                if e.confirmed:
-                    self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
-            dangling = {e for e in relay.in_set if not e.confirmed and e.via not in self.relays}
-            relay.in_set -= dangling
+            if relay.in_set:
+                bad = {e for e in relay.in_set if key_count.get(e.key, 0) > 1 or not belongs_to(e.key, self.rid)}
+                relay.in_set -= bad
+                for e in relay.sorted_in():
+                    if e.confirmed:
+                        self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
+                dangling = {e for e in relay.in_set if not e.confirmed and e.via not in self.relays}
+                relay.in_set -= dangling
 
-            pending_via = any(e in holder.in_set for holder, e in via_me)
+            pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:
                 # Removal waits for the buffer: a deleted relay keeps
                 # delivering what was already sent through it.
@@ -545,10 +548,14 @@ class RelayLayer:
                 # Out-key collisions are resolved between alive relays only;
                 # a merge tombstone legitimately shares keys with its heir.
                 for k in relay.out_keys:
-                    if any(o.alive and o.id > relay.id and k in o.out_keys for o in holders[k]):
+                    others = holders[k]
+                    if len(others) > 1 and any(o.alive and o.id > relay.id and k in o.out_keys for o in others):
                         self._delete(relay)
                         break
-            controls = frozenset(e.key for holder, e in via_me if e.key not in in_buf and e in holder.in_set)
+            controls = (
+                frozenset(e.key for holder, e in via_me if e.key not in in_buf and e in holder.in_set)
+                if via_me else frozenset()
+            )
             # Alive relays probe while their owner lives or keys may still
             # arrive.  A dead relay probes only while announcements made via
             # it are unresolved: probing any longer would keep refilling its

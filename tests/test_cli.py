@@ -79,6 +79,14 @@ def test_malformed_scenario_is_parse_error(tmp_path):
     assert cli.run_scenario(str(path), out=out) == cli.EXIT_PARSE
 
 
+def test_non_utf8_scenario_is_parse_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"seed": 1, "processes": 3 \xff}')
+    out = io.StringIO()
+    assert cli.run_scenario(str(path), out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+
+
 def test_unknown_field_is_parse_error(tmp_path):
     path = write_scenario(tmp_path, seed=1, banana=True)
     out = io.StringIO()
@@ -183,6 +191,16 @@ def test_transform_bad_dot_is_parse_error(tmp_path):
     tgt.write_text("digraph g { p0 -> p1; }")
     out = io.StringIO()
     assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
+
+
+def test_transform_non_utf8_dot_is_parse_error(tmp_path):
+    src = tmp_path / "src.dot"
+    tgt = tmp_path / "tgt.dot"
+    src.write_bytes(b"digraph g {\n p0 -> p1 \xff\xfe;\n}\n")
+    tgt.write_text("digraph g { p0 -> p1; }")
+    out = io.StringIO()
+    assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
 
 
 def test_main_entry_point(tmp_path):

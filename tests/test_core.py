@@ -94,3 +94,34 @@ def test_relay_json_is_stable_and_canonical():
 def test_key_ordering_is_total():
     keys = [Key(Rid(1), 5), Key(Rid(0), 9), Key(Rid(1), 2)]
     assert sorted(keys) == [Key(Rid(0), 9), Key(Rid(1), 2), Key(Rid(1), 5)]
+
+
+# Few distinct values, so entries often share keys, creators and serials.
+small = st.integers(0, 3)
+rids = st.builds(Rid, small)
+relay_ids = st.builds(RelayId, rids, small)
+in_entries = st.one_of(
+    st.builds(confirmed_entry, st.builds(Key, rids, small), rids),
+    st.builds(unconfirmed_entry, st.builds(Key, rids, small), relay_ids),
+)
+
+
+def _dataclass_sort_key(e: InEntry) -> tuple:
+    # Reference order: key, confirmed first, then sender or announcing
+    # relay, compared through the identity types' dataclass ordering.
+    return (e.key, e.via is not None, e.from_rid or e.via)
+
+
+@given(st.lists(in_entries, max_size=16))
+def test_in_entry_sort_key_orders_like_dataclass_tuple(entries):
+    assert sorted(entries, key=InEntry.sort_key) == sorted(entries, key=_dataclass_sort_key)
+    for a in entries:
+        for b in entries:
+            assert (a.sort_key() < b.sort_key()) == (_dataclass_sort_key(a) < _dataclass_sort_key(b))
+            assert (a.sort_key() == b.sort_key()) == (a == b)
+
+
+@given(st.lists(relay_ids, max_size=16))
+def test_relay_table_key_orders_like_relay_id(ids):
+    # The repair loop visits relays by (layer address, serial).
+    assert sorted(ids, key=lambda i: (i.rid.value, i.serial)) == sorted(ids)

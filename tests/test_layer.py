@@ -1,10 +1,11 @@
 """Primitive and handler behavior, one scenario per pseudocode branch."""
 
+import random
 from collections import Counter
 
 import pytest
 
-from relaysim import oracle
+from relaysim import oracle, rules
 from relaysim.apps import RandomDeliberateApp
 from relaysim.core import (
     ActionInvocation,
@@ -961,6 +962,24 @@ def test_repair_loop_matches_rescanning_reference(name, seed):
         world.step()
         reference.step()
         assert world.state_hash() == reference.state_hash(), f"step {i}"
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_transform_plan_matches_rescanning_reference(n):
+    # One plan of the transform benchmark at seed 1: the source and target
+    # multigraphs are drawn the way its units draw them.
+    runs = []
+    for prepare in (lambda w: w, _rescanning):
+        rng = random.Random(1)
+        source = rules.random_multigraph(rng.getrandbits(32), n, extra=3)
+        target = rules.random_multigraph(rng.getrandbits(32), n, extra=3)
+        world = prepare(rules.build_simple_realization(1, source))
+        world.trace = []
+        assert world.run_until(lambda w: w.is_settled(), 20_000).reached
+        rules.execute_plan(world, rules.plan_transform(world, target))
+        assert rules.cpg(world).edges == target.edges
+        runs.append((world.trace, world.state_hash()))
+    assert runs[0] == runs[1]
 
 
 def test_repair_runs_cover_purge_collision_collection_and_dead_probes(monkeypatch):
