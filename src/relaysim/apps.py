@@ -29,12 +29,12 @@ class DeliveryTracker:
         self.received: dict = {}  # marker -> pid
 
     def on_send(self, ctx: ProcessContext, ref: RelayRef) -> Optional[tuple]:
-        layer = self.world.layers.get(ctx.rid)
+        layer = self.world.layers.get(ctx.pid)
         relay = layer.relays.get(ref.relay_id) if layer else None
         if relay is None:
             return None
         marker = (ctx.pid, len(self.sent))
-        self.sent[marker] = (relay.sink_rid.value, WorldCheck(self.world).relay_valid(relay.id))
+        self.sent[marker] = (relay.sink_rid, WorldCheck(self.world).relay_valid(relay.id))
         return marker
 
     def on_receive(self, ctx: ProcessContext, marker: tuple) -> None:

@@ -112,17 +112,14 @@ def build_world(scenario: dict) -> WorldState:
     seed, n, fairness = scenario["seed"], scenario["processes"], scenario["fairness_bound"]
     mode, topology, leaving = scenario["scheduler"], scenario["topology"], scenario["leaving"]
     if topology == "adversarial":
-        world = adversarial_init(
-            seed, n, scenario["relays"], scenario["messages"], scenario["corruption_profile"],
-            fairness_bound=fairness, mode=mode,
-        )
+        world = adversarial_init(seed, n, scenario["relays"], scenario["messages"], scenario["corruption_profile"])
     elif topology == "triangle":
         world = fig_triangle(seed=seed)
     elif topology == "random_connected":
         world = random_connected_world(seed, n, extra_edges=scenario["extra_edges"], chains=scenario["chains"])
     else:
         edges = [(i, i + 1) for i in range(n - 1)]
-        world = build_departure_world(seed, n, edges, leaving, fairness_bound=fairness)
+        world = build_departure_world(seed, n, edges, leaving)
     world.fairness_bound = fairness
     world.mode = mode
     app = APPS[scenario["app"]]
@@ -146,7 +143,7 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
 
     predicate_name = scenario["predicate"]
     if predicate_name == "fdp_legitimate":
-        initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+        initial = oracle.process_components(world)
         predicate = lambda w: oracle.fdp_legitimate(w, initial)
     else:
         predicate = PREDICATES[predicate_name]
@@ -172,7 +169,7 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
     check = oracle.WorldCheck(world)
     legal = check.is_legal()
     cycle_free = check.valid_graph_cycle_free()
-    components = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    components = oracle.process_components(world)
     print(f"scenario={path}", file=out)
     print(f"seed={world.seed}", file=out)
     print(f"predicate={predicate_name}", file=out)
@@ -250,8 +247,7 @@ def run_transform(source_path: str, target_path: str, seed: int = 0, out=sys.std
     violations = []
 
     def on_step(w, i, step):
-        comps = oracle.weakly_connected_components(oracle.extract_relay_graph(w))
-        if len(comps) != 1:
+        if len(oracle.process_components(w)) != 1:
             violations.append(i)
 
     try:

@@ -11,25 +11,13 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
 
+# A layer's address is the pid of the process that owns it: one layer per
+# process.
+Rid = int
+
+
 # Identity types are dict keys all over the simulator and the oracle, so
 # they carry their hash instead of recomputing it through nested fields.
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Rid:
-    """Globally unique address of one relay layer (one per process)."""
-
-    value: int
-    _h: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("rid", self.value)))
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __repr__(self) -> str:
-        return f"R{self.value}"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -41,13 +29,13 @@ class RelayId:
     _h: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("id", self.rid.value, self.serial)))
+        object.__setattr__(self, "_h", hash(("id", self.rid, self.serial)))
 
     def __hash__(self) -> int:
         return self._h
 
     def __repr__(self) -> str:
-        return f"{self.rid!r}.{self.serial}"
+        return f"R{self.rid}.{self.serial}"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -63,13 +51,13 @@ class Key:
     _h: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("key", self.creator.value, self.serial)))
+        object.__setattr__(self, "_h", hash(("key", self.creator, self.serial)))
 
     def __hash__(self) -> int:
         return self._h
 
     def __repr__(self) -> str:
-        return f"k({self.creator!r},{self.serial})"
+        return f"k(R{self.creator},{self.serial})"
 
 
 def rid_of(relay_id: RelayId) -> Rid:
@@ -113,8 +101,8 @@ class InEntry:
         # announcing relay; plain ints, so sorting calls no dataclass compare.
         key = self.key
         if self.via is None:
-            return (key.creator.value, key.serial, 0, self.from_rid.value, 0)
-        return (key.creator.value, key.serial, 1, self.via.rid.value, self.via.serial)
+            return (key.creator, key.serial, 0, self.from_rid, 0)
+        return (key.creator, key.serial, 1, self.via.rid, self.via.serial)
 
 
 def confirmed_entry(key: Key, sender: Rid) -> InEntry:
@@ -136,10 +124,10 @@ class RelayParameter:
 
     def to_tuple(self) -> tuple:
         return (
-            (self.key.creator.value, self.key.serial),
-            (self.id.rid.value, self.id.serial),
+            (self.key.creator, self.key.serial),
+            (self.id.rid, self.id.serial),
             self.level,
-            self.sink_rid.value,
+            self.sink_rid,
         )
 
 
@@ -268,11 +256,11 @@ class Relay:
 # cleanly in golden tests.
 
 def _key_json(k: Key) -> list:
-    return [k.creator.value, k.serial]
+    return [k.creator, k.serial]
 
 
 def _id_json(i: RelayId) -> list:
-    return [i.rid.value, i.serial]
+    return [i.rid, i.serial]
 
 
 def message_json(m: Message) -> Any:
@@ -299,14 +287,14 @@ def message_json(m: Message) -> Any:
         return {
             "inrelayclosed": {
                 "keys": sorted(_key_json(k) for k in m.keys),
-                "sender": m.sender_rid.value,
+                "sender": m.sender_rid,
                 "id": _id_json(m.target_id),
             }
         }
     if isinstance(m, OutRelayClosed):
         return {"outrelayclosed": _id_json(m.id)}
     if isinstance(m, Ping):
-        return {"ping": [_id_json(m.id), m.level, m.sink_rid.value, _key_json(m.key)]}
+        return {"ping": [_id_json(m.id), m.level, m.sink_rid, _key_json(m.key)]}
     if isinstance(m, ActionInvocation):
         return {"action": {"label": m.label, "params": [_param_json(p) for p in m.params]}}
     raise TypeError(f"not a message: {m!r}")
@@ -324,7 +312,7 @@ def _param_json(p: Any) -> Any:
 
 def _entry_json(e: InEntry) -> list:
     if e.confirmed:
-        return [_key_json(e.key), e.from_rid.value, None]
+        return [_key_json(e.key), e.from_rid, None]
     return [_key_json(e.key), None, _id_json(e.via)]
 
 
@@ -335,7 +323,7 @@ def relay_json(r: Relay) -> dict:
         "state": "alive" if r.alive else "dead",
         "out": {"Key": [_key_json(k) for k in r.sorted_out_keys()], "ID": _id_json(r.out_id) if r.out_id else None},
         "level": r.level,
-        "sinkRID": r.sink_rid.value,
+        "sinkRID": r.sink_rid,
         "In": [_entry_json(e) for e in r.sorted_in()],
         "Buf": [message_json(env.message) for env in r.buf],
     }

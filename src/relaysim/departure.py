@@ -110,8 +110,6 @@ def departure_tick(ctx: ProcessContext) -> None:
             ctx.delete_relay(r1)
             peers.pop(p1)
         return
-    if store.get("phase") != "draining":
-        store["phase"] = "draining"
     if safe_to_stop(ctx):
         ctx.stop()
 
@@ -165,11 +163,7 @@ class DepartureApp:
                 # links its dependents to us.
                 ctx.delete_relay(ref)
                 return
-            old = peers.get(from_pid)
-            if old is not None and old != ref:
-                discards.append(old)
-            peers[from_pid] = ref
-            store["retire_sent"] = store.get("retire_sent", set()) - {from_pid}
+            _adopt_peer(store, from_pid, ref)
             return
 
         if action.label == "welcome":
@@ -179,12 +173,17 @@ class DepartureApp:
             if from_pid in retired:
                 discards.append(ref)
                 return
-            old = peers.get(from_pid)
-            if old is not None and old != ref:
-                discards.append(old)
-            peers[from_pid] = ref
-            store["retire_sent"] = store.get("retire_sent", set()) - {from_pid}
-            return
+            _adopt_peer(store, from_pid, ref)
+
+
+def _adopt_peer(store: dict, pid: int, ref: RelayRef) -> None:
+    """`ref` becomes the edge to `pid`; an older one is queued for release,
+    and a retire notice is owed to `pid` again."""
+    old = store["peers"].get(pid)
+    if old is not None and old != ref:
+        store["discards"].append(old)
+    store["peers"][pid] = ref
+    store["retire_sent"] = store.get("retire_sent", set()) - {pid}
 
 
 def build_departure_world(
@@ -192,11 +191,10 @@ def build_departure_world(
     n_processes: int,
     undirected_edges,
     leaving,
-    fairness_bound: int = 64,
 ) -> WorldState:
     """Bidirectional overlay over the given undirected edges, everyone
     running the departure actor, the listed processes tagged leaving."""
-    world = new_world(seed, n_processes, fairness_bound=fairness_bound)
+    world = new_world(seed, n_processes)
     leaving = set(leaving)
     for pid in range(n_processes):
         world.processes[pid].leaving = pid in leaving

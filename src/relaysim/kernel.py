@@ -150,7 +150,7 @@ class _Recurring:
 
 
 class _LayerCounts:
-    """Pending envelopes per layer, indexed by rid value, as a Fenwick tree
+    """Pending envelopes per layer, indexed by rid, as a Fenwick tree
     (Fenwick 1994): the layer holding the j-th pending envelope is found in
     O(log P)."""
 
@@ -218,8 +218,8 @@ class PendingIndex(IdSource):
         self._next = uid + 1
         self.holder[uid] = relay
         rank = _LAYER if relay is None else _RELAY
-        heappush(self.heap, (self.stamp, -rank, -rid.value, -uid, uid))
-        self.counts.add(rid.value, 1)
+        heappush(self.heap, (self.stamp, -rank, -rid, -uid, uid))
+        self.counts.add(rid, 1)
         self.in_layers += 1
         return uid
 
@@ -231,7 +231,7 @@ class PendingIndex(IdSource):
         """The kernel took `uid` out of layer `rid`, or out of the orphans."""
         del self.holder[uid]
         if rid is not None:
-            self.counts.add(rid.value, -1)
+            self.counts.add(rid, -1)
             self.in_layers -= 1
 
     def orphaned(self, rid: Rid, envelopes: list) -> None:
@@ -239,7 +239,7 @@ class PendingIndex(IdSource):
         moving = {env.uid for env in envelopes}
         if not moving:
             return
-        self.counts.add(rid.value, -len(moving))
+        self.counts.add(rid, -len(moving))
         self.in_layers -= len(moving)
         # Once per dead layer: the births are read back from the heap.
         for entry in [e for e in self.heap if e[-1] in moving]:
@@ -258,7 +258,7 @@ class RunResult:
 # False, dead, and nothing to send, merge, delete or stop.  Every primitive
 # that could change a layer returns early once its owner is stopped, so this
 # shared instance never changes.
-_STOPPED_LAYER = RelayLayer(Rid(-1), IdSource())
+_STOPPED_LAYER = RelayLayer(-1, IdSource())
 _STOPPED_LAYER.owner_alive = False
 
 
@@ -270,12 +270,8 @@ class ProcessContext:
         self.pid = pid
 
     @property
-    def rid(self) -> Rid:
-        return Rid(self.pid)
-
-    @property
     def _layer(self) -> RelayLayer:
-        return self.world.layers.get(Rid(self.pid), _STOPPED_LAYER)
+        return self.world.layers.get(self.pid, _STOPPED_LAYER)
 
     @property
     def process(self) -> ProcessState:
@@ -341,8 +337,7 @@ class WorldState:
         self.process_rngs: dict[int, random.Random] = {}
         self.step_count = 0
         self.trace: Optional[list] = None
-        # Scheduler state, indexed by pid (which is also the rid value).
-        self._rids: list[Rid] = []
+        # Scheduler state, indexed by pid (which is also the rid).
         self._timeouts = _Recurring()
         self._apps = _Recurring()
         # The offender the last `is_settled` found, re-checked before a scan.
@@ -352,11 +347,9 @@ class WorldState:
 
     def add_process(self, leaving: bool = False, app: Optional[object] = None) -> int:
         pid = len(self.processes)
-        rid = Rid(pid)
-        self._rids.append(rid)
         self.processes[pid] = proc = ProcessState(pid, leaving=leaving, app=app, on_change=self._apps.changed)
         self._apps.add(proc.enabled)
-        self.layers[rid] = RelayLayer(rid, self.env_source)
+        self.layers[pid] = RelayLayer(pid, self.env_source)
         self._timeouts.add(True)
         self.env_source.counts.ensure(pid + 1)
         self.process_rngs[pid] = random.Random(derive_seed(self.seed, "proc", pid))
@@ -366,7 +359,7 @@ class WorldState:
         return ProcessContext(self, pid)
 
     def layer_of(self, pid: int) -> Optional[RelayLayer]:
-        return self.layers.get(Rid(pid))
+        return self.layers.get(pid)
 
     # -- scheduling ----------------------------------------------------------
     #
@@ -415,16 +408,16 @@ class WorldState:
                     relay = holder[uid]
                     return ("relay", relay.id.rid, relay.id, uid)
                 if rank == -_LAYER:
-                    return ("layer", self._rids[-rid], uid)
+                    return ("layer", -rid, uid)
                 return ("orphan", uid)
             if app and app[0] == oldest:
                 return ("app", -app[1])
-            return ("timeout", self._rids[-timeout[1]])
+            return ("timeout", -timeout[1])
 
         timeouts, apps = self._timeouts.order, self._apps.order
         i = self.rng.randrange(len(timeouts) + len(apps) + pending.in_layers + len(self.orphan_out))
         if i < len(timeouts):
-            return ("timeout", self._rids[timeouts[i]])
+            return ("timeout", timeouts[i])
         i -= len(timeouts)
         if i < len(apps):
             return ("app", apps[i])
@@ -432,7 +425,7 @@ class WorldState:
         if i >= pending.in_layers:
             return ("orphan", self.orphan_out[i - pending.in_layers].uid)
         pid, i = pending.counts.find(i)
-        layer = self.layers[self._rids[pid]]
+        layer = self.layers[pid]
         for relay in layer.relays.values():
             if i < len(relay.buf):
                 return ("relay", layer.rid, relay.id, relay.buf[i].uid)
@@ -446,14 +439,14 @@ class WorldState:
             rid = action[1]
             layer = self.layers[rid]
             layer.timeout()
-            self._timeouts.ran(rid.value, now)
+            self._timeouts.ran(rid, now)
             if layer.shut_down:
                 self.env_source.orphaned(rid, layer.layer_buf)
                 self.orphan_out.extend(layer.layer_buf)
                 layer.layer_buf.clear()
                 del self.layers[rid]
-                self._timeouts.set(rid.value, False)
-            self._trace(kind, rid.value)
+                self._timeouts.set(rid, False)
+            self._trace(kind, rid)
             return
         if kind == "app":
             pid = action[1]
@@ -469,7 +462,7 @@ class WorldState:
             relay = self.layers[rid].relays[relay_id]
             env = _pop_envelope(relay.buf, uid)
             pending.delivered(uid, rid)
-            self._trace(kind, rid.value, env.message)
+            self._trace(kind, rid, env.message)
             if relay.out_id is None:
                 self._deliver_local(rid, relay, env.message)
             else:
@@ -481,12 +474,12 @@ class WorldState:
             _, rid, uid = action
             env = _pop_envelope(self.layers[rid].layer_buf, uid)
             pending.delivered(uid, rid)
-            self._trace(kind, rid.value, env.message)
+            self._trace(kind, rid, env.message)
         else:
             uid = action[1]
             env = _pop_envelope(self.orphan_out, uid)
             pending.delivered(uid, None)
-            self._trace(kind, env.target_rid.value, env.message)
+            self._trace(kind, env.target_rid, env.message)
         target = self.layers.get(env.target_rid)
         if target is not None:
             target.receive(env.message)
@@ -496,7 +489,7 @@ class WorldState:
         # an application invocation is dropped there.
         if not isinstance(message, ActionInvocation):
             return
-        proc = self.processes.get(rid.value)
+        proc = self.processes.get(rid)
         if proc is None or not proc.enabled:
             return
         proc.app.on_message(self.ctx(proc.pid), message, RelayRef(relay.id))
@@ -592,17 +585,17 @@ class WorldState:
                 for pid, p in sorted(self.processes.items())
             },
             "layers": {
-                str(rid.value): {
+                str(rid): {
                     "ownerAlive": layer.owner_alive,
                     "relays": [relay_json(r) for r in sorted(layer.relays.values(), key=lambda r: r.id)],
                     "Buf": [
-                        [env.target_rid.value, message_json(env.message)]
+                        [env.target_rid, message_json(env.message)]
                         for env in layer.layer_buf
                     ],
                 }
                 for rid, layer in sorted(self.layers.items())
             },
-            "orphans": [[env.target_rid.value, message_json(env.message)] for env in self.orphan_out],
+            "orphans": [[env.target_rid, message_json(env.message)] for env in self.orphan_out],
         }
 
     def state_hash(self) -> str:
@@ -667,7 +660,7 @@ def connect(world: WorldState, u: int, target_relay_id: RelayId) -> RelayRef:
     target_layer = world.layers[target_relay_id.rid]
     target = target_layer.relays[target_relay_id]
     key = target_layer.mint_key()
-    target.in_set.add(confirmed_entry(key, Rid(u)))
+    target.in_set.add(confirmed_entry(key, u))
     layer = world.layer_of(u)
     relay = Relay(
         id=layer.mint_relay_id(),
@@ -744,7 +737,6 @@ def adversarial_init(
     n_messages: int,
     corruption_profile: str = "mixed",
     fairness_bound: int = 64,
-    mode: str = MODE_RANDOM,
 ) -> WorldState:
     """Seeded initial state: all processes active, finitely many messages,
     every identifier resolving to an existing process, everything else fair
@@ -752,7 +744,7 @@ def adversarial_init(
     if corruption_profile not in CORRUPTION_PROFILES:
         raise ValueError(f"unknown corruption profile: {corruption_profile}")
     rng = random.Random(derive_seed(seed, corruption_profile))
-    world = new_world(seed, n_processes, fairness_bound=fairness_bound, mode=mode)
+    world = new_world(seed, n_processes, fairness_bound=fairness_bound)
     for pid in range(n_processes):
         give_door(world, pid)
     budget = max(0, n_relays - n_processes)
@@ -775,12 +767,11 @@ def adversarial_init(
 
 def _fabricated_id(world: WorldState, rng: random.Random) -> RelayId:
     # Valid rid (existing process), relay that does not exist.
-    rid = Rid(rng.randrange(len(world.processes)))
-    return RelayId(rid, 900 + rng.randrange(100))
+    return RelayId(rng.randrange(len(world.processes)), 900 + rng.randrange(100))
 
 
 def _some_key(world: WorldState, rng: random.Random) -> Key:
-    layer = world.layers[Rid(rng.randrange(len(world.processes)))]
+    layer = world.layers[rng.randrange(len(world.processes))]
     return layer.mint_key()
 
 def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
@@ -791,11 +782,11 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
         if roll < 0.25:
             relay.level = rng.randrange(5)
         elif roll < 0.4:
-            relay.sink_rid = Rid(rng.randrange(n))
+            relay.sink_rid = rng.randrange(n)
         if rng.random() < 0.2:
             # Foreign or duplicated key in the In set.
             key = _some_key(world, rng)
-            relay.in_set.add(confirmed_entry(key, Rid(rng.randrange(n))))
+            relay.in_set.add(confirmed_entry(key, rng.randrange(n)))
         if rng.random() < 0.2:
             # Unconfirmed entry announced via a dangling id or an existing
             # local non-sink relay.  A sink can never be the announcing
@@ -822,31 +813,31 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
             out_keys={layer.mint_key()},
             out_id=_fabricated_id(world, rng),
             level=1 + rng.randrange(3),
-            sink_rid=Rid(rng.randrange(n)),
+            sink_rid=rng.randrange(n),
         )
         layer.relays[ghost.id] = ghost
     if n >= 2:
         la, lb = world.layer_of(0), world.layer_of(1)
         ka, kb = la.mint_key(), lb.mint_key()
-        a = Relay(id=la.mint_relay_id(), out_keys={kb}, level=1, sink_rid=Rid(0))
-        b = Relay(id=lb.mint_relay_id(), out_keys={ka}, level=1, sink_rid=Rid(1))
+        a = Relay(id=la.mint_relay_id(), out_keys={kb}, level=1, sink_rid=0)
+        b = Relay(id=lb.mint_relay_id(), out_keys={ka}, level=1, sink_rid=1)
         a.out_id, b.out_id = b.id, a.id
-        a.in_set.add(confirmed_entry(ka, Rid(1)))
-        b.in_set.add(confirmed_entry(kb, Rid(0)))
+        a.in_set.add(confirmed_entry(ka, 1))
+        b.in_set.add(confirmed_entry(kb, 0))
         la.relays[a.id] = a
         lb.relays[b.id] = b
 
     relays = [r for layer in world.layers.values() for r in layer.relays.values()]
     for _ in range(n_messages):
         kind = rng.randrange(6)
-        target = Rid(rng.randrange(n))
+        target = rng.randrange(n)
         layer = world.layers[target]
         if kind == 0:
-            layer._emit_control(target, Ping(_fabricated_id(world, rng), rng.randrange(4), Rid(rng.randrange(n)), _some_key(world, rng)))
+            layer._emit_control(target, Ping(_fabricated_id(world, rng), rng.randrange(4), rng.randrange(n), _some_key(world, rng)))
         elif kind == 1:
             layer._emit_control(target, ProbeFail(_some_key(world, rng), (_some_key(world, rng),)))
         elif kind == 2:
-            layer._emit_control(target, InRelayClosed(frozenset({_some_key(world, rng)}), Rid(rng.randrange(n)), _fabricated_id(world, rng)))
+            layer._emit_control(target, InRelayClosed(frozenset({_some_key(world, rng)}), rng.randrange(n), _fabricated_id(world, rng)))
         elif kind == 3:
             layer._emit_control(target, OutRelayClosed(_fabricated_id(world, rng)))
         elif kind == 4:
@@ -861,6 +852,6 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
             params: tuple = ()
             positions: tuple = ()
             if rng.random() < 0.5:
-                param = RelayParameter(_some_key(world, rng), _fabricated_id(world, rng), 1 + rng.randrange(3), Rid(rng.randrange(n)))
+                param = RelayParameter(_some_key(world, rng), _fabricated_id(world, rng), 1 + rng.randrange(3), rng.randrange(n))
                 params, positions = (param,), (0,)
             world.layers[relay.id.rid]._emit_buf(relay, Transmit(header, ActionInvocation("noise", params, positions)))

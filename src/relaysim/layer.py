@@ -122,10 +122,7 @@ class RelayLayer:
     def _resolve(self, ref: Optional[RelayRef]) -> Optional[Relay]:
         if ref is None:
             return None
-        relay = self.relays.get(ref.relay_id)
-        if relay is None or relay.id.rid != self.rid:
-            return None
-        return relay
+        return self.relays.get(ref.relay_id)
 
     def delete_relay(self, ref: RelayRef) -> None:
         if not self.owner_alive:
@@ -480,7 +477,7 @@ class RelayLayer:
             for k in r.out_keys:
                 holders.setdefault(k, []).append(r)
 
-        for relay in sorted(self.relays.values(), key=lambda r: (r.id.rid.value, r.id.serial)):
+        for relay in sorted(self.relays.values(), key=lambda r: (r.id.rid, r.id.serial)):
             if relay.id not in self.relays:
                 continue
             if relay.out_id is None:

@@ -17,6 +17,7 @@ that the application deleted is a tombstone, not a defect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .core import (
@@ -57,7 +58,6 @@ class WorldCheck:
     def __init__(self, world: WorldState) -> None:
         self.world = world
         self.relays: dict[RelayId, Relay] = {}
-        self.layer_rids: dict[RelayId, Rid] = {}
         self.in_key_count: dict[Key, int] = {}
         self.out_key_holders: dict[Key, list] = {}
         self.relays_by_out: dict[RelayId, list] = {}
@@ -71,10 +71,9 @@ class WorldCheck:
         self.param_count: dict[Key, int] = {}
         self.params: list = []  # (carrier relay id | None, Transmit, RelayParameter)
 
-        for rid, layer in world.layers.items():
+        for layer in world.layers.values():
             for relay in layer.relays.values():
                 self.relays[relay.id] = relay
-                self.layer_rids[relay.id] = rid
                 for e in relay.in_set:
                     self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
                 for k in relay.out_keys:
@@ -90,6 +89,13 @@ class WorldCheck:
 
         self._violations: dict[RelayId, list] = {}
         self._evaluated = False
+
+    @cached_property
+    def layer_rids(self) -> dict[RelayId, Rid]:
+        """The address of the layer holding each relay, which is always the
+        relay id's own `rid`.  Built on first use for `relaybench`, which
+        reads it; the checks themselves read `relay_id.rid`."""
+        return {relay_id: relay_id.rid for relay_id in self.relays}
 
     def _index_message(self, carrier, msg) -> None:
         kind = type(msg)
@@ -284,7 +290,7 @@ class WorldCheck:
         sink_rid = via.sink_rid
         for candidate in self.relays_by_out.get(relay.id, ()):
             if (
-                self.layer_rids[candidate.id] == sink_rid
+                candidate.id.rid == sink_rid
                 and key in candidate.out_keys
                 and candidate.level == relay.level + 1
             ):
@@ -316,7 +322,7 @@ class WorldCheck:
         return False
 
     def _one_key_anchored(self, relay: Relay, target: Relay) -> bool:
-        rid = self.layer_rids[relay.id]
+        rid = relay.id.rid
         for e in target.in_set:
             key = e.key
             if key not in relay.out_keys:
@@ -345,7 +351,7 @@ class WorldCheck:
         relay = self.relays.get(relay_id)
         if relay is None:
             return False
-        layer = self.world.layers.get(self.layer_rids[relay_id])
+        layer = self.world.layers.get(relay_id.rid)
         return layer is not None and layer.header_valid_for(relay, message.header)
 
     # -- parameter validity ------------------------------------------------------
@@ -369,14 +375,14 @@ class WorldCheck:
                 via = self.relays.get(e.via)
                 if (
                     via is not None
-                    and self.layer_rids.get(e.via) == self.layer_rids[target.id]
+                    and e.via.rid == target.id.rid
                     and (not via.alive or self.relay_valid(via.id))
                     and carrier is not None
                     and via.sink_rid == carrier.sink_rid
                 ):
                     announced = via
                     break
-        if announced is None or not belongs_to(param.key, self.layer_rids[target.id]):
+        if announced is None or not belongs_to(param.key, target.id.rid):
             v.append("C5")
         rids = {p.id.rid for p in _params_of(message)}
         if len(rids) > 1:
@@ -506,7 +512,7 @@ def extract_relay_graph(world: WorldState) -> RelayGraph:
             all_relays[relay.id] = relay
             g.vertices.add((RELAY, relay.id))
     for relay in all_relays.values():
-        owner = (PROCESS, relay.id.rid.value)
+        owner = (PROCESS, relay.id.rid)
         if owner in g.vertices:
             g.explicit_edges.add((owner, (RELAY, relay.id)))
         if relay.out_id is None:
@@ -593,7 +599,7 @@ def _node_name(node) -> str:
     if node[0] == PROCESS:
         return f"p{node[1]}"
     rid = node[1]
-    return f"r{rid.rid.value}_{rid.serial}"
+    return f"r{rid.rid}_{rid.serial}"
 
 
 def to_dot(world: WorldState) -> str:

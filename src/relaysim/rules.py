@@ -88,7 +88,7 @@ def cpg(world: WorldState) -> ProcessMultigraph:
             target = world.find_relay(relay.out_id)
             if target is None or target.out_id is not None:
                 raise PlanError(f"relay graph not simple: {relay.id} does not end at a sink")
-            edges.append((rid.value, target.id.rid.value))
+            edges.append((rid, target.id.rid))
     return ProcessMultigraph.of([p for p in world.processes], edges)
 
 
@@ -312,20 +312,20 @@ class _Planner:
         handle_of = {}
         for rid, layer in sorted(world.layers.items()):
             for relay in sorted(layer.relays.values(), key=lambda r: r.id):
-                slot = f"w{relay.id.rid.value}_{relay.id.serial}"
-                self.initial_slots[(rid.value, slot)] = relay.id
-                handle_of[relay.id] = (rid.value, slot)
+                slot = f"w{relay.id.rid}_{relay.id.serial}"
+                self.initial_slots[(rid, slot)] = relay.id
+                handle_of[relay.id] = (rid, slot)
         for rid, layer in sorted(world.layers.items()):
             for relay in sorted(layer.relays.values(), key=lambda r: r.id):
                 if relay.out_id is None:
                     continue
                 owner, slot = handle_of[relay.id]
                 if relay.level == 1:
-                    self.edge_slots.setdefault((owner, relay.sink_rid.value), []).append(slot)
+                    self.edge_slots.setdefault((owner, relay.sink_rid), []).append(slot)
                 else:
                     self.indirect[(owner, slot)] = {
                         "owner": owner,
-                        "sink": relay.sink_rid.value,
+                        "sink": relay.sink_rid,
                         "target": handle_of.get(relay.out_id),
                     }
                 if relay.out_id in handle_of:

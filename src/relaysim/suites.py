@@ -342,12 +342,12 @@ def _emulation_attempt(rule: str, seed: int) -> dict:
     slots = {}
     for pid, proc in world.processes.items():
         for tgt, ref in proc.store.get("edges", []):
-            name = f"w{ref.relay_id.rid.value}_{ref.relay_id.serial}"
+            name = f"w{ref.relay_id.rid}_{ref.relay_id.serial}"
             slots.setdefault((pid, tgt), []).append(name)
     init = {}
     for rid, layer in world.layers.items():
         for r in layer.relays.values():
-            init[(rid.value, f"w{r.id.rid.value}_{r.id.serial}")] = r.id
+            init[(rid, f"w{r.id.rid}_{r.id.serial}")] = r.id
 
     before = Counter(rules.cpg(world).edges)
     skipped = {"ok": True, "skipped": True}

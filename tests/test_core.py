@@ -109,7 +109,7 @@ in_entries = st.one_of(
 def _dataclass_sort_key(e: InEntry) -> tuple:
     # Reference order: key, confirmed first, then sender or announcing
     # relay, compared through the identity types' dataclass ordering.
-    return (e.key, e.via is not None, e.from_rid or e.via)
+    return (e.key, e.via is not None, e.from_rid if e.via is None else e.via)
 
 
 @given(st.lists(in_entries, max_size=16))
@@ -124,4 +124,4 @@ def test_in_entry_sort_key_orders_like_dataclass_tuple(entries):
 @given(st.lists(relay_ids, max_size=16))
 def test_relay_table_key_orders_like_relay_id(ids):
     # The repair loop visits relays by (layer address, serial).
-    assert sorted(ids, key=lambda i: (i.rid.value, i.serial)) == sorted(ids)
+    assert sorted(ids, key=lambda i: (i.rid, i.serial)) == sorted(ids)

@@ -97,7 +97,7 @@ def test_departure_from_corrupt_start_departs_after_stabilization():
         layer = world.layer_of(pid)
         for relay in list(layer.relays.values()):
             if relay.alive and relay.out_id is not None and relay.level == 1:
-                world.processes[pid].store["peers"][relay.sink_rid.value] = RelayRef(relay.id)
+                world.processes[pid].store["peers"][relay.sink_rid] = RelayRef(relay.id)
                 fresh = ctx.new_relay()
                 ctx.send(RelayRef(relay.id), "hello", (fresh, pid), relay_positions=(0,))
     res = world.run_until(lambda w: w.is_settled(), 60000)

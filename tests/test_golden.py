@@ -7,6 +7,10 @@ scheduler's choices, a handler's output or the trace format moves them.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,18 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_golden(name):
     assert fingerprint(SCENARIOS[name]) == GOLDEN[name]
+
+
+def test_pins_hold_across_string_hash_seeds():
+    # Str hashes, and with them the iteration order of sets of keys and In
+    # entries, change with PYTHONHASHSEED; the pinned values must not.
+    here = Path(__file__).resolve().parent
+    code = "import test_golden as g; print(*g.fingerprint(g.adversarial_mixed))"
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(tuple(proc.stdout.split()))
+    assert runs[0] == runs[1] == GOLDEN["adversarial_mixed"]

@@ -112,16 +112,49 @@ def test_adversarial_ids_reference_existing_processes():
     pids = set(world.processes)
     for rid, layer in world.layers.items():
         for relay in layer.relays.values():
-            assert relay.id.rid.value in pids
-            assert relay.sink_rid.value in pids
+            assert relay.id.rid in pids
+            assert relay.sink_rid in pids
             if relay.out_id is not None:
-                assert relay.out_id.rid.value in pids
+                assert relay.out_id.rid in pids
             for e in relay.in_set:
-                assert e.key.creator.value in pids
+                assert e.key.creator in pids
                 if e.confirmed:
-                    assert e.from_rid.value in pids
+                    assert e.from_rid in pids
         for env in layer.layer_buf:
-            assert env.target_rid.value in pids
+            assert env.target_rid in pids
+
+
+def test_relays_sit_in_the_layer_their_id_names(monkeypatch):
+    # A layer's address is its owner's pid, and every relay id embeds the
+    # address of the layer holding it, through merges and a full shutdown.
+    merges = []
+    merge = RelayLayer.merge
+
+    def counted_merge(layer, refs):
+        merged = merge(layer, refs)
+        merges.append(merged)
+        return merged
+
+    monkeypatch.setattr(RelayLayer, "merge", counted_merge)
+
+    def check(world):
+        for rid, layer in world.layers.items():
+            assert layer.rid == rid == world.processes[rid].pid
+            for relay in layer.relays.values():
+                assert relay.id.rid == rid
+
+    for seed in range(1, 7):
+        world = adversarial_init(seed, 4, 96, 48, "mixed")
+        for proc in world.processes.values():
+            proc.app = RandomDeliberateApp(max_relays=16)
+        check(world)
+        for _ in range(1500):
+            world.step()
+            check(world)
+        for pid in world.processes:
+            world.ctx(pid).stop()
+        assert world.run_until(lambda w: check(w) or not w.layers, 5000).reached
+    assert any(m is not None for m in merges)
 
 
 def test_adversarial_same_seed_same_world():
@@ -224,13 +257,13 @@ def test_context_primitives_after_shutdown_return_defaults():
 def _reference_sort_key(action) -> tuple:
     kind = action[0]
     if kind == "timeout":
-        return (0, action[1].value, 0)
+        return (0, action[1], 0)
     if kind == "app":
         return (1, action[1], 0)
     if kind == "relay":
-        return (2, action[1].value, action[3])
+        return (2, action[1], action[3])
     if kind == "layer":
-        return (3, action[1].value, action[2])
+        return (3, action[1], action[2])
     return (4, action[1], 0)
 
 
@@ -310,7 +343,7 @@ def _indexed_age(world, action) -> int:
     """Age of an enabled action as the kernel's scheduler indexes hold it."""
     kind = action[0]
     if kind == "timeout":
-        last = world._timeouts.last[action[1].value]
+        last = world._timeouts.last[action[1]]
     elif kind == "app":
         last = world._apps.last[action[1]]
     else:
@@ -452,7 +485,7 @@ def test_incremental_scheduler_matches_full_scan(name, seed):
             between(world, i)
         if i % 97 == 0:
             actions = reference.enabled_actions()
-            assert world._timeouts.order == [a[1].value for a in actions if a[0] == "timeout"]
+            assert world._timeouts.order == [a[1] for a in actions if a[0] == "timeout"]
             assert world._apps.order == [a[1] for a in actions if a[0] == "app"]
             assert [_indexed_age(world, a) for a in actions] == [reference.action_age(a) for a in actions]
         picked.clear()

@@ -306,7 +306,7 @@ def test_valid_subgraph_is_subset_of_graph():
     assert valid
     for rid in valid:
         # The valid relays' ownership, sink-delivery and next-hop arcs.
-        node, owner = (RELAY, rid), (PROCESS, rid.rid.value)
+        node, owner = (RELAY, rid), (PROCESS, rid.rid)
         assert node in full.vertices and (owner, node) in full.explicit_edges
         out_id = check.relays[rid].out_id
         if out_id is None:

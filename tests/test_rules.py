@@ -145,7 +145,7 @@ def run_fragment(world, steps):
     init = {}
     for rid, layer in world.layers.items():
         for r in layer.relays.values():
-            init[(rid.value, f"w{r.id.rid.value}_{r.id.serial}")] = r.id
+            init[(rid, f"w{r.id.rid}_{r.id.serial}")] = r.id
     plan = rules.TransformPlan(steps, init)
     rules.execute_plan(world, plan)
     return world
@@ -156,7 +156,7 @@ def edge_slots(world):
     for pid, proc in world.processes.items():
         for tgt, ref in proc.store.get("edges", []):
             slots.setdefault((pid, tgt), []).append(
-                f"w{ref.relay_id.rid.value}_{ref.relay_id.serial}"
+                f"w{ref.relay_id.rid}_{ref.relay_id.serial}"
             )
     return slots
 
