@@ -21,7 +21,6 @@ from .core import (
     Rid,
     Transmit,
     belongs_to,
-    rid_of,
 )
 from .kernel import (
     ProcessContext,
@@ -63,7 +62,7 @@ from .departure import DepartureApp, build_departure_world, departure_tick, safe
 __all__ = [
     "ActionInvocation", "Header", "InEntry", "Key", "Message", "Relay",
     "RelayId", "RelayParameter", "RelayRef", "Rid", "Transmit",
-    "belongs_to", "rid_of",
+    "belongs_to",
     "ProcessContext", "RunResult", "WorldState", "adversarial_init",
     "connect", "connect_door", "fig_triangle", "give_door", "new_world",
     "random_connected_world",

@@ -196,7 +196,8 @@ _EDGE_RE = re.compile(r"^\s*(\w+)\s*->\s*(\w+)\s*(?:\[.*\])?\s*;?\s*$")
 def parse_process_dot(text: str) -> rules.ProcessMultigraph:
     """Parse ``digraph { a -> b; ... }`` into a process multigraph.
 
-    Node names must be integers or p<int>; anything else is an error.
+    Node names must be integers or p<int>, and the ids must be exactly
+    0..n-1 (a gap would leave isolated processes); anything else is an error.
     """
     edges = []
     names = set()
@@ -224,7 +225,9 @@ def parse_process_dot(text: str) -> rules.ProcessMultigraph:
         raise ScenarioError(f"unparseable dot line: {line!r}")
     if not names:
         raise ScenarioError("empty graph")
-    return rules.ProcessMultigraph.of(range(max(names) + 1), edges)
+    if names != set(range(len(names))):
+        raise ScenarioError(f"process ids must be 0..{len(names) - 1}, got {max(names)}")
+    return rules.ProcessMultigraph.of(range(len(names)), edges)
 
 
 def run_transform(source_path: str, target_path: str, seed: int = 0, out=sys.stdout) -> int:

@@ -60,11 +60,6 @@ class Key:
         return f"k(R{self.creator},{self.serial})"
 
 
-def rid_of(relay_id: RelayId) -> Rid:
-    """Recover the layer address embedded in a relay identifier."""
-    return relay_id.rid
-
-
 def belongs_to(key: Key, rid: Rid) -> bool:
     """True iff `key` was minted by the layer with address `rid`."""
     return key.creator == rid

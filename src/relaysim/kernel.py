@@ -661,15 +661,9 @@ def connect(world: WorldState, u: int, target_relay_id: RelayId) -> RelayRef:
     target = target_layer.relays[target_relay_id]
     key = target_layer.mint_key()
     target.in_set.add(confirmed_entry(key, u))
-    layer = world.layer_of(u)
-    relay = Relay(
-        id=layer.mint_relay_id(),
-        out_keys={key},
-        out_id=target.id,
-        level=target.level + 1,
-        sink_rid=target.sink_rid,
+    relay = world.layer_of(u).add_relay(
+        out_keys={key}, out_id=target.id, level=target.level + 1, sink_rid=target.sink_rid
     )
-    layer.relays[relay.id] = relay
     return RelayRef(relay.id)
 
 
@@ -808,24 +802,18 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
     for _ in range(2):
         owner = rng.randrange(n)
         layer = world.layer_of(owner)
-        ghost = Relay(
-            id=layer.mint_relay_id(),
+        layer.add_relay(
             out_keys={layer.mint_key()},
             out_id=_fabricated_id(world, rng),
             level=1 + rng.randrange(3),
             sink_rid=rng.randrange(n),
         )
-        layer.relays[ghost.id] = ghost
     if n >= 2:
         la, lb = world.layer_of(0), world.layer_of(1)
         ka, kb = la.mint_key(), lb.mint_key()
-        a = Relay(id=la.mint_relay_id(), out_keys={kb}, level=1, sink_rid=0)
-        b = Relay(id=lb.mint_relay_id(), out_keys={ka}, level=1, sink_rid=1)
-        a.out_id, b.out_id = b.id, a.id
-        a.in_set.add(confirmed_entry(ka, 1))
-        b.in_set.add(confirmed_entry(kb, 0))
-        la.relays[a.id] = a
-        lb.relays[b.id] = b
+        a = la.add_relay(out_keys={kb}, level=1, sink_rid=0, in_set={confirmed_entry(ka, 1)})
+        b = lb.add_relay(out_keys={ka}, out_id=a.id, level=1, sink_rid=1, in_set={confirmed_entry(kb, 0)})
+        a.out_id = b.id
 
     relays = [r for layer in world.layers.values() for r in layer.relays.values()]
     for _ in range(n_messages):

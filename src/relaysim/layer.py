@@ -4,7 +4,8 @@ One RelayLayer instance is a single logical actor.  Handlers execute
 atomically against the layer's relay table and never interleave; all
 cross-layer effects are queued as messages and moved by the simulated link
 layer.  Every "arbitrary" choice in the protocol is resolved by the total
-order on keys and relay ids so identical inputs yield identical outputs.
+order on keys and by relay-table order, which is id order (`add_relay`), so
+identical inputs yield identical outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .core import (
     Transmit,
     belongs_to,
     confirmed_entry,
-    rid_of,
     unconfirmed_entry,
 )
 
@@ -102,6 +102,18 @@ class RelayLayer:
         self._key_serial += 1
         return Key(self.rid, self._key_serial)
 
+    def add_relay(self, **fields) -> Relay:
+        """File a new relay, built from `fields`, under a freshly minted id.
+
+        This is the only way a relay enters the table.  Ids rise with every
+        mint and a relay is filed as soon as its id exists, so a layer's
+        table is always in id order: iterating it visits the lowest id
+        first, which is how every choice between relays is made.
+        """
+        relay = Relay(id=self.mint_relay_id(), **fields)
+        self.relays[relay.id] = relay
+        return relay
+
     # -- emission ----------------------------------------------------------
 
     def _emit_buf(self, relay: Relay, message: Message) -> None:
@@ -115,9 +127,7 @@ class RelayLayer:
     def new_relay(self) -> Optional[RelayRef]:
         if not self.owner_alive:
             return None
-        relay = Relay(id=self.mint_relay_id(), sink_rid=self.rid)
-        self.relays[relay.id] = relay
-        return RelayRef(relay.id)
+        return RelayRef(self.add_relay(sink_rid=self.rid).id)
 
     def _resolve(self, ref: Optional[RelayRef]) -> Optional[Relay]:
         if ref is None:
@@ -134,10 +144,8 @@ class RelayLayer:
     def merge(self, refs: Iterable[RelayRef]) -> Optional[RelayRef]:
         if not self.owner_alive:
             return None
-        relays = sorted(
-            {r.id: r for r in (self._resolve(ref) for ref in refs) if r is not None}.values(),
-            key=lambda r: r.id,
-        )
+        wanted = {ref.relay_id for ref in refs if ref is not None}
+        relays = [r for r in self.relays.values() if r.id in wanted]
         if not relays:
             return None
         first = relays[0]
@@ -152,8 +160,7 @@ class RelayLayer:
                 and not r.in_set
             ):
                 return None
-        merged = Relay(
-            id=self.mint_relay_id(),
+        merged = self.add_relay(
             out_keys=set().union(*(r.out_keys for r in relays)),
             out_id=first.out_id,
             level=first.level,
@@ -181,11 +188,10 @@ class RelayLayer:
             if moved:
                 holder.in_set -= moved
                 holder.in_set |= {unconfirmed_entry(e.key, merged.id) for e in moved}
-        self.relays[merged.id] = merged
         return RelayRef(merged.id)
 
     def get_relays(self) -> list[RelayRef]:
-        return [RelayRef(r.id) for r in sorted(self.relays.values(), key=lambda r: r.id) if r.alive]
+        return [RelayRef(r.id) for r in self.relays.values() if r.alive]
 
     def incoming(self, ref: RelayRef) -> int:
         relay = self._resolve(ref)
@@ -241,7 +247,7 @@ class RelayLayer:
         if not self.owner_alive:
             return
         self.owner_alive = False
-        for relay in sorted(self.relays.values(), key=lambda r: r.id):
+        for relay in self.relays.values():
             if relay.alive and relay.out_id is None:
                 self._delete(relay)
 
@@ -263,7 +269,7 @@ class RelayLayer:
     def header_valid_for(self, relay: Relay, header: Header) -> bool:
         if relay.id != header.out_id:
             return False
-        sender = rid_of(header.in_id)
+        sender = header.in_id.rid
         for e in relay.in_set:
             if e.key != header.key:
                 continue
@@ -306,14 +312,14 @@ class RelayLayer:
                 self._forward(relay, m)
             return
         if relay is not None and relay.alive:
-            self._emit_control(rid_of(header.in_id), NotAuthorized(m))
+            self._emit_control(header.in_id.rid, NotAuthorized(m))
             return
-        if rid_of(header.out_id) == self.rid:
-            self._emit_control(rid_of(header.in_id), OutRelayClosed(header.out_id))
+        if header.out_id.rid == self.rid:
+            self._emit_control(header.in_id.rid, OutRelayClosed(header.out_id))
 
     def _activate_connection(self, relay: Relay, header: Header) -> None:
         # First message over a fresh connection confirms the announced key.
-        sender = rid_of(header.in_id)
+        sender = header.in_id.rid
         announced = [e for e in relay.in_set if e.via is not None and e.key == header.key]
         for e in sorted(announced, key=InEntry.sort_key):
             via = self.relays.get(e.via)
@@ -347,14 +353,7 @@ class RelayLayer:
             if any(p.key in r.out_keys for r in self.relays.values()):
                 params[i] = None
                 continue
-            relay_in = Relay(
-                id=self.mint_relay_id(),
-                out_keys={p.key},
-                out_id=p.id,
-                level=p.level,
-                sink_rid=p.sink_rid,
-            )
-            self.relays[relay_in.id] = relay_in
+            relay_in = self.add_relay(out_keys={p.key}, out_id=p.id, level=p.level, sink_rid=p.sink_rid)
             activation = Transmit(
                 Header(p.key, relay_in.id, p.id, relay_in.level),
                 Probe(frozenset(), (p.key,)),
@@ -376,17 +375,15 @@ class RelayLayer:
     # -- probe failure ---------------------------------------------------------
 
     def handle_probefail(self, key: Key, key_sequence: tuple) -> None:
-        # Each lookup below takes the lowest-id match in one pass over the
-        # relays; a plain loop is cheaper here than sorted() or min() over
-        # a generator.
+        # Each lookup below takes the first match in table order, the
+        # lowest id.
         if not key_sequence:
             return
         last = key_sequence[-1]
-        holder = None
-        for r in self.relays.values():
-            if last in r.out_keys and (holder is None or r.id < holder.id):
-                holder = r
-        if holder is None:
+        for holder in self.relays.values():
+            if last in holder.out_keys:
+                break
+        else:
             return
         if len(key_sequence) > 1:
             prev = key_sequence[-2]
@@ -396,12 +393,10 @@ class RelayLayer:
                     return
         else:
             entry = unconfirmed_entry(key, holder.id)
-            announcer = None
-            for r in self.relays.values():
-                if entry in r.in_set and (announcer is None or r.id < announcer.id):
-                    announcer = r
-            if announcer is not None:
-                announcer.in_set.discard(entry)
+            for announcer in self.relays.values():
+                if entry in announcer.in_set:
+                    announcer.in_set.discard(entry)
+                    return
 
     # -- not authorized ---------------------------------------------------------
 
@@ -427,19 +422,16 @@ class RelayLayer:
     def handle_ping(self, id: RelayId, level: int, sink_rid: Rid, key: Key) -> None:
         if id is None:
             return
-        holder = None
-        for r in self.relays.values():
-            if key in r.out_keys and r.out_id == id and (holder is None or r.id < holder.id):
-                holder = r
-        if holder is not None:
-            holder.sink_rid = sink_rid
-            if holder.level > level + 1:
-                holder.level = level + 1
-            if holder.level < level + 1:
-                # raising the level could close a relay cycle, so delete
-                self._delete(holder)
-        else:
-            self._emit_control(rid_of(id), InRelayClosed(frozenset({key}), self.rid, id))
+        for holder in self.relays.values():
+            if key in holder.out_keys and holder.out_id == id:
+                holder.sink_rid = sink_rid
+                if holder.level > level + 1:
+                    holder.level = level + 1
+                if holder.level < level + 1:
+                    # raising the level could close a relay cycle, so delete
+                    self._delete(holder)
+                return
+        self._emit_control(id.rid, InRelayClosed(frozenset({key}), self.rid, id))
 
     # -- in/out relay closed --------------------------------------------------------
 
@@ -449,11 +441,12 @@ class RelayLayer:
             r.in_set -= gone
 
     def handle_outrelayclosed(self, id: RelayId) -> None:
-        for relay in sorted((r for r in self.relays.values() if r.out_id == id), key=lambda r: r.id):
-            self._purge_unconfirmed_via(relay)
-            relay.out_keys.clear()
-            relay.out_id = None
-            self._delete(relay)
+        for relay in self.relays.values():
+            if relay.out_id == id:
+                self._purge_unconfirmed_via(relay)
+                relay.out_keys.clear()
+                relay.out_id = None
+                self._delete(relay)
 
     # -- repair loop -------------------------------------------------------------------
 
@@ -477,7 +470,7 @@ class RelayLayer:
             for k in r.out_keys:
                 holders.setdefault(k, []).append(r)
 
-        for relay in sorted(self.relays.values(), key=lambda r: (r.id.rid, r.id.serial)):
+        for relay in list(self.relays.values()):
             if relay.id not in self.relays:
                 continue
             if relay.out_id is None:
@@ -525,7 +518,7 @@ class RelayLayer:
                 )
                 if closed:
                     self._emit_control(
-                        rid_of(relay.out_id),
+                        relay.out_id.rid,
                         InRelayClosed(closed, self.rid, relay.out_id),
                     )
                 # The collected relay leaves the table, and with it the

@@ -71,8 +71,8 @@ def cpg(world: WorldState) -> ProcessMultigraph:
     nothing).
     """
     edges = []
-    for rid, layer in sorted(world.layers.items()):
-        for relay in sorted(layer.relays.values(), key=lambda r: r.id):
+    for rid, layer in world.layers.items():
+        for relay in layer.relays.values():
             if not relay.alive:
                 raise PlanError(f"relay graph not simple: {relay.id} is dead")
             for env in relay.buf:
@@ -158,6 +158,16 @@ class FusionStep:
 class TransformPlan:
     steps: list
     initial_slots: dict  # (pid, slot) -> RelayId
+
+
+def initial_slots(world: WorldState) -> dict:
+    """The slot every relay of `world` starts a plan under, as
+    (pid, "w<rid>_<serial>") -> RelayId."""
+    return {
+        (pid, f"w{relay.id.rid}_{relay.id.serial}"): relay.id
+        for pid, layer in world.layers.items()
+        for relay in layer.relays.values()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +313,15 @@ class _Planner:
             raise PlanError("transformation planning requires a settled world")
         self.nm = _Namer()
         self.steps: list = []
-        self.initial_slots: dict = {}
+        self.initial_slots = initial_slots(world)
         # abstract edges: (u, v) -> list of slot names held by u
         self.edge_slots: dict = {}
         # abstract indirect relays: handle -> dict(owner, sink, target handle or None)
         self.indirect: dict = {}
         self.inbound: Counter = Counter()
-        handle_of = {}
-        for rid, layer in sorted(world.layers.items()):
-            for relay in sorted(layer.relays.values(), key=lambda r: r.id):
-                slot = f"w{relay.id.rid}_{relay.id.serial}"
-                self.initial_slots[(rid, slot)] = relay.id
-                handle_of[relay.id] = (rid, slot)
-        for rid, layer in sorted(world.layers.items()):
-            for relay in sorted(layer.relays.values(), key=lambda r: r.id):
+        handle_of = {relay_id: handle for handle, relay_id in self.initial_slots.items()}
+        for layer in world.layers.values():
+            for relay in layer.relays.values():
                 if relay.out_id is None:
                     continue
                 owner, slot = handle_of[relay.id]
@@ -330,7 +335,7 @@ class _Planner:
                     }
                 if relay.out_id in handle_of:
                     self.inbound[handle_of[relay.out_id]] += 1
-        self.pids = sorted(world.processes)
+        self.pids = list(world.processes)
 
     # -- multigraph bookkeeping ------------------------------------------
 
@@ -493,7 +498,7 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     same processes; self-loops are not supported.
     """
     planner = _Planner(world)
-    if tuple(sorted(world.processes)) != target.processes:
+    if tuple(world.processes) != target.processes:
         raise PlanError("target names a different process set")
     if any(u == v for u, v in target.edges):
         raise PlanError("self-loops are not supported")

@@ -202,7 +202,7 @@ def _shutdown_run(seed: int) -> dict:
     for pid in world.processes:
         world.processes[pid].app = RandomDeliberateApp(send_refs="never", max_relays=3)
     world.run(300)
-    for pid in sorted(world.processes):
+    for pid in world.processes:
         world.processes[pid].app = None
         world.run(10)
         world.ctx(pid).stop()
@@ -225,7 +225,7 @@ def run_shutdown(runs: int = 100, seed_base: int = 900) -> SuiteReport:
 def _applicable_rules(world: WorldState):
     """All rule instances whose preconditions hold right now."""
     out = []
-    for pid in sorted(world.processes):
+    for pid in world.processes:
         layer = world.layer_of(pid)
         if layer is None:
             continue
@@ -339,15 +339,12 @@ def _emulation_attempt(rule: str, seed: int) -> dict:
         world = rules.build_simple_realization(seed, graph)
     world.run_until(lambda w: w.is_settled(), 8_000)
 
+    init = rules.initial_slots(world)
+    slot_of = {relay_id: slot for (_, slot), relay_id in init.items()}
     slots = {}
     for pid, proc in world.processes.items():
         for tgt, ref in proc.store.get("edges", []):
-            name = f"w{ref.relay_id.rid}_{ref.relay_id.serial}"
-            slots.setdefault((pid, tgt), []).append(name)
-    init = {}
-    for rid, layer in world.layers.items():
-        for r in layer.relays.values():
-            init[(rid, f"w{r.id.rid}_{r.id.serial}")] = r.id
+            slots.setdefault((pid, tgt), []).append(slot_of[ref.relay_id])
 
     before = Counter(rules.cpg(world).edges)
     skipped = {"ok": True, "skipped": True}

@@ -203,6 +203,22 @@ def test_transform_non_utf8_dot_is_parse_error(tmp_path):
     assert out.getvalue().startswith("error=parse detail=")
 
 
+def test_transform_gapped_process_ids_are_parse_error(tmp_path, monkeypatch):
+    # A gap would leave isolated processes; it must fail before any world
+    # with that many processes is built.
+    def no_build(*args, **kwargs):
+        raise AssertionError("world built for a gapped graph")
+
+    monkeypatch.setattr(rules, "build_simple_realization", no_build)
+    src = tmp_path / "src.dot"
+    tgt = tmp_path / "tgt.dot"
+    src.write_text("digraph g {\n p0 -> p1;\n p100000 -> p0;\n}\n")
+    tgt.write_text("digraph g {\n p1 -> p0;\n}\n")
+    out = io.StringIO()
+    assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+
+
 def test_main_entry_point(tmp_path):
     path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="is_legal")
     assert cli.main(["run", path]) == cli.EXIT_OK

@@ -11,24 +11,15 @@ from relaysim.core import (
     belongs_to,
     confirmed_entry,
     relay_json,
-    rid_of,
     unconfirmed_entry,
 )
 from relaysim.kernel import new_world
 
 
-def test_rid_of_is_projection():
-    assert rid_of(RelayId(Rid(7), 3)) == Rid(7)
-
-
-def test_rid_of_ignores_serial():
-    assert rid_of(RelayId(Rid(2), 1)) == rid_of(RelayId(Rid(2), 99))
-
-
 def test_rid_of_fresh_relay_matches_creator():
     world = new_world(0, 2)
     ref = world.layer_of(1).new_relay()
-    assert rid_of(ref.relay_id) == Rid(1)
+    assert ref.relay_id.rid == Rid(1)
 
 
 def test_belongs_to():
@@ -119,9 +110,3 @@ def test_in_entry_sort_key_orders_like_dataclass_tuple(entries):
         for b in entries:
             assert (a.sort_key() < b.sort_key()) == (_dataclass_sort_key(a) < _dataclass_sort_key(b))
             assert (a.sort_key() == b.sort_key()) == (a == b)
-
-
-@given(st.lists(relay_ids, max_size=16))
-def test_relay_table_key_orders_like_relay_id(ids):
-    # The repair loop visits relays by (layer address, serial).
-    assert sorted(ids, key=lambda i: (i.rid, i.serial)) == sorted(ids)

@@ -127,6 +127,8 @@ def test_adversarial_ids_reference_existing_processes():
 def test_relays_sit_in_the_layer_their_id_names(monkeypatch):
     # A layer's address is its owner's pid, and every relay id embeds the
     # address of the layer holding it, through merges and a full shutdown.
+    # Relay and layer tables stay in id order, which the protocol's choices
+    # between relays rely on.
     merges = []
     merge = RelayLayer.merge
 
@@ -138,8 +140,10 @@ def test_relays_sit_in_the_layer_their_id_names(monkeypatch):
     monkeypatch.setattr(RelayLayer, "merge", counted_merge)
 
     def check(world):
+        assert list(world.layers) == sorted(world.layers)
         for rid, layer in world.layers.items():
             assert layer.rid == rid == world.processes[rid].pid
+            assert list(layer.relays) == sorted(layer.relays)
             for relay in layer.relays.values():
                 assert relay.id.rid == rid
 

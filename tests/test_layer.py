@@ -25,7 +25,6 @@ from relaysim.core import (
     Transmit,
     belongs_to,
     confirmed_entry,
-    rid_of,
     unconfirmed_entry,
 )
 from relaysim.kernel import (
@@ -847,7 +846,7 @@ class RescanningLayer(RelayLayer):
                 )
                 if closed:
                     self._emit_control(
-                        rid_of(relay.out_id),
+                        relay.out_id.rid,
                         InRelayClosed(closed, self.rid, relay.out_id),
                     )
                 del self.relays[relay.id]
