@@ -190,14 +190,19 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
 
 # -- tiny DOT subset parser for the transform command ------------------------
 
-_EDGE_RE = re.compile(r"^\s*(\w+)\s*->\s*(\w+)\s*(?:\[.*\])?\s*;?\s*$")
+# An attribute list; its quoted strings may hold `;` or `]`.
+_ATTRS_RE = re.compile(r'\[(?:"[^"]*"|[^\]"])*\]')
+# The graph's opening line or brace, or its closing brace.
+_BRACES_RE = re.compile(r"^\s*(?:digraph\b\s*\w*\s*)?\{?|\}\s*$")
 
 
 def parse_process_dot(text: str) -> rules.ProcessMultigraph:
     """Parse ``digraph { a -> b; ... }`` into a process multigraph.
 
-    Node names must be integers or p<int>, and the ids must be exactly
-    0..n-1 (a gap would leave isolated processes); anything else is an error.
+    Statements end at `;` or at a line end, so a graph may sit on one line;
+    attribute lists are ignored.  Node names must be integers or p<int>, and
+    the ids must be exactly 0..n-1 (a gap would leave isolated processes);
+    anything else is an error.
     """
     edges = []
     names = set()
@@ -209,20 +214,21 @@ def parse_process_dot(text: str) -> rules.ProcessMultigraph:
         return int(m.group(1))
 
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith(("digraph", "{", "}", "//", "#")):
+        if line.lstrip().startswith(("//", "#")):
             continue
-        m = _EDGE_RE.match(line)
-        if m:
-            u, v = pid_of(m.group(1)), pid_of(m.group(2))
-            edges.append((u, v))
-            names.update((u, v))
-            continue
-        node = re.match(r"^(\w+)\s*(\[.*\])?;?$", line)
-        if node:
-            names.add(pid_of(node.group(1)))
-            continue
-        raise ScenarioError(f"unparseable dot line: {line!r}")
+        for statement in _ATTRS_RE.sub("", line).split(";"):
+            statement = _BRACES_RE.sub("", statement).strip()
+            if not statement:
+                continue
+            edge = re.fullmatch(r"(\w+)\s*->\s*(\w+)", statement)
+            if edge:
+                u, v = pid_of(edge.group(1)), pid_of(edge.group(2))
+                edges.append((u, v))
+                names.update((u, v))
+            elif re.fullmatch(r"\w+", statement):
+                names.add(pid_of(statement))
+            else:
+                raise ScenarioError(f"unparseable dot statement: {statement!r}")
     if not names:
         raise ScenarioError("empty graph")
     if names != set(range(len(names))):

@@ -3,12 +3,18 @@
 Everything here is plain data: identifiers, the per-socket relay record,
 and the message vocabulary that travels between relay layers.  No behavior
 beyond constructors, projections and canonical serialization.
+
+Relay ids, keys and In entries are named tuples: they hash, compare and
+serialize as the plain tuples of their fields, so `json` writes them as
+arrays.  A key and a relay id with the same two fields are therefore equal
+and hash alike: never mix keys and relay ids in one container.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 
 # A layer's address is the pid of the process that owns it: one layer per
@@ -16,30 +22,17 @@ from typing import Any, Optional, Union
 Rid = int
 
 
-# Identity types are dict keys all over the simulator and the oracle, so
-# they carry their hash instead of recomputing it through nested fields.
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class RelayId:
+class RelayId(NamedTuple):
     """Globally unique relay identifier embedding its owning layer's address."""
 
     rid: Rid
     serial: int
-    _h: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("id", self.rid, self.serial)))
-
-    def __hash__(self) -> int:
-        return self._h
 
     def __repr__(self) -> str:
         return f"R{self.rid}.{self.serial}"
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Key:
+class Key(NamedTuple):
     """Unforgeable token gating one incoming connection.
 
     The creator field makes ownership decidable without cryptography: a key
@@ -48,13 +41,6 @@ class Key:
 
     creator: Rid
     serial: int
-    _h: int = field(init=False, repr=False, compare=False, default=0)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_h", hash(("key", self.creator, self.serial)))
-
-    def __hash__(self) -> int:
-        return self._h
 
     def __repr__(self) -> str:
         return f"k(R{self.creator},{self.serial})"
@@ -65,8 +51,7 @@ def belongs_to(key: Key, rid: Rid) -> bool:
     return key.creator == rid
 
 
-@dataclass(frozen=True, slots=True)
-class InEntry:
+class InEntry(namedtuple("InEntry", "key from_rid via")):
     """One incoming-permission triple of a relay.
 
     Exactly one of `from_rid` (confirmed: the sender's layer address) and
@@ -74,18 +59,12 @@ class InEntry:
     is set.
     """
 
-    key: Key
-    from_rid: Optional[Rid] = None
-    via: Optional[RelayId] = None
-    _h: int = field(init=False, repr=False, compare=False, default=0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.from_rid is None) == (self.via is None):
+    def __new__(cls, key: Key, from_rid: Optional[Rid] = None, via: Optional[RelayId] = None) -> InEntry:
+        if (from_rid is None) == (via is None):
             raise ValueError("entry must be either confirmed or unconfirmed")
-        object.__setattr__(self, "_h", hash((self.key, self.from_rid, self.via)))
-
-    def __hash__(self) -> int:
-        return self._h
+        return super().__new__(cls, key, from_rid, via)
 
     @property
     def confirmed(self) -> bool:
@@ -93,11 +72,10 @@ class InEntry:
 
     def sort_key(self) -> tuple:
         # Key, then confirmed entries first, then by sender address or
-        # announcing relay; plain ints, so sorting calls no dataclass compare.
-        key = self.key
+        # announcing relay.
         if self.via is None:
-            return (key.creator, key.serial, 0, self.from_rid, 0)
-        return (key.creator, key.serial, 1, self.via.rid, self.via.serial)
+            return (self.key, 0, self.from_rid)
+        return (self.key, 1, self.via)
 
 
 def confirmed_entry(key: Key, sender: Rid) -> InEntry:
@@ -118,12 +96,7 @@ class RelayParameter:
     sink_rid: Rid
 
     def to_tuple(self) -> tuple:
-        return (
-            (self.key.creator, self.key.serial),
-            (self.id.rid, self.id.serial),
-            self.level,
-            self.sink_rid,
-        )
+        return (self.key, self.id, self.level, self.sink_rid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,46 +223,38 @@ class Relay:
 # record itself (id, state, out, level, sinkRID, In, Buf) so fragments diff
 # cleanly in golden tests.
 
-def _key_json(k: Key) -> list:
-    return [k.creator, k.serial]
-
-
-def _id_json(i: RelayId) -> list:
-    return [i.rid, i.serial]
-
-
 def message_json(m: Message) -> Any:
     if isinstance(m, Transmit):
         h = m.header
         return {
             "transmit": {
-                "header": [_key_json(h.key), _id_json(h.in_id), _id_json(h.out_id), h.level],
+                "header": [h.key, h.in_id, h.out_id, h.level],
                 "action": message_json(m.action),
             }
         }
     if isinstance(m, Probe):
         return {
             "probe": {
-                "controlKeys": sorted(_key_json(k) for k in m.control_keys),
-                "keySequence": [_key_json(k) for k in m.key_sequence],
+                "controlKeys": sorted(m.control_keys),
+                "keySequence": m.key_sequence,
             }
         }
     if isinstance(m, ProbeFail):
-        return {"probefail": {"key": _key_json(m.key), "keySequence": [_key_json(k) for k in m.key_sequence]}}
+        return {"probefail": {"key": m.key, "keySequence": m.key_sequence}}
     if isinstance(m, NotAuthorized):
         return {"notauthorized": message_json(m.original)}
     if isinstance(m, InRelayClosed):
         return {
             "inrelayclosed": {
-                "keys": sorted(_key_json(k) for k in m.keys),
+                "keys": sorted(m.keys),
                 "sender": m.sender_rid,
-                "id": _id_json(m.target_id),
+                "id": m.target_id,
             }
         }
     if isinstance(m, OutRelayClosed):
-        return {"outrelayclosed": _id_json(m.id)}
+        return {"outrelayclosed": m.id}
     if isinstance(m, Ping):
-        return {"ping": [_id_json(m.id), m.level, m.sink_rid, _key_json(m.key)]}
+        return {"ping": [m.id, m.level, m.sink_rid, m.key]}
     if isinstance(m, ActionInvocation):
         return {"action": {"label": m.label, "params": [_param_json(p) for p in m.params]}}
     raise TypeError(f"not a message: {m!r}")
@@ -299,26 +264,20 @@ def _param_json(p: Any) -> Any:
     if isinstance(p, RelayParameter):
         return {"relayParameter": p.to_tuple()}
     if isinstance(p, RelayRef):
-        return {"relayRef": _id_json(p.relay_id)}
+        return {"relayRef": p.relay_id}
     if p is None:
         return None
     return repr(p)
 
 
-def _entry_json(e: InEntry) -> list:
-    if e.confirmed:
-        return [_key_json(e.key), e.from_rid, None]
-    return [_key_json(e.key), None, _id_json(e.via)]
-
-
 def relay_json(r: Relay) -> dict:
     """Canonical dict form of one relay record."""
     return {
-        "id": _id_json(r.id),
+        "id": r.id,
         "state": "alive" if r.alive else "dead",
-        "out": {"Key": [_key_json(k) for k in r.sorted_out_keys()], "ID": _id_json(r.out_id) if r.out_id else None},
+        "out": {"Key": r.sorted_out_keys(), "ID": r.out_id},
         "level": r.level,
         "sinkRID": r.sink_rid,
-        "In": [_entry_json(e) for e in r.sorted_in()],
+        "In": r.sorted_in(),
         "Buf": [message_json(env.message) for env in r.buf],
     }

@@ -42,7 +42,7 @@ from .core import (
     relay_json,
     unconfirmed_entry,
 )
-from .layer import IdSource, OutEnvelope, RelayLayer
+from .layer import OutEnvelope, RelayLayer
 
 MODE_RANDOM = "random"
 MODE_ROUND_ROBIN = "round_robin"
@@ -191,22 +191,28 @@ class _LayerCounts:
 _RELAY, _LAYER, _ORPHAN = 2, 3, 4
 
 
-class PendingIndex(IdSource):
-    """Every pending envelope of one world, indexed as buffers report.
+class PendingIndex:
+    """Envelope uids of one world, and every pending envelope, indexed as
+    buffers report.
+
+    Uids come from one monotonic counter shared by all layers of a world.
+    Every change to a buffer is reported here: a layer's emissions and
+    merge moves, and the kernel's deliveries.
 
     `holder` maps each pending uid to its relay, or to None in a layer
     buffer or the orphan list.  `heap` orders pending envelopes for the
     fairness-forced pick: oldest birth first, then the highest kind rank,
     rid and uid (an orphan's key is its rank and uid).  Entries of
-    delivered envelopes are dropped when they reach the top.  `counts` and `in_layers` give each layer's share
-    of the random pick; orphans are the kernel's own list.
+    delivered envelopes are dropped when they reach the top.  `counts` and
+    `in_layers` give each layer's share of the random pick; orphans are the
+    kernel's own list.
 
     An envelope's birth is the step count of the first `step()` that can
     pick it: the kernel sets `stamp` to that value when a step begins.
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._next = 0
         self.stamp = 0
         self.holder: dict[int, Optional[Relay]] = {}
         self.heap: list = []  # (birth, -rank, -rid, -uid, uid) or (birth, -rank, -uid, 0, uid)
@@ -214,6 +220,8 @@ class PendingIndex(IdSource):
         self.in_layers = 0
 
     def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
+        """Uid of a new envelope entering `relay`'s buffer, or the layer
+        buffer of `rid` when `relay` is None."""
         uid = self._next
         self._next = uid + 1
         self.holder[uid] = relay
@@ -224,6 +232,7 @@ class PendingIndex(IdSource):
         return uid
 
     def moved(self, envelopes: list, relay: Relay) -> None:
+        """`envelopes` moved into `relay`'s buffer within the same layer."""
         for env in envelopes:
             self.holder[env.uid] = relay
 
@@ -258,7 +267,7 @@ class RunResult:
 # False, dead, and nothing to send, merge, delete or stop.  Every primitive
 # that could change a layer returns early once its owner is stopped, so this
 # shared instance never changes.
-_STOPPED_LAYER = RelayLayer(-1, IdSource())
+_STOPPED_LAYER = RelayLayer(-1, None)
 _STOPPED_LAYER.owner_alive = False
 
 

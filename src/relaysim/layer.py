@@ -11,7 +11,7 @@ identical inputs yield identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
     ActionInvocation,
@@ -37,29 +37,8 @@ from .core import (
     unconfirmed_entry,
 )
 
-
-class IdSource:
-    """Envelope uids of one world, and the sink for its buffer reports.
-
-    Uids come from one monotonic counter shared by all layers of a world.
-    Every change to a buffer is reported here: a layer's emissions and
-    merge moves, and the kernel's deliveries.  This base class only hands
-    out uids; the kernel's scheduler extends it into an index of every
-    pending envelope.
-    """
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
-        """Uid of a new envelope entering `relay`'s buffer, or the layer
-        buffer of `rid` when `relay` is None."""
-        uid = self._next
-        self._next = uid + 1
-        return uid
-
-    def moved(self, envelopes: list, relay: Relay) -> None:
-        """`envelopes` moved into `relay`'s buffer within the same layer."""
+if TYPE_CHECKING:
+    from .kernel import PendingIndex
 
 
 @dataclass(slots=True)
@@ -82,7 +61,7 @@ def buffered_param_keys(buf: list) -> set:
 
 
 class RelayLayer:
-    def __init__(self, rid: Rid, env_source: IdSource) -> None:
+    def __init__(self, rid: Rid, env_source: Optional[PendingIndex]) -> None:
         self.rid = rid
         self.env_source = env_source
         self.relays: dict[RelayId, Relay] = {}
@@ -471,8 +450,6 @@ class RelayLayer:
                 holders.setdefault(k, []).append(r)
 
         for relay in list(self.relays.values()):
-            if relay.id not in self.relays:
-                continue
             if relay.out_id is None:
                 relay.level = 0
                 relay.sink_rid = self.rid

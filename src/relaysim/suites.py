@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import os
 import random
+import traceback
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import partial
 from multiprocessing import Pool
 
 from . import oracle, rules
@@ -68,6 +70,16 @@ def _pool_map(fn, args):
         return pool.map(fn, args, chunksize=max(1, len(args) // (workers * 4)))
 
 
+def _guarded(run, arg) -> dict:
+    """`run(arg)`, or for a run that raises, a result naming the exception;
+    its traceback goes to standard error."""
+    try:
+        return run(arg)
+    except Exception as e:
+        traceback.print_exc()
+        return {"raised": type(e).__name__}
+
+
 def _report(name: str, passed: bool, fields: str, cycle_checks=0, cycle_violations=0, trace="") -> SuiteReport:
     line = f"criterion={name} {fields} pass={'yes' if passed else 'no'}"
     return SuiteReport(name, passed, [line], cycle_checks, cycle_violations, trace)
@@ -79,15 +91,20 @@ def _suite(name: str, run, args, summarise) -> SuiteReport:
     `summarise(total, results)` returns `(passed, "field=value ...")`; `total`
     holds the sum of every numeric result field over all runs (a bool counts
     the runs where it is true).  The cycle tallies are summed and the runs'
-    `trace` and `hash` fields joined into the report's trace.
+    `trace` and `hash` fields joined into the report's trace.  A run that
+    raises counts as failed: its result holds only the exception's type,
+    and the line gains `raised=<runs>:<first type>` and fails.
     """
-    results = _pool_map(run, args)
+    results = _pool_map(partial(_guarded, run), args)
     total = Counter()
     for r in results:
         for k, v in r.items():
             if not isinstance(v, str):
                 total[k] += v
     passed, fields = summarise(total, results)
+    raised = [r["raised"] for r in results if "raised" in r]
+    if raised:
+        passed, fields = False, f"{fields} raised={len(raised)}:{raised[0]}"
     trace = "\n".join(r[k] for r in results for k in ("trace", "hash") if k in r)
     return _report(name, passed, fields, total["cycle_checks"], total["cycle_violations"], trace)
 
@@ -186,7 +203,7 @@ def run_convergence(runs: int = 200, seed_base: int = 500) -> SuiteReport:
     def summarise(t, results):
         n = len(results)
         return t["converged"] == n and t["flicker"] == 0, (
-            f"runs={n} converged={t['converged']} max_steps={max(r['steps'] for r in results)} "
+            f"runs={n} converged={t['converged']} max_steps={max((r.get('steps', 0) for r in results), default=0)} "
             f"window={CLOSURE_WINDOW} window_violations={t['flicker']}"
         )
 

@@ -162,6 +162,21 @@ def test_dot_export_round_trips_through_own_parser():
     assert parsed.edges == g.edges
 
 
+def test_one_line_dot_parses():
+    parsed = cli.parse_process_dot("digraph g { p0 -> p1; p1 -> p0; }")
+    assert parsed.edges == ((0, 1), (1, 0))
+
+
+def test_dot_attribute_semicolon_does_not_split_a_statement():
+    parsed = cli.parse_process_dot('digraph g {\n p0 -> p1 [label="a;b"];\n p1 -> p2;\n}\n')
+    assert parsed.edges == ((0, 1), (1, 2))
+
+
+def test_text_that_is_not_dot_does_not_parse():
+    with pytest.raises(cli.ScenarioError):
+        cli.parse_process_dot("this is not dot")
+
+
 def test_dot_frames_written(tmp_path):
     path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=30)
     out = io.StringIO()
@@ -188,7 +203,7 @@ def test_transform_bad_dot_is_parse_error(tmp_path):
     src = tmp_path / "src.dot"
     tgt = tmp_path / "tgt.dot"
     src.write_text("this is not dot")
-    tgt.write_text("digraph g { p0 -> p1; }")
+    tgt.write_text("digraph g {\n p1 -> p0;\n}\n")
     out = io.StringIO()
     assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
 
@@ -197,7 +212,7 @@ def test_transform_non_utf8_dot_is_parse_error(tmp_path):
     src = tmp_path / "src.dot"
     tgt = tmp_path / "tgt.dot"
     src.write_bytes(b"digraph g {\n p0 -> p1 \xff\xfe;\n}\n")
-    tgt.write_text("digraph g { p0 -> p1; }")
+    tgt.write_text("digraph g {\n p1 -> p0;\n}\n")
     out = io.StringIO()
     assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
     assert out.getvalue().startswith("error=parse detail=")
@@ -239,3 +254,40 @@ def test_suite_internal_key_error_propagates(monkeypatch):
     monkeypatch.setitem(suites.SUITES, "delivery", broken)
     with pytest.raises(KeyError, match="inside a run"):
         cli.run_suite("delivery", out=io.StringIO())
+
+
+def _raise_on_odd(seed):
+    if seed % 2:
+        raise ValueError(f"seed {seed}")
+    return {"hash": str(seed)}
+
+
+@pytest.mark.parametrize("runs", [3, 8])
+def test_suite_run_that_raises_counts_as_failed(monkeypatch, runs):
+    # 3 runs take the serial path; 8 go through the pool.
+    from relaysim import suites
+
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 2)
+
+    def probe():
+        return suites._suite("probe", _raise_on_odd, range(runs), lambda t, results: (True, f"runs={len(results)}"))
+
+    monkeypatch.setitem(suites.SUITES, "shutdown", probe)
+    out = io.StringIO()
+    assert cli.run_suite("shutdown", out=out) == cli.EXIT_ORACLE
+    assert out.getvalue() == f"criterion=probe runs={runs} raised={runs // 2}:ValueError pass=no\n"
+    assert probe().trace == "\n".join(str(seed) for seed in range(0, runs, 2))
+
+
+def test_suite_summary_survives_every_run_raising(monkeypatch):
+    from relaysim import suites
+
+    def broken(seed):
+        raise RuntimeError("inside a run")
+
+    monkeypatch.setattr(suites, "_convergence_run", broken)
+    report = suites.run_convergence(runs=2)
+    assert not report.passed
+    assert report.lines[0].endswith(
+        f"max_steps=0 window={suites.CLOSURE_WINDOW} window_violations=0 raised=2:RuntimeError pass=no"
+    )

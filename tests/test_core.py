@@ -13,7 +13,7 @@ from relaysim.core import (
     relay_json,
     unconfirmed_entry,
 )
-from relaysim.kernel import new_world
+from relaysim.kernel import connect_door, new_world
 
 
 def test_rid_of_fresh_relay_matches_creator():
@@ -80,6 +80,21 @@ def test_relay_json_is_stable_and_canonical():
     assert snap["out"]["ID"] is None
     blob = json.dumps(snap, sort_keys=True)
     assert json.dumps(relay_json(relay), sort_keys=True) == blob
+
+    # A relay holding a confirmed and an unconfirmed In entry, an out-key and
+    # a buffered Transmit that carries a relay parameter (its own reference).
+    world = new_world(3, 2)
+    layer = world.layer_of(0)
+    via = connect_door(world, 0, 1)
+    world.ctx(0).send(via, "meet", (via,), relay_positions=(0,))
+    relay = layer.relays[via.relay_id]
+    relay.in_set.add(confirmed_entry(layer.mint_key(), Rid(1)))
+    assert json.dumps(relay_json(relay), sort_keys=True) == (
+        '{"Buf": [{"transmit": {"action": {"action": {"label": "meet", "params": '
+        '[{"relayParameter": [[0, 1], [0, 1], 2, 1]}]}}, "header": [[1, 1], [0, 1], [1, 1], 1]}}], '
+        '"In": [[[0, 1], null, [0, 1]], [[0, 2], 1, null]], "id": [0, 1], "level": 1, '
+        '"out": {"ID": [1, 1], "Key": [[1, 1]]}, "sinkRID": 1, "state": "alive"}'
+    )
 
 
 def test_key_ordering_is_total():

@@ -184,6 +184,53 @@ def _sent_parameter(seed):
     return world, layer.relays[via.relay_id], carrier, param
 
 
+def _resend(world, carrier, params):
+    """Replace the one Transmit in `carrier`'s buffer by a copy carrying
+    `params`; returns the copy."""
+    relay = world.layer_of(carrier.rid).relays[carrier]
+    (env,) = relay.buf
+    m = env.message
+    env.message = Transmit(m.header, ActionInvocation(m.action.label, params, tuple(range(len(params)))))
+    return env.message
+
+
+def test_second_copy_of_parameter_violates_c2():
+    world, via, carrier, param = _sent_parameter(28)
+    (env,) = world.layer_of(0).relays[carrier].buf
+    world.layer_of(1)._emit_control(Rid(0), env.message)
+    assert _param_violations(world, carrier, param) == ["C2"]
+
+
+def test_parameter_with_wrong_level_violates_c4():
+    world, via, carrier, param = _sent_parameter(29)
+    raised = RelayParameter(param.key, param.id, param.level + 1, param.sink_rid)
+    _resend(world, carrier, (raised,))
+    assert oracle.WorldCheck(world).relay_violations(param.id) == []
+    assert _param_violations(world, carrier, raised) == ["C4"]
+
+
+def test_parameters_from_two_layers_violate_c6():
+    world, via, carrier, param = _sent_parameter(30)
+    layer1 = world.layer_of(1)
+    foreign = RelayParameter(layer1.mint_key(), layer1.mint_relay_id(), 1, Rid(1))
+    _resend(world, carrier, (param, foreign))
+    assert _param_violations(world, carrier, param) == ["C6"]
+
+
+def test_parameter_key_heading_a_transmit_violates_c8():
+    world, via, carrier, param = _sent_parameter(31)
+    stray = Transmit(Header(param.key, via.id, via.out_id, via.level), ActionInvocation("x", ()))
+    world.layer_of(1)._emit_control(Rid(0), stray)
+    assert _param_violations(world, carrier, param) == ["C8"]
+
+
+def test_ping_naming_an_unconfirmed_key_violates_p6():
+    world, via, carrier, param = _sent_parameter(32)
+    target = world.layer_of(0).relays[param.id]
+    world.layer_of(1)._emit_control(Rid(0), Ping(target.id, target.level, target.sink_rid, param.key))
+    assert oracle.WorldCheck(world).relay_violations(param.id) == ["P6"]
+
+
 def test_probefail_for_announced_key_rejects_parameter():
     world, via, carrier, param = _sent_parameter(24)
     world.layer_of(1)._emit_control(Rid(0), ProbeFail(param.key, (min(via.out_keys),)))
