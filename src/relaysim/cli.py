@@ -15,9 +15,10 @@ from pathlib import Path
 
 from . import oracle, rules
 from .apps import IdleApp, RandomDeliberateApp
-from .departure import DepartureApp, build_departure_world
+from .departure import build_departure_world
 from .kernel import (
     CORRUPTION_PROFILES,
+    FAIRNESS_BOUND,
     MODE_RANDOM,
     MODE_ROUND_ROBIN,
     WorldState,
@@ -43,7 +44,9 @@ PREDICATES = {
     "all_stopped": lambda w: not w.layers,
 }
 
-APPS = {"idle": IdleApp, "random_deliberate": RandomDeliberateApp, "departure": DepartureApp}
+# The departure actor needs the peer tables only `departure_line` fills, and
+# that topology always runs it, so it is no choice here.
+APPS = {"idle": IdleApp, "random_deliberate": RandomDeliberateApp}
 
 # Integer fields: default and least allowed value.  `relays` defaults to
 # three per process.
@@ -52,7 +55,7 @@ _INTEGERS = {
     "processes": (3, 1),
     "relays": (None, 0),
     "messages": (12, 0),
-    "fairness_bound": (64, 0),
+    "fairness_bound": (FAIRNESS_BOUND, 0),
     "max_steps": (20000, 0),
     "extra_edges": (2, 0),
     "chains": (1, 0),
@@ -132,12 +135,21 @@ def build_world(scenario: dict) -> WorldState:
 
 def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir: str = None,
                  max_steps: int = None, seed: int = None, out=sys.stdout) -> int:
+    # Every flag is checked, and every output opened, before the first step.
     try:
         scenario = load_scenario(path)
         if seed is not None:
             scenario["seed"] = seed
+        if (max_steps or 0) < 0 or dot_every < 0:
+            raise ScenarioError("--max-steps and --dot-every must be at least 0")
+        if bool(dot_every) != bool(dot_dir):
+            raise ScenarioError("--dot-every and --dot-dir must be given together")
+        if dot_dir:
+            Path(dot_dir).mkdir(parents=True, exist_ok=True)
+        if trace_path:
+            Path(trace_path).write_text("")
         world = build_world(scenario)
-    except ScenarioError as e:
+    except (OSError, ScenarioError) as e:
         print(f"error=parse detail={e}", file=out)
         return EXIT_PARSE
 
@@ -152,15 +164,13 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
     if trace_path:
         world.trace = []
     frames = 0
-    if dot_every and dot_dir:
-        Path(dot_dir).mkdir(parents=True, exist_ok=True)
 
     steps = 0
     reached = predicate(world)
     while not reached and steps < budget:
         world.step()
         steps += 1
-        if dot_every and dot_dir and steps % dot_every == 0:
+        if dot_every and steps % dot_every == 0:
             frame = Path(dot_dir) / f"frame_{frames:05d}.dot"
             frame.write_text(oracle.to_dot(world))
             frames += 1

@@ -4,10 +4,12 @@ Everything here is plain data: identifiers, the per-socket relay record,
 and the message vocabulary that travels between relay layers.  No behavior
 beyond constructors, projections and canonical serialization.
 
-Relay ids, keys and In entries are named tuples: they hash, compare and
-serialize as the plain tuples of their fields, so `json` writes them as
-arrays.  A key and a relay id with the same two fields are therefore equal
-and hash alike: never mix keys and relay ids in one container.
+Relay ids, keys, In entries and the wire messages are named tuples: they
+hash, compare and serialize as the plain tuples of their fields, so `json`
+writes them as arrays.  Two values of different types with equal fields
+are therefore equal and hash alike (a key and a relay id, say): never mix
+such types in one container.  `RelayRef` stays a class of its own, so an
+application's handle never equals a message.
 """
 
 from __future__ import annotations
@@ -86,17 +88,13 @@ def unconfirmed_entry(key: Key, via: RelayId) -> InEntry:
     return InEntry(key, via=via)
 
 
-@dataclass(frozen=True, slots=True)
-class RelayParameter:
+class RelayParameter(NamedTuple):
     """Serialized form of a relay reference inside a sent message."""
 
     key: Key
     id: RelayId
     level: int
     sink_rid: Rid
-
-    def to_tuple(self) -> tuple:
-        return (self.key, self.id, self.level, self.sink_rid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,8 +108,7 @@ class RelayRef:
     relay_id: RelayId
 
 
-@dataclass(frozen=True, slots=True)
-class Header:
+class Header(NamedTuple):
     """Transmit header: (key, in_id, out_id, level).
 
     `level` is the sending relay's level at send time; the not-authorized
@@ -124,8 +121,7 @@ class Header:
     level: int
 
 
-@dataclass(frozen=True, slots=True)
-class ActionInvocation:
+class ActionInvocation(NamedTuple):
     """Application message `label(params)`.
 
     `relay_positions` statically declares which parameter positions hold
@@ -138,45 +134,38 @@ class ActionInvocation:
     relay_positions: tuple = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Probe:
+class Probe(NamedTuple):
     """Relay-layer liveness probe for unconfirmed keys, routed like a payload."""
 
     control_keys: frozenset
     key_sequence: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Transmit:
+class Transmit(NamedTuple):
     header: Header
     action: Union[ActionInvocation, Probe]
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeFail:
+class ProbeFail(NamedTuple):
     key: Key
     key_sequence: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class NotAuthorized:
+class NotAuthorized(NamedTuple):
     original: Transmit
 
 
-@dataclass(frozen=True, slots=True)
-class InRelayClosed:
+class InRelayClosed(NamedTuple):
     keys: frozenset
     sender_rid: Rid
     target_id: RelayId
 
 
-@dataclass(frozen=True, slots=True)
-class OutRelayClosed:
+class OutRelayClosed(NamedTuple):
     id: RelayId
 
 
-@dataclass(frozen=True, slots=True)
-class Ping:
+class Ping(NamedTuple):
     id: RelayId
     level: int
     sink_rid: Rid
@@ -225,10 +214,9 @@ class Relay:
 
 def message_json(m: Message) -> Any:
     if isinstance(m, Transmit):
-        h = m.header
         return {
             "transmit": {
-                "header": [h.key, h.in_id, h.out_id, h.level],
+                "header": m.header,
                 "action": message_json(m.action),
             }
         }
@@ -254,7 +242,7 @@ def message_json(m: Message) -> Any:
     if isinstance(m, OutRelayClosed):
         return {"outrelayclosed": m.id}
     if isinstance(m, Ping):
-        return {"ping": [m.id, m.level, m.sink_rid, m.key]}
+        return {"ping": m}
     if isinstance(m, ActionInvocation):
         return {"action": {"label": m.label, "params": [_param_json(p) for p in m.params]}}
     raise TypeError(f"not a message: {m!r}")
@@ -262,7 +250,7 @@ def message_json(m: Message) -> Any:
 
 def _param_json(p: Any) -> Any:
     if isinstance(p, RelayParameter):
-        return {"relayParameter": p.to_tuple()}
+        return {"relayParameter": p}
     if isinstance(p, RelayRef):
         return {"relayRef": p.relay_id}
     if p is None:

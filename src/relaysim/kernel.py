@@ -15,9 +15,8 @@ import hashlib
 import json
 import random
 from bisect import insort
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     ActionInvocation,
@@ -46,6 +45,8 @@ from .layer import OutEnvelope, RelayLayer
 
 MODE_RANDOM = "random"
 MODE_ROUND_ROBIN = "round_robin"
+# A world's default bound on the age of its oldest enabled action.
+FAIRNESS_BOUND = 64
 
 
 def derive_seed(*parts) -> int:
@@ -185,6 +186,9 @@ class _LayerCounts:
             step >>= 1
         return pos, j
 
+    def total(self) -> int:
+        return self.tree[self.top]
+
 
 # Kind ranks of the message actions in the forced pick's tie-break; ticks
 # rank 1 and timeouts 0, below every message.
@@ -203,9 +207,9 @@ class PendingIndex:
     buffer or the orphan list.  `heap` orders pending envelopes for the
     fairness-forced pick: oldest birth first, then the highest kind rank,
     rid and uid (an orphan's key is its rank and uid).  Entries of
-    delivered envelopes are dropped when they reach the top.  `counts` and
-    `in_layers` give each layer's share of the random pick; orphans are the
-    kernel's own list.
+    delivered envelopes are dropped when they reach the top.  `counts` gives
+    each layer's share of the random pick; orphans are the kernel's own
+    list.
 
     An envelope's birth is the step count of the first `step()` that can
     pick it: the kernel sets `stamp` to that value when a step begins.
@@ -217,7 +221,6 @@ class PendingIndex:
         self.holder: dict[int, Optional[Relay]] = {}
         self.heap: list = []  # (birth, -rank, -rid, -uid, uid) or (birth, -rank, -uid, 0, uid)
         self.counts = _LayerCounts()
-        self.in_layers = 0
 
     def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
         """Uid of a new envelope entering `relay`'s buffer, or the layer
@@ -228,7 +231,6 @@ class PendingIndex:
         rank = _LAYER if relay is None else _RELAY
         heappush(self.heap, (self.stamp, -rank, -rid, -uid, uid))
         self.counts.add(rid, 1)
-        self.in_layers += 1
         return uid
 
     def moved(self, envelopes: list, relay: Relay) -> None:
@@ -241,7 +243,6 @@ class PendingIndex:
         del self.holder[uid]
         if rid is not None:
             self.counts.add(rid, -1)
-            self.in_layers -= 1
 
     def orphaned(self, rid: Rid, envelopes: list) -> None:
         """The layer buffer of `rid` moves to the orphans: its sort key changes."""
@@ -249,15 +250,13 @@ class PendingIndex:
         if not moving:
             return
         self.counts.add(rid, -len(moving))
-        self.in_layers -= len(moving)
         # Once per dead layer: the births are read back from the heap.
         for entry in [e for e in self.heap if e[-1] in moving]:
             uid = entry[-1]
             heappush(self.heap, (entry[0], -_ORPHAN, -uid, 0, uid))
 
 
-@dataclass(slots=True)
-class RunResult:
+class RunResult(NamedTuple):
     steps: int
     reached: bool
 
@@ -334,11 +333,11 @@ class ProcessContext:
 
 
 class WorldState:
-    def __init__(self, seed: int, fairness_bound: int = 64, mode: str = MODE_RANDOM) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.fairness_bound = fairness_bound
-        self.mode = mode
+        self.fairness_bound = FAIRNESS_BOUND
+        self.mode = MODE_RANDOM
         self.env_source = PendingIndex()
         self.processes: dict[int, ProcessState] = {}
         self.layers: dict[Rid, RelayLayer] = {}
@@ -424,15 +423,16 @@ class WorldState:
             return ("timeout", -timeout[1])
 
         timeouts, apps = self._timeouts.order, self._apps.order
-        i = self.rng.randrange(len(timeouts) + len(apps) + pending.in_layers + len(self.orphan_out))
+        in_layers = pending.counts.total()
+        i = self.rng.randrange(len(timeouts) + len(apps) + in_layers + len(self.orphan_out))
         if i < len(timeouts):
             return ("timeout", timeouts[i])
         i -= len(timeouts)
         if i < len(apps):
             return ("app", apps[i])
         i -= len(apps)
-        if i >= pending.in_layers:
-            return ("orphan", self.orphan_out[i - pending.in_layers].uid)
+        if i >= in_layers:
+            return ("orphan", self.orphan_out[i - in_layers].uid)
         pid, i = pending.counts.find(i)
         layer = self.layers[pid]
         for relay in layer.relays.values():
@@ -640,8 +640,8 @@ def message_digest(message: Message) -> str:
 # World builders.
 
 
-def new_world(seed: int, n_processes: int, fairness_bound: int = 64, mode: str = MODE_RANDOM) -> WorldState:
-    world = WorldState(seed, fairness_bound=fairness_bound, mode=mode)
+def new_world(seed: int, n_processes: int) -> WorldState:
+    world = WorldState(seed)
     for _ in range(n_processes):
         world.add_process()
     return world
@@ -739,7 +739,6 @@ def adversarial_init(
     n_relays: int,
     n_messages: int,
     corruption_profile: str = "mixed",
-    fairness_bound: int = 64,
 ) -> WorldState:
     """Seeded initial state: all processes active, finitely many messages,
     every identifier resolving to an existing process, everything else fair
@@ -747,7 +746,7 @@ def adversarial_init(
     if corruption_profile not in CORRUPTION_PROFILES:
         raise ValueError(f"unknown corruption profile: {corruption_profile}")
     rng = random.Random(derive_seed(seed, corruption_profile))
-    world = new_world(seed, n_processes, fairness_bound=fairness_bound)
+    world = new_world(seed, n_processes)
     for pid in range(n_processes):
         give_door(world, pid)
     budget = max(0, n_relays - n_processes)

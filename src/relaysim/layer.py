@@ -10,7 +10,7 @@ identical inputs yield identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
@@ -154,7 +154,7 @@ class RelayLayer:
             for env in r.buf:
                 m = env.message
                 if isinstance(m, Transmit) and m.header.in_id == r.id:
-                    env.message = Transmit(replace(m.header, in_id=merged.id), m.action)
+                    env.message = Transmit(m.header._replace(in_id=merged.id), m.action)
             self.env_source.moved(r.buf, merged)
             merged.buf.extend(r.buf)
             r.buf = []

@@ -23,9 +23,8 @@ from . import oracle, rules
 from .apps import DeliveryTracker, RandomDeliberateApp
 from .core import RelayRef
 from .departure import build_departure_world
-from .kernel import WorldState, adversarial_init, random_connected_world
+from .kernel import FAIRNESS_BOUND, WorldState, adversarial_init, random_connected_world
 
-FAIRNESS_BOUND = 64
 CLOSURE_STEPS = 10_000
 CLOSURE_WINDOW = 10 * FAIRNESS_BOUND
 
@@ -184,7 +183,7 @@ def run_closure(runs: int = 100, seed_base: int = 300) -> SuiteReport:
 
 
 def _convergence_run(seed: int) -> dict:
-    world = adversarial_init(seed, 4, 12, 15, "mixed", fairness_bound=FAIRNESS_BOUND)
+    world = adversarial_init(seed, 4, 12, 15, "mixed")
     for pid in world.processes:
         world.processes[pid].app = RandomDeliberateApp(max_relays=4)
     res = world.run_until(oracle.is_legal, 60_000)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from relaysim import cli, oracle, rules
-from relaysim.kernel import fig_triangle
+from relaysim.kernel import WorldState, fig_triangle
 
 
 def write_scenario(tmp_path, name="scenario.json", **fields):
@@ -111,6 +111,52 @@ def test_bad_field_is_parse_error(tmp_path, name):
     assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
     assert out.getvalue().startswith("error=parse detail=")
     assert "steps=" not in out.getvalue()
+
+
+def test_departure_app_off_its_topology_is_parse_error(tmp_path):
+    path = write_scenario(tmp_path, topology="random_connected", app="departure", leaving=[0],
+                          predicate="fdp_legitimate")
+    out = io.StringIO()
+    assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+
+
+def test_unwritable_trace_is_parse_error_before_any_step(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
+
+    def no_step(world):
+        raise AssertionError("stepped before checking the trace path")
+
+    monkeypatch.setattr(WorldState, "step", no_step)
+    out = io.StringIO()
+    code = cli.run_scenario(path, trace_path=str(tmp_path / "missing" / "t.log"), out=out)
+    assert code == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+
+
+def test_uncreatable_dot_dir_is_parse_error(tmp_path):
+    path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
+    (tmp_path / "file").write_text("")
+    out = io.StringIO()
+    code = cli.run_scenario(path, dot_every=1, dot_dir=str(tmp_path / "file" / "frames"), out=out)
+    assert code == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+
+
+@pytest.mark.parametrize("flags", [
+    {"max_steps": -3},
+    {"dot_every": -1, "dot_dir": "frames"},
+    {"dot_every": 5},
+    {"dot_dir": "frames"},
+])
+def test_bad_run_flags_are_parse_errors(tmp_path, flags):
+    path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
+    if "dot_dir" in flags:
+        flags = {**flags, "dot_dir": str(tmp_path / flags["dot_dir"])}
+    out = io.StringIO()
+    assert cli.run_scenario(path, out=out, **flags) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+    assert not (tmp_path / "frames").exists()
 
 
 def test_budget_exhaustion_exit_code(tmp_path):

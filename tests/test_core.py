@@ -3,13 +3,24 @@ import json
 from hypothesis import given, strategies as st
 
 from relaysim.core import (
+    ActionInvocation,
+    Header,
     InEntry,
+    InRelayClosed,
     Key,
+    NotAuthorized,
+    OutRelayClosed,
+    Ping,
+    Probe,
+    ProbeFail,
     RelayId,
     RelayParameter,
+    RelayRef,
     Rid,
+    Transmit,
     belongs_to,
     confirmed_entry,
+    message_json,
     relay_json,
     unconfirmed_entry,
 )
@@ -64,7 +75,7 @@ def test_layers_never_share_minted_tokens():
 )
 def test_relay_parameter_roundtrip(creator, serial, level, sink):
     param = RelayParameter(Key(Rid(creator), serial), RelayId(Rid(sink), serial + 1), level, Rid(sink))
-    (kc, ks), (ir, isr), lv, sk = param.to_tuple()
+    (kc, ks), (ir, isr), lv, sk = param
     assert RelayParameter(Key(Rid(kc), ks), RelayId(Rid(ir), isr), lv, Rid(sk)) == param
 
 
@@ -95,6 +106,26 @@ def test_relay_json_is_stable_and_canonical():
         '"In": [[[0, 1], null, [0, 1]], [[0, 2], 1, null]], "id": [0, 1], "level": 1, '
         '"out": {"ID": [1, 1], "Key": [[1, 1]]}, "sinkRID": 1, "state": "alive"}'
     )
+
+    # Every other message type, by value.
+    pinned = [
+        (Probe(frozenset({Key(1, 2), Key(0, 5)}), (Key(0, 5), Key(1, 2))),
+         '{"probe": {"controlKeys": [[0, 5], [1, 2]], "keySequence": [[0, 5], [1, 2]]}}'),
+        (ProbeFail(Key(2, 3), (Key(2, 3), Key(1, 4))),
+         '{"probefail": {"key": [2, 3], "keySequence": [[2, 3], [1, 4]]}}'),
+        (NotAuthorized(Transmit(Header(Key(1, 1), RelayId(0, 1), RelayId(1, 1), 1), ActionInvocation(
+            "meet", (RelayParameter(Key(0, 2), RelayId(0, 1), 2, 1),), (0,)))),
+         '{"notauthorized": {"transmit": {"action": {"action": {"label": "meet", "params": '
+         '[{"relayParameter": [[0, 2], [0, 1], 2, 1]}]}}, "header": [[1, 1], [0, 1], [1, 1], 1]}}}'),
+        (InRelayClosed(frozenset({Key(1, 3), Key(1, 1)}), 0, RelayId(1, 1)),
+         '{"inrelayclosed": {"id": [1, 1], "keys": [[1, 1], [1, 3]], "sender": 0}}'),
+        (OutRelayClosed(RelayId(2, 4)), '{"outrelayclosed": [2, 4]}'),
+        (Ping(RelayId(1, 1), 2, 1, Key(0, 3)), '{"ping": [[1, 1], 2, 1, [0, 3]]}'),
+        (ActionInvocation("hello", (RelayRef(RelayId(0, 1)), ("marker", 3), None), relay_positions=(0,)),
+         '{"action": {"label": "hello", "params": [{"relayRef": [0, 1]}, "(\'marker\', 3)", null]}}'),
+    ]
+    for message, expected in pinned:
+        assert json.dumps(message_json(message), sort_keys=True) == expected
 
 
 def test_key_ordering_is_total():

@@ -106,7 +106,7 @@ def delivery():
 
 
 def convergence():
-    world = adversarial_init(500, 4, 12, 15, "mixed", fairness_bound=suites.FAIRNESS_BOUND)
+    world = adversarial_init(500, 4, 12, 15, "mixed")
     _attach(world, max_relays=4)
     world.trace = []
     res = world.run_until(oracle.is_legal, 60_000)

@@ -79,9 +79,11 @@ def test_fairness_bound_limits_starvation():
 
 
 def test_round_robin_mode_is_deterministic_rotation():
-    a = new_world(9, 2, mode=MODE_ROUND_ROBIN)
+    a = new_world(9, 2)
+    a.mode = MODE_ROUND_ROBIN
     connect_door(a, 0, 1)
-    b = new_world(9, 2, mode=MODE_ROUND_ROBIN)
+    b = new_world(9, 2)
+    b.mode = MODE_ROUND_ROBIN
     connect_door(b, 0, 1)
     a.run(500)
     b.run(500)
