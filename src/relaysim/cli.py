@@ -1,8 +1,8 @@
 """Batch harness: run scenario files, transform topologies, drive suites.
 
-Scenario files are JSON.  Reports are line-oriented ``key=value`` text so
-golden runs diff cleanly.  Exit codes: 0 success, 2 parse error, 3 step
-budget exhausted, 4 oracle violation.
+Scenario files are JSON.  Reports are ``key=value`` lines, so golden runs
+diff cleanly, printed to `out` or else to `sys.stdout` as of the call.
+Exit codes: 0 success, 2 parse error, 3 step budget exhausted, 4 oracle violation.
 """
 
 from __future__ import annotations
@@ -106,6 +106,8 @@ def load_scenario(path: str) -> dict:
     leaving = scenario.get("leaving", [])
     if not isinstance(leaving, list) or any(type(p) is not int or not 0 <= p < n for p in leaving):
         raise ScenarioError(f"leaving must be a list of process ids below {n}, got {leaving!r}")
+    if leaving and typed["topology"] != "departure_line":
+        raise ScenarioError("leaving needs topology departure_line, the only one that runs the departure actor")
     typed["leaving"] = leaving
     return typed
 
@@ -113,7 +115,7 @@ def load_scenario(path: str) -> dict:
 def build_world(scenario: dict) -> WorldState:
     """The world a scenario from `load_scenario` describes."""
     seed, n, fairness = scenario["seed"], scenario["processes"], scenario["fairness_bound"]
-    mode, topology, leaving = scenario["scheduler"], scenario["topology"], scenario["leaving"]
+    mode, topology = scenario["scheduler"], scenario["topology"]
     if topology == "adversarial":
         world = adversarial_init(seed, n, scenario["relays"], scenario["messages"], scenario["corruption_profile"])
     elif topology == "triangle":
@@ -122,19 +124,18 @@ def build_world(scenario: dict) -> WorldState:
         world = random_connected_world(seed, n, extra_edges=scenario["extra_edges"], chains=scenario["chains"])
     else:
         edges = [(i, i + 1) for i in range(n - 1)]
-        world = build_departure_world(seed, n, edges, leaving)
+        world = build_departure_world(seed, n, edges, scenario["leaving"])
     world.fairness_bound = fairness
     world.mode = mode
     app = APPS[scenario["app"]]
-    for pid, proc in world.processes.items():
-        proc.leaving = proc.leaving or pid in leaving
+    for proc in world.processes.values():
         if proc.app is None:
             proc.app = app()
     return world
 
 
 def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir: str = None,
-                 max_steps: int = None, seed: int = None, out=sys.stdout) -> int:
+                 max_steps: int = None, seed: int = None, out=None) -> int:
     # Every flag is checked, and every output opened, before the first step.
     try:
         scenario = load_scenario(path)
@@ -246,7 +247,7 @@ def parse_process_dot(text: str) -> rules.ProcessMultigraph:
     return rules.ProcessMultigraph.of(range(len(names)), edges)
 
 
-def run_transform(source_path: str, target_path: str, seed: int = 0, out=sys.stdout) -> int:
+def run_transform(source_path: str, target_path: str, seed: int = 0, out=None) -> int:
     try:
         source = parse_process_dot(Path(source_path).read_text())
         target = parse_process_dot(Path(target_path).read_text())
@@ -283,7 +284,7 @@ def run_transform(source_path: str, target_path: str, seed: int = 0, out=sys.std
     return EXIT_OK if ok else EXIT_ORACLE
 
 
-def run_suite(name: str, out=sys.stdout) -> int:
+def run_suite(name: str, out=None) -> int:
     from . import suites
 
     if name not in suites.SUITES:

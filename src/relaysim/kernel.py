@@ -586,30 +586,25 @@ class WorldState:
             return None
         return layer.relays.get(relay_id)
 
-    def world_json(self) -> dict:
-        return {
-            "step": self.step_count,
-            "processes": {
-                str(pid): {"leaving": p.leaving, "active": p.active}
-                for pid, p in sorted(self.processes.items())
-            },
-            "layers": {
-                str(rid): {
-                    "ownerAlive": layer.owner_alive,
-                    "relays": [relay_json(r) for r in sorted(layer.relays.values(), key=lambda r: r.id)],
-                    "Buf": [
-                        [env.target_rid, message_json(env.message)]
-                        for env in layer.layer_buf
-                    ],
-                }
-                for rid, layer in sorted(self.layers.items())
-            },
-            "orphans": [[env.target_rid, message_json(env.message)] for env in self.orphan_out],
-        }
-
     def state_hash(self) -> str:
-        blob = json.dumps(self.world_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """sha256 of the world's canonical JSON, fed one layer at a time in
+        the string order `sort_keys` gives their keys ("10" before "2"), so
+        only one layer's dict and text exist at once."""
+        h = hashlib.sha256(b'{"layers":{')
+        for i, rid in enumerate(sorted(self.layers, key=str)):
+            layer = self.layers[rid]
+            h.update(f'{"," if i else ""}"{rid}":'.encode())
+            h.update(_canonical({
+                "ownerAlive": layer.owner_alive,
+                "relays": [relay_json(r) for r in sorted(layer.relays.values(), key=lambda r: r.id)],
+                "Buf": [[env.target_rid, message_json(env.message)] for env in layer.layer_buf],
+            }).encode())
+        h.update(b"}," + _canonical({
+            "step": self.step_count,
+            "processes": {str(pid): {"leaving": p.leaving, "active": p.active} for pid, p in self.processes.items()},
+            "orphans": [[env.target_rid, message_json(env.message)] for env in self.orphan_out],
+        })[1:].encode())
+        return h.hexdigest()
 
 
 def _relay_unsettled(relay: Relay) -> bool:
@@ -631,9 +626,12 @@ def _pop_envelope(buf: list, uid: int) -> Envelope:
     raise KeyError(uid)
 
 
+# Canonical JSON text: sorted keys, no spaces.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def message_digest(message: Message) -> str:
-    blob = json.dumps(message_json(message), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(blob.encode()).hexdigest()[:10]
+    return hashlib.sha1(_canonical(message_json(message)).encode()).hexdigest()[:10]
 
 
 # ---------------------------------------------------------------------------

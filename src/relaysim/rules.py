@@ -20,7 +20,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import ActionInvocation, RelayRef
+from .core import ActionInvocation, RelayRef, Transmit
 from .kernel import ProcessContext, WorldState, connect, new_world
 
 
@@ -77,9 +77,7 @@ def cpg(world: WorldState) -> ProcessMultigraph:
                 raise PlanError(f"relay graph not simple: {relay.id} is dead")
             for env in relay.buf:
                 msg = env.message
-                if isinstance(msg, ActionInvocation) or (
-                    hasattr(msg, "action") and isinstance(getattr(msg, "action"), ActionInvocation)
-                ):
+                if isinstance(msg, ActionInvocation) or (isinstance(msg, Transmit) and isinstance(msg.action, ActionInvocation)):
                     raise PlanError(f"relay graph not simple: payload in transit at {relay.id}")
             if relay.out_id is None:
                 continue

@@ -98,15 +98,15 @@ BAD_FIELDS = {
     "fairness_bound_not_a_number": {"fairness_bound": "x"},
     "no_processes": {"processes": 0},
     "unknown_scheduler": {"scheduler": "bogus"},
-    "leaving_pid_out_of_range": {"processes": 3, "leaving": [7]},
-    "leaving_not_a_list": {"processes": 3, "leaving": "01"},
+    "leaving_pid_out_of_range": {"topology": "departure_line", "processes": 3, "leaving": [7]},
+    "leaving_not_a_list": {"topology": "departure_line", "processes": 3, "leaving": "01"},
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_FIELDS))
 def test_bad_field_is_parse_error(tmp_path, name):
-    path = write_scenario(tmp_path, topology="random_connected", predicate="none", max_steps=5,
-                          **BAD_FIELDS[name])
+    fields = {"topology": "random_connected", "predicate": "none", "max_steps": 5, **BAD_FIELDS[name]}
+    path = write_scenario(tmp_path, **fields)
     out = io.StringIO()
     assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
     assert out.getvalue().startswith("error=parse detail=")
@@ -118,7 +118,29 @@ def test_departure_app_off_its_topology_is_parse_error(tmp_path):
                           predicate="fdp_legitimate")
     out = io.StringIO()
     assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
-    assert out.getvalue().startswith("error=parse detail=")
+    assert out.getvalue().startswith("error=parse detail=app ")
+
+
+def test_leaving_off_the_departure_line_is_parse_error(tmp_path, monkeypatch):
+    # Only `departure_line` runs the actor that acts on `leaving`; elsewhere
+    # the run would spend its whole budget waiting for a departure.
+    path = write_scenario(tmp_path, topology="random_connected", leaving=[0], predicate="fdp_legitimate")
+
+    def no_step(world):
+        raise AssertionError("stepped a scenario that should not parse")
+
+    monkeypatch.setattr(WorldState, "step", no_step)
+    out = io.StringIO()
+    assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=leaving")
+
+
+def test_main_prints_to_the_current_stdout(tmp_path, capsys):
+    path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
+    assert cli.main(["run", path, "--max-steps", "-3"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().out.startswith("error=parse detail=")
+    assert cli.main(["run", path]) == cli.EXIT_BUDGET
+    assert report_dict(capsys.readouterr().out)["steps"] == "5"
 
 
 def test_unwritable_trace_is_parse_error_before_any_step(tmp_path, monkeypatch):

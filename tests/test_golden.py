@@ -10,6 +10,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -198,3 +199,18 @@ def test_pins_hold_across_string_hash_seeds():
         assert proc.returncode == 0, proc.stderr
         runs.append(tuple(proc.stdout.split()))
     assert runs[0] == runs[1] == GOLDEN["adversarial_mixed"]
+
+
+def test_state_hash_holds_one_layer_at_a_time():
+    # The hash streams the canonical JSON layer by layer, so its transient
+    # memory is a small share of the world's, not a second copy of it.
+    tracemalloc.start()
+    try:
+        world = sparse_64()
+        live = tracemalloc.get_traced_memory()[0]  # the world's own size
+        tracemalloc.reset_peak()
+        assert world.state_hash() == GOLDEN["sparse_64"][0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < 0.25 * live

@@ -73,6 +73,30 @@ def sparse_256(digest, tally):
     _sample(world, 800, 200, digest, tally)
 
 
+def shutdown(digest, tally):
+    # The golden `shutdown` trajectory: apps go and processes stop one by
+    # one while messages are in flight.  Every state that holds orphans is
+    # checked, and counted in the tally as `orphan_states`.
+    world = random_connected_world(61, 5, extra_edges=3, chains=2)
+    for proc in world.processes.values():
+        proc.app = RandomDeliberateApp(send_refs="never", max_relays=3)
+    world.run(300)
+
+    def step():
+        world.step()
+        if world.orphan_out:
+            _verdicts(world, digest, tally)
+            tally["orphan_states"] += 1
+
+    for pid in sorted(world.processes):
+        world.processes[pid].app = None
+        for _ in range(10):
+            step()
+        world.ctx(pid).stop()
+    while world.layers:
+        step()
+
+
 def fingerprint(scenario) -> tuple:
     digest, tally = hashlib.sha256(), Counter()
     scenario(digest, tally)
@@ -83,6 +107,7 @@ SCENARIOS = {
     "closure": closure,
     "mixed_4x96": mixed_4x96,
     "mixed_8x32": mixed_8x32,
+    "shutdown": shutdown,
     "sparse_256": sparse_256,
 }
 
@@ -102,6 +127,10 @@ GOLDEN = {
     "mixed_8x32": (
         "6591f78b6aa3121c49361ffe839a2253a73b9aeb5b005120e9323c9073977723",
         "C1:83 C3:122 P1:1161 P10:214 P11b:678 P11c:613 P11d:140 P4:267 P5:150 P6:43 P7:123 P9:318",
+    ),
+    "shutdown": (
+        "ff5cb08cfa692c9e6c781d5b26816732de1472332469d06799e485a08a965fc1",
+        "P1:76 P10:31 P11b:3 P7:1 orphan_states:15",
     ),
     "sparse_256": (
         "23bce133df4ee76a13850b59706b21b469b4be531264cc3c422e13e434959699",
