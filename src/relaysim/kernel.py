@@ -5,8 +5,12 @@ still in some buffer.  One step executes exactly one enabled action, chosen
 by a seeded weakly fair scheduler: a layer timeout, a single message
 delivery (non-FIFO, any buffered message may go next), or one application
 action.  Same seed, same scenario, same state sequence.  The scheduler
-indexes the enabled actions as they change, so a step costs O(log n) in
-the number of pending messages instead of a scan of all of them.
+indexes the enabled actions as they change instead of scanning them: a
+forced pick takes the top of a heap, and a random pick walks per-layer
+message counts.  After the first `fairness_bound` steps a random pick
+happens only while at most `fairness_bound` timeouts and ticks are enabled,
+and every live layer has an enabled timeout, so that walk visits at most
+`fairness_bound` layers.
 """
 
 from __future__ import annotations
@@ -150,46 +154,6 @@ class _Recurring:
         return heap[0] if heap else None
 
 
-class _LayerCounts:
-    """Pending envelopes per layer, indexed by rid, as a Fenwick tree
-    (Fenwick 1994): the layer holding the j-th pending envelope is found in
-    O(log P)."""
-
-    __slots__ = ("tree", "top")
-
-    def __init__(self) -> None:
-        self.top = 8  # capacity in layers, a power of two
-        self.tree = [0] * (self.top + 1)  # 1-based; tree[0] is unused
-
-    def ensure(self, size: int) -> None:
-        """Make room for `size` layers.  Doubling the capacity keeps every
-        node; the new root covers the old root's range and empty layers."""
-        while self.top < size:
-            self.tree += [0] * self.top
-            self.top *= 2
-            self.tree[self.top] = self.tree[self.top // 2]
-
-    def add(self, i: int, delta: int) -> None:
-        tree, top = self.tree, self.top
-        i += 1
-        while i <= top:
-            tree[i] += delta
-            i += i & -i
-
-    def find(self, j: int) -> tuple[int, int]:
-        """(i, k): the j-th pending envelope is the k-th one of layer i."""
-        tree, pos, step = self.tree, 0, self.top
-        while step:
-            if tree[pos + step] <= j:
-                pos += step
-                j -= tree[pos]
-            step >>= 1
-        return pos, j
-
-    def total(self) -> int:
-        return self.tree[self.top]
-
-
 # Kind ranks of the message actions in the forced pick's tie-break; ticks
 # rank 1 and timeouts 0, below every message.
 _RELAY, _LAYER, _ORPHAN = 2, 3, 4
@@ -207,9 +171,10 @@ class PendingIndex:
     buffer or the orphan list.  `heap` orders pending envelopes for the
     fairness-forced pick: oldest birth first, then the highest kind rank,
     rid and uid (an orphan's key is its rank and uid).  Entries of
-    delivered envelopes are dropped when they reach the top.  `counts` gives
-    each layer's share of the random pick; orphans are the kernel's own
-    list.
+    delivered envelopes are dropped when they reach the top.  `counts`
+    holds the pending envelopes of each layer, by rid, and `in_layers`
+    their total: the random pick walks them to find its layer.  Orphans
+    are the kernel's own list.
 
     An envelope's birth is the step count of the first `step()` that can
     pick it: the kernel sets `stamp` to that value when a step begins.
@@ -220,7 +185,8 @@ class PendingIndex:
         self.stamp = 0
         self.holder: dict[int, Optional[Relay]] = {}
         self.heap: list = []  # (birth, -rank, -rid, -uid, uid) or (birth, -rank, -uid, 0, uid)
-        self.counts = _LayerCounts()
+        self.counts: list[int] = []  # by rid
+        self.in_layers = 0
 
     def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
         """Uid of a new envelope entering `relay`'s buffer, or the layer
@@ -230,7 +196,8 @@ class PendingIndex:
         self.holder[uid] = relay
         rank = _LAYER if relay is None else _RELAY
         heappush(self.heap, (self.stamp, -rank, -rid, -uid, uid))
-        self.counts.add(rid, 1)
+        self.counts[rid] += 1
+        self.in_layers += 1
         return uid
 
     def moved(self, envelopes: list, relay: Relay) -> None:
@@ -242,14 +209,16 @@ class PendingIndex:
         """The kernel took `uid` out of layer `rid`, or out of the orphans."""
         del self.holder[uid]
         if rid is not None:
-            self.counts.add(rid, -1)
+            self.counts[rid] -= 1
+            self.in_layers -= 1
 
     def orphaned(self, rid: Rid, envelopes: list) -> None:
         """The layer buffer of `rid` moves to the orphans: its sort key changes."""
         moving = {env.uid for env in envelopes}
         if not moving:
             return
-        self.counts.add(rid, -len(moving))
+        self.counts[rid] -= len(moving)
+        self.in_layers -= len(moving)
         # Once per dead layer: the births are read back from the heap.
         for entry in [e for e in self.heap if e[-1] in moving]:
             uid = entry[-1]
@@ -359,7 +328,7 @@ class WorldState:
         self._apps.add(proc.enabled)
         self.layers[pid] = RelayLayer(pid, self.env_source)
         self._timeouts.add(True)
-        self.env_source.counts.ensure(pid + 1)
+        self.env_source.counts.append(0)
         self.process_rngs[pid] = random.Random(derive_seed(self.seed, "proc", pid))
         return pid
 
@@ -423,7 +392,7 @@ class WorldState:
             return ("timeout", -timeout[1])
 
         timeouts, apps = self._timeouts.order, self._apps.order
-        in_layers = pending.counts.total()
+        in_layers = pending.in_layers
         i = self.rng.randrange(len(timeouts) + len(apps) + in_layers + len(self.orphan_out))
         if i < len(timeouts):
             return ("timeout", timeouts[i])
@@ -433,8 +402,12 @@ class WorldState:
         i -= len(apps)
         if i >= in_layers:
             return ("orphan", self.orphan_out[i - in_layers].uid)
-        pid, i = pending.counts.find(i)
-        layer = self.layers[pid]
+        # A dead layer holds no envelopes, so the live layers cover them all.
+        counts = pending.counts
+        for layer in self.layers.values():
+            if i < counts[layer.rid]:
+                break
+            i -= counts[layer.rid]
         for relay in layer.relays.values():
             if i < len(relay.buf):
                 return ("relay", layer.rid, relay.id, relay.buf[i].uid)
@@ -455,7 +428,8 @@ class WorldState:
                 layer.layer_buf.clear()
                 del self.layers[rid]
                 self._timeouts.set(rid, False)
-            self._trace(kind, rid)
+            if self.trace is not None:
+                self._trace(kind, rid)
             return
         if kind == "app":
             pid = action[1]
@@ -463,7 +437,8 @@ class WorldState:
             if proc.enabled:
                 proc.app.on_tick(self.ctx(pid))
             self._apps.ran(pid, now)
-            self._trace(kind, pid)
+            if self.trace is not None:
+                self._trace(kind, pid)
             return
         pending = self.env_source
         if kind == "relay":
@@ -471,7 +446,8 @@ class WorldState:
             relay = self.layers[rid].relays[relay_id]
             env = _pop_envelope(relay.buf, uid)
             pending.delivered(uid, rid)
-            self._trace(kind, rid, env.message)
+            if self.trace is not None:
+                self._trace(kind, rid, env.message)
             if relay.out_id is None:
                 self._deliver_local(rid, relay, env.message)
             else:
@@ -483,12 +459,14 @@ class WorldState:
             _, rid, uid = action
             env = _pop_envelope(self.layers[rid].layer_buf, uid)
             pending.delivered(uid, rid)
-            self._trace(kind, rid, env.message)
+            if self.trace is not None:
+                self._trace(kind, rid, env.message)
         else:
             uid = action[1]
             env = _pop_envelope(self.orphan_out, uid)
             pending.delivered(uid, None)
-            self._trace(kind, env.target_rid, env.message)
+            if self.trace is not None:
+                self._trace(kind, env.target_rid, env.message)
         target = self.layers.get(env.target_rid)
         if target is not None:
             target.receive(env.message)
@@ -504,9 +482,8 @@ class WorldState:
         proc.app.on_message(self.ctx(proc.pid), message, RelayRef(relay.id))
 
     def _trace(self, kind: str, actor: int, message: Optional[Message] = None) -> None:
-        if self.trace is not None:
-            digest = "" if message is None else message_digest(message)
-            self.trace.append(f"{self.step_count} {kind} {actor} {digest}")
+        digest = "" if message is None else message_digest(message)
+        self.trace.append(f"{self.step_count} {kind} {actor} {digest}")
 
     # -- predicates / inspection ---------------------------------------------
 
@@ -558,9 +535,10 @@ class WorldState:
             return _relay_unsettled(relay)
         else:
             buf = relay.buf
-        if not any(e is env for e in buf):
-            return False
-        return _envelope_unsettled(relay, env.message)
+        for e in buf:
+            if e is env:
+                return _envelope_unsettled(relay, env.message)
+        return False
 
     def _find_offender(self) -> Optional[tuple]:
         """The first (layer, relay, envelope) that breaks settledness, with

@@ -17,7 +17,6 @@ from .core import (
     ActionInvocation,
     Envelope,
     Header,
-    InEntry,
     InRelayClosed,
     Key,
     Message,
@@ -32,7 +31,6 @@ from .core import (
     RelayRef,
     Rid,
     Transmit,
-    belongs_to,
     confirmed_entry,
     unconfirmed_entry,
 )
@@ -48,6 +46,9 @@ class OutEnvelope:
     uid: int
     target_rid: Rid
     message: Message
+
+
+_NO_CONTROLS: frozenset = frozenset()
 
 
 def buffered_param_keys(buf: list) -> set:
@@ -264,14 +265,15 @@ class RelayLayer:
     # -- message dispatch ----------------------------------------------------
 
     def receive(self, message: Message) -> None:
+        # Transmits and pings come first: they are most of the traffic.
         if isinstance(message, Transmit):
             self.handle_transmit(message)
+        elif isinstance(message, Ping):
+            self.handle_ping(message.id, message.level, message.sink_rid, message.key)
         elif isinstance(message, ProbeFail):
             self.handle_probefail(message.key, message.key_sequence)
         elif isinstance(message, NotAuthorized):
             self.handle_notauthorized(message.original)
-        elif isinstance(message, Ping):
-            self.handle_ping(message.id, message.level, message.sink_rid, message.key)
         elif isinstance(message, InRelayClosed):
             self.handle_inrelayclosed(message.keys, message.sender_rid, message.target_id)
         elif isinstance(message, OutRelayClosed):
@@ -299,8 +301,9 @@ class RelayLayer:
     def _activate_connection(self, relay: Relay, header: Header) -> None:
         # First message over a fresh connection confirms the announced key.
         sender = header.in_id.rid
+        # All unconfirmed under one key, so tuple order is via order.
         announced = [e for e in relay.in_set if e.via is not None and e.key == header.key]
-        for e in sorted(announced, key=InEntry.sort_key):
+        for e in sorted(announced):
             via = self.relays.get(e.via)
             if via is not None and via.sink_rid == sender:
                 relay.in_set.discard(e)
@@ -472,13 +475,21 @@ class RelayLayer:
                 if relay.alive:
                     self._delete(relay)
             if relay.in_set:
-                bad = {e for e in relay.in_set if key_count.get(e.key, 0) > 1 or not belongs_to(e.key, self.rid)}
-                relay.in_set -= bad
-                for e in relay.sorted_in():
-                    if e.confirmed:
-                        self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
-                dangling = {e for e in relay.in_set if not e.confirmed and e.via not in self.relays}
-                relay.in_set -= dangling
+                # One pass: drop duplicated, foreign and dangling entries,
+                # and ping every confirmed sender in key order (confirmed
+                # entries compare as plain tuples in `sort_key` order).
+                drop, confirmed = [], []
+                for e in relay.in_set:
+                    if key_count[e.key] > 1 or e.key.creator != self.rid:
+                        drop.append(e)
+                    elif e.via is None:
+                        confirmed.append(e)
+                    elif e.via not in self.relays:
+                        drop.append(e)
+                relay.in_set.difference_update(drop)
+                confirmed.sort()
+                for e in confirmed:
+                    self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
 
             pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:
@@ -521,7 +532,7 @@ class RelayLayer:
                         break
             controls = (
                 frozenset(e.key for holder, e in via_me if e.key not in in_buf and e in holder.in_set)
-                if via_me else frozenset()
+                if via_me else _NO_CONTROLS
             )
             # Alive relays probe while their owner lives or keys may still
             # arrive.  A dead relay probes only while announcements made via
@@ -529,7 +540,7 @@ class RelayLayer:
             # buffer and prevent its own collection, probing any less would
             # strand the announcements of a stopped process.
             if controls or (relay.alive and (self.owner_alive or relay.in_set)):
-                for key in relay.sorted_out_keys():
+                for key in sorted(relay.out_keys):
                     self._emit_buf(
                         relay,
                         Transmit(Header(key, relay.id, relay.out_id, relay.level), Probe(controls, (key,))),

@@ -493,7 +493,8 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     """Plan a transformation of the world's topology into `target`.
 
     Both the current and the target graph must be weakly connected over the
-    same processes; self-loops are not supported.
+    same processes.  The target may not have self-loops; the current graph
+    may, and the plan removes them.
     """
     planner = _Planner(world)
     if tuple(world.processes) != target.processes:

@@ -156,3 +156,8 @@ def test_in_entry_sort_key_orders_like_dataclass_tuple(entries):
         for b in entries:
             assert (a.sort_key() < b.sort_key()) == (_dataclass_sort_key(a) < _dataclass_sort_key(b))
             assert (a.sort_key() == b.sort_key()) == (a == b)
+    # Entries of one kind also sort natively in `sort_key` order, which the
+    # repair loop relies on.  (A mixed list cannot: None and an int do not
+    # compare.)
+    for kind in ([e for e in entries if e.confirmed], [e for e in entries if not e.confirmed]):
+        assert sorted(kind) == sorted(kind, key=InEntry.sort_key)

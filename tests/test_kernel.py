@@ -78,6 +78,24 @@ def test_fairness_bound_limits_starvation():
     assert max(ages) <= world.fairness_bound + len(actions) + 2
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_no_random_pick_after_the_bound_while_recurring_actions_exceed_it(seed):
+    # With more than `fairness_bound` timeouts and ticks enabled, at most
+    # `fairness_bound` of them ran in the last `fairness_bound` steps, so
+    # from step `fairness_bound + 1` on one is always overdue and every pick
+    # is forced.  The random pick's walk over layers relies on this.
+    world = _with_apps(random_connected_world(seed, 40, 20, 4), max_relays=8)
+    random_picks = 0
+    for _ in range(1500):
+        assert len(world._timeouts.order) + len(world._apps.order) > world.fairness_bound
+        now, before = world.step_count, world.rng.getstate()
+        world.step()
+        if world.rng.getstate() != before:
+            assert now <= world.fairness_bound, f"random pick at step {now}"
+            random_picks += 1
+    assert random_picks > 0
+
+
 def test_round_robin_mode_is_deterministic_rotation():
     a = new_world(9, 2)
     a.mode = MODE_ROUND_ROBIN
@@ -433,8 +451,8 @@ def _merge_between_steps(world, i):
 
 
 def _add_processes(world, i):
-    # Processes join mid-run while messages are in flight; the ninth one
-    # outgrows the scheduler's initial per-layer capacity.
+    # Processes join mid-run while messages are in flight, so the scheduler
+    # indexes layers added after the world was built.
     _send_between_steps(world, i)
     if i in (200, 400):
         pid = world.add_process(app=RandomDeliberateApp(max_relays=4))
@@ -452,6 +470,12 @@ LOCKSTEP = {
         _send_between_steps,
     ),
     "forced_at_scale": (lambda s: _with_apps(random_connected_world(s, 40, 20, 4), max_relays=8), 400, None),
+    "random_at_scale": (
+        lambda s: _with_apps(_configured(random_connected_world(s, 40, 20, 4), fairness_bound=10**6),
+                             max_relays=8),
+        400,
+        None,
+    ),
     "round_robin": (
         lambda s: _with_apps(_configured(random_connected_world(s, 4, 2, 1), mode=MODE_ROUND_ROBIN),
                              max_relays=4),

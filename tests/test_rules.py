@@ -275,6 +275,12 @@ def test_plan_rejects_self_loops():
         rules.plan_transform(world, bad)
 
 
+def test_source_self_loops_are_transformed_away():
+    # Only a target's self-loops are rejected; a source's are realized as a
+    # relay feeding its own process's sink, and the plan removes them.
+    transform_case(21, [(0, 0), (0, 1), (1, 1), (1, 2)], [(2, 0), (1, 0)], 3)
+
+
 def test_phase_one_length_bounded_by_indirect_count():
     world = new_world(20, 4)
     mid = connect_door(world, 1, 2)
