@@ -689,14 +689,10 @@ def random_connected_world(
         u, v = rng.randrange(n_processes), rng.randrange(n_processes)
         if u != v:
             edge_refs[(u, v)] = connect_door(world, u, v)
-    for _ in range(chains):
+    candidates = sorted(edge_refs.items())  # edge keys are distinct: refs never compare
+    for _ in range(chains if candidates else 0):
         # A second-hop relay feeding an existing non-sink relay.
-        candidates = [
-            (pid, ref) for (pid, _), ref in sorted(edge_refs.items(), key=lambda kv: kv[0])
-        ]
-        if not candidates:
-            break
-        owner, ref = candidates[rng.randrange(len(candidates))]
+        (owner, _), ref = candidates[rng.randrange(len(candidates))]
         hopper = rng.randrange(n_processes)
         if hopper != owner:
             connect(world, hopper, ref.relay_id)

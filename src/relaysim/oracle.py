@@ -89,6 +89,7 @@ class WorldCheck:
 
         self._violations: dict[RelayId, list] = {}
         self._evaluated = False
+        self._alive_valid = False  # set once `is_legal` finds every alive relay valid
 
     @cached_property
     def layer_rids(self) -> dict[RelayId, Rid]:
@@ -142,6 +143,13 @@ class WorldCheck:
     # invalidity then propagates along the two reference kinds until a
     # fixpoint.  Genuine out-connection cycles always fail locally because
     # levels cannot strictly decrease around a loop.
+    #
+    # Invalidity starts only at a dead relay (P1) or a local violation, and
+    # spreads only as P11b to the relays pointing at an invalid relay and as
+    # P4 to the holders of entries announced via an alive invalid relay.  So
+    # every alive relay is valid exactly when none fails locally and none
+    # points at a relay that is not alive, and then a relay is valid exactly
+    # when it is alive.  `is_legal` decides from this rule alone.
 
     def _evaluate_all(self) -> None:
         if self._evaluated:
@@ -172,6 +180,9 @@ class WorldCheck:
         self._violations = local
 
     def relay_valid(self, relay_id: RelayId) -> bool:
+        if self._alive_valid:
+            relay = self.relays.get(relay_id)
+            return relay is not None and relay.alive
         return not self.relay_violations(relay_id)
 
     def relay_violations(self, relay_id: RelayId) -> list:
@@ -431,14 +442,15 @@ class WorldCheck:
 
     # -- aggregates ---------------------------------------------------------------
 
-    def all_alive_valid(self) -> bool:
-        self._evaluate_all()
-        # One violation list per relay, in the order of `relays`.
-        return not any(v for r, v in zip(self.relays.values(), self._violations.values()) if r.alive)
-
     def is_legal(self) -> bool:
-        if not self.all_alive_valid():
-            return False
+        # Decides relay validity by the rule stated above `_evaluate_all`.
+        for relay in self.relays.values():
+            if relay.alive and (
+                self._check_relay_local(relay, {})
+                or relay.out_id is not None and not self.relays[relay.out_id].alive
+            ):
+                return False
+        self._alive_valid = True
         for carrier_id, message, param in self.params:
             if carrier_id is None:
                 continue

@@ -1,6 +1,8 @@
 """Graph extraction, validity properties, legality, components, export."""
 
-from relaysim import oracle
+import pytest
+
+from relaysim import oracle, rules
 from relaysim.core import (
     ActionInvocation,
     Header,
@@ -337,6 +339,44 @@ def test_legal_worlds_and_counterexample():
     layer.relays[bad.relay_id].out_id = world.layer_of(1).mint_relay_id()
     layer.relays[bad.relay_id].level = 1
     assert not oracle.is_legal(world)
+
+
+def test_alive_relays_feeding_a_dead_next_hop_make_the_world_illegal():
+    # Each feeding relay is locally clean: the dead sink still holds the
+    # confirmed entries that anchor it.  Only the dead next hop decides.
+    world = fig_triangle()
+    sink = world.processes[1].store["door"].relay_id
+    world.layer_of(1).relays[sink].alive = False
+    assert not oracle.is_legal(world)
+    check = oracle.WorldCheck(world)
+    for pid in (0, 2):
+        assert check.relay_violations(world.processes[pid].store["out"].relay_id) == ["P11b"]
+
+
+def test_parameter_violation_alone_makes_the_world_illegal():
+    world, via, carrier, param = _sent_parameter(33)
+    assert oracle.is_legal(world)
+    stray = Transmit(Header(param.key, via.id, via.out_id, via.level), ActionInvocation("x", ()))
+    world.layer_of(1)._emit_control(Rid(0), stray)
+    check = oracle.WorldCheck(world)
+    assert all(check.relay_violations(relay_id) == [] for relay_id in check.relays)
+    assert _param_violations(world, carrier, param) == ["C8"]
+    assert not oracle.is_legal(world)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parameter_draining_out_of_a_dead_carrier_is_legal(seed):
+    g = rules.ProcessMultigraph.of(range(2), [(0, 1)])
+    world = rules.build_simple_realization(seed, g)
+    assert world.run_until(lambda w: w.is_settled(), 8000).reached
+    (_, ref), = world.processes[0].store["edges"]
+    s = world.layer_of(0).new_relay()
+    assert rules.relay_reversal(world, 0, ref, s)
+    check = oracle.WorldCheck(world)
+    (carrier, _, param), = check.params
+    assert check.is_legal()
+    assert carrier == ref.relay_id and not check.relay_valid(carrier)
+    assert param.id == s.relay_id and check.relay_valid(param.id)
 
 
 def test_legal_world_valid_graph_cycle_free():
