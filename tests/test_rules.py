@@ -1,12 +1,13 @@
 """Rule macros, process-graph projection, emulation, transformation plans."""
 
+import hashlib
 from collections import Counter
 
 import pytest
 
 from relaysim import oracle, rules
 from relaysim.core import Rid
-from relaysim.kernel import connect, connect_door, give_door, new_world
+from relaysim.kernel import connect, connect_door, give_door, new_world, random_connected_world
 
 
 def settled(world, budget=8000):
@@ -293,3 +294,43 @@ def test_phase_one_length_bounded_by_indirect_count():
     planner.phase_eliminate_indirect()
     reversals = sum(1 for s in planner.steps if isinstance(s, rules.ReversalStep))
     assert reversals == indirect == 2
+
+
+# -- plan pin -------------------------------------------------------------------------------
+
+_EMULATIONS = [
+    ("introduction", {"u": 0, "v": 1, "w": 2, "u_to_v": "a", "u_to_w": "b"}),
+    ("delegation", {"u": 0, "v": 1, "w": 2, "u_to_v": "a", "u_to_w": "b", "result": "r"}),
+    ("fusion", {"u": 0, "v": 1, "slot_a": "a", "slot_b": "b", "same_target": True}),
+    ("fusion", {"u": 0, "v": 1, "slot_a": "a", "slot_b": "b"}),
+    ("reversal", {"u": 0, "v": 1, "u_to_v": "a"}),
+]
+
+
+def test_plans_are_pinned_step_for_step():
+    # Slot names travel in `adopt` messages, so they reach trace digests and
+    # state hashes: a refactor of the planner must keep every plan, names and
+    # counter order included.  465 plans: 200 seed pairs with plain and with
+    # shared sinks, 60 sources with indirect relays, and the five emulations.
+    digest = hashlib.sha256()
+
+    def feed(plan):
+        digest.update(repr(plan.steps).encode())
+        digest.update(repr(sorted(plan.initial_slots.items())).encode())
+
+    for seed in range(200):
+        n = 3 + seed % 6
+        source = rules.random_multigraph(2 * seed + 1, n)
+        target = rules.random_multigraph(2 * seed + 2, n)
+        for shared in (False, True):
+            feed(rules.plan_transform(settled(rules.build_simple_realization(seed, source, shared)), target))
+    indirect = 0
+    for seed in range(60):
+        n = 3 + seed % 6
+        world = settled(random_connected_world(seed, n, extra_edges=2, chains=3))
+        indirect += len(rules._Planner(world).indirect)
+        feed(rules.plan_transform(world, rules.random_multigraph(seed, n)))
+    for rule, bindings in _EMULATIONS:
+        digest.update(repr(rules.emulate_process_rule(rule, bindings)).encode())
+    assert indirect == 140
+    assert digest.hexdigest() == "0f7bc1f1331c807718c7d68db3f8fb74621ad5ed8ca5669cb130e9f0301d4100"
