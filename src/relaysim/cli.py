@@ -79,7 +79,7 @@ def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
             scenario = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ScenarioError(str(e))
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")

@@ -56,7 +56,6 @@ class WorldCheck:
     """
 
     def __init__(self, world: WorldState) -> None:
-        self.world = world
         self.relays: dict[RelayId, Relay] = {}
         self.in_key_count: dict[Key, int] = {}
         self.out_key_holders: dict[Key, list] = {}
@@ -359,11 +358,23 @@ class WorldCheck:
     # -- header validity -------------------------------------------------------
 
     def valid_header(self, message: Transmit, relay_id: RelayId) -> bool:
+        """Relay `relay_id` is the header's `out_id` and lists its key either
+        as confirmed from the sender's layer, or as announced via a relay of
+        the target's own layer that sinks at the sender."""
+        header = message.header
         relay = self.relays.get(relay_id)
-        if relay is None:
+        if relay is None or relay_id != header.out_id:
             return False
-        layer = self.world.layers.get(relay_id.rid)
-        return layer is not None and layer.header_valid_for(relay, message.header)
+        sender = header.in_id.rid
+        for e in relay.in_set:
+            if e.key != header.key:
+                continue
+            if e.confirmed:
+                if e.from_rid == sender:
+                    return True
+            elif e.via.rid == relay_id.rid and e.via in self.relays and self.relays[e.via].sink_rid == sender:
+                return True
+        return False
 
     # -- parameter validity ------------------------------------------------------
 
@@ -454,9 +465,7 @@ class WorldCheck:
         for carrier_id, message, param in self.params:
             if carrier_id is None:
                 continue
-            carrier = self.relays.get(carrier_id)
-            if carrier is None:
-                continue
+            carrier = self.relays[carrier_id]
             violations = self.param_violations(carrier_id, message, param)
             if not carrier.alive:
                 # A reversal leaves the reference draining out of a dead

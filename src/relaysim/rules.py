@@ -15,10 +15,11 @@ introduction files the new reference under the slot the planner chose.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import ActionInvocation, RelayRef, Transmit
 from .kernel import ProcessContext, WorldState, connect, new_world
@@ -177,11 +178,11 @@ class TransformApp:
     references under the slots the plan designates."""
 
     def on_tick(self, ctx: ProcessContext) -> None:
-        queue = ctx.store.setdefault("queue", deque())
+        queue = ctx.store["queue"]
         if not queue:
             return
         step = queue.popleft()
-        slots = ctx.store.setdefault("slots", {})
+        slots = ctx.store["slots"]
         if isinstance(step, NewRelayStep):
             slots[step.slot] = ctx.new_relay()
         elif isinstance(step, IntroductionStep):
@@ -204,20 +205,11 @@ class TransformApp:
             ref, slot = action.params
             if ref is None:
                 raise PlanError("adoption lost to a duplicate key")
-            ctx.store.setdefault("slots", {})[slot] = ref
+            ctx.store["slots"][slot] = ref
         elif action.label == "discard":
             ref = action.params[0]
             if ref is not None:
                 ctx.delete_relay(ref)
-
-
-def attach_transform_apps(world: WorldState, plan: TransformPlan) -> None:
-    for pid, proc in world.processes.items():
-        proc.app = TransformApp()
-        proc.store.setdefault("queue", deque())
-        proc.store.setdefault("slots", {})
-    for (pid, slot), relay_id in plan.initial_slots.items():
-        world.processes[pid].store["slots"][slot] = RelayRef(relay_id)
 
 
 PER_STEP_BUDGET = 8000  # kernel steps a plan step may take to settle
@@ -226,13 +218,19 @@ PER_STEP_BUDGET = 8000  # kernel steps a plan step may take to settle
 def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
     """Run a plan to completion, settling the world between steps.
 
-    Each plan step is queued at its process; the world then runs until
-    every queue is empty and `is_settled` holds.  The queues are the deques
-    `TransformApp.on_tick` pops, listed once, and `is_settled` re-checks
-    its last offender before it scans, so the poll after every kernel step
-    costs amortized O(1).
+    Every process gets a `TransformApp`; its queue and slots persist, so one
+    world may run several plans.  Each plan step is queued at its process;
+    the world then runs until every queue is empty and `is_settled` holds.
+    The queues are the deques `TransformApp.on_tick` pops, listed once, and
+    `is_settled` re-checks its last offender before it scans, so the poll
+    after every kernel step costs amortized O(1).
     """
-    attach_transform_apps(world, plan)
+    for proc in world.processes.values():
+        proc.app = TransformApp()
+        proc.store.setdefault("queue", deque())
+        proc.store.setdefault("slots", {})
+    for (pid, slot), relay_id in plan.initial_slots.items():
+        world.processes[pid].store["slots"][slot] = RelayRef(relay_id)
     queues = [proc.store["queue"] for proc in world.processes.values()]
     for i, step in enumerate(plan.steps):
         world.processes[step.pid].store["queue"].append(step)
@@ -245,59 +243,47 @@ def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
 
 # ---------------------------------------------------------------------------
 # Emulation fragments for the classical process rules.
+#
+# Slot names, and the order in which they draw from the counter, are frozen:
+# they travel in `adopt` messages, so they reach trace digests and
+# `state_hash`.  Hence `bindings.get("result", fresh("e"))` draws a number
+# even when a result slot is bound.
 
 
-class _Namer:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def fresh(self, prefix: str) -> str:
-        self.n += 1
-        return f"{prefix}{self.n}"
+def _namer() -> Callable[[str], str]:
+    """Fresh slot names: the prefix followed by a counter shared by all."""
+    counter = itertools.count(1)
+    return lambda prefix: f"{prefix}{next(counter)}"
 
 
-def emulate_process_rule(rule: str, bindings: dict, namer: Optional[_Namer] = None) -> list:
+def _swap_out(pid: int, via_slot: str, carry_slot: str, to_slot: Optional[str]) -> list:
+    """pid makes a relay under `carry_slot`, then reverses `via_slot` out
+    carrying it; the receiver files it under `to_slot` (None: discards it)."""
+    return [NewRelayStep(pid, carry_slot), ReversalStep(pid, via_slot, carry_slot, to_slot)]
+
+
+def emulate_process_rule(rule: str, bindings: dict, namer: Optional[Callable[[str], str]] = None) -> list:
     """Plan fragment emulating one classical process rule.
 
     bindings name the acting processes and the slots of the relays they
     hold: introduction/delegation need u, v, w plus u_to_v and u_to_w;
     fusion needs u, v plus slot_a and slot_b (and same_target: bool);
     reversal needs u, v plus u_to_v.  Result slots are returned inside the
-    steps themselves.
+    steps themselves.  `namer` maps a prefix to a fresh slot name.
     """
-    nm = namer or _Namer()
-    if rule == "introduction":
-        u, v, w = bindings["u"], bindings["v"], bindings["w"]
-        tmp, n = nm.fresh("tmp"), nm.fresh("n")
-        return [
-            IntroductionStep(u, via_slot=bindings["u_to_w"], carry_slot=bindings["u_to_v"], to_slot=tmp),
-            NewRelayStep(w, n),
-            ReversalStep(w, via_slot=tmp, carry_slot=n, to_slot=bindings.get("result", nm.fresh("e"))),
-        ]
-    if rule == "delegation":
-        u, v, w = bindings["u"], bindings["v"], bindings["w"]
-        tmp, n = nm.fresh("tmp"), nm.fresh("n")
-        return [
-            ReversalStep(u, via_slot=bindings["u_to_w"], carry_slot=bindings["u_to_v"], to_slot=tmp),
-            NewRelayStep(w, n),
-            ReversalStep(w, via_slot=tmp, carry_slot=n, to_slot=bindings.get("result", nm.fresh("e"))),
-        ]
+    fresh = namer or _namer()
+    if rule in ("introduction", "delegation"):
+        tmp, n = fresh("tmp"), fresh("n")
+        hand_over = IntroductionStep if rule == "introduction" else ReversalStep
+        first = hand_over(bindings["u"], bindings["u_to_w"], bindings["u_to_v"], tmp)
+        return [first, *_swap_out(bindings["w"], tmp, n, bindings.get("result", fresh("e")))]
     if rule == "fusion":
-        u = bindings["u"]
         if bindings.get("same_target"):
-            return [FusionStep(u, bindings["slot_a"], bindings["slot_b"], bindings.get("result", nm.fresh("e")))]
-        n = nm.fresh("n")
-        return [
-            NewRelayStep(u, n),
-            ReversalStep(u, via_slot=bindings["slot_b"], carry_slot=n, to_slot=None),
-        ]
+            result = bindings.get("result", fresh("e"))
+            return [FusionStep(bindings["u"], bindings["slot_a"], bindings["slot_b"], result)]
+        return _swap_out(bindings["u"], bindings["slot_b"], fresh("n"), None)
     if rule == "reversal":
-        u, v = bindings["u"], bindings["v"]
-        n = nm.fresh("n")
-        return [
-            NewRelayStep(u, n),
-            ReversalStep(u, via_slot=bindings["u_to_v"], carry_slot=n, to_slot=bindings.get("result", nm.fresh("e"))),
-        ]
+        return _swap_out(bindings["u"], bindings["u_to_v"], fresh("n"), bindings.get("result", fresh("e")))
     raise PlanError(f"unknown process rule: {rule}")
 
 
@@ -309,12 +295,12 @@ class _Planner:
     def __init__(self, world: WorldState) -> None:
         if not world.is_settled():
             raise PlanError("transformation planning requires a settled world")
-        self.nm = _Namer()
+        self.fresh = _namer()
         self.steps: list = []
         self.initial_slots = initial_slots(world)
         # abstract edges: (u, v) -> list of slot names held by u
         self.edge_slots: dict = {}
-        # abstract indirect relays: handle -> dict(owner, sink, target handle or None)
+        # abstract indirect relays: (owner, slot) -> (sink, target handle or None)
         self.indirect: dict = {}
         self.inbound: Counter = Counter()
         handle_of = {relay_id: handle for handle, relay_id in self.initial_slots.items()}
@@ -324,13 +310,9 @@ class _Planner:
                     continue
                 owner, slot = handle_of[relay.id]
                 if relay.level == 1:
-                    self.edge_slots.setdefault((owner, relay.sink_rid), []).append(slot)
+                    self._add_edge(owner, relay.sink_rid, slot)
                 else:
-                    self.indirect[(owner, slot)] = {
-                        "owner": owner,
-                        "sink": relay.sink_rid,
-                        "target": handle_of.get(relay.out_id),
-                    }
+                    self.indirect[(owner, slot)] = (relay.sink_rid, handle_of.get(relay.out_id))
                 if relay.out_id in handle_of:
                     self.inbound[handle_of[relay.out_id]] += 1
         self.pids = list(world.processes)
@@ -343,84 +325,61 @@ class _Planner:
     def _add_edge(self, u: int, v: int, slot: str) -> None:
         self.edge_slots.setdefault((u, v), []).append(slot)
 
-    def _take_edge(self, u: int, v: int) -> str:
-        slots = self.edge_slots.get((u, v))
-        if not slots:
-            raise PlanError(f"no edge instance ({u},{v}) available")
-        return slots.pop(0)
-
     def _peek_edge(self, u: int, v: int) -> str:
         slots = self.edge_slots.get((u, v))
         if not slots:
             raise PlanError(f"no edge instance ({u},{v}) available")
         return slots[0]
 
+    def _take_edge(self, u: int, v: int) -> str:
+        self._peek_edge(u, v)  # raises PlanError when none is left
+        return self.edge_slots[(u, v)].pop(0)
+
     def multigraph(self) -> ProcessMultigraph:
-        edges = []
-        for (u, v), slots in self.edge_slots.items():
-            edges.extend([(u, v)] * len(slots))
+        edges = [edge for edge, slots in self.edge_slots.items() for _ in slots]
         return ProcessMultigraph.of(self.pids, edges)
 
     # -- fragments ----------------------------------------------------------
 
     def frag_self_introduction(self, u: int, v: int) -> None:
         """u introduces itself to v over an existing (u,v) edge: adds (v,u)."""
-        n = self.nm.fresh("n")
-        slot = self.nm.fresh("e")
-        self.steps.append(NewRelayStep(u, n))
-        self.steps.append(IntroductionStep(u, via_slot=self._peek_edge(u, v), carry_slot=n, to_slot=slot))
+        n, slot = self.fresh("n"), self.fresh("e")
+        self.steps += [NewRelayStep(u, n), IntroductionStep(u, self._peek_edge(u, v), n, slot)]
         self._add_edge(v, u, slot)
 
     def frag_introduction(self, u: int, v: int, w: int) -> None:
         """u introduces v to w using edges (u,v) and (u,w): adds (v,w)."""
-        slot = self.nm.fresh("e")
-        frag = emulate_process_rule(
-            "introduction",
-            {
-                "u": u,
-                "v": v,
-                "w": w,
-                "u_to_v": self._peek_edge(u, v),
-                "u_to_w": self._peek_edge(u, w),
-                "result": slot,
-            },
-            self.nm,
-        )
-        self.steps.extend(frag)
+        slot = self.fresh("e")
+        u_to_v, u_to_w = self._peek_edge(u, v), self._peek_edge(u, w)
+        bindings = dict(u=u, v=v, w=w, u_to_v=u_to_v, u_to_w=u_to_w, result=slot)
+        self.steps += emulate_process_rule("introduction", bindings, self.fresh)
         self._add_edge(v, w, slot)
 
     def frag_reversal(self, u: int, v: int) -> None:
         """u reverses its (u,v) edge: removes (u,v), adds (v,u)."""
-        slot = self.nm.fresh("e")
-        frag = emulate_process_rule(
-            "reversal", {"u": u, "v": v, "u_to_v": self._take_edge(u, v), "result": slot}, self.nm
-        )
-        self.steps.extend(frag)
+        slot = self.fresh("e")
+        bindings = dict(u=u, v=v, u_to_v=self._take_edge(u, v), result=slot)
+        self.steps += emulate_process_rule("reversal", bindings, self.fresh)
         self._add_edge(v, u, slot)
 
     def frag_drop(self, u: int, v: int) -> None:
         """Remove one (u,v) edge; the carried throwaway is discarded by v."""
-        n = self.nm.fresh("n")
-        self.steps.append(NewRelayStep(u, n))
-        self.steps.append(ReversalStep(u, via_slot=self._take_edge(u, v), carry_slot=n, to_slot=None))
+        self.steps += _swap_out(u, self._take_edge(u, v), self.fresh("n"), None)
 
     # -- phase 1: eliminate indirect relays ----------------------------------
 
     def phase_eliminate_indirect(self) -> None:
         while self.indirect:
-            eligible = sorted(h for h in self.indirect if self.inbound[h] == 0)
+            eligible = [h for h in self.indirect if self.inbound[h] == 0]
             if not eligible:
                 raise PlanError("indirect relays form a cycle")
-            handle = eligible[0]
-            info = self.indirect.pop(handle)
-            owner, slot = handle
-            n = self.nm.fresh("n")
-            new_slot = self.nm.fresh("e")
-            self.steps.append(NewRelayStep(owner, n))
-            self.steps.append(ReversalStep(owner, via_slot=slot, carry_slot=n, to_slot=new_slot))
-            self._add_edge(info["sink"], owner, new_slot)
-            if info["target"] is not None:
-                self.inbound[info["target"]] -= 1
+            owner, slot = handle = min(eligible)
+            sink, target = self.indirect.pop(handle)
+            n, new_slot = self.fresh("n"), self.fresh("e")
+            self.steps += _swap_out(owner, slot, n, new_slot)
+            self._add_edge(sink, owner, new_slot)
+            if target is not None:
+                self.inbound[target] -= 1
 
     # -- phase 2: reach a given edge multiset ---------------------------------
 
@@ -482,10 +441,8 @@ class _Planner:
         # Every target edge (u, v) becomes its own one-relay tree: the root v
         # creates the sink and reverses it out to u over the mirrored edge.
         for u, v in sorted(target.edges):
-            ts = self.nm.fresh("tree")
-            slot = self.nm.fresh("e")
-            self.steps.append(NewRelayStep(v, ts))
-            self.steps.append(ReversalStep(v, via_slot=self._take_edge(v, u), carry_slot=ts, to_slot=slot))
+            tree, slot = self.fresh("tree"), self.fresh("e")
+            self.steps += _swap_out(v, self._take_edge(v, u), tree, slot)
             self._add_edge(u, v, slot)
 
 
@@ -504,8 +461,6 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     if not target.is_weakly_connected():
         raise PlanError("target graph is not weakly connected")
     planner.phase_eliminate_indirect()
-    if not planner.multigraph().is_weakly_connected():
-        raise PlanError("source graph is not weakly connected")
     planner.phase_to_multiset(Counter((v, u) for u, v in target.edges))
     planner.phase_rebuild(target)
     return TransformPlan(planner.steps, planner.initial_slots)

@@ -87,6 +87,14 @@ def test_non_utf8_scenario_is_parse_error(tmp_path):
     assert out.getvalue().startswith("error=parse detail=")
 
 
+def test_deeply_nested_scenario_is_parse_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out = io.StringIO()
+    assert cli.run_scenario(str(path), out=out) == cli.EXIT_PARSE
+    assert out.getvalue().startswith("error=parse detail=")
+
+
 def test_unknown_field_is_parse_error(tmp_path):
     path = write_scenario(tmp_path, seed=1, banana=True)
     out = io.StringIO()

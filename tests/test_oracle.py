@@ -28,6 +28,7 @@ from relaysim.kernel import (
     give_door,
     new_world,
 )
+from relaysim.layer import RelayLayer
 from relaysim.oracle import PROCESS, RELAY
 
 
@@ -292,6 +293,27 @@ def test_valid_header_confirmed_and_unconfirmed_clauses():
         ActionInvocation("x", ()),
     )
     assert oracle.WorldCheck(world).valid_header(incoming, s.relay_id)
+
+
+def test_oracle_rejects_the_triangle_impostor_when_the_layer_accepts_any_sender(monkeypatch):
+    # The mutant of the layer's header check that drops its sender test:
+    # any listed key is accepted, whoever sent it.
+    def any_sender(layer, relay, header):
+        return relay.id == header.out_id and any(
+            e.key == header.key and (e.confirmed or e.via in layer.relays) for e in relay.in_set
+        )
+
+    monkeypatch.setattr(RelayLayer, "header_valid_for", any_sender)
+    world = fig_triangle()
+    q = world.find_relay(world.processes[0].store["out"].relay_id)
+    sink = world.find_relay(q.out_id)
+    (w_key,) = [e.key for e in sink.in_set if e.from_rid == 2]
+    q.out_keys = {w_key}  # u's relay holds only the key confirmed from w
+    impostor = Transmit(Header(w_key, q.id, sink.id, q.level), ActionInvocation("x", ()))
+    check = oracle.WorldCheck(world)
+    assert world.layer_of(1).header_valid_for(sink, impostor.header)
+    assert not check.valid_header(impostor, sink.id)
+    assert "P11d" in check.relay_violations(q.id)
 
 
 def test_parameter_valid_when_minted_and_across_forwarding():
