@@ -89,7 +89,7 @@ def load_scenario(path: str) -> dict:
     typed = {}
     for name, (default, least) in _INTEGERS.items():
         value = scenario.get(name, default)
-        if value is None:
+        if name not in scenario and value is None:
             continue
         if type(value) is not int:  # JSON true/false would pass isinstance
             raise ScenarioError(f"{name} must be an integer, got {value!r}")

@@ -176,10 +176,15 @@ Message = Union[Transmit, ProbeFail, NotAuthorized, InRelayClosed, OutRelayClose
 
 @dataclass(slots=True)
 class Envelope:
-    """Buffer entry: a message plus the kernel-assigned delivery identity."""
+    """Buffer entry: a message plus the kernel-assigned delivery identity.
+
+    `target_rid` is the addressed layer, set only in layer buffers and the
+    orphan list; a relay buffer's messages go to the relay's next hop.
+    """
 
     uid: int
     message: Message
+    target_rid: Optional[Rid] = None
 
 
 @dataclass(slots=True)

@@ -45,7 +45,7 @@ from .core import (
     relay_json,
     unconfirmed_entry,
 )
-from .layer import OutEnvelope, RelayLayer
+from .layer import RelayLayer
 
 MODE_RANDOM = "random"
 MODE_ROUND_ROBIN = "round_robin"
@@ -310,7 +310,7 @@ class WorldState:
         self.env_source = PendingIndex()
         self.processes: dict[int, ProcessState] = {}
         self.layers: dict[Rid, RelayLayer] = {}
-        self.orphan_out: list[OutEnvelope] = []
+        self.orphan_out: list[Envelope] = []
         self.process_rngs: dict[int, random.Random] = {}
         self.step_count = 0
         self.trace: Optional[list] = None
@@ -440,46 +440,30 @@ class WorldState:
             if self.trace is not None:
                 self._trace(kind, pid)
             return
-        pending = self.env_source
-        if kind == "relay":
-            _, rid, relay_id, uid = action
-            relay = self.layers[rid].relays[relay_id]
-            env = _pop_envelope(relay.buf, uid)
-            pending.delivered(uid, rid)
-            if self.trace is not None:
-                self._trace(kind, rid, env.message)
-            if relay.out_id is None:
-                self._deliver_local(rid, relay, env.message)
-            else:
-                target = self.layers.get(relay.out_id.rid)
-                if target is not None:
-                    target.receive(env.message)
-            return
-        if kind == "layer":
-            _, rid, uid = action
-            env = _pop_envelope(self.layers[rid].layer_buf, uid)
-            pending.delivered(uid, rid)
-            if self.trace is not None:
-                self._trace(kind, rid, env.message)
+        # A message, held by its relay, or by None in a layer buffer or the orphans.
+        uid = action[-1]
+        relay = self.env_source.holder[uid]
+        if relay is not None:
+            rid, buf = relay.id.rid, relay.buf
+        elif kind == "layer":
+            rid, buf = action[1], self.layers[action[1]].layer_buf
         else:
-            uid = action[1]
-            env = _pop_envelope(self.orphan_out, uid)
-            pending.delivered(uid, None)
-            if self.trace is not None:
-                self._trace(kind, env.target_rid, env.message)
-        target = self.layers.get(env.target_rid)
+            rid, buf = None, self.orphan_out
+        env = _pop_envelope(buf, uid)
+        self.env_source.delivered(uid, rid)
+        message = env.message
+        if self.trace is not None:
+            self._trace(kind, env.target_rid if rid is None else rid, message)
+        if relay is not None and relay.out_id is None:
+            # A sink hands application invocations to its enabled owner and
+            # drops everything else.
+            proc = self.processes.get(rid)
+            if isinstance(message, ActionInvocation) and proc is not None and proc.enabled:
+                proc.app.on_message(self.ctx(rid), message, RelayRef(relay.id))
+            return
+        target = self.layers.get(env.target_rid if relay is None else relay.out_id.rid)
         if target is not None:
-            target.receive(env.message)
-
-    def _deliver_local(self, rid: Rid, relay: Relay, message: Message) -> None:
-        # Sink buffers deliver to the owning process; everything that is not
-        # an application invocation is dropped there.
-        if not isinstance(message, ActionInvocation):
-            return
-        proc = self.processes.get(rid)
-        if proc is None or not proc.enabled:
-            return
-        proc.app.on_message(self.ctx(proc.pid), message, RelayRef(relay.id))
+            target.receive(message)
 
     def _trace(self, kind: str, actor: int, message: Optional[Message] = None) -> None:
         digest = "" if message is None else message_digest(message)

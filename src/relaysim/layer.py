@@ -10,7 +10,6 @@ identical inputs yield identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
@@ -39,15 +38,6 @@ if TYPE_CHECKING:
     from .kernel import PendingIndex
 
 
-@dataclass(slots=True)
-class OutEnvelope:
-    """Layer-buffer entry: control message addressed to another layer."""
-
-    uid: int
-    target_rid: Rid
-    message: Message
-
-
 _NO_CONTROLS: frozenset = frozenset()
 
 
@@ -66,7 +56,7 @@ class RelayLayer:
         self.rid = rid
         self.env_source = env_source
         self.relays: dict[RelayId, Relay] = {}
-        self.layer_buf: list[OutEnvelope] = []
+        self.layer_buf: list[Envelope] = []
         self.owner_alive = True
         self.shut_down = False
         self._id_serial = 0
@@ -100,7 +90,7 @@ class RelayLayer:
         relay.buf.append(Envelope(self.env_source.emit(self.rid, relay), message))
 
     def _emit_control(self, target: Rid, message: Message) -> None:
-        self.layer_buf.append(OutEnvelope(self.env_source.emit(self.rid, None), target, message))
+        self.layer_buf.append(Envelope(self.env_source.emit(self.rid, None), message, target))
 
     # -- primitives --------------------------------------------------------
 

@@ -108,6 +108,8 @@ BAD_FIELDS = {
     "unknown_scheduler": {"scheduler": "bogus"},
     "leaving_pid_out_of_range": {"topology": "departure_line", "processes": 3, "leaving": [7]},
     "leaving_not_a_list": {"topology": "departure_line", "processes": 3, "leaving": "01"},
+    # Only a field absent from the file takes its default.
+    **{f"{name}_null": {name: None} for name in cli._INTEGERS},
 }
 
 
@@ -119,6 +121,14 @@ def test_bad_field_is_parse_error(tmp_path, name):
     assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
     assert out.getvalue().startswith("error=parse detail=")
     assert "steps=" not in out.getvalue()
+
+
+def test_scenario_that_is_not_an_object_is_parse_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("[]")
+    out = io.StringIO()
+    assert cli.run_scenario(str(path), out=out) == cli.EXIT_PARSE
+    assert out.getvalue() == "error=parse detail=scenario must be a JSON object\n"
 
 
 def test_departure_app_off_its_topology_is_parse_error(tmp_path):
@@ -308,6 +318,27 @@ def test_transform_gapped_process_ids_are_parse_error(tmp_path, monkeypatch):
     out = io.StringIO()
     assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
     assert out.getvalue().startswith("error=parse detail=")
+
+
+TRANSFORM_ERRORS = {
+    "target_self_loop": ("p0 -> p1;", "p0 -> p0; p0 -> p1;", "self-loops are not supported"),
+    "target_other_processes": ("p0 -> p1;", "p0 -> p1; p1 -> p2;", "target names a different process set"),
+    "source_disconnected": ("p0 -> p1; p2 -> p3;", "p1 -> p0; p3 -> p2; p2 -> p0;",
+                            "source graph is not weakly connected"),
+    "letter_node": ("a -> p1;", "p0 -> p1;", "process node expected, got 'a'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_ERRORS))
+def test_transform_error_is_parse_error(tmp_path, name):
+    source, target, detail = TRANSFORM_ERRORS[name]
+    src = tmp_path / "src.dot"
+    tgt = tmp_path / "tgt.dot"
+    src.write_text(f"digraph g {{ {source} }}\n")
+    tgt.write_text(f"digraph g {{ {target} }}\n")
+    out = io.StringIO()
+    assert cli.run_transform(str(src), str(tgt), out=out) == cli.EXIT_PARSE
+    assert out.getvalue() == f"error=parse detail={detail}\n"
 
 
 def test_main_entry_point(tmp_path):

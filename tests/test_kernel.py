@@ -29,7 +29,7 @@ from relaysim.kernel import (
     new_world,
     random_connected_world,
 )
-from relaysim.layer import OutEnvelope, RelayLayer
+from relaysim.layer import RelayLayer
 
 
 def test_only_timeouts_enabled_in_quiet_world():
@@ -676,7 +676,7 @@ def _edit_offenders(seed):
     _settle(world)
     header = Header(next(iter(relay.out_keys)), relay.id, relay.out_id, relay.level)
     payload = Envelope(10**9, Transmit(header, ActionInvocation("note", ())))
-    closed = OutEnvelope(10**9 + 1, Rid(0), OutRelayClosed(relay.id))
+    closed = Envelope(10**9 + 1, OutRelayClosed(relay.id), Rid(0))
 
     relay.alive = False
     assert not world.is_settled()

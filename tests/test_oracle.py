@@ -3,6 +3,7 @@
 import pytest
 
 from relaysim import oracle, rules
+from relaysim.apps import DeliveryTracker
 from relaysim.core import (
     ActionInvocation,
     Header,
@@ -405,6 +406,51 @@ def test_legal_world_valid_graph_cycle_free():
     world = fig_triangle()
     assert oracle.is_legal(world)
     assert oracle.WorldCheck(world).valid_graph_cycle_free()
+
+
+def _cycle_verdicts(world, cycle):
+    """`valid_graph_cycle_free` with every relay reported valid, then with
+    all but the cycle's second relay reported valid.
+
+    A real check reports the relays of these cycles invalid, so validity is
+    stubbed to reach the detector.
+    """
+    check = oracle.WorldCheck(world)
+    check.relay_valid = lambda relay_id: True
+    all_valid = check.valid_graph_cycle_free()
+    check.relay_valid = lambda relay_id: relay_id != cycle[1].id
+    return all_valid, check.valid_graph_cycle_free()
+
+
+def test_cycle_detector_finds_the_two_relay_cycle_of_a_corrupted_world():
+    world = adversarial_init(3, 4, 12, 0)
+    relays = {r.id: r for layer in world.layers.values() for r in layer.relays.values()}
+    cycle = [r for r in relays.values() if r.out_id in relays and relays[r.out_id].out_id == r.id]
+    assert [r.id.rid for r in cycle] == [0, 1] and all(r.alive for r in cycle)
+    assert oracle.WorldCheck(world).valid_graph_cycle_free()
+    assert _cycle_verdicts(world, cycle) == (False, True)
+
+
+def test_cycle_detector_finds_a_three_relay_cycle_across_three_layers():
+    world = new_world(0, 3)
+    cycle = [world.layers[pid].add_relay(level=1, sink_rid=pid) for pid in range(3)]
+    for relay, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+        relay.out_id = nxt.id
+    assert _cycle_verdicts(world, cycle) == (False, True)
+
+
+def test_delivery_ledger_reports_a_valid_send_received_at_another_process():
+    world = fig_triangle()
+    tracker = DeliveryTracker(world)
+    # u's relay feeds v's door; w's relay, once keyless, is invalid.
+    u, w = world.ctx(0), world.ctx(2)
+    valid = tracker.on_send(u, world.processes[0].store["out"])
+    world.find_relay(world.processes[2].store["out"].relay_id).out_keys.clear()
+    invalid = tracker.on_send(w, world.processes[2].store["out"])
+    assert tracker.sent == {valid: (1, True), invalid: (1, False)}
+    for marker in (valid, invalid, (9, 9)):
+        tracker.on_receive(w, marker)
+    assert tracker.misdelivered() == [(valid, 2, 1)]
 
 
 def test_valid_subgraph_is_subset_of_graph():
