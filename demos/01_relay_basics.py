@@ -36,7 +36,7 @@ def main():
     feeder = world.processes[2].store["out"]
     layer2 = world.layer_of(2)
     print("process 2 relay alive before revocation:", not layer2.dead(feeder))
-    world.ctx(1).delete_relay(door)
+    world.ctx(1).layer.delete_relay(door)
     world.run_until(lambda w: layer2.dead(feeder), 6000)
     print("after the owner deletes its sink, the feeder is torn down:", layer2.dead(feeder))
 

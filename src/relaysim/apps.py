@@ -75,25 +75,25 @@ class RandomDeliberateApp:
         if self.frozen:
             return
         rng = ctx.rng
-        refs = ctx.get_relays()
+        refs = ctx.layer.get_relays()
         roll = rng.random()
         if roll < 0.45 and refs:
             ref = refs[rng.randrange(len(refs))]
             marker = self.tracker.on_send(ctx, ref) if self.tracker else None
             ctx.send(ref, "note", (marker,))
         elif roll < 0.55 and len(refs) < self.max_relays:
-            ctx.new_relay()
+            ctx.layer.new_relay()
         elif roll < 0.65 and refs:
             ref = refs[rng.randrange(len(refs))]
-            if ctx.incoming(ref) == 0:
-                ctx.delete_relay(ref)
+            if ctx.layer.incoming(ref) == 0:
+                ctx.layer.delete_relay(ref)
         elif roll < 0.75 and len(refs) >= 2:
             a = refs[rng.randrange(len(refs))]
             b = refs[rng.randrange(len(refs))]
-            if a != b and ctx.same_target(a, b) and not ctx.is_sink(a):
-                ctx.merge({a, b})
+            if a != b and ctx.layer.same_target(a, b) and not ctx.layer.is_sink(a):
+                ctx.layer.merge({a, b})
         elif roll < 0.9 and self.send_refs == "direct" and refs:
-            carried = [r for r in refs if ctx.direct(r)]
+            carried = [r for r in refs if ctx.layer.direct(r)]
             if carried:
                 s = carried[rng.randrange(len(carried))]
                 via = refs[rng.randrange(len(refs))]

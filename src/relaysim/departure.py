@@ -23,8 +23,8 @@ def safe_to_stop(ctx: ProcessContext) -> bool:
     All owned relays are unreferenced sinks, so stopping deletes nothing
     anyone depends on.
     """
-    for ref in ctx.get_relays():
-        if not ctx.is_sink(ref) or ctx.incoming(ref) != 0:
+    for ref in ctx.layer.get_relays():
+        if not ctx.layer.is_sink(ref) or ctx.layer.incoming(ref) != 0:
             return False
     return True
 
@@ -44,10 +44,10 @@ def departure_tick(ctx: ProcessContext) -> None:
     # Drop queued references once nothing routes through them.
     still = []
     for ref in discards:
-        if ctx.dead(ref):
+        if ctx.layer.dead(ref):
             continue
-        if ctx.incoming(ref) == 0:
-            ctx.delete_relay(ref)
+        if ctx.layer.incoming(ref) == 0:
+            ctx.layer.delete_relay(ref)
         else:
             still.append(ref)
     discards[:] = still
@@ -60,12 +60,12 @@ def departure_tick(ctx: ProcessContext) -> None:
         held = [pid for pid in sorted(peers) if pid in retired]
         if held:
             others = any(
-                pid not in retired and not ctx.dead(ref) for pid, ref in peers.items()
+                pid not in retired and not ctx.layer.dead(ref) for pid, ref in peers.items()
             )
             for pid in held:
                 lifeline.setdefault(pid, LIFELINE_GRACE)
                 lifeline[pid] -= 1
-                if others or lifeline[pid] <= 0 or ctx.dead(peers[pid]):
+                if others or lifeline[pid] <= 0 or ctx.layer.dead(peers[pid]):
                     discards.append(peers.pop(pid))
                     lifeline.pop(pid, None)
         return
@@ -75,12 +75,12 @@ def departure_tick(ctx: ProcessContext) -> None:
     if pending:
         for pid in pending:
             ref = peers[pid]
-            if not ctx.dead(ref):
+            if not ctx.layer.dead(ref):
                 ctx.send(ref, "retire", (ctx.pid,))
             sent.add(pid)
         return
 
-    for pid in [p for p, ref in peers.items() if ctx.dead(ref)]:
+    for pid in [p for p, ref in peers.items() if ctx.layer.dead(ref)]:
         peers.pop(pid)
     live = sorted(peers.items())
     if len(live) >= 2:
@@ -90,10 +90,10 @@ def departure_tick(ctx: ProcessContext) -> None:
         stayers = [(p, r) for p, r in live if p not in retired]
         anchor_pid, anchor_ref = (stayers or live)[0]
         for pid, ref in live:
-            if pid == anchor_pid or ctx.incoming(ref) != 0:
+            if pid == anchor_pid or ctx.layer.incoming(ref) != 0:
                 continue
             ctx.send(ref, "bridge", (anchor_ref, anchor_pid, ctx.pid), relay_positions=(0,))
-            ctx.delete_relay(ref)
+            ctx.layer.delete_relay(ref)
             peers.pop(pid)
             return
         return
@@ -104,10 +104,10 @@ def departure_tick(ctx: ProcessContext) -> None:
         # us found another attachment (their release is conditional), so the
         # peer no longer needs us either.
         sinks_drained = all(
-            ctx.incoming(ref) == 0 for ref in ctx.get_relays() if ctx.is_sink(ref)
+            ctx.layer.incoming(ref) == 0 for ref in ctx.layer.get_relays() if ctx.layer.is_sink(ref)
         )
-        if ctx.incoming(r1) == 0 and (p1 in retired or sinks_drained):
-            ctx.delete_relay(r1)
+        if ctx.layer.incoming(r1) == 0 and (p1 in retired or sinks_drained):
+            ctx.layer.delete_relay(r1)
             peers.pop(p1)
         return
     if safe_to_stop(ctx):
@@ -132,7 +132,7 @@ class DepartureApp:
                 # otherwise hold it as a lifeline until the retiree's
                 # handoff lands (the tick ages it out).
                 others = any(
-                    pid not in retired and not ctx.dead(ref)
+                    pid not in retired and not ctx.layer.dead(ref)
                     for pid, ref in peers.items()
                     if pid != from_pid
                 )
@@ -142,26 +142,26 @@ class DepartureApp:
 
         if action.label == "bridge":
             ref, target_pid, _from_pid = action.params
-            if ref is None or ctx.dead(ref):
+            if ref is None or ctx.layer.dead(ref):
                 return
             # The bridged reference routes through the leaver; trade it for
             # a direct pair right away: send a fresh sink through, drop it.
-            fresh = ctx.new_relay()
+            fresh = ctx.layer.new_relay()
             ctx.send(ref, "hello", (fresh, ctx.pid), relay_positions=(0,))
-            ctx.delete_relay(ref)
+            ctx.layer.delete_relay(ref)
             return
 
         if action.label == "hello":
             ref, from_pid = action.params
             if ref is None:
                 return
-            door = store["door"] = store.get("door") or ctx.new_relay()
+            door = store["door"] = store.get("door") or ctx.layer.new_relay()
             ctx.send(ref, "welcome", (door, ctx.pid), relay_positions=(0,))
             if from_pid in retired:
                 # The sender is weaving itself out: do not route through it,
                 # but do hand it our door; its continued handoffs are what
                 # links its dependents to us.
-                ctx.delete_relay(ref)
+                ctx.layer.delete_relay(ref)
                 return
             _adopt_peer(store, from_pid, ref)
             return

@@ -59,24 +59,30 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-class ProcessState:
-    """One process: its flags, its application and its private store.
+class ProcessContext:
+    """One process: its flags, application, private store, rng and relay
+    layer.  Application code gets this record and reaches the overlay only
+    through `layer`, its own layer's primitives, and `send` and `stop`.
+    After the layer shuts down, `layer` is a shared stopped layer whose
+    primitives return their defaults.
 
     Assigning `active` or `app` calls `on_change`, so the world's scheduler
     keeps its set of enabled application actions current without rescanning
-    the processes on every step.  The hook must not hold the world: a
-    reference cycle would keep finished worlds alive until the cyclic
-    garbage collector runs.
+    the processes on every step.  Neither the hook nor the record may hold
+    the world: a reference cycle would keep finished worlds alive until the
+    cyclic garbage collector runs.  The layer never points back here.
     """
 
-    __slots__ = ("pid", "leaving", "store", "_active", "_app", "on_change")
+    __slots__ = ("pid", "leaving", "store", "rng", "layer", "_active", "_app", "on_change")
 
-    def __init__(self, pid: int, leaving: bool = False, active: bool = True,
+    def __init__(self, pid: int, rng: random.Random, layer: RelayLayer, leaving: bool = False,
                  app: Optional[object] = None, on_change: Optional[Callable] = None) -> None:
         self.pid = pid
         self.leaving = leaving
         self.store: dict = {}
-        self._active = active
+        self.rng = rng
+        self.layer = layer
+        self._active = True
         self._app = app
         self.on_change = on_change
 
@@ -104,6 +110,13 @@ class ProcessState:
     def enabled(self) -> bool:
         """The process has an application action for the scheduler."""
         return self._active and self._app is not None
+
+    def send(self, ref: RelayRef, label: str, params: tuple = (), relay_positions: tuple = ()) -> None:
+        self.layer.send(ref, ActionInvocation(label, params, relay_positions))
+
+    def stop(self) -> None:
+        self.active = False
+        self.layer.stop_process()
 
 
 class _Recurring:
@@ -138,7 +151,7 @@ class _Recurring:
         else:
             self.order.remove(pid)
 
-    def changed(self, proc: ProcessState) -> None:
+    def changed(self, proc: ProcessContext) -> None:
         self.set(proc.pid, proc.enabled)
 
     def ran(self, pid: int, now: int) -> None:
@@ -239,68 +252,6 @@ _STOPPED_LAYER = RelayLayer(-1, None)
 _STOPPED_LAYER.owner_alive = False
 
 
-class ProcessContext:
-    """Primitive access handed to application code; one process, one layer."""
-
-    def __init__(self, world: "WorldState", pid: int) -> None:
-        self.world = world
-        self.pid = pid
-
-    @property
-    def _layer(self) -> RelayLayer:
-        return self.world.layers.get(self.pid, _STOPPED_LAYER)
-
-    @property
-    def process(self) -> ProcessState:
-        return self.world.processes[self.pid]
-
-    @property
-    def store(self) -> dict:
-        return self.process.store
-
-    @property
-    def leaving(self) -> bool:
-        return self.process.leaving
-
-    @property
-    def rng(self) -> random.Random:
-        return self.world.process_rngs[self.pid]
-
-    def new_relay(self) -> Optional[RelayRef]:
-        return self._layer.new_relay()
-
-    def delete_relay(self, ref: RelayRef) -> None:
-        self._layer.delete_relay(ref)
-
-    def merge(self, refs) -> Optional[RelayRef]:
-        return self._layer.merge(refs)
-
-    def get_relays(self) -> list:
-        return self._layer.get_relays()
-
-    def incoming(self, ref: RelayRef) -> int:
-        return self._layer.incoming(ref)
-
-    def direct(self, ref: RelayRef) -> bool:
-        return self._layer.direct(ref)
-
-    def is_sink(self, ref: RelayRef) -> bool:
-        return self._layer.is_sink(ref)
-
-    def dead(self, ref: RelayRef) -> bool:
-        return self._layer.dead(ref)
-
-    def same_target(self, a: RelayRef, b: RelayRef) -> bool:
-        return self._layer.same_target(a, b)
-
-    def send(self, ref: RelayRef, label: str, params: tuple = (), relay_positions: tuple = ()) -> None:
-        self._layer.send(ref, ActionInvocation(label, params, relay_positions))
-
-    def stop(self) -> None:
-        self.process.active = False
-        self._layer.stop_process()
-
-
 class WorldState:
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -308,10 +259,9 @@ class WorldState:
         self.fairness_bound = FAIRNESS_BOUND
         self.mode = MODE_RANDOM
         self.env_source = PendingIndex()
-        self.processes: dict[int, ProcessState] = {}
+        self.processes: dict[int, ProcessContext] = {}
         self.layers: dict[Rid, RelayLayer] = {}
         self.orphan_out: list[Envelope] = []
-        self.process_rngs: dict[int, random.Random] = {}
         self.step_count = 0
         self.trace: Optional[list] = None
         # Scheduler state, indexed by pid (which is also the rid).
@@ -324,16 +274,16 @@ class WorldState:
 
     def add_process(self, leaving: bool = False, app: Optional[object] = None) -> int:
         pid = len(self.processes)
-        self.processes[pid] = proc = ProcessState(pid, leaving=leaving, app=app, on_change=self._apps.changed)
+        layer = self.layers[pid] = RelayLayer(pid, self.env_source)
+        rng = random.Random(derive_seed(self.seed, "proc", pid))
+        self.processes[pid] = proc = ProcessContext(pid, rng, layer, leaving, app, self._apps.changed)
         self._apps.add(proc.enabled)
-        self.layers[pid] = RelayLayer(pid, self.env_source)
         self._timeouts.add(True)
         self.env_source.counts.append(0)
-        self.process_rngs[pid] = random.Random(derive_seed(self.seed, "proc", pid))
         return pid
 
     def ctx(self, pid: int) -> ProcessContext:
-        return ProcessContext(self, pid)
+        return self.processes[pid]
 
     def layer_of(self, pid: int) -> Optional[RelayLayer]:
         return self.layers.get(pid)
@@ -427,6 +377,7 @@ class WorldState:
                 self.orphan_out.extend(layer.layer_buf)
                 layer.layer_buf.clear()
                 del self.layers[rid]
+                self.processes[rid].layer = _STOPPED_LAYER
                 self._timeouts.set(rid, False)
             if self.trace is not None:
                 self._trace(kind, rid)
@@ -435,7 +386,7 @@ class WorldState:
             pid = action[1]
             proc = self.processes[pid]
             if proc.enabled:
-                proc.app.on_tick(self.ctx(pid))
+                proc.app.on_tick(proc)
             self._apps.ran(pid, now)
             if self.trace is not None:
                 self._trace(kind, pid)
@@ -459,7 +410,7 @@ class WorldState:
             # drops everything else.
             proc = self.processes.get(rid)
             if isinstance(message, ActionInvocation) and proc is not None and proc.enabled:
-                proc.app.on_message(self.ctx(rid), message, RelayRef(relay.id))
+                proc.app.on_message(proc, message, RelayRef(relay.id))
             return
         target = self.layers.get(env.target_rid if relay is None else relay.out_id.rid)
         if target is not None:

@@ -102,7 +102,7 @@ def relay_introduction(world: WorldState, pid: int, r: RelayRef, s: RelayRef) ->
 
 def relay_fusion(world: WorldState, pid: int, r: RelayRef, r2: RelayRef) -> Optional[RelayRef]:
     """Merge two same-target relays; returns the merged reference or None."""
-    return world.ctx(pid).merge({r, r2})
+    return world.ctx(pid).layer.merge({r, r2})
 
 
 def relay_reversal(world: WorldState, pid: int, r: RelayRef, s: RelayRef) -> bool:
@@ -112,10 +112,10 @@ def relay_reversal(world: WorldState, pid: int, r: RelayRef, s: RelayRef) -> boo
     incoming connections.
     """
     ctx = world.ctx(pid)
-    if r == s or ctx.incoming(r) != 0 or ctx.dead(r):
+    if r == s or ctx.layer.incoming(r) != 0 or ctx.layer.dead(r):
         return False
     ctx.send(r, "introduce", (s,), relay_positions=(0,))
-    ctx.delete_relay(r)
+    ctx.layer.delete_relay(r)
     return True
 
 
@@ -184,18 +184,18 @@ class TransformApp:
         step = queue.popleft()
         slots = ctx.store["slots"]
         if isinstance(step, NewRelayStep):
-            slots[step.slot] = ctx.new_relay()
+            slots[step.slot] = ctx.layer.new_relay()
         elif isinstance(step, IntroductionStep):
             ctx.send(slots[step.via_slot], "adopt", (slots[step.carry_slot], step.to_slot), (0,))
         elif isinstance(step, ReversalStep):
             via = slots.pop(step.via_slot)
-            if ctx.incoming(via) != 0:
+            if ctx.layer.incoming(via) != 0:
                 raise PlanError(f"reversal precondition failed at {step}")
             label = "adopt" if step.to_slot is not None else "discard"
             ctx.send(via, label, (slots[step.carry_slot], step.to_slot), (0,))
-            ctx.delete_relay(via)
+            ctx.layer.delete_relay(via)
         elif isinstance(step, FusionStep):
-            merged = ctx.merge({slots.pop(step.slot_a), slots.pop(step.slot_b)})
+            merged = ctx.layer.merge({slots.pop(step.slot_a), slots.pop(step.slot_b)})
             if merged is None:
                 raise PlanError(f"fusion merged nothing at {step}")
             slots[step.to_slot] = merged
@@ -209,7 +209,7 @@ class TransformApp:
         elif action.label == "discard":
             ref = action.params[0]
             if ref is not None:
-                ctx.delete_relay(ref)
+                ctx.layer.delete_relay(ref)
 
 
 PER_STEP_BUDGET = 8000  # kernel steps a plan step may take to settle

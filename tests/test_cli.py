@@ -258,6 +258,17 @@ def test_dot_attribute_semicolon_does_not_split_a_statement():
     assert parsed.edges == ((0, 1), (1, 2))
 
 
+def test_dot_comments_and_bare_nodes_parse():
+    parsed = cli.parse_process_dot("// source\ndigraph g {\n  # one edge, one lone node\n  p0 -> p1; p2\n}\n")
+    assert parsed.processes == (0, 1, 2)
+    assert parsed.edges == ((0, 1),)
+
+
+def test_comment_only_dot_is_empty_graph():
+    with pytest.raises(cli.ScenarioError, match="empty graph"):
+        cli.parse_process_dot("// nothing\n# here\n")
+
+
 def test_text_that_is_not_dot_does_not_parse():
     with pytest.raises(cli.ScenarioError):
         cli.parse_process_dot("this is not dot")
@@ -344,6 +355,16 @@ def test_transform_error_is_parse_error(tmp_path, name):
 def test_main_entry_point(tmp_path):
     path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="is_legal")
     assert cli.main(["run", path]) == cli.EXIT_OK
+
+
+def test_main_dispatches_transform_and_suite(tmp_path, capsys):
+    src, tgt = tmp_path / "src.dot", tmp_path / "tgt.dot"
+    src.write_text("p0 -> p1;\n")
+    tgt.write_text("p1 -> p0;\n")
+    assert cli.main(["transform", str(src), str(tgt), "--seed", "3"]) == cli.EXIT_OK
+    assert report_dict(capsys.readouterr().out)["final_cpg"] == "match"
+    assert cli.main(["suite", "no_such_suite"]) == cli.EXIT_PARSE
+    assert capsys.readouterr().out == "error=parse detail=unknown suite no_such_suite\n"
 
 
 def test_unknown_suite_is_parse_error():

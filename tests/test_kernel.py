@@ -1,5 +1,7 @@
 """Scheduler, link layer, adversarial generator, determinism."""
 
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -19,6 +21,7 @@ from relaysim.core import (
     unconfirmed_entry,
 )
 from relaysim.kernel import (
+    _STOPPED_LAYER,
     MODE_RANDOM,
     MODE_ROUND_ROBIN,
     WorldState,
@@ -266,13 +269,55 @@ def test_context_primitives_after_shutdown_return_defaults():
     assert world.run_until(lambda w: Rid(0) not in w.layers, 8000).reached
     before = world.state_hash()
     for _ in range(2):  # the second round sees whatever the first one left behind
-        assert ctx.new_relay() is None and ctx.merge([out]) is None and ctx.get_relays() == []
-        assert (ctx.incoming(out), ctx.direct(out), ctx.is_sink(out), ctx.dead(out)) == (0, False, False, True)
-        assert not ctx.same_target(out, out)
+        assert (ctx.layer.new_relay() is None and ctx.layer.merge([out]) is None
+                and ctx.layer.get_relays() == [])
+        assert (ctx.layer.incoming(out), ctx.layer.direct(out),
+                ctx.layer.is_sink(out), ctx.layer.dead(out)) == (0, False, False, True)
+        assert not ctx.layer.same_target(out, out)
         ctx.send(out, "late", ("x",))
-        ctx.delete_relay(out)
+        ctx.layer.delete_relay(out)
         ctx.stop()
     assert world.state_hash() == before
+
+
+def test_applications_get_the_process_record_and_its_layer():
+    world = new_world(41, 2)
+    out = connect_door(world, 0, 1)
+    seen = []
+
+    class Recorder:
+        def on_tick(self, ctx):
+            seen.append(("tick", ctx))
+            if ctx.pid == 0:
+                ctx.send(out, "note", ())
+
+        def on_message(self, ctx, action, via):
+            seen.append(("message", ctx))
+
+    for proc in world.processes.values():
+        proc.app = Recorder()
+    world.run(200)
+    assert {(kind, ctx.pid) for kind, ctx in seen} >= {("tick", 0), ("tick", 1), ("message", 1)}
+    assert all(ctx is world.processes[ctx.pid] is world.ctx(ctx.pid) for _, ctx in seen)
+    assert all(world.processes[pid].layer is layer for pid, layer in world.layers.items())
+    world.ctx(0).stop()
+    assert world.run_until(lambda w: 0 not in w.layers, 8000).reached
+    assert world.processes[0].layer is _STOPPED_LAYER
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda w: pickle.loads(pickle.dumps(w)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_world_copies_keep_each_process_on_its_own_layer(clone):
+    world = _with_apps(random_connected_world(43, 5), max_relays=4)
+    world.ctx(4).stop()
+    assert world.run_until(lambda w: 4 not in w.layers, 8000).reached
+    twin = clone(world)
+    assert sorted(twin.layers) == [0, 1, 2, 3]
+    assert all(twin.processes[pid].layer is layer for pid, layer in twin.layers.items())
+    world.run(500)
+    twin.run(500)
+    assert twin.state_hash() == world.state_hash()
 
 
 # -- lock-step differential test against the full-scan scheduler --------------
@@ -391,7 +436,7 @@ def _send_between_steps(world, i):
     # A payload sent from outside any step, every 37 steps.
     if i % 37 == 5:
         pid = i % len(world.processes)
-        refs = world.ctx(pid).get_relays()
+        refs = world.ctx(pid).layer.get_relays()
         if refs:
             world.ctx(pid).send(refs[i % len(refs)], "note", (i,))
 
@@ -439,13 +484,13 @@ def _merge_between_steps(world, i):
         return
     pid = i % len(world.processes)
     ctx = world.ctx(pid)
-    free = [r for r in ctx.get_relays() if not ctx.is_sink(r) and ctx.incoming(r) == 0]
-    pairs = [(a, b) for a in free for b in free if a.relay_id < b.relay_id and ctx.same_target(a, b)]
+    free = [r for r in ctx.layer.get_relays() if not ctx.layer.is_sink(r) and ctx.layer.incoming(r) == 0]
+    pairs = [(a, b) for a in free for b in free if a.relay_id < b.relay_id and ctx.layer.same_target(a, b)]
     if pairs:
         a, b = pairs[0]
         ctx.send(a, "note", (i,))
         ctx.send(b, "note", (i,))
-        assert ctx.merge({a, b}) is not None
+        assert ctx.layer.merge({a, b}) is not None
     else:
         connect_door(world, pid, (pid + 1) % len(world.processes))
 
@@ -733,7 +778,7 @@ def _merge_moves_witnessed_envelope(seed):
     assert not world.is_settled()
     _, relay, env = world._unsettled
     assert relay.id == a.relay_id and env is not None
-    merged = world.find_relay(ctx.merge({a, b}).relay_id)
+    merged = world.find_relay(ctx.layer.merge({a, b}).relay_id)
     assert any(e is env for e in merged.buf)
     assert not world.is_settled()
     _settle(world)

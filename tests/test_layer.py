@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from relaysim import oracle, rules
-from relaysim.apps import RandomDeliberateApp
+from relaysim.apps import IdleApp, RandomDeliberateApp
 from relaysim.core import (
     ActionInvocation,
     Header,
@@ -19,6 +19,7 @@ from relaysim.core import (
     Probe,
     ProbeFail,
     Relay,
+    RelayId,
     RelayParameter,
     RelayRef,
     Rid,
@@ -113,6 +114,28 @@ def test_deleted_relay_drains_before_removal():
     assert ref.relay_id in layer.relays  # still draining
     world.run_until(lambda w: ref.relay_id not in layer.relays, 4000)
     assert ref.relay_id not in layer.relays
+
+
+def test_send_serializes_no_reference_of_a_dead_or_unknown_relay():
+    world = make_world(2)
+    via = connect_door(world, 0, 1)
+    layer = world.layer_of(0)
+    dead_ref = layer.new_relay()
+    layer.delete_relay(dead_ref)
+    received = []
+
+    class Inbox(IdleApp):
+        def on_message(self, ctx, action, via):
+            received.append(action.params)
+
+    world.processes[1].app = Inbox()
+    params = (dead_ref, RelayRef(RelayId(0, 999)), "x")
+    world.ctx(0).send(via, "note", params, relay_positions=(0, 1, 2, 7))
+    (env,) = layer.relays[via.relay_id].buf
+    assert env.message.action.params == (None, None, "x")
+    assert not layer.relays[dead_ref.relay_id].in_set
+    assert world.run_until(lambda w: received, 4000).reached
+    assert received == [(None, None, "x")]
 
 
 def test_foreign_ref_ignored():
@@ -919,13 +942,14 @@ def _disturb(world, i):
     if kind == 0 and len(live) >= 2:
         live[-1].out_keys.add(min(live[0].out_keys))
     elif kind == 1 and live:
-        ctx.send(RelayRef(live[0].id), "meet", (ctx.get_relays()[0],), relay_positions=(0,))
+        ctx.send(RelayRef(live[0].id), "meet", (ctx.layer.get_relays()[0],), relay_positions=(0,))
         live[0].out_keys.clear()
     elif kind == 2:
         refs = [RelayRef(r.id) for r in live if not r.in_set]
         for a in refs:
             for b in refs:
-                if a.relay_id < b.relay_id and ctx.same_target(a, b) and ctx.merge({a, b}) is not None:
+                if (a.relay_id < b.relay_id and ctx.layer.same_target(a, b)
+                        and ctx.layer.merge({a, b}) is not None):
                     return
 
 

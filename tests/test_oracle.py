@@ -221,6 +221,16 @@ def test_parameters_from_two_layers_violate_c6():
     assert _param_violations(world, carrier, param) == ["C6"]
 
 
+@pytest.mark.parametrize("seed", range(33, 38))
+def test_parameter_its_target_never_announced_violates_c5(seed):
+    world, via, carrier, param = _sent_parameter(seed)
+    target = world.layer_of(0).relays[param.id]
+    target.in_set -= {e for e in target.in_set if not e.confirmed and e.key == param.key}
+    assert oracle.WorldCheck(world).relay_violations(param.id) == []
+    assert _param_violations(world, carrier, param) == ["C5"]
+    assert not oracle.is_legal(world)
+
+
 def test_parameter_key_heading_a_transmit_violates_c8():
     world, via, carrier, param = _sent_parameter(31)
     stray = Transmit(Header(param.key, via.id, via.out_id, via.level), ActionInvocation("x", ()))
@@ -583,6 +593,13 @@ def test_dot_export_shape():
     assert dot.count("shape=ellipse") == 3
     assert dot.count("->") == 6
     assert dot.rstrip().endswith("}")
+
+
+def test_dot_export_dashes_a_reference_in_transit():
+    world, via, carrier, param = _sent_parameter(38)
+    dashed = [line for line in oracle.to_dot(world).splitlines() if line.endswith("[style=dashed];")]
+    edge = f"r{carrier.rid}_{carrier.serial} -> r{param.id.rid}_{param.id.serial}"
+    assert dashed == [f"  {edge} [style=dashed];"]
 
 
 def test_dot_export_empty_world():
