@@ -6,11 +6,14 @@ by a seeded weakly fair scheduler: a layer timeout, a single message
 delivery (non-FIFO, any buffered message may go next), or one application
 action.  Same seed, same scenario, same state sequence.  The scheduler
 indexes the enabled actions as they change instead of scanning them: a
-forced pick takes the top of a heap, and a random pick walks per-layer
-message counts.  After the first `fairness_bound` steps a random pick
-happens only while at most `fairness_bound` timeouts and ticks are enabled,
-and every live layer has an enabled timeout, so that walk visits at most
-`fairness_bound` layers.
+forced pick takes the top of one heap of every enabled action, and a
+random pick walks per-layer message counts.  The heap's key is the whole
+tie-break rule: (birth or last run, -rank, -rid or -pid, -uid or 0, uid
+or pid), with the ranks timeout 0, tick 1, relay buffer 2, layer buffer 3
+and orphan 4; an orphan's is (birth, -rank, -uid, 0, uid).  After the
+first `fairness_bound` steps a random pick happens only while at most
+`fairness_bound` timeouts and ticks are enabled, and every live layer has
+an enabled timeout, so that walk visits at most `fairness_bound` layers.
 """
 
 from __future__ import annotations
@@ -66,11 +69,12 @@ class ProcessContext:
     After the layer shuts down, `layer` is a shared stopped layer whose
     primitives return their defaults.
 
-    Assigning `active` or `app` calls `on_change`, so the world's scheduler
-    keeps its set of enabled application actions current without rescanning
-    the processes on every step.  Neither the hook nor the record may hold
-    the world: a reference cycle would keep finished worlds alive until the
-    cyclic garbage collector runs.  The layer never points back here.
+    Assigning `active` or `app` calls `on_change(pid, enabled)`, so the
+    world's scheduler keeps its set of enabled application actions current
+    without rescanning the processes on every step.  Neither the hook nor
+    the record may hold the world: a reference cycle would keep finished
+    worlds alive until the cyclic garbage collector runs.  The layer never
+    points back here.
     """
 
     __slots__ = ("pid", "leaving", "store", "rng", "layer", "_active", "_app", "on_change")
@@ -94,7 +98,7 @@ class ProcessContext:
     def active(self, value: bool) -> None:
         self._active = value
         if self.on_change is not None:
-            self.on_change(self)
+            self.on_change(self.pid, self.enabled)
 
     @property
     def app(self) -> Optional[object]:
@@ -104,7 +108,7 @@ class ProcessContext:
     def app(self, value: Optional[object]) -> None:
         self._app = value
         if self.on_change is not None:
-            self.on_change(self)
+            self.on_change(self.pid, self.enabled)
 
     @property
     def enabled(self) -> bool:
@@ -119,22 +123,28 @@ class ProcessContext:
         self.layer.stop_process()
 
 
+# Kind ranks in the forced pick's tie-break: among equally old actions the
+# highest rank runs first.
+_TIMEOUT, _TICK, _RELAY, _LAYER, _ORPHAN = range(5)
+
+
 class _Recurring:
     """Actions that stay enabled across runs, one per pid: layer timeouts or
     application ticks.  Each one's age counts the steps since it last ran.
 
-    `order` lists the enabled pids in scheduling order (ascending); `heap`
-    holds (last run, -pid) entries, and stale ones are dropped when they
-    reach the top.
+    `order` lists the enabled pids in scheduling order (ascending).  Each
+    enabling and run pushes (last run, -rank, -pid, 0, pid) into the world's
+    scheduling `heap`: live while the pid is `on` and `last[pid]` is its time.
     """
 
-    __slots__ = ("last", "on", "order", "heap")
+    __slots__ = ("last", "on", "order", "heap", "rank")
 
-    def __init__(self) -> None:
+    def __init__(self, heap: list, rank: int) -> None:
         self.last: list[int] = []  # by pid; 0 until the first run
         self.on: list[bool] = []
         self.order: list[int] = []
-        self.heap: list = []
+        self.heap = heap
+        self.rank = rank
 
     def add(self, enabled: bool) -> None:
         self.last.append(0)
@@ -147,29 +157,13 @@ class _Recurring:
         self.on[pid] = enabled
         if enabled:
             insort(self.order, pid)
-            heappush(self.heap, (self.last[pid], -pid))
+            heappush(self.heap, (self.last[pid], -self.rank, -pid, 0, pid))
         else:
             self.order.remove(pid)
 
-    def changed(self, proc: ProcessContext) -> None:
-        self.set(proc.pid, proc.enabled)
-
     def ran(self, pid: int, now: int) -> None:
         self.last[pid] = now
-        heappush(self.heap, (now, -pid))
-
-    def oldest(self) -> Optional[tuple]:
-        """(last run, -pid) of the enabled action that waited longest,
-        the highest pid among ties; None if none is enabled."""
-        heap, last, on = self.heap, self.last, self.on
-        while heap and (not on[-heap[0][1]] or last[-heap[0][1]] != heap[0][0]):
-            heappop(heap)
-        return heap[0] if heap else None
-
-
-# Kind ranks of the message actions in the forced pick's tie-break; ticks
-# rank 1 and timeouts 0, below every message.
-_RELAY, _LAYER, _ORPHAN = 2, 3, 4
+        heappush(self.heap, (now, -self.rank, -pid, 0, pid))
 
 
 class PendingIndex:
@@ -181,10 +175,10 @@ class PendingIndex:
     merge moves, and the kernel's deliveries.
 
     `holder` maps each pending uid to its relay, or to None in a layer
-    buffer or the orphan list.  `heap` orders pending envelopes for the
-    fairness-forced pick: oldest birth first, then the highest kind rank,
-    rid and uid (an orphan's key is its rank and uid).  Entries of
-    delivered envelopes are dropped when they reach the top.  `counts`
+    buffer or the orphan list.  `heap` is the world's scheduling heap: an
+    envelope's entry is (birth, -rank, -rid, -uid, uid), an orphan's (birth,
+    -rank, -uid, 0, uid), live while the uid is in `holder`.  The forced
+    pick drops stale entries when they reach the top.  `counts`
     holds the pending envelopes of each layer, by rid, and `in_layers`
     their total: the random pick walks them to find its layer.  Orphans
     are the kernel's own list.
@@ -197,7 +191,7 @@ class PendingIndex:
         self._next = 0
         self.stamp = 0
         self.holder: dict[int, Optional[Relay]] = {}
-        self.heap: list = []  # (birth, -rank, -rid, -uid, uid) or (birth, -rank, -uid, 0, uid)
+        self.heap: list = []
         self.counts: list[int] = []  # by rid
         self.in_layers = 0
 
@@ -232,8 +226,9 @@ class PendingIndex:
             return
         self.counts[rid] -= len(moving)
         self.in_layers -= len(moving)
-        # Once per dead layer: the births are read back from the heap.
-        for entry in [e for e in self.heap if e[-1] in moving]:
+        # Once per dead layer: the births are read back from the layer-buffer
+        # entries, which stay live behind the new ones (same birth, lower rank).
+        for entry in [e for e in self.heap if e[1] == -_LAYER and e[-1] in moving]:
             uid = entry[-1]
             heappush(self.heap, (entry[0], -_ORPHAN, -uid, 0, uid))
 
@@ -265,8 +260,8 @@ class WorldState:
         self.step_count = 0
         self.trace: Optional[list] = None
         # Scheduler state, indexed by pid (which is also the rid).
-        self._timeouts = _Recurring()
-        self._apps = _Recurring()
+        self._timeouts = _Recurring(self.env_source.heap, _TIMEOUT)
+        self._apps = _Recurring(self.env_source.heap, _TICK)
         # The offender the last `is_settled` found, re-checked before a scan.
         self._unsettled: Optional[tuple] = None
 
@@ -276,7 +271,7 @@ class WorldState:
         pid = len(self.processes)
         layer = self.layers[pid] = RelayLayer(pid, self.env_source)
         rng = random.Random(derive_seed(self.seed, "proc", pid))
-        self.processes[pid] = proc = ProcessContext(pid, rng, layer, leaving, app, self._apps.changed)
+        self.processes[pid] = proc = ProcessContext(pid, rng, layer, leaving, app, self._apps.set)
         self._apps.add(proc.enabled)
         self._timeouts.add(True)
         self.env_source.counts.append(0)
@@ -297,10 +292,8 @@ class WorldState:
     # or application's age counts the steps since it last ran (since step 0
     # if never); a message's age counts the steps since its birth.  When the
     # oldest age exceeds `fairness_bound`, or always in round-robin mode,
-    # the step runs the oldest action with the highest sort key: messages
-    # above ticks above timeouts, orphans above layer buffers above relay
-    # buffers; then the highest pid, then the highest uid (orphans: the
-    # highest uid).  Otherwise it runs the action at
+    # the step runs the top of the scheduling heap: the oldest action with
+    # the highest sort key.  Otherwise it runs the action at
     # `rng.randrange(len(actions))`.  The indexes below keep each kind in
     # this order as it changes, so `step` never builds the list.
 
@@ -315,31 +308,29 @@ class WorldState:
         now = self.step_count
         pending = self.env_source
         pending.stamp = now + 1
-        timeout, app = self._timeouts.oldest(), self._apps.oldest()
-        messages, holder = pending.heap, pending.holder
-        while messages and messages[0][-1] not in holder:
-            heappop(messages)  # delivered
-        if timeout is None and app is None and not messages:
+        heap, holder = pending.heap, pending.holder
+        recurring = (self._timeouts, self._apps)  # by rank
+        while heap:
+            oldest, rank, neg_id, _, key = heap[0]
+            if rank <= -_RELAY:
+                if key in holder:
+                    break
+            elif recurring[-rank].on[key] and recurring[-rank].last[key] == oldest:
+                break
+            heappop(heap)  # delivered, disabled or run since
+        else:
             return None
 
-        oldest = timeout[0] if timeout else now
-        if app and app[0] < oldest:
-            oldest = app[0]
-        if messages and messages[0][0] < oldest:
-            oldest = messages[0][0]
         if self.mode == MODE_ROUND_ROBIN or now - oldest > self.fairness_bound:
-            # Each heap holds its highest sort key first among equal ages.
-            if messages and messages[0][0] == oldest:
-                _, rank, rid, _, uid = messages[0]
-                if rank == -_RELAY:
-                    relay = holder[uid]
-                    return ("relay", relay.id.rid, relay.id, uid)
-                if rank == -_LAYER:
-                    return ("layer", -rid, uid)
-                return ("orphan", uid)
-            if app and app[0] == oldest:
-                return ("app", -app[1])
-            return ("timeout", -timeout[1])
+            if rank == -_TIMEOUT:
+                return ("timeout", key)
+            if rank == -_TICK:
+                return ("app", key)
+            if rank == -_RELAY:
+                return ("relay", -neg_id, holder[key].id, key)
+            if rank == -_LAYER:
+                return ("layer", -neg_id, key)
+            return ("orphan", key)
 
         timeouts, apps = self._timeouts.order, self._apps.order
         in_layers = pending.in_layers
@@ -558,15 +549,22 @@ def new_world(seed: int, n_processes: int) -> WorldState:
     return world
 
 
+def _running_layer(world: WorldState, pid: int) -> RelayLayer:
+    if not world.processes[pid].layer.owner_alive:
+        raise ValueError(f"process {pid} is stopped")
+    return world.processes[pid].layer
+
+
 def give_door(world: WorldState, pid: int) -> RelayRef:
     """Return the process's designated inbound sink relay, creating a new
     one when there is none or the stored one is no longer an alive relay of
-    its layer (an application may delete it, and the repair loop collect it)."""
+    its layer (an application may delete it, and the repair loop collect it).
+    A stopped process has no alive sink, so it raises ValueError."""
     store = world.processes[pid].store
     door = store.get("door")
     relay = world.find_relay(door.relay_id) if door is not None else None
     if relay is None or not relay.alive:
-        store["door"] = world.layer_of(pid).new_relay()
+        store["door"] = _running_layer(world, pid).new_relay()
     return store["door"]
 
 
@@ -575,13 +573,15 @@ def connect(world: WorldState, u: int, target_relay_id: RelayId) -> RelayRef:
 
     Builds the post-handshake shape directly: the target's layer mints the
     key, registers it as confirmed from `u`, and `u` holds it as the single
-    outgoing key.  Only valid on existing alive targets.
+    outgoing key.  Raises ValueError unless the target exists, is alive and `u` runs.
     """
-    target_layer = world.layers[target_relay_id.rid]
-    target = target_layer.relays[target_relay_id]
-    key = target_layer.mint_key()
+    layer = _running_layer(world, u)
+    target = world.find_relay(target_relay_id)
+    if target is None or not target.alive:
+        raise ValueError(f"relay {target_relay_id} is missing or dead")
+    key = world.layers[target.id.rid].mint_key()
     target.in_set.add(confirmed_entry(key, u))
-    relay = world.layer_of(u).add_relay(
+    relay = layer.add_relay(
         out_keys={key}, out_id=target.id, level=target.level + 1, sink_rid=target.sink_rid
     )
     return RelayRef(relay.id)
@@ -589,8 +589,7 @@ def connect(world: WorldState, u: int, target_relay_id: RelayId) -> RelayRef:
 
 def connect_door(world: WorldState, u: int, v: int) -> RelayRef:
     """Confirmed direct connection from `u` to `v`'s door sink."""
-    door = give_door(world, v)
-    return connect(world, u, door.relay_id)
+    return connect(world, u, give_door(world, v).relay_id)
 
 
 def fig_triangle(seed: int = 0) -> WorldState:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -15,17 +16,24 @@ from relaysim.core import (
     OutRelayClosed,
     Ping,
     Probe,
+    RelayId,
     Rid,
     Transmit,
     confirmed_entry,
     unconfirmed_entry,
 )
 from relaysim.kernel import (
+    _LAYER,
+    _ORPHAN,
+    _RELAY,
     _STOPPED_LAYER,
+    _TICK,
+    _TIMEOUT,
     MODE_RANDOM,
     MODE_ROUND_ROBIN,
     WorldState,
     adversarial_init,
+    connect,
     connect_door,
     fig_triangle,
     give_door,
@@ -416,8 +424,35 @@ def _indexed_age(world, action) -> int:
     elif kind == "app":
         last = world._apps.last[action[1]]
     else:
-        last = min(e[0] for e in world.env_source.heap if e[-1] == action[-1])
+        last = min(e[0] for e in world.env_source.heap if e[1] <= -_RELAY and e[-1] == action[-1])
     return world.step_count - last
+
+
+def _heap_top(world):
+    """The action whose entry is the smallest live one in the kernel's
+    scheduling heap, decoded by kind rank; None when no entry is live."""
+    holder, recurring = world.env_source.holder, (world._timeouts, world._apps)
+
+    def live(entry):
+        if entry[1] <= -_RELAY:
+            return entry[-1] in holder
+        kind = recurring[-entry[1]]
+        return kind.on[entry[-1]] and kind.last[entry[-1]] == entry[0]
+
+    entries = [e for e in world.env_source.heap if live(e)]
+    if not entries:
+        return None
+    _, rank, neg_id, _, key = min(entries)
+    if rank == -_TIMEOUT:
+        return ("timeout", key)
+    if rank == -_TICK:
+        return ("app", key)
+    if rank == -_RELAY:
+        return ("relay", -neg_id, holder[key].id, key)
+    if rank == -_LAYER:
+        return ("layer", -neg_id, key)
+    assert rank == -_ORPHAN
+    return ("orphan", key)
 
 
 def _with_apps(world, **kwargs):
@@ -464,6 +499,17 @@ def _shut_down_one_by_one(world, i):
             world.processes[pid].app = None
         else:
             world.ctx(pid).stop()
+
+
+def _send_often_and_shut_down(world, i):
+    # A payload every third step while processes leave: under a tight bound
+    # orphans tie with every other kind at some forced pick.
+    if i % 3 == 0:
+        ctx = world.ctx(i % len(world.processes))
+        refs = ctx.layer.get_relays()
+        if refs:
+            ctx.send(refs[i % len(refs)], "note", (i,))
+    _shut_down_one_by_one(world, i)
 
 
 def _parallel_relays(seed):
@@ -538,6 +584,12 @@ LOCKSTEP = {
         450,
         _shut_down_one_by_one,
     ),
+    "shutdown_tight": (
+        lambda s: _with_apps(_configured(random_connected_world(s, 5, 3, 2), fairness_bound=s % 5),
+                             send_refs="never", max_relays=3),
+        450,
+        _send_often_and_shut_down,
+    ),
 }
 
 
@@ -563,6 +615,9 @@ def test_incremental_scheduler_matches_full_scan(name, seed):
             assert world._timeouts.order == [a[1] for a in actions if a[0] == "timeout"]
             assert world._apps.order == [a[1] for a in actions if a[0] == "app"]
             assert [_indexed_age(world, a) for a in actions] == [reference.action_age(a) for a in actions]
+            ages = [reference.action_age(a) for a in actions]
+            oldest = [a for a, age in zip(actions, ages) if age == max(ages)]
+            assert _heap_top(world) == max(oldest, key=_reference_sort_key, default=None), f"step {i}"
         picked.clear()
         expected = reference.step()
         world.step()
@@ -581,6 +636,12 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
         return result
 
     monkeypatch.setattr(RelayLayer, "merge", merge)
+    # The reference calls its sort key only at a forced pick, once per
+    # action of the oldest set: recording the kinds it sees finds the ties.
+    tied = []
+    sort_key = _reference_sort_key
+    monkeypatch.setitem(globals(), "_reference_sort_key", lambda a: tied.append(a[0]) or sort_key(a))
+    ties = Counter()
     forced = random_picks = orphans = 0
     for name, seed in CASES:
         build, steps, between = LOCKSTEP[name]
@@ -591,10 +652,15 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
                 between(world, i)
             action = reference.step()
             orphans += action is not None and action[0] == "orphan"
+            ties.update(combinations(sorted(set(tied)), 2))
+            tied.clear()
         forced += reference.forced
         random_picks += reference.random
     assert forced > 1000 and random_picks > 1000
     assert orphans > 0 and sum(merged) > 0
+    # Forced picks whose oldest set spans two kinds, for every pair of kinds.
+    kinds = ("app", "layer", "orphan", "relay", "timeout")
+    assert set(ties) == set(combinations(kinds, 2)), ties
 
 
 # -- give_door -------------------------------------------------------------------
@@ -616,6 +682,39 @@ def test_give_door_replaces_a_door_the_repair_loop_collected():
     [key] = out.out_keys
     assert confirmed_entry(key, Rid(0)) in door.in_set
     assert give_door(world, 1).relay_id == door.id  # an alive door is kept
+
+
+def _stopped_world(phase):
+    world = new_world(1, 2)
+    door = give_door(world, 0).relay_id
+    connect_door(world, 0, 1)
+    world.ctx(0).stop()
+    if phase == "shut_down":
+        assert world.run_until(lambda w: 0 not in w.layers, 8000).reached
+    else:
+        assert 0 in world.layers and world.layers[0].relays
+    return world, door
+
+
+@pytest.mark.parametrize("phase", ["draining", "shut_down"])
+def test_builders_reject_a_stopped_process(phase):
+    world, _ = _stopped_world(phase)
+    before = world.state_hash()
+    for build in (lambda: give_door(world, 0), lambda: connect_door(world, 1, 0),
+                  lambda: connect_door(world, 0, 1)):
+        with pytest.raises(ValueError, match="process 0 is stopped"):
+            build()
+    assert world.state_hash() == before
+
+
+def test_connect_rejects_a_missing_or_dead_target():
+    world, door = _stopped_world("draining")
+    assert not world.layers[0].relays[door].alive
+    before = world.state_hash()
+    for target in (door, RelayId(0, 999), RelayId(7, 1)):
+        with pytest.raises(ValueError, match="missing or dead"):
+            connect(world, 1, target)
+    assert world.state_hash() == before
 
 
 # -- settle polling: the witness against the full scan ---------------------------
