@@ -32,6 +32,11 @@ def safe_to_stop(ctx: ProcessContext) -> bool:
 LIFELINE_GRACE = 24  # own ticks a stayer keeps its last edge to a retiree
 
 
+def _attached_elsewhere(ctx: ProcessContext, peers: dict, retired: set) -> bool:
+    """An edge to a process not known to be retiring is still alive."""
+    return any(pid not in retired and not ctx.layer.dead(ref) for pid, ref in peers.items())
+
+
 def departure_tick(ctx: ProcessContext) -> None:
     """One atomic scheduling of the departure actor."""
     store = ctx.store
@@ -59,9 +64,7 @@ def departure_tick(ctx: ProcessContext) -> None:
         # component's only stayer and may stand alone.
         held = [pid for pid in sorted(peers) if pid in retired]
         if held:
-            others = any(
-                pid not in retired and not ctx.layer.dead(ref) for pid, ref in peers.items()
-            )
+            others = _attached_elsewhere(ctx, peers, retired)
             for pid in held:
                 lifeline.setdefault(pid, LIFELINE_GRACE)
                 lifeline[pid] -= 1
@@ -131,17 +134,12 @@ class DepartureApp:
                 # Release the arc only while another attachment exists;
                 # otherwise hold it as a lifeline until the retiree's
                 # handoff lands (the tick ages it out).
-                others = any(
-                    pid not in retired and not ctx.layer.dead(ref)
-                    for pid, ref in peers.items()
-                    if pid != from_pid
-                )
-                if others:
+                if _attached_elsewhere(ctx, peers, retired):
                     discards.append(peers.pop(from_pid))
             return
 
         if action.label == "bridge":
-            ref, target_pid, _from_pid = action.params
+            ref, _target_pid, _from_pid = action.params
             if ref is None or ctx.layer.dead(ref):
                 return
             # The bridged reference routes through the leaver; trade it for

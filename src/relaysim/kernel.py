@@ -66,8 +66,10 @@ class ProcessContext:
     """One process: its flags, application, private store, rng and relay
     layer.  Application code gets this record and reaches the overlay only
     through `layer`, its own layer's primitives, and `send` and `stop`.
-    After the layer shuts down, `layer` is a shared stopped layer whose
-    primitives return their defaults.
+    `layer` stays the process's own layer after it shuts down and leaves the
+    world: every primitive that could change a layer returns early once its
+    owner stops, and a shut-down layer has no relays and an empty layer
+    buffer, so each call returns its default.
 
     Assigning `active` or `app` calls `on_change(pid, enabled)`, so the
     world's scheduler keeps its set of enabled application actions current
@@ -79,10 +81,9 @@ class ProcessContext:
 
     __slots__ = ("pid", "leaving", "store", "rng", "layer", "_active", "_app", "on_change")
 
-    def __init__(self, pid: int, rng: random.Random, layer: RelayLayer, leaving: bool = False,
-                 app: Optional[object] = None, on_change: Optional[Callable] = None) -> None:
+    def __init__(self, pid: int, rng: random.Random, layer: RelayLayer, app: Optional[object], on_change: Callable) -> None:
         self.pid = pid
-        self.leaving = leaving
+        self.leaving = False
         self.store: dict = {}
         self.rng = rng
         self.layer = layer
@@ -97,8 +98,7 @@ class ProcessContext:
     @active.setter
     def active(self, value: bool) -> None:
         self._active = value
-        if self.on_change is not None:
-            self.on_change(self.pid, self.enabled)
+        self.on_change(self.pid, self.enabled)
 
     @property
     def app(self) -> Optional[object]:
@@ -107,8 +107,7 @@ class ProcessContext:
     @app.setter
     def app(self, value: Optional[object]) -> None:
         self._app = value
-        if self.on_change is not None:
-            self.on_change(self.pid, self.enabled)
+        self.on_change(self.pid, self.enabled)
 
     @property
     def enabled(self) -> bool:
@@ -238,15 +237,6 @@ class RunResult(NamedTuple):
     reached: bool
 
 
-# Stands in for the layer of a process whose layer is gone.  A stopped layer
-# without relays gives every primitive its default: no relay (None, []), 0,
-# False, dead, and nothing to send, merge, delete or stop.  Every primitive
-# that could change a layer returns early once its owner is stopped, so this
-# shared instance never changes.
-_STOPPED_LAYER = RelayLayer(-1, None)
-_STOPPED_LAYER.owner_alive = False
-
-
 class WorldState:
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -267,11 +257,11 @@ class WorldState:
 
     # -- construction ------------------------------------------------------
 
-    def add_process(self, leaving: bool = False, app: Optional[object] = None) -> int:
+    def add_process(self, app: Optional[object] = None) -> int:
         pid = len(self.processes)
         layer = self.layers[pid] = RelayLayer(pid, self.env_source)
         rng = random.Random(derive_seed(self.seed, "proc", pid))
-        self.processes[pid] = proc = ProcessContext(pid, rng, layer, leaving, app, self._apps.set)
+        self.processes[pid] = proc = ProcessContext(pid, rng, layer, app, self._apps.set)
         self._apps.add(proc.enabled)
         self._timeouts.add(True)
         self.env_source.counts.append(0)
@@ -368,7 +358,6 @@ class WorldState:
                 self.orphan_out.extend(layer.layer_buf)
                 layer.layer_buf.clear()
                 del self.layers[rid]
-                self.processes[rid].layer = _STOPPED_LAYER
                 self._timeouts.set(rid, False)
             if self.trace is not None:
                 self._trace(kind, rid)
@@ -656,16 +645,15 @@ def adversarial_init(
     for pid in range(n_processes):
         give_door(world, pid)
     budget = max(0, n_relays - n_processes)
-    connections = []
     for pid in range(1, n_processes):
         if budget <= 0:
             break
-        connections.append(connect_door(world, pid, rng.randrange(pid)))
+        connect_door(world, pid, rng.randrange(pid))
         budget -= 1
     while budget > 0:
         u, v = rng.randrange(n_processes), rng.randrange(n_processes)
         if u != v:
-            connections.append(connect_door(world, u, v))
+            connect_door(world, u, v)
         budget -= 1
     if corruption_profile == "none":
         return world

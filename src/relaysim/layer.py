@@ -52,7 +52,7 @@ def buffered_param_keys(buf: list) -> set:
 
 
 class RelayLayer:
-    def __init__(self, rid: Rid, env_source: Optional[PendingIndex]) -> None:
+    def __init__(self, rid: Rid, env_source: PendingIndex) -> None:
         self.rid = rid
         self.env_source = env_source
         self.relays: dict[RelayId, Relay] = {}
@@ -446,10 +446,9 @@ class RelayLayer:
             if relay.out_id is None:
                 relay.level = 0
                 relay.sink_rid = self.rid
+                relay.out_keys.clear()
             elif relay.level < 1:
                 relay.level = 1
-            if relay.out_id is None and relay.out_keys:
-                relay.out_keys.clear()
             # Announcements via this relay whose announcing message still sits
             # in its buffer (`in_buf`) are neither purged nor probed for: the
             # far side confirms them on delivery.
@@ -489,8 +488,9 @@ class RelayLayer:
                     self._delete(relay)
                     del self.relays[relay.id]
                     continue
-                # Keys inherited by an alive relay (merge) are still in use
-                # and must not be revoked on the tombstone's behalf.
+                # A key an alive relay also holds stays in use: a tombstone that
+                # lost an out-key collision, or comes from a corrupted start,
+                # must not revoke it (`merge` leaves its originals keyless).
                 closed = frozenset(
                     k for k in relay.out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
                 )
@@ -514,7 +514,8 @@ class RelayLayer:
                 self._delete(relay)
             if relay.alive and relay.out_keys:
                 # Out-key collisions are resolved between alive relays only;
-                # a merge tombstone legitimately shares keys with its heir.
+                # a tombstone still holding an alive relay's key is the loser
+                # of an earlier collision, or comes from a corrupted start.
                 for k in relay.out_keys:
                     others = holders[k]
                     if len(others) > 1 and any(o.alive and o.id > relay.id and k in o.out_keys for o in others):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional
 
 from .core import (
@@ -480,23 +481,10 @@ class WorldCheck:
     def valid_graph_cycle_free(self) -> bool:
         """No directed cycle among valid relays' outgoing connections."""
         valid_ids = {r.id for r in self.relays.values() if r.alive and self.relay_valid(r.id)}
-        color: dict = {}
-
-        def dfs(rid: RelayId) -> bool:
-            color[rid] = 1
-            nxt = self.relays[rid].out_id
-            if nxt in valid_ids:
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return False
-                if c == 0 and not dfs(nxt):
-                    return False
-            color[rid] = 2
-            return True
-
-        for rid in valid_ids:
-            if color.get(rid, 0) == 0 and not dfs(rid):
-                return False
+        try:
+            TopologicalSorter({rid: {self.relays[rid].out_id} & valid_ids for rid in valid_ids}).prepare()
+        except CycleError:
+            return False
         return True
 
 

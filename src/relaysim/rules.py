@@ -42,25 +42,26 @@ class ProcessMultigraph:
     def of(processes, edges) -> "ProcessMultigraph":
         return ProcessMultigraph(tuple(sorted(processes)), tuple(sorted(edges)))
 
-    def undirected_adjacency(self) -> dict:
+    def _bfs_tree(self, root: int) -> dict:
+        """Breadth-first tree of the undirected graph from `root`, as
+        process -> parent (None at the root) in visit order; neighbours are
+        visited in ascending order."""
         adj = {p: set() for p in self.processes}
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return adj
+        parent = {root: None}
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for nb in sorted(adj[node]):
+                if nb not in parent:
+                    parent[nb] = node
+                    queue.append(nb)
+        return parent
 
     def is_weakly_connected(self) -> bool:
-        if not self.processes:
-            return True
-        adj = self.undirected_adjacency()
-        seen = {self.processes[0]}
-        stack = [self.processes[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.processes)
+        return not self.processes or len(self._bfs_tree(self.processes[0])) == len(self.processes)
 
 
 def cpg(world: WorldState) -> ProcessMultigraph:
@@ -386,20 +387,10 @@ class _Planner:
     def phase_to_multiset(self, target: Counter) -> None:
         c = self.pids[0]
         # Everybody gets an edge to c.
-        adj = self.multigraph().undirected_adjacency()
-        parent = {c: None}
-        order = []
-        queue = deque([c])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for nb in sorted(adj[node]):
-                if nb not in parent:
-                    parent[nb] = node
-                    queue.append(nb)
-        if len(order) != len(self.pids):
+        parent = self.multigraph()._bfs_tree(c)
+        if len(parent) != len(self.pids):
             raise PlanError("source graph is not weakly connected")
-        for x in order[1:]:
+        for x in list(parent)[1:]:
             if self.m_count(x, c) > 0:
                 continue
             p = parent[x]
@@ -481,7 +472,7 @@ def build_simple_realization(
     """
     world = new_world(seed, len(graph.processes))
     sink_for = {}
-    for idx, (u, v) in enumerate(sorted(graph.edges)):
+    for u, v in sorted(graph.edges):
         if shared_sinks and (u, v) in sink_for:
             sink_id = sink_for[(u, v)]
         else:

@@ -136,7 +136,7 @@ def _delivery_run(seed: int) -> dict:
     }
 
 
-def run_delivery(runs: int = 100, seed_base: int = 100) -> SuiteReport:
+def run_delivery(runs: int = 100) -> SuiteReport:
     def summarise(t, results):
         passed = t["undelivered"] == 0 and t["misdelivered"] == 0 and t["tracked"] > 0
         return passed, (
@@ -144,7 +144,7 @@ def run_delivery(runs: int = 100, seed_base: int = 100) -> SuiteReport:
             f"undelivered={t['undelivered']} misdelivered={t['misdelivered']}"
         )
 
-    return _suite("delivery", _delivery_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("delivery", _delivery_run, range(100, 100 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +168,13 @@ def _closure_run(seed: int) -> dict:
     return {**asdict(tally), "violations": violations, "hash": world.state_hash()}
 
 
-def run_closure(runs: int = 100, seed_base: int = 300) -> SuiteReport:
+def run_closure(runs: int = 100) -> SuiteReport:
     def summarise(t, results):
         return t["violations"] == 0, (
             f"runs={len(results)} steps_each={CLOSURE_STEPS} illegal_states={t['violations']}"
         )
 
-    return _suite("closure", _closure_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("closure", _closure_run, range(300, 300 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ def _convergence_run(seed: int) -> dict:
     return {**sample, "converged": res.reached, "steps": res.steps, "flicker": flicker, "hash": world.state_hash()}
 
 
-def run_convergence(runs: int = 200, seed_base: int = 500) -> SuiteReport:
+def run_convergence(runs: int = 200) -> SuiteReport:
     def summarise(t, results):
         n = len(results)
         return t["converged"] == n and t["flicker"] == 0, (
@@ -206,7 +206,7 @@ def run_convergence(runs: int = 200, seed_base: int = 500) -> SuiteReport:
             f"window={CLOSURE_WINDOW} window_violations={t['flicker']}"
         )
 
-    return _suite("convergence", _convergence_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("convergence", _convergence_run, range(500, 500 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +226,11 @@ def _shutdown_run(seed: int) -> dict:
     return {"survivors": len(world.layers), "hash": world.state_hash()}
 
 
-def run_shutdown(runs: int = 100, seed_base: int = 900) -> SuiteReport:
+def run_shutdown(runs: int = 100) -> SuiteReport:
     def summarise(t, results):
         return t["survivors"] == 0, f"runs={len(results)} surviving_layers={t['survivors']}"
 
-    return _suite("shutdown", _shutdown_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("shutdown", _shutdown_run, range(900, 900 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def _connectivity_run(args) -> dict:
     return {**_end_sample(world), "applied": applied, "violations": bad, "hash": world.state_hash()}
 
 
-def run_connectivity(applications: int = 1000, seed_base: int = 1200) -> SuiteReport:
+def run_connectivity(applications: int = 1000) -> SuiteReport:
     per_world = 10
     worlds = (applications + per_world - 1) // per_world
 
@@ -288,7 +288,7 @@ def run_connectivity(applications: int = 1000, seed_base: int = 1200) -> SuiteRe
         passed = t["violations"] == 0 and t["applied"] >= applications * 0.9
         return passed, f"applications={t['applied']} disconnections={t['violations']}"
 
-    return _suite("connectivity", _connectivity_run, [(seed_base + i, per_world) for i in range(worlds)], summarise)
+    return _suite("connectivity", _connectivity_run, [(1200 + i, per_world) for i in range(worlds)], summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +317,14 @@ def _universality_run(seed: int) -> dict:
     }
 
 
-def run_universality(runs: int = 50, seed_base: int = 1400) -> SuiteReport:
+def run_universality(runs: int = 50) -> SuiteReport:
     def summarise(t, results):
         n = len(results)
         return t["match"] == n and t["disconnections"] == 0, (
             f"pairs={n} matched={t['match']} disconnections={t['disconnections']}"
         )
 
-    return _suite("universality", _universality_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("universality", _universality_run, range(1400, 1400 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +399,9 @@ def _emulation_attempt(rule: str, seed: int) -> dict:
     return {"ok": (after - before) == expected_add and (before - after) == expected_del, "skipped": False}
 
 
-def run_emulation(per_rule: int = 25, seed_base: int = 1600) -> SuiteReport:
+def run_emulation(per_rule: int = 25) -> SuiteReport:
     cases = [
-        (rule, seed_base + i)
+        (rule, 1600 + i)
         for rule in ("introduction", "delegation", "fusion", "reversal")
         for i in range(per_rule)
     ]
@@ -447,14 +447,14 @@ def _fdp_run(seed: int) -> dict:
     }
 
 
-def run_fdp(runs: int = 100, seed_base: int = 1800) -> SuiteReport:
+def run_fdp(runs: int = 100) -> SuiteReport:
     def summarise(t, results):
         n = len(results)
         return t["reached"] == n and t["safety_violations"] == 0, (
             f"runs={n} reached_legitimate={t['reached']} safety_violations={t['safety_violations']}"
         )
 
-    return _suite("fdp", _fdp_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("fdp", _fdp_run, range(1800, 1800 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
@@ -476,23 +476,23 @@ def _cycle_run(seed: int) -> dict:
     return asdict(tally)
 
 
-def run_cycle_freeness(runs: int = 40, seed_base: int = 2100) -> SuiteReport:
+def run_cycle_freeness(runs: int = 40) -> SuiteReport:
     def summarise(t, results):
         checks, violations = t["cycle_checks"], t["cycle_violations"]
         return violations == 0 and checks > 0, f"sampled_states={checks} directed_cycles={violations}"
 
-    return _suite("cycle_freeness", _cycle_run, range(seed_base, seed_base + runs), summarise)
+    return _suite("cycle_freeness", _cycle_run, range(2100, 2100 + runs), summarise)
 
 
 # ---------------------------------------------------------------------------
 # 10. Determinism: same seeds, byte-identical traces.
 
 
-def run_determinism(runs: int = 12, seed_base: int = 100) -> SuiteReport:
-    first = run_delivery(runs=runs, seed_base=seed_base)
-    second = run_delivery(runs=runs, seed_base=seed_base)
-    third = run_convergence(runs=10, seed_base=500)
-    fourth = run_convergence(runs=10, seed_base=500)
+def run_determinism(runs: int = 12) -> SuiteReport:
+    first = run_delivery(runs=runs)
+    second = run_delivery(runs=runs)
+    third = run_convergence(runs=10)
+    fourth = run_convergence(runs=10)
     identical = first.trace == second.trace and first.trace != "" and third.trace == fourth.trace
     verdict = "yes" if identical else "no"
     return _report("determinism", identical, f"reruns=2 trace_bytes={len(first.trace)} identical={verdict}")

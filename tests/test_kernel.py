@@ -26,7 +26,6 @@ from relaysim.kernel import (
     _LAYER,
     _ORPHAN,
     _RELAY,
-    _STOPPED_LAYER,
     _TICK,
     _TIMEOUT,
     MODE_RANDOM,
@@ -308,9 +307,11 @@ def test_applications_get_the_process_record_and_its_layer():
     assert {(kind, ctx.pid) for kind, ctx in seen} >= {("tick", 0), ("tick", 1), ("message", 1)}
     assert all(ctx is world.processes[ctx.pid] is world.ctx(ctx.pid) for _, ctx in seen)
     assert all(world.processes[pid].layer is layer for pid, layer in world.layers.items())
+    layer = world.layers[0]
     world.ctx(0).stop()
     assert world.run_until(lambda w: 0 not in w.layers, 8000).reached
-    assert world.processes[0].layer is _STOPPED_LAYER
+    assert world.processes[0].layer is layer
+    assert not layer.owner_alive and not layer.relays and not layer.layer_buf
 
 
 @pytest.mark.parametrize(

@@ -449,6 +449,31 @@ def test_cycle_detector_finds_a_three_relay_cycle_across_three_layers():
     assert _cycle_verdicts(world, cycle) == (False, True)
 
 
+@pytest.mark.parametrize(
+    "succ, cycle_at", [([0], (0, 0)), ([1, 2, 3, 2], (2, 3))], ids=["self_loop", "chain_into_two_cycle"]
+)
+def test_cycle_detector_finds_a_cycle_of_built_relays(succ, cycle_at):
+    """Relay i of process i feeds relay succ[i]; the relays at `cycle_at`
+    close the only cycle."""
+    world = new_world(0, len(succ))
+    relays = [world.layers[pid].add_relay(level=1, sink_rid=pid) for pid in range(len(succ))]
+    for relay, nxt in zip(relays, succ):
+        relay.out_id = relays[nxt].id
+    assert _cycle_verdicts(world, [relays[i] for i in cycle_at]) == (False, True)
+
+
+def test_cycle_detector_walks_a_long_legal_chain():
+    # 1,500 relays, each feeding the previous one from the other process:
+    # deeper than the interpreter's recursion limit.
+    world = new_world(0, 2)
+    relay_id = give_door(world, 0).relay_id
+    for i in range(1, 1500):
+        relay_id = connect(world, i % 2, relay_id).relay_id
+    check = oracle.WorldCheck(world)
+    assert len(check.relays) == 1500 and check.is_legal()
+    assert check.valid_graph_cycle_free()
+
+
 def test_delivery_ledger_reports_a_valid_send_received_at_another_process():
     world = fig_triangle()
     tracker = DeliveryTracker(world)
