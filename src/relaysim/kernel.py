@@ -167,11 +167,13 @@ class _Recurring:
 
 class PendingIndex:
     """Envelope uids of one world, and every pending envelope, indexed as
-    buffers report.
+    buffers change.
 
     Uids come from one monotonic counter shared by all layers of a world.
-    Every change to a buffer is reported here: a layer's emissions and
-    merge moves, and the kernel's deliveries.
+    Layers report their emissions and merge moves through the methods
+    below; the kernel's delivery path in `WorldState._execute` updates
+    `holder`, `counts` and `in_layers` in place when it takes an envelope
+    out.
 
     `holder` maps each pending uid to its relay, or to None in a layer
     buffer or the orphan list.  `heap` is the world's scheduling heap: an
@@ -210,13 +212,6 @@ class PendingIndex:
         """`envelopes` moved into `relay`'s buffer within the same layer."""
         for env in envelopes:
             self.holder[env.uid] = relay
-
-    def delivered(self, uid: int, rid: Optional[Rid]) -> None:
-        """The kernel took `uid` out of layer `rid`, or out of the orphans."""
-        del self.holder[uid]
-        if rid is not None:
-            self.counts[rid] -= 1
-            self.in_layers -= 1
 
     def orphaned(self, rid: Rid, envelopes: list) -> None:
         """The layer buffer of `rid` moves to the orphans: its sort key changes."""
@@ -371,17 +366,26 @@ class WorldState:
             if self.trace is not None:
                 self._trace(kind, pid)
             return
-        # A message, held by its relay, or by None in a layer buffer or the orphans.
+        # A message, held by its relay, or by None in a layer buffer or the
+        # orphans.  It leaves its buffer and the pending index here.
         uid = action[-1]
-        relay = self.env_source.holder[uid]
+        pending = self.env_source
+        relay = pending.holder.pop(uid)
         if relay is not None:
             rid, buf = relay.id.rid, relay.buf
         elif kind == "layer":
             rid, buf = action[1], self.layers[action[1]].layer_buf
         else:
             rid, buf = None, self.orphan_out
-        env = _pop_envelope(buf, uid)
-        self.env_source.delivered(uid, rid)
+        if rid is not None:
+            pending.counts[rid] -= 1
+            pending.in_layers -= 1
+        for i, env in enumerate(buf):
+            if env.uid == uid:
+                del buf[i]
+                break
+        else:
+            raise KeyError(uid)  # the index and the buffers disagree
         message = env.message
         if self.trace is not None:
             self._trace(kind, env.target_rid if rid is None else rid, message)
@@ -501,7 +505,7 @@ class WorldState:
 
 
 def _relay_unsettled(relay: Relay) -> bool:
-    return not relay.alive or any(not e.confirmed for e in relay.in_set)
+    return not relay.alive or any(e.via is not None for e in relay.in_set)
 
 
 def _envelope_unsettled(relay: Optional[Relay], msg: Message) -> bool:
@@ -510,13 +514,6 @@ def _envelope_unsettled(relay: Optional[Relay], msg: Message) -> bool:
     if relay is None:
         return not isinstance(msg, Ping)
     return not isinstance(msg, Transmit) or not isinstance(msg.action, Probe) or bool(msg.action.control_keys)
-
-
-def _pop_envelope(buf: list, uid: int) -> Envelope:
-    for i, env in enumerate(buf):
-        if env.uid == uid:
-            return buf.pop(i)
-    raise KeyError(uid)
 
 
 # Canonical JSON text: sorted keys, no spaces.

@@ -431,10 +431,11 @@ class RelayLayer:
         # lookup that re-checks membership reads the current table, a relay
         # whose In set is empty at its turn has nothing to purge or ping, and
         # a key with one holder in the snapshot cannot collide.
+        table, rid, owner_alive = self.relays, self.rid, self.owner_alive
         key_count: dict[Key, int] = {}
         announced: dict[RelayId, list] = {}  # via id -> [(holder, entry)]
         holders: dict[Key, list] = {}
-        for r in self.relays.values():
+        for r in table.values():
             for e in r.in_set:
                 key_count[e.key] = key_count.get(e.key, 0) + 1
                 if e.via is not None:
@@ -442,19 +443,22 @@ class RelayLayer:
             for k in r.out_keys:
                 holders.setdefault(k, []).append(r)
 
-        for relay in list(self.relays.values()):
-            if relay.out_id is None:
-                relay.level = 0
-                relay.sink_rid = self.rid
+        for relay in list(table.values()):
+            relay_id, out_id = relay.id, relay.out_id
+            if out_id is None:
+                relay.level = level = 0
+                relay.sink_rid = rid
                 relay.out_keys.clear()
-            elif relay.level < 1:
-                relay.level = 1
+            else:
+                level = relay.level
+                if level < 1:
+                    relay.level = level = 1
             # Announcements via this relay whose announcing message still sits
             # in its buffer (`in_buf`) are neither purged nor probed for: the
             # far side confirms them on delivery.
-            via_me = announced.get(relay.id, ())
+            via_me = announced.get(relay_id, ())
             in_buf = buffered_param_keys(relay.buf) if via_me else ()
-            if relay.out_id is not None and not relay.out_keys:
+            if out_id is not None and not relay.out_keys:
                 # Keyless non-sink: the outgoing link is unusable, exactly
                 # the exhaustion case of the not-authorized handler, so
                 # announcements via this relay can never be probed again.
@@ -469,24 +473,27 @@ class RelayLayer:
                 # entries compare as plain tuples in `sort_key` order).
                 drop, confirmed = [], []
                 for e in relay.in_set:
-                    if key_count[e.key] > 1 or e.key.creator != self.rid:
+                    if key_count[e.key] > 1 or e.key.creator != rid:
                         drop.append(e)
                     elif e.via is None:
                         confirmed.append(e)
-                    elif e.via not in self.relays:
+                    elif e.via not in table:
                         drop.append(e)
-                relay.in_set.difference_update(drop)
-                confirmed.sort()
-                for e in confirmed:
-                    self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
+                if drop:
+                    relay.in_set.difference_update(drop)
+                if confirmed:
+                    confirmed.sort()
+                    sink_rid = relay.sink_rid
+                    for e in confirmed:
+                        self._emit_control(e.from_rid, Ping(relay_id, level, sink_rid, e.key))
 
             pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:
                 # Removal waits for the buffer: a deleted relay keeps
                 # delivering what was already sent through it.
-                if relay.out_id is None:
+                if out_id is None:
                     self._delete(relay)
-                    del self.relays[relay.id]
+                    del table[relay_id]
                     continue
                 # A key an alive relay also holds stays in use: a tombstone that
                 # lost an out-key collision, or comes from a corrupted start,
@@ -495,17 +502,14 @@ class RelayLayer:
                     k for k in relay.out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
                 )
                 if closed:
-                    self._emit_control(
-                        relay.out_id.rid,
-                        InRelayClosed(closed, self.rid, relay.out_id),
-                    )
+                    self._emit_control(out_id.rid, InRelayClosed(closed, rid, out_id))
                 # The collected relay leaves the table, and with it the
                 # announcements it holds.
                 relay.in_set.clear()
-                del self.relays[relay.id]
+                del table[relay_id]
                 continue
             if (
-                not self.owner_alive
+                not owner_alive
                 and relay.alive
                 and not relay.in_set
                 and not relay.buf
@@ -518,7 +522,7 @@ class RelayLayer:
                 # of an earlier collision, or comes from a corrupted start.
                 for k in relay.out_keys:
                     others = holders[k]
-                    if len(others) > 1 and any(o.alive and o.id > relay.id and k in o.out_keys for o in others):
+                    if len(others) > 1 and any(o.alive and o.id > relay_id and k in o.out_keys for o in others):
                         self._delete(relay)
                         break
             controls = (
@@ -530,12 +534,12 @@ class RelayLayer:
             # it are unresolved: probing any longer would keep refilling its
             # buffer and prevent its own collection, probing any less would
             # strand the announcements of a stopped process.
-            if controls or (relay.alive and (self.owner_alive or relay.in_set)):
+            if controls or (relay.alive and (owner_alive or relay.in_set)):
                 for key in sorted(relay.out_keys):
                     self._emit_buf(
                         relay,
-                        Transmit(Header(key, relay.id, relay.out_id, relay.level), Probe(controls, (key,))),
+                        Transmit(Header(key, relay_id, out_id, level), Probe(controls, (key,))),
                     )
 
-        if not self.owner_alive and not self.relays:
+        if not owner_alive and not table:
             self.shut_down = True

@@ -5,7 +5,9 @@ answers per-relay validity with the full property list, in-flight
 parameter validity, header validity, legality and cycle-freeness of the
 valid relays' connections.  The module functions extract the relay graph
 and its connected components, decide the departure problem's end state and
-export DOT.  Protocol code never consults this module.
+export DOT.  `process_components` reads the process partition straight
+from the world; the extracted graph serves DOT export and is the tests'
+reference for it.  Protocol code never consults this module.
 
 Vertices of the extracted graph include dead relays still draining their
 buffers: their outgoing and in-buffer reference edges are what keeps the
@@ -570,7 +572,42 @@ def weakly_connected_components(graph: RelayGraph) -> list:
 
 
 def process_components(world: WorldState) -> list:
-    return weakly_connected_components(extract_relay_graph(world))
+    """`weakly_connected_components(extract_relay_graph(world))`, computed
+    straight from the world.
+
+    An owner edge ties each relay of an active process to its owner, so
+    such a relay stands for its owner here; a relay of a process that is
+    not active (a stopped one) is a vertex of its own.  Only next hops and
+    relay parameters in relay buffers that name an existing relay join two
+    vertices: a union-find over those links, read out in ascending pid
+    order.
+    """
+    active = {pid for pid, proc in world.processes.items() if proc.active}
+    up: dict = {}  # vertex -> parent; a vertex without one is a root
+
+    def vertex(relay_id):
+        return relay_id.rid if relay_id.rid in active else relay_id
+
+    def root(v):
+        while v in up:
+            up[v] = v = up.get(up[v], up[v])  # path halving
+        return v
+
+    for layer in world.layers.values():
+        for relay in layer.relays.values():
+            targets = [] if relay.out_id is None else [relay.out_id]
+            for env in relay.buf:
+                if isinstance(env.message, Transmit):
+                    targets += [p.id for p in _params_of(env.message)]
+            for t in targets:
+                if world.find_relay(t) is not None:
+                    a, b = root(vertex(relay.id)), root(vertex(t))
+                    if a != b:
+                        up[a] = b
+    parts: dict = {}
+    for pid in sorted(active):
+        parts.setdefault(root(pid), []).append(pid)
+    return list(parts.values())
 
 
 def fdp_legitimate(world: WorldState, initial_components: Iterable) -> bool:

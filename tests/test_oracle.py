@@ -1,9 +1,12 @@
 """Graph extraction, validity properties, legality, components, export."""
 
+import random
+
 import pytest
 
 from relaysim import oracle, rules
 from relaysim.apps import DeliveryTracker
+from relaysim.departure import build_departure_world
 from relaysim.core import (
     ActionInvocation,
     Header,
@@ -570,6 +573,7 @@ def test_components_walked_from_processes_match_walks_from_every_vertex():
         graph = oracle.extract_relay_graph(world)
         expected, dropped = _components_from_every_vertex(graph)
         assert oracle.weakly_connected_components(graph) == expected, seed
+        assert oracle.process_components(world) == expected, seed
         islands += dropped
     assert islands > 0
     r = lambda pid, serial: (RELAY, RelayId(Rid(pid), serial))
@@ -580,6 +584,65 @@ def test_components_walked_from_processes_match_walks_from_every_vertex():
     )
     assert oracle.weakly_connected_components(graph) == [[0, 3], [1]]
     assert _components_from_every_vertex(graph) == ([[0, 3], [1]], 2)
+
+
+def _graph_components(world):
+    return oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+
+
+def _check_components(world, *_):
+    assert oracle.process_components(world) == _graph_components(world), world.step_count
+
+
+def test_relays_of_a_stopped_process_join_components_only_through_their_links():
+    # Process 1 holds relays to the doors of 0 and 2, then stops.  Its relays
+    # become vertices of their own, so 0 and 2 share a component exactly
+    # while one relay's buffer carries a reference to the other.
+    for send in (False, True):
+        world = new_world(21, 3)
+        to_0, to_2 = connect_door(world, 1, 0), connect_door(world, 1, 2)
+        if send:
+            world.ctx(1).send(to_0, "meet", (to_2,), relay_positions=(0,))
+        world.ctx(1).stop()
+        assert _graph_components(world) == ([[0, 2]] if send else [[0], [2]])
+        for _ in range(60):
+            _check_components(world)
+            world.step()
+
+
+def test_process_components_match_the_graph_through_transform_plans():
+    # Transform pairs of the benchmark's sizes (6-8 processes), checked
+    # after every plan step.  Those steps end settled, so every 200th kernel
+    # step is checked too: references are in flight there.
+    for seed in range(10):
+        n = 6 + seed % 3
+        source, target = rules.random_multigraph(2 * seed + 1, n), rules.random_multigraph(2 * seed + 2, n)
+        world = rules.build_simple_realization(seed, source)
+        assert world.run_until(lambda w: w.is_settled(), 20_000).reached
+        plan = rules.plan_transform(world, target)
+        step = world.step
+
+        def checked_step(world=world, step=step):
+            step()
+            if world.step_count % 200 == 0:
+                _check_components(world)
+
+        world.step = checked_step
+        rules.execute_plan(world, plan, on_step=_check_components)
+
+
+def test_process_components_match_the_graph_while_leavers_stop():
+    stops = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = 4 + seed % 3
+        edges = [(i, rng.randrange(i)) for i in range(1, n)] + [(0, n - 1)]
+        world = build_departure_world(seed, n, edges, rng.sample(range(n), 2))
+        for _ in range(240):
+            world.run(10)
+            _check_components(world)
+        stops += sum(not p.active for p in world.processes.values())
+    assert stops > 0
 
 
 def test_oracle_calls_do_not_mutate_state():
