@@ -57,7 +57,7 @@ from .rules import (
     relay_introduction,
     relay_reversal,
 )
-from .departure import DepartureApp, build_departure_world, departure_tick, safe_to_stop
+from .departure import DepartureApp, build_departure_world, safe_to_stop
 
 __all__ = [
     "ActionInvocation", "Header", "InEntry", "Key", "Message", "Relay",
@@ -73,5 +73,5 @@ __all__ = [
     "ProcessMultigraph", "TransformPlan", "cpg", "emulate_process_rule",
     "execute_plan", "plan_transform", "relay_fusion", "relay_introduction",
     "relay_reversal",
-    "DepartureApp", "build_departure_world", "departure_tick", "safe_to_stop",
+    "DepartureApp", "build_departure_world", "safe_to_stop",
 ]

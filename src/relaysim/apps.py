@@ -97,7 +97,7 @@ class RandomDeliberateApp:
             if carried:
                 s = carried[rng.randrange(len(carried))]
                 via = refs[rng.randrange(len(refs))]
-                ctx.send(via, "meet", (s,), relay_positions=(0,))
+                ctx.send(via, "meet", (s,))
 
     def on_message(self, ctx: ProcessContext, action: ActionInvocation, via: RelayRef) -> None:
         if action.label == "note" and self.tracker and action.params and action.params[0]:

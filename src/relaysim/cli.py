@@ -19,8 +19,6 @@ from .departure import build_departure_world
 from .kernel import (
     CORRUPTION_PROFILES,
     FAIRNESS_BOUND,
-    MODE_RANDOM,
-    MODE_ROUND_ROBIN,
     WorldState,
     adversarial_init,
     fig_triangle,
@@ -62,7 +60,7 @@ _INTEGERS = {
 }
 # Fields with a closed set of values: default and allowed values.
 _CHOICES = {
-    "scheduler": (MODE_RANDOM, (MODE_RANDOM, MODE_ROUND_ROBIN)),
+    "scheduler": ("random", ("random", "round_robin")),
     "topology": ("random_connected", ("triangle", "random_connected", "adversarial", "departure_line")),
     "corruption_profile": ("mixed", CORRUPTION_PROFILES),
     "app": ("idle", tuple(APPS)),
@@ -114,8 +112,7 @@ def load_scenario(path: str) -> dict:
 
 def build_world(scenario: dict) -> WorldState:
     """The world a scenario from `load_scenario` describes."""
-    seed, n, fairness = scenario["seed"], scenario["processes"], scenario["fairness_bound"]
-    mode, topology = scenario["scheduler"], scenario["topology"]
+    seed, n, topology = scenario["seed"], scenario["processes"], scenario["topology"]
     if topology == "adversarial":
         world = adversarial_init(seed, n, scenario["relays"], scenario["messages"], scenario["corruption_profile"])
     elif topology == "triangle":
@@ -125,8 +122,8 @@ def build_world(scenario: dict) -> WorldState:
     else:
         edges = [(i, i + 1) for i in range(n - 1)]
         world = build_departure_world(seed, n, edges, scenario["leaving"])
-    world.fairness_bound = fairness
-    world.mode = mode
+    # Round robin forces every pick: every enabled action's age is at least 0.
+    world.fairness_bound = -1 if scenario["scheduler"] == "round_robin" else scenario["fairness_bound"]
     app = APPS[scenario["app"]]
     for proc in world.processes.values():
         if proc.app is None:

@@ -124,14 +124,13 @@ class Header(NamedTuple):
 class ActionInvocation(NamedTuple):
     """Application message `label(params)`.
 
-    `relay_positions` statically declares which parameter positions hold
-    relay references: a RelayRef before serialization, a RelayParameter on
-    the wire, a fresh RelayRef (or None for a duplicate key) on delivery.
+    A parameter is a relay reference by its type: a RelayRef before
+    serialization, a RelayParameter on the wire, a fresh RelayRef (or None
+    for a duplicate key) on delivery.  Every other parameter rides as is.
     """
 
     label: str
     params: tuple
-    relay_positions: tuple = ()
 
 
 class Probe(NamedTuple):

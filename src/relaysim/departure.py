@@ -37,89 +37,85 @@ def _attached_elsewhere(ctx: ProcessContext, peers: dict, retired: set) -> bool:
     return any(pid not in retired and not ctx.layer.dead(ref) for pid, ref in peers.items())
 
 
-def departure_tick(ctx: ProcessContext) -> None:
-    """One atomic scheduling of the departure actor."""
-    store = ctx.store
-    peers: dict = store.setdefault("peers", {})
-    retired: set = store.setdefault("retired", set())
-    discards: list = store.setdefault("discards", [])
-    lifeline: dict = store.setdefault("lifeline", {})
-    store.setdefault("retire_sent", set())
-
-    # Drop queued references once nothing routes through them.
-    still = []
-    for ref in discards:
-        if ctx.layer.dead(ref):
-            continue
-        if ctx.layer.incoming(ref) == 0:
-            ctx.layer.delete_relay(ref)
-        else:
-            still.append(ref)
-    discards[:] = still
-
-    if not ctx.leaving:
-        # Edges to retirees kept as lifelines are released as soon as some
-        # other attachment exists, or after a grace period: by then either
-        # the retiree's handoff has landed or this process was the
-        # component's only stayer and may stand alone.
-        held = [pid for pid in sorted(peers) if pid in retired]
-        if held:
-            others = _attached_elsewhere(ctx, peers, retired)
-            for pid in held:
-                lifeline.setdefault(pid, LIFELINE_GRACE)
-                lifeline[pid] -= 1
-                if others or lifeline[pid] <= 0 or ctx.layer.dead(peers[pid]):
-                    discards.append(peers.pop(pid))
-                    lifeline.pop(pid, None)
-        return
-
-    sent: set = store["retire_sent"]
-    pending = [pid for pid in sorted(peers) if pid not in sent]
-    if pending:
-        for pid in pending:
-            ref = peers[pid]
-            if not ctx.layer.dead(ref):
-                ctx.send(ref, "retire", (ctx.pid,))
-            sent.add(pid)
-        return
-
-    for pid in [p for p, ref in peers.items() if ctx.layer.dead(ref)]:
-        peers.pop(pid)
-    live = sorted(peers.items())
-    if len(live) >= 2:
-        # Hand every other neighbor an edge toward one anchor; a neighbor
-        # not known to be leaving is preferred so the handoffs land on a
-        # process that will outlive the exchange.
-        stayers = [(p, r) for p, r in live if p not in retired]
-        anchor_pid, anchor_ref = (stayers or live)[0]
-        for pid, ref in live:
-            if pid == anchor_pid or ctx.layer.incoming(ref) != 0:
-                continue
-            ctx.send(ref, "bridge", (anchor_ref, anchor_pid, ctx.pid), relay_positions=(0,))
-            ctx.layer.delete_relay(ref)
-            peers.pop(pid)
-            return
-        return
-    if len(live) == 1:
-        p1, r1 = live[0]
-        # The last edge is cut once the peer is itself retiring, or once our
-        # sinks drained: an empty door means every process that depended on
-        # us found another attachment (their release is conditional), so the
-        # peer no longer needs us either.
-        sinks_drained = all(
-            ctx.layer.incoming(ref) == 0 for ref in ctx.layer.get_relays() if ctx.layer.is_sink(ref)
-        )
-        if ctx.layer.incoming(r1) == 0 and (p1 in retired or sinks_drained):
-            ctx.layer.delete_relay(r1)
-            peers.pop(p1)
-        return
-    if safe_to_stop(ctx):
-        ctx.stop()
-
-
 class DepartureApp:
     def on_tick(self, ctx: ProcessContext) -> None:
-        departure_tick(ctx)
+        """One atomic scheduling of the departure actor."""
+        store = ctx.store
+        peers: dict = store.setdefault("peers", {})
+        retired: set = store.setdefault("retired", set())
+        discards: list = store.setdefault("discards", [])
+        lifeline: dict = store.setdefault("lifeline", {})
+        store.setdefault("retire_sent", set())
+
+        # Drop queued references once nothing routes through them.
+        still = []
+        for ref in discards:
+            if ctx.layer.dead(ref):
+                continue
+            if ctx.layer.incoming(ref) == 0:
+                ctx.layer.delete_relay(ref)
+            else:
+                still.append(ref)
+        discards[:] = still
+
+        if not ctx.leaving:
+            # Edges to retirees kept as lifelines are released as soon as some
+            # other attachment exists, or after a grace period: by then either
+            # the retiree's handoff has landed or this process was the
+            # component's only stayer and may stand alone.
+            held = [pid for pid in sorted(peers) if pid in retired]
+            if held:
+                others = _attached_elsewhere(ctx, peers, retired)
+                for pid in held:
+                    lifeline.setdefault(pid, LIFELINE_GRACE)
+                    lifeline[pid] -= 1
+                    if others or lifeline[pid] <= 0 or ctx.layer.dead(peers[pid]):
+                        discards.append(peers.pop(pid))
+                        lifeline.pop(pid, None)
+            return
+
+        sent: set = store["retire_sent"]
+        pending = [pid for pid in sorted(peers) if pid not in sent]
+        if pending:
+            for pid in pending:
+                ref = peers[pid]
+                if not ctx.layer.dead(ref):
+                    ctx.send(ref, "retire", (ctx.pid,))
+                sent.add(pid)
+            return
+
+        for pid in [p for p, ref in peers.items() if ctx.layer.dead(ref)]:
+            peers.pop(pid)
+        live = sorted(peers.items())
+        if len(live) >= 2:
+            # Hand every other neighbor an edge toward one anchor; a neighbor
+            # not known to be leaving is preferred so the handoffs land on a
+            # process that will outlive the exchange.
+            stayers = [(p, r) for p, r in live if p not in retired]
+            anchor_pid, anchor_ref = (stayers or live)[0]
+            for pid, ref in live:
+                if pid == anchor_pid or ctx.layer.incoming(ref) != 0:
+                    continue
+                ctx.send(ref, "bridge", (anchor_ref, anchor_pid, ctx.pid))
+                ctx.layer.delete_relay(ref)
+                peers.pop(pid)
+                return
+            return
+        if len(live) == 1:
+            p1, r1 = live[0]
+            # The last edge is cut once the peer is itself retiring, or once our
+            # sinks drained: an empty door means every process that depended on
+            # us found another attachment (their release is conditional), so the
+            # peer no longer needs us either.
+            sinks_drained = all(
+                ctx.layer.incoming(ref) == 0 for ref in ctx.layer.get_relays() if ctx.layer.is_sink(ref)
+            )
+            if ctx.layer.incoming(r1) == 0 and (p1 in retired or sinks_drained):
+                ctx.layer.delete_relay(r1)
+                peers.pop(p1)
+            return
+        if safe_to_stop(ctx):
+            ctx.stop()
 
     def on_message(self, ctx: ProcessContext, action: ActionInvocation, via: RelayRef) -> None:
         store = ctx.store
@@ -145,7 +141,7 @@ class DepartureApp:
             # The bridged reference routes through the leaver; trade it for
             # a direct pair right away: send a fresh sink through, drop it.
             fresh = ctx.layer.new_relay()
-            ctx.send(ref, "hello", (fresh, ctx.pid), relay_positions=(0,))
+            ctx.send(ref, "hello", (fresh, ctx.pid))
             ctx.layer.delete_relay(ref)
             return
 
@@ -154,7 +150,7 @@ class DepartureApp:
             if ref is None:
                 return
             door = store["door"] = store.get("door") or ctx.layer.new_relay()
-            ctx.send(ref, "welcome", (door, ctx.pid), relay_positions=(0,))
+            ctx.send(ref, "welcome", (door, ctx.pid))
             if from_pid in retired:
                 # The sender is weaving itself out: do not route through it,
                 # but do hand it our door; its continued handoffs are what

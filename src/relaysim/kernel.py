@@ -50,8 +50,6 @@ from .core import (
 )
 from .layer import RelayLayer
 
-MODE_RANDOM = "random"
-MODE_ROUND_ROBIN = "round_robin"
 # A world's default bound on the age of its oldest enabled action.
 FAIRNESS_BOUND = 64
 
@@ -65,7 +63,8 @@ def derive_seed(*parts) -> int:
 class ProcessContext:
     """One process: its flags, application, private store, rng and relay
     layer.  Application code gets this record and reaches the overlay only
-    through `layer`, its own layer's primitives, and `send` and `stop`.
+    through `layer`, its own layer's primitives, and `send` and `stop`;
+    `send` passes every RelayRef parameter on as a relay reference.
     `layer` stays the process's own layer after it shuts down and leaves the
     world: every primitive that could change a layer returns early once its
     owner stops, and a shut-down layer has no relays and an empty layer
@@ -114,8 +113,8 @@ class ProcessContext:
         """The process has an application action for the scheduler."""
         return self._active and self._app is not None
 
-    def send(self, ref: RelayRef, label: str, params: tuple = (), relay_positions: tuple = ()) -> None:
-        self.layer.send(ref, ActionInvocation(label, params, relay_positions))
+    def send(self, ref: RelayRef, label: str, params: tuple = ()) -> None:
+        self.layer.send(ref, ActionInvocation(label, params))
 
     def stop(self) -> None:
         self.active = False
@@ -237,7 +236,6 @@ class WorldState:
         self.seed = seed
         self.rng = random.Random(seed)
         self.fairness_bound = FAIRNESS_BOUND
-        self.mode = MODE_RANDOM
         self.env_source = PendingIndex()
         self.processes: dict[int, ProcessContext] = {}
         self.layers: dict[Rid, RelayLayer] = {}
@@ -276,9 +274,9 @@ class WorldState:
     # `relays` order) and its layer buffer, then the orphans.  A timeout's
     # or application's age counts the steps since it last ran (since step 0
     # if never); a message's age counts the steps since its birth.  When the
-    # oldest age exceeds `fairness_bound`, or always in round-robin mode,
-    # the step runs the top of the scheduling heap: the oldest action with
-    # the highest sort key.  Otherwise it runs the action at
+    # oldest age exceeds `fairness_bound` (always, for a bound of -1: round
+    # robin), the step runs the top of the scheduling heap: the oldest
+    # action with the highest sort key.  Otherwise it runs the action at
     # `rng.randrange(len(actions))`.  The indexes below keep each kind in
     # this order as it changes, so `step` never builds the list.
 
@@ -306,7 +304,7 @@ class WorldState:
         else:
             return None
 
-        if self.mode == MODE_ROUND_ROBIN or now - oldest > self.fairness_bound:
+        if now - oldest > self.fairness_bound:
             if rank == -_TIMEOUT:
                 return ("timeout", key)
             if rank == -_TICK:
@@ -348,7 +346,7 @@ class WorldState:
             layer = self.layers[rid]
             layer.timeout()
             self._timeouts.ran(rid, now)
-            if layer.shut_down:
+            if not layer.owner_alive and not layer.relays:
                 self.env_source.orphaned(rid, layer.layer_buf)
                 self.orphan_out.extend(layer.layer_buf)
                 layer.layer_buf.clear()
@@ -737,8 +735,6 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
                 continue
             header = Header(_some_key(world, rng), relay.id, relay.out_id, relay.level)
             params: tuple = ()
-            positions: tuple = ()
             if rng.random() < 0.5:
-                param = RelayParameter(_some_key(world, rng), _fabricated_id(world, rng), 1 + rng.randrange(3), rng.randrange(n))
-                params, positions = (param,), (0,)
-            world.layers[relay.id.rid]._emit_buf(relay, Transmit(header, ActionInvocation("noise", params, positions)))
+                params = (RelayParameter(_some_key(world, rng), _fabricated_id(world, rng), 1 + rng.randrange(3), rng.randrange(n)),)
+            world.layers[relay.id.rid]._emit_buf(relay, Transmit(header, ActionInvocation("noise", params)))

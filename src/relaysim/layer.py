@@ -58,7 +58,6 @@ class RelayLayer:
         self.relays: dict[RelayId, Relay] = {}
         self.layer_buf: list[Envelope] = []
         self.owner_alive = True
-        self.shut_down = False
         self._id_serial = 0
         self._key_serial = 0
 
@@ -199,10 +198,10 @@ class RelayLayer:
             # entries that nothing could ever confirm.
             return
         params = list(action.params)
-        for i in action.relay_positions:
-            if i >= len(params) or not isinstance(params[i], RelayRef):
+        for i, param in enumerate(params):
+            if not isinstance(param, RelayRef):
                 continue
-            target = self._resolve(params[i])
+            target = self._resolve(param)
             if target is None or not target.alive:
                 params[i] = None
                 continue
@@ -211,7 +210,7 @@ class RelayLayer:
             params[i] = RelayParameter(key, target.id, target.level + 1, target.sink_rid)
         key = min(relay.out_keys)
         header = Header(key, relay.id, relay.out_id, relay.level)
-        self._emit_buf(relay, Transmit(header, ActionInvocation(action.label, tuple(params), action.relay_positions)))
+        self._emit_buf(relay, Transmit(header, ActionInvocation(action.label, tuple(params))))
 
     def stop_process(self) -> None:
         if not self.owner_alive:
@@ -303,22 +302,19 @@ class RelayLayer:
     def _sink_receipt(self, relay: Relay, m: Transmit) -> None:
         action = m.action
         if isinstance(action, Probe):
-            for control_key in sorted(action.control_keys):
-                if any(control_key in r.out_keys for r in self.relays.values()):
-                    continue
-                if not action.key_sequence:
-                    continue
-                last = action.key_sequence[-1]
-                for e in relay.sorted_in():
-                    if e.key == last and e.confirmed:
-                        self._emit_control(e.from_rid, ProbeFail(control_key, action.key_sequence))
-                        break
+            # Each unheld control key fails back to the lowest sender
+            # confirmed under the last key.
+            controls, sequence = action.control_keys, action.key_sequence
+            sender = self._confirmed_sender(relay, sequence[-1]) if controls and sequence else None
+            if sender is not None:
+                for control_key in sorted(controls):
+                    if not any(control_key in r.out_keys for r in self.relays.values()):
+                        self._emit_control(sender, ProbeFail(control_key, sequence))
             return
         if not isinstance(action, ActionInvocation):
             return
         params = list(action.params)
-        incoming = [(i, params[i]) for i in action.relay_positions
-                    if i < len(params) and isinstance(params[i], RelayParameter)]
+        incoming = [(i, p) for i, p in enumerate(params) if isinstance(p, RelayParameter)]
         if len({p.id.rid for _, p in incoming}) > 1:
             return  # ids from several layers: obviously corrupted
         for i, p in incoming:
@@ -332,7 +328,7 @@ class RelayLayer:
             )
             self._emit_buf(relay_in, activation)
             params[i] = RelayRef(relay_in.id)
-        self._emit_buf(relay, ActionInvocation(action.label, tuple(params), action.relay_positions))
+        self._emit_buf(relay, ActionInvocation(action.label, tuple(params)))
 
     def _forward(self, relay: Relay, m: Transmit) -> None:
         if not relay.out_keys:
@@ -346,9 +342,14 @@ class RelayLayer:
 
     # -- probe failure ---------------------------------------------------------
 
+    @staticmethod
+    def _confirmed_sender(relay: Relay, key: Key) -> Optional[Rid]:
+        """The lowest sender address confirmed under `key` in `relay`'s In set."""
+        return min((e.from_rid for e in relay.in_set if e.via is None and e.key == key), default=None)
+
     def handle_probefail(self, key: Key, key_sequence: tuple) -> None:
-        # Each lookup below takes the first match in table order, the
-        # lowest id.
+        # The holder and announcer lookups take the first match in table
+        # order, the lowest id.
         if not key_sequence:
             return
         last = key_sequence[-1]
@@ -358,11 +359,9 @@ class RelayLayer:
         else:
             return
         if len(key_sequence) > 1:
-            prev = key_sequence[-2]
-            for e in holder.sorted_in():
-                if e.key == prev and e.confirmed:
-                    self._emit_control(e.from_rid, ProbeFail(key, key_sequence[:-1]))
-                    return
+            sender = self._confirmed_sender(holder, key_sequence[-2])
+            if sender is not None:
+                self._emit_control(sender, ProbeFail(key, key_sequence[:-1]))
         else:
             entry = unconfirmed_entry(key, holder.id)
             for announcer in self.relays.values():
@@ -540,6 +539,3 @@ class RelayLayer:
                         relay,
                         Transmit(Header(key, relay_id, out_id, level), Probe(controls, (key,))),
                     )
-
-        if not owner_alive and not table:
-            self.shut_down = True

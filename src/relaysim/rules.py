@@ -98,7 +98,7 @@ def cpg(world: WorldState) -> ProcessMultigraph:
 
 def relay_introduction(world: WorldState, pid: int, r: RelayRef, s: RelayRef) -> None:
     """Send a reference of `s` to the target of `r`, keeping both relays."""
-    world.ctx(pid).send(r, "introduce", (s,), relay_positions=(0,))
+    world.ctx(pid).send(r, "introduce", (s,))
 
 
 def relay_fusion(world: WorldState, pid: int, r: RelayRef, r2: RelayRef) -> Optional[RelayRef]:
@@ -115,7 +115,7 @@ def relay_reversal(world: WorldState, pid: int, r: RelayRef, s: RelayRef) -> boo
     ctx = world.ctx(pid)
     if r == s or ctx.layer.incoming(r) != 0 or ctx.layer.dead(r):
         return False
-    ctx.send(r, "introduce", (s,), relay_positions=(0,))
+    ctx.send(r, "introduce", (s,))
     ctx.layer.delete_relay(r)
     return True
 
@@ -187,13 +187,13 @@ class TransformApp:
         if isinstance(step, NewRelayStep):
             slots[step.slot] = ctx.layer.new_relay()
         elif isinstance(step, IntroductionStep):
-            ctx.send(slots[step.via_slot], "adopt", (slots[step.carry_slot], step.to_slot), (0,))
+            ctx.send(slots[step.via_slot], "adopt", (slots[step.carry_slot], step.to_slot))
         elif isinstance(step, ReversalStep):
             via = slots.pop(step.via_slot)
             if ctx.layer.incoming(via) != 0:
                 raise PlanError(f"reversal precondition failed at {step}")
             label = "adopt" if step.to_slot is not None else "discard"
-            ctx.send(via, label, (slots[step.carry_slot], step.to_slot), (0,))
+            ctx.send(via, label, (slots[step.carry_slot], step.to_slot))
             ctx.layer.delete_relay(via)
         elif isinstance(step, FusionStep):
             merged = ctx.layer.merge({slots.pop(step.slot_a), slots.pop(step.slot_b)})

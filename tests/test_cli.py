@@ -57,6 +57,15 @@ def test_adversarial_run_converges(tmp_path):
     assert report_dict(out.getvalue())["reached"] == "yes"
 
 
+def test_adversarial_scenario_without_corruption_is_legal_at_once(tmp_path):
+    path = write_scenario(tmp_path, seed=5, topology="adversarial", corruption_profile="none", predicate="is_legal")
+    out = io.StringIO()
+    code = cli.run_scenario(path, out=out)
+    report = report_dict(out.getvalue())
+    assert code == cli.EXIT_OK
+    assert (report["steps"], report["reached"], report["legal"]) == ("0", "yes", "yes")
+
+
 def test_departure_scenario(tmp_path):
     path = write_scenario(
         tmp_path,

@@ -97,7 +97,7 @@ def test_relay_json_is_stable_and_canonical():
     world = new_world(3, 2)
     layer = world.layer_of(0)
     via = connect_door(world, 0, 1)
-    world.ctx(0).send(via, "meet", (via,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (via,))
     relay = layer.relays[via.relay_id]
     relay.in_set.add(confirmed_entry(layer.mint_key(), Rid(1)))
     assert json.dumps(relay_json(relay), sort_keys=True) == (
@@ -114,14 +114,14 @@ def test_relay_json_is_stable_and_canonical():
         (ProbeFail(Key(2, 3), (Key(2, 3), Key(1, 4))),
          '{"probefail": {"key": [2, 3], "keySequence": [[2, 3], [1, 4]]}}'),
         (NotAuthorized(Transmit(Header(Key(1, 1), RelayId(0, 1), RelayId(1, 1), 1), ActionInvocation(
-            "meet", (RelayParameter(Key(0, 2), RelayId(0, 1), 2, 1),), (0,)))),
+            "meet", (RelayParameter(Key(0, 2), RelayId(0, 1), 2, 1),)))),
          '{"notauthorized": {"transmit": {"action": {"action": {"label": "meet", "params": '
          '[{"relayParameter": [[0, 2], [0, 1], 2, 1]}]}}, "header": [[1, 1], [0, 1], [1, 1], 1]}}}'),
         (InRelayClosed(frozenset({Key(1, 3), Key(1, 1)}), 0, RelayId(1, 1)),
          '{"inrelayclosed": {"id": [1, 1], "keys": [[1, 1], [1, 3]], "sender": 0}}'),
         (OutRelayClosed(RelayId(2, 4)), '{"outrelayclosed": [2, 4]}'),
         (Ping(RelayId(1, 1), 2, 1, Key(0, 3)), '{"ping": [[1, 1], 2, 1, [0, 3]]}'),
-        (ActionInvocation("hello", (RelayRef(RelayId(0, 1)), ("marker", 3), None), relay_positions=(0,)),
+        (ActionInvocation("hello", (RelayRef(RelayId(0, 1)), ("marker", 3), None)),
          '{"action": {"label": "hello", "params": [{"relayRef": [0, 1]}, "(\'marker\', 3)", null]}}'),
     ]
     for message, expected in pinned:

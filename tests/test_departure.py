@@ -99,7 +99,7 @@ def test_departure_from_corrupt_start_departs_after_stabilization():
             if relay.alive and relay.out_id is not None and relay.level == 1:
                 world.processes[pid].store["peers"][relay.sink_rid] = RelayRef(relay.id)
                 fresh = ctx.layer.new_relay()
-                ctx.send(RelayRef(relay.id), "hello", (fresh, pid), relay_positions=(0,))
+                ctx.send(RelayRef(relay.id), "hello", (fresh, pid))
     res = world.run_until(lambda w: w.is_settled(), 60000)
     assert res.reached
 

@@ -19,7 +19,6 @@ from relaysim import oracle, rules, suites
 from relaysim.apps import RandomDeliberateApp
 from relaysim.departure import build_departure_world
 from relaysim.kernel import (
-    MODE_ROUND_ROBIN,
     adversarial_init,
     fig_triangle,
     random_connected_world,
@@ -79,7 +78,7 @@ def sparse_64():
 
 def round_robin():
     world = random_connected_world(59, 4, extra_edges=2, chains=1)
-    world.mode = MODE_ROUND_ROBIN
+    world.fairness_bound = -1
     _attach(world, max_relays=4)
     world.trace = []
     world.run(2000)

@@ -28,8 +28,7 @@ from relaysim.kernel import (
     _RELAY,
     _TICK,
     _TIMEOUT,
-    MODE_RANDOM,
-    MODE_ROUND_ROBIN,
+    FAIRNESS_BOUND,
     WorldState,
     adversarial_init,
     connect,
@@ -108,10 +107,10 @@ def test_no_random_pick_after_the_bound_while_recurring_actions_exceed_it(seed):
 
 def test_round_robin_mode_is_deterministic_rotation():
     a = new_world(9, 2)
-    a.mode = MODE_ROUND_ROBIN
+    a.fairness_bound = -1
     connect_door(a, 0, 1)
     b = new_world(9, 2)
-    b.mode = MODE_ROUND_ROBIN
+    b.fairness_bound = -1
     connect_door(b, 0, 1)
     a.run(500)
     b.run(500)
@@ -400,7 +399,7 @@ class FullScanScheduler:
                     max_age, oldest = age, [a]
                 elif age == max_age:
                     oldest.append(a)
-            if w.mode == MODE_ROUND_ROBIN or max_age > w.fairness_bound:
+            if max_age > w.fairness_bound:
                 chosen = max(oldest, key=_reference_sort_key)
                 self.forced += 1
             else:
@@ -482,12 +481,12 @@ def _toggle_apps_and_mode(world, i):
     if i == 150:
         world.processes[1].app = None
     if i == 300:
-        world.mode = MODE_ROUND_ROBIN
+        world.fairness_bound = -1
     if i == 350:
         world.processes[1].app = RandomDeliberateApp(max_relays=4)
         world.processes[2].active = False
     if i == 450:
-        world.mode = MODE_RANDOM
+        world.fairness_bound = FAIRNESS_BOUND
         world.processes[2].active = True
 
 
@@ -569,7 +568,7 @@ LOCKSTEP = {
         None,
     ),
     "round_robin": (
-        lambda s: _with_apps(_configured(random_connected_world(s, 4, 2, 1), mode=MODE_ROUND_ROBIN),
+        lambda s: _with_apps(_configured(random_connected_world(s, 4, 2, 1), fairness_bound=-1),
                              max_relays=4),
         800,
         None,

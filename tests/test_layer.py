@@ -130,7 +130,7 @@ def test_send_serializes_no_reference_of_a_dead_or_unknown_relay():
 
     world.processes[1].app = Inbox()
     params = (dead_ref, RelayRef(RelayId(0, 999)), "x")
-    world.ctx(0).send(via, "note", params, relay_positions=(0, 1, 2, 7))
+    world.ctx(0).send(via, "note", params)
     (env,) = layer.relays[via.relay_id].buf
     assert env.message.action.params == (None, None, "x")
     assert not layer.relays[dead_ref.relay_id].in_set
@@ -259,8 +259,8 @@ def test_same_target_after_two_introductions():
     via = connect_door(world, 1, 0)
     ctx = world.ctx(1)
     s = give_door(world, 1)
-    ctx.send(via, "meet", (s,), relay_positions=(0,))
-    ctx.send(via, "meet", (s,), relay_positions=(0,))
+    ctx.send(via, "meet", (s,))
+    ctx.send(via, "meet", (s,))
     world.run_until(lambda w: w.is_settled(), 6000)
     layer0 = world.layer_of(0)
     created = [r for r in layer0.relays.values() if r.out_id == s.relay_id]
@@ -286,7 +286,7 @@ def test_send_serializes_local_sink_reference():
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     s = layer.new_relay()
-    layer.send(via, ActionInvocation("meet", (s,), (0,)))
+    layer.send(via, ActionInvocation("meet", (s,)))
     sink = layer.relays[s.relay_id]
     assert len(sink.in_set) == 1
     entry = next(iter(sink.in_set))
@@ -304,6 +304,28 @@ def test_send_without_references_touches_no_in_sets():
     layer.send(via, ActionInvocation("note", ("data",)))
     assert not layer.relays[extra.relay_id].in_set
     assert all(not r.in_set for r in layer.relays.values() if r.id != via.relay_id)
+
+
+def test_send_serializes_every_reference_parameter_by_its_type():
+    world = make_world(2)
+    via = connect_door(world, 0, 1)
+    s = world.layer_of(0).new_relay()
+    received = []
+
+    class Inbox(IdleApp):
+        def on_message(self, ctx, action, via):
+            received.append(action.params)
+
+    world.processes[1].app = Inbox()
+    world.ctx(0).send(via, "x", ("a", s))
+    (env,) = world.layer_of(0).relays[via.relay_id].buf
+    wire = env.message.action.params
+    assert wire[0] == "a"
+    assert isinstance(wire[1], RelayParameter) and wire[1].id == s.relay_id
+    assert world.run_until(lambda w: received, 4000).reached
+    ((plain, fresh),) = received
+    assert plain == "a"
+    assert isinstance(fresh, RelayRef) and fresh.relay_id in world.layer_of(1).relays
 
 
 def test_send_via_dead_relay_drops():
@@ -324,7 +346,7 @@ def test_activation_probe_confirms_pending_entry():
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     s = layer.new_relay()
-    world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (s,))
     world.run_until(lambda w: w.is_settled(), 6000)
     sink = layer.relays[s.relay_id]
     assert len(sink.in_set) == 1
@@ -366,7 +388,7 @@ def test_corrupted_multi_rid_parameters_dropped():
         RelayParameter(layer0.mint_key(), relay.id, 2, Rid(0)),
         RelayParameter(world.layer_of(2).mint_key(), world.layer_of(2).new_relay().relay_id, 1, Rid(2)),
     )
-    m = Transmit(Header(key, relay.id, door.id, 1), ActionInvocation("noise", params, (0, 1)))
+    m = Transmit(Header(key, relay.id, door.id, 1), ActionInvocation("noise", params))
     before = len(door.buf)
     target.handle_transmit(m)
     assert len(door.buf) == before  # obviously corrupted, not delivered
@@ -378,16 +400,16 @@ def test_duplicate_key_parameter_becomes_none():
     layer = world.layer_of(0)
     s = layer.new_relay()
     ctx = world.ctx(0)
-    ctx.send(via, "meet", (s,), relay_positions=(0,))
+    ctx.send(via, "meet", (s,))
     env = layer.relays[via.relay_id].buf[-1]
     param = env.message.action.params[0]
     target = world.layer_of(1)
     door = target.relays[give_door(world, 1).relay_id]
     # first receipt creates the relay, replay offers the same key again
-    target.handle_transmit(Transmit(Header(next(iter(layer.relays[via.relay_id].out_keys)), via.relay_id, door.id, 1), ActionInvocation("meet", (param,), (0,))))
+    target.handle_transmit(Transmit(Header(next(iter(layer.relays[via.relay_id].out_keys)), via.relay_id, door.id, 1), ActionInvocation("meet", (param,))))
     delivered = [e.message for e in door.buf if isinstance(e.message, ActionInvocation)]
     assert isinstance(delivered[-1].params[0], RelayRef)
-    target.handle_transmit(Transmit(Header(next(iter(layer.relays[via.relay_id].out_keys)), via.relay_id, door.id, 1), ActionInvocation("meet", (param,), (0,))))
+    target.handle_transmit(Transmit(Header(next(iter(layer.relays[via.relay_id].out_keys)), via.relay_id, door.id, 1), ActionInvocation("meet", (param,))))
     delivered = [e.message for e in door.buf if isinstance(e.message, ActionInvocation)]
     assert delivered[-1].params[0] is None
 
@@ -413,7 +435,7 @@ def test_forwarded_probe_drops_control_keys_announced_in_buffer():
     mid_ref = connect_door(world, 1, 2)
     far_ref = connect(world, 0, mid_ref.relay_id)
     layer1 = world.layer_of(1)
-    world.ctx(1).send(mid_ref, "meet", (layer1.new_relay(),), relay_positions=(0,))
+    world.ctx(1).send(mid_ref, "meet", (layer1.new_relay(),))
     mid, far = layer1.relays[mid_ref.relay_id], world.layer_of(0).relays[far_ref.relay_id]
     announced, other = mid.buf[-1].message.action.params[0].key, layer1.mint_key()
     key = min(far.out_keys)
@@ -431,7 +453,7 @@ def test_probefail_length_one_removes_pending_entry():
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     s = layer.new_relay()
-    world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (s,))
     entry = next(iter(layer.relays[s.relay_id].in_set))
     via_key = next(iter(layer.relays[via.relay_id].out_keys))
     layer.handle_probefail(entry.key, (via_key,))
@@ -452,6 +474,22 @@ def test_probefail_longer_sequence_forwards_shortened():
     assert len(sent) == 1
     target, msg = sent[0]
     assert target == Rid(2) and msg.key == lost and len(msg.key_sequence) == 2
+
+
+def test_sink_fails_unheld_control_keys_back_to_lowest_confirmed_sender():
+    world = make_world(3)
+    layer = world.layer_of(0)
+    sink = layer.relays[give_door(world, 0).relay_id]
+    last = layer.mint_key()
+    sink.in_set |= {confirmed_entry(last, Rid(2)), confirmed_entry(last, Rid(1))}
+    controls = frozenset({Key(2, 5), Key(1, 7)})
+    sequence = (Key(2, 9), last)
+    sender = world.layer_of(2).mint_relay_id()
+    layer.handle_transmit(Transmit(Header(last, sender, sink.id, 1), Probe(controls, sequence)))
+    assert layer_messages(layer) == [
+        (Rid(1), ProbeFail(Key(1, 7), sequence)),
+        (Rid(1), ProbeFail(Key(2, 5), sequence)),
+    ]
 
 
 def test_probefail_without_matching_relay_is_ignored():
@@ -493,7 +531,7 @@ def test_not_authorized_last_key_closes_relay_and_purges():
     layer = world.layer_of(0)
     relay = layer.relays[ref.relay_id]
     s = layer.new_relay()
-    world.ctx(0).send(ref, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(ref, "meet", (s,))
     assert layer.relays[s.relay_id].in_set
     key = next(iter(relay.out_keys))
     m = Transmit(Header(key, relay.id, relay.out_id, relay.level), ActionInvocation("x", ()))
@@ -572,7 +610,7 @@ def test_in_relay_closed_spares_unconfirmed_entries():
     layer = world.layer_of(0)
     via = connect_door(world, 0, 1)
     s = layer.new_relay()
-    world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (s,))
     entry = next(iter(layer.relays[s.relay_id].in_set))
     layer.handle_inrelayclosed(frozenset({entry.key}), Rid(1), s.relay_id)
     assert entry in layer.relays[s.relay_id].in_set
@@ -594,7 +632,7 @@ def test_out_relay_closed_tears_down_and_purges():
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     s = layer.new_relay()
-    world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (s,))
     relay = layer.relays[via.relay_id]
     layer.handle_outrelayclosed(relay.out_id)
     assert not relay.alive
@@ -684,9 +722,8 @@ def test_timeout_emits_probes_per_out_key():
 def test_stopped_process_layer_shuts_down_when_empty():
     world = make_world(1)
     world.ctx(0).stop()
-    layer = world.layer_of(0)
-    layer.timeout()
-    assert layer.shut_down
+    world.run(10)
+    assert world.layer_of(0) is None
 
 
 def test_dead_process_last_relay_then_shutdown():
@@ -909,9 +946,6 @@ class RescanningLayer(RelayLayer):
                         Transmit(Header(key, relay.id, relay.out_id, relay.level), Probe(controls, (key,))),
                     )
 
-        if not self.owner_alive and not self.relays:
-            self.shut_down = True
-
 
 def _rescanning(world):
     for layer in world.layers.values():
@@ -942,7 +976,7 @@ def _disturb(world, i):
     if kind == 0 and len(live) >= 2:
         live[-1].out_keys.add(min(live[0].out_keys))
     elif kind == 1 and live:
-        ctx.send(RelayRef(live[0].id), "meet", (ctx.layer.get_relays()[0],), relay_positions=(0,))
+        ctx.send(RelayRef(live[0].id), "meet", (ctx.layer.get_relays()[0],))
         live[0].out_keys.clear()
     elif kind == 2:
         refs = [RelayRef(r.id) for r in live if not r.in_set]

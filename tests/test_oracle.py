@@ -67,7 +67,7 @@ def test_reference_in_buffer_is_implicit_edge():
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     s = layer.new_relay()
-    world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (s,))
     g = oracle.extract_relay_graph(world)
     assert ((RELAY, via.relay_id), (RELAY, s.relay_id)) in g.implicit_edges
 
@@ -185,7 +185,7 @@ def _sent_parameter(seed):
     world = new_world(seed, 2)
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
-    world.ctx(0).send(via, "meet", (layer.new_relay(),), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (layer.new_relay(),))
     carrier, _, param = oracle.WorldCheck(world).params[0]
     assert _param_violations(world, carrier, param) == []
     return world, layer.relays[via.relay_id], carrier, param
@@ -197,7 +197,7 @@ def _resend(world, carrier, params):
     relay = world.layer_of(carrier.rid).relays[carrier]
     (env,) = relay.buf
     m = env.message
-    env.message = Transmit(m.header, ActionInvocation(m.action.label, params, tuple(range(len(params)))))
+    env.message = Transmit(m.header, ActionInvocation(m.action.label, params))
     return env.message
 
 
@@ -300,7 +300,7 @@ def test_valid_header_confirmed_and_unconfirmed_clauses():
     # unconfirmed clause: announcing relay's sink must match the sender
     layer0 = world.layer_of(0)
     s = layer0.new_relay()
-    world.ctx(0).send(sender, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(sender, "meet", (s,))
     entry = next(iter(layer0.relays[s.relay_id].in_set))
     incoming = Transmit(
         Header(entry.key, world.layer_of(1).mint_relay_id(), s.relay_id, 1),
@@ -336,7 +336,7 @@ def test_parameter_valid_when_minted_and_across_forwarding():
     far = connect(world, 0, mid.relay_id)
     layer0 = world.layer_of(0)
     s = layer0.new_relay()
-    world.ctx(0).send(far, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(far, "meet", (s,))
     chk = oracle.WorldCheck(world)
     assert chk.params, "expected an in-flight parameter"
     carrier, message, param = chk.params[0]
@@ -355,7 +355,7 @@ def test_parameter_with_existing_out_key_violates_c7():
     via = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     s = layer.new_relay()
-    world.ctx(0).send(via, "meet", (s,), relay_positions=(0,))
+    world.ctx(0).send(via, "meet", (s,))
     chk = oracle.WorldCheck(world)
     carrier, message, param = chk.params[0]
     ghost = layer.new_relay()
@@ -602,7 +602,7 @@ def test_relays_of_a_stopped_process_join_components_only_through_their_links():
         world = new_world(21, 3)
         to_0, to_2 = connect_door(world, 1, 0), connect_door(world, 1, 2)
         if send:
-            world.ctx(1).send(to_0, "meet", (to_2,), relay_positions=(0,))
+            world.ctx(1).send(to_0, "meet", (to_2,))
         world.ctx(1).stop()
         assert _graph_components(world) == ([[0, 2]] if send else [[0], [2]])
         for _ in range(60):

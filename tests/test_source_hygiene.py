@@ -1,9 +1,15 @@
-"""Dead names in the package: imports nobody reads and locals nobody reads.
+"""Dead names and import boundaries in the package.
 
-Both checks read the source with `ast` only.  `__init__.py` is exempt from
-the import check, since its imports are the package's re-exports, and so is
+Dead names are imports nobody reads and locals nobody reads.  The checks
+read the source with `ast` only.  `__init__.py` is exempt from the import
+check, since its imports are the package's re-exports, and so is
 `from __future__`.  A local whose name starts with `_` is unread on purpose,
 as in `_, x = pair`.
+
+The boundaries: `core` imports nothing from the package, `layer` imports
+only `core` at run time, and protocol code (`kernel`, `layer`, `departure`,
+`rules`) never imports the oracle or the suites, which are test equipment
+that read global state.
 """
 
 import ast
@@ -11,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "relaysim"
+PACKAGE = "relaysim"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
@@ -47,6 +54,32 @@ def _own_stores(func: ast.AST) -> set:
         if not isinstance(node, _SCOPES):
             todo.extend(ast.iter_child_nodes(node))
     return names - outer
+
+
+def package_imports(tree: ast.Module) -> set:
+    """`(module, at_run_time)` for each import of a package module in `tree`.
+
+    `from .core import X`, `from . import core` and `import relaysim.core`
+    all name `core`; an import under `if TYPE_CHECKING:` does not run.
+    """
+    typing_only = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+        for stmt in node.body
+        for sub in ast.walk(stmt)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == PACKAGE):
+            parts = (node.module or "").split(".")[0 if node.level else 1:]
+            modules = parts[:1] if parts and parts[0] else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name.split(".")[1] for alias in node.names if alias.name.startswith(PACKAGE + ".")]
+        else:
+            continue
+        found |= {(m, id(node) not in typing_only) for m in modules}
+    return found
 
 
 def unread_imports(name: str) -> list:
@@ -94,3 +127,34 @@ def test_the_checks_see_what_they_look_for():
     tree = ast.parse(source)
     assert sorted(_own_stores(tree.body[2]) - _reads(tree.body[2])) == ["_spare", "dead", "idx"]
     assert "os" not in _reads(tree) and "Optional" in _reads(tree)
+
+
+def test_core_imports_nothing_from_the_package():
+    assert package_imports(_tree("core.py")) == set()
+
+
+def test_layer_imports_only_core_at_run_time():
+    assert {m for m, at_run_time in package_imports(_tree("layer.py")) if at_run_time} == {"core"}
+
+
+@pytest.mark.parametrize("module", ["kernel.py", "layer.py", "departure.py", "rules.py"])
+def test_protocol_code_never_imports_the_oracle_or_the_suites(module):
+    assert not {m for m, _ in package_imports(_tree(module))} & {"oracle", "suites"}
+
+
+def test_the_import_reader_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, relaysim.suites\n"
+        "from . import oracle, rules\n"
+        "from .core import Key\n"
+        "from relaysim.apps import IdleApp\n"
+        "if TYPE_CHECKING:\n"
+        "    from .kernel import WorldState\n"
+        "def f():\n"
+        "    from .layer import RelayLayer\n"
+    )
+    assert package_imports(ast.parse(source)) == {
+        ("suites", True), ("oracle", True), ("rules", True), ("core", True),
+        ("apps", True), ("kernel", False), ("layer", True),
+    }
