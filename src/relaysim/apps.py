@@ -11,59 +11,18 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import ActionInvocation, RelayRef
-from .kernel import ProcessContext, WorldState
-from .oracle import WorldCheck
-
-
-class DeliveryTracker:
-    """Harness-side ledger of payload sends and receipts.
-
-    At send time it asks the oracle whether the sending relay was valid and
-    freezes the expected receiver; the application itself never sees any of
-    this.
-    """
-
-    def __init__(self, world: WorldState) -> None:
-        self.world = world
-        self.sent: dict = {}      # marker -> (expected pid, valid at send)
-        self.received: dict = {}  # marker -> pid
-
-    def on_send(self, ctx: ProcessContext, ref: RelayRef) -> Optional[tuple]:
-        layer = self.world.layers.get(ctx.pid)
-        relay = layer.relays.get(ref.relay_id) if layer else None
-        if relay is None:
-            return None
-        marker = (ctx.pid, len(self.sent))
-        self.sent[marker] = (relay.sink_rid, WorldCheck(self.world).relay_valid(relay.id))
-        return marker
-
-    def on_receive(self, ctx: ProcessContext, marker: tuple) -> None:
-        self.received.setdefault(marker, ctx.pid)
-
-    def undelivered_valid(self) -> list:
-        return [
-            marker
-            for marker, (_, ok) in self.sent.items()
-            if ok and marker not in self.received
-        ]
-
-    def misdelivered(self) -> list:
-        out = []
-        for marker, pid in self.received.items():
-            expected, ok = self.sent.get(marker, (None, False))
-            if ok and pid != expected:
-                out.append((marker, pid, expected))
-        return out
+from .kernel import ProcessContext
 
 
 class RandomDeliberateApp:
     """Seeded random exerciser of the relay primitives.
 
     send_refs: "never" sends payloads only; "direct" also introduces
-    references of direct relays via arbitrary owned relays.
+    references of direct relays via arbitrary owned relays.  A `tracker`
+    (the suites' DeliveryTracker) hears of each payload sent and received.
     """
 
-    def __init__(self, send_refs: str = "direct", tracker: Optional[DeliveryTracker] = None,
+    def __init__(self, send_refs: str = "direct", tracker: Optional[object] = None,
                  max_relays: int = 8) -> None:
         assert send_refs in ("never", "direct")
         self.send_refs = send_refs

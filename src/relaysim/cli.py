@@ -99,6 +99,8 @@ def load_scenario(path: str) -> dict:
         if value not in allowed:
             raise ScenarioError(f"{name} must be one of {', '.join(allowed)}, got {value!r}")
         typed[name] = value
+    if typed["scheduler"] == "round_robin" and "fairness_bound" in scenario:
+        raise ScenarioError("fairness_bound has no effect under scheduler round_robin, which forces every step")
     typed.setdefault("relays", 3 * typed["processes"])
     n = 3 if typed["topology"] == "triangle" else typed["processes"]
     leaving = scenario.get("leaving", [])

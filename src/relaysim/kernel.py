@@ -70,15 +70,16 @@ class ProcessContext:
     owner stops, and a shut-down layer has no relays and an empty layer
     buffer, so each call returns its default.
 
-    Assigning `active` or `app` calls `on_change(pid, enabled)`, so the
-    world's scheduler keeps its set of enabled application actions current
-    without rescanning the processes on every step.  Neither the hook nor
-    the record may hold the world: a reference cycle would keep finished
-    worlds alive until the cyclic garbage collector runs.  The layer never
-    points back here.
+    `active` reads the layer's `owner_alive` flag, which only `stop()`
+    clears.  Assigning `app` or calling `stop()` calls `on_change(pid,
+    enabled)`, so the world's scheduler keeps its set of enabled application
+    actions current without rescanning the processes on every step.  Neither
+    the hook nor the record may hold the world: a reference cycle would keep
+    finished worlds alive until the cyclic garbage collector runs.  The
+    layer never points back here.
     """
 
-    __slots__ = ("pid", "leaving", "store", "rng", "layer", "_active", "_app", "on_change")
+    __slots__ = ("pid", "leaving", "store", "rng", "layer", "_app", "on_change")
 
     def __init__(self, pid: int, rng: random.Random, layer: RelayLayer, app: Optional[object], on_change: Callable) -> None:
         self.pid = pid
@@ -86,18 +87,12 @@ class ProcessContext:
         self.store: dict = {}
         self.rng = rng
         self.layer = layer
-        self._active = True
         self._app = app
         self.on_change = on_change
 
     @property
     def active(self) -> bool:
-        return self._active
-
-    @active.setter
-    def active(self, value: bool) -> None:
-        self._active = value
-        self.on_change(self.pid, self.enabled)
+        return self.layer.owner_alive
 
     @property
     def app(self) -> Optional[object]:
@@ -111,14 +106,14 @@ class ProcessContext:
     @property
     def enabled(self) -> bool:
         """The process has an application action for the scheduler."""
-        return self._active and self._app is not None
+        return self.layer.owner_alive and self._app is not None
 
     def send(self, ref: RelayRef, label: str, params: tuple = ()) -> None:
         self.layer.send(ref, ActionInvocation(label, params))
 
     def stop(self) -> None:
-        self.active = False
         self.layer.stop_process()
+        self.on_change(self.pid, False)
 
 
 # Kind ranks in the forced pick's tie-break: among equally old actions the
@@ -171,17 +166,15 @@ class PendingIndex:
     Uids come from one monotonic counter shared by all layers of a world.
     Layers report their emissions and merge moves through the methods
     below; the kernel's delivery path in `WorldState._execute` updates
-    `holder`, `counts` and `in_layers` in place when it takes an envelope
-    out.
+    `holder` and `counts` in place when it takes an envelope out.
 
     `holder` maps each pending uid to its relay, or to None in a layer
     buffer or the orphan list.  `heap` is the world's scheduling heap: an
     envelope's entry is (birth, -rank, -rid, -uid, uid), an orphan's (birth,
     -rank, -uid, 0, uid), live while the uid is in `holder`.  The forced
     pick drops stale entries when they reach the top.  `counts`
-    holds the pending envelopes of each layer, by rid, and `in_layers`
-    their total: the random pick walks them to find its layer.  Orphans
-    are the kernel's own list.
+    holds the pending envelopes of each layer, by rid: the random pick
+    walks them to find its layer.  Orphans are the kernel's own list.
 
     An envelope's birth is the step count of the first `step()` that can
     pick it: the kernel sets `stamp` to that value when a step begins.
@@ -193,7 +186,6 @@ class PendingIndex:
         self.holder: dict[int, Optional[Relay]] = {}
         self.heap: list = []
         self.counts: list[int] = []  # by rid
-        self.in_layers = 0
 
     def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
         """Uid of a new envelope entering `relay`'s buffer, or the layer
@@ -204,7 +196,6 @@ class PendingIndex:
         rank = _LAYER if relay is None else _RELAY
         heappush(self.heap, (self.stamp, -rank, -rid, -uid, uid))
         self.counts[rid] += 1
-        self.in_layers += 1
         return uid
 
     def moved(self, envelopes: list, relay: Relay) -> None:
@@ -218,7 +209,6 @@ class PendingIndex:
         if not moving:
             return
         self.counts[rid] -= len(moving)
-        self.in_layers -= len(moving)
         # Once per dead layer: the births are read back from the layer-buffer
         # entries, which stay live behind the new ones (same birth, lower rank).
         for entry in [e for e in self.heap if e[1] == -_LAYER and e[-1] in moving]:
@@ -316,16 +306,17 @@ class WorldState:
             return ("orphan", key)
 
         timeouts, apps = self._timeouts.order, self._apps.order
-        in_layers = pending.in_layers
-        i = self.rng.randrange(len(timeouts) + len(apps) + in_layers + len(self.orphan_out))
+        # `holder` maps every pending uid, orphans included; they come last.
+        i = self.rng.randrange(len(timeouts) + len(apps) + len(holder))
         if i < len(timeouts):
             return ("timeout", timeouts[i])
         i -= len(timeouts)
         if i < len(apps):
             return ("app", apps[i])
         i -= len(apps)
-        if i >= in_layers:
-            return ("orphan", self.orphan_out[i - in_layers].uid)
+        orphan = i - (len(holder) - len(self.orphan_out))
+        if orphan >= 0:
+            return ("orphan", self.orphan_out[orphan].uid)
         # A dead layer holds no envelopes, so the live layers cover them all.
         counts = pending.counts
         for layer in self.layers.values():
@@ -377,7 +368,6 @@ class WorldState:
             rid, buf = None, self.orphan_out
         if rid is not None:
             pending.counts[rid] -= 1
-            pending.in_layers -= 1
         for i, env in enumerate(buf):
             if env.uid == uid:
                 del buf[i]

@@ -478,13 +478,10 @@ class RelayLayer:
                         confirmed.append(e)
                     elif e.via not in table:
                         drop.append(e)
-                if drop:
-                    relay.in_set.difference_update(drop)
-                if confirmed:
-                    confirmed.sort()
-                    sink_rid = relay.sink_rid
-                    for e in confirmed:
-                        self._emit_control(e.from_rid, Ping(relay_id, level, sink_rid, e.key))
+                relay.in_set.difference_update(drop)
+                confirmed.sort()
+                for e in confirmed:
+                    self._emit_control(e.from_rid, Ping(relay_id, level, relay.sink_rid, e.key))
 
             pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:

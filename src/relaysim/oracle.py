@@ -89,8 +89,7 @@ class WorldCheck:
         for env in world.orphan_out:
             self._index_message(None, env.message)
 
-        self._violations: dict[RelayId, list] = {}
-        self._evaluated = False
+        self._violations: Optional[dict[RelayId, list]] = None  # built by `_evaluate_all`
         self._alive_valid = False  # set once `is_legal` finds every alive relay valid
 
     @cached_property
@@ -154,9 +153,8 @@ class WorldCheck:
     # when it is alive.  `is_legal` decides from this rule alone.
 
     def _evaluate_all(self) -> None:
-        if self._evaluated:
+        if self._violations is not None:
             return
-        self._evaluated = True
         local: dict[RelayId, list] = {}
         via_deps: dict[RelayId, list] = {}
         for relay in self.relays.values():

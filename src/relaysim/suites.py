@@ -18,12 +18,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
 from multiprocessing import Pool
+from typing import Optional
 
 from . import oracle, rules
-from .apps import DeliveryTracker, RandomDeliberateApp
+from .apps import RandomDeliberateApp
 from .core import RelayRef
 from .departure import build_departure_world
-from .kernel import FAIRNESS_BOUND, WorldState, adversarial_init, random_connected_world
+from .kernel import FAIRNESS_BOUND, ProcessContext, WorldState, adversarial_init, random_connected_world
 
 CLOSURE_STEPS = 10_000
 CLOSURE_WINDOW = 10 * FAIRNESS_BOUND
@@ -111,6 +112,46 @@ def _suite(name: str, run, args, summarise) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 1. Delivery: payloads sent via oracle-valid relays always reach the
 #    process the relay sinks at.
+
+
+class DeliveryTracker:
+    """Harness-side ledger of payload sends and receipts.
+
+    At send time it asks the oracle whether the sending relay was valid and
+    freezes the expected receiver; the application itself never sees any of
+    this.
+    """
+
+    def __init__(self, world: WorldState) -> None:
+        self.world = world
+        self.sent: dict = {}      # marker -> (expected pid, valid at send)
+        self.received: dict = {}  # marker -> pid
+
+    def on_send(self, ctx: ProcessContext, ref: RelayRef) -> Optional[tuple]:
+        relay = self.world.find_relay(ref.relay_id)
+        if relay is None:
+            return None
+        marker = (ctx.pid, len(self.sent))
+        self.sent[marker] = (relay.sink_rid, oracle.WorldCheck(self.world).relay_valid(relay.id))
+        return marker
+
+    def on_receive(self, ctx: ProcessContext, marker: tuple) -> None:
+        self.received.setdefault(marker, ctx.pid)
+
+    def undelivered_valid(self) -> list:
+        return [
+            marker
+            for marker, (_, ok) in self.sent.items()
+            if ok and marker not in self.received
+        ]
+
+    def misdelivered(self) -> list:
+        out = []
+        for marker, pid in self.received.items():
+            expected, ok = self.sent.get(marker, (None, False))
+            if ok and pid != expected:
+                out.append((marker, pid, expected))
+        return out
 
 
 def _delivery_run(seed: int) -> dict:

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,7 @@ BAD_FIELDS = {
     "fairness_bound_not_a_number": {"fairness_bound": "x"},
     "no_processes": {"processes": 0},
     "unknown_scheduler": {"scheduler": "bogus"},
+    "round_robin_with_a_bound": {"scheduler": "round_robin", "fairness_bound": 5},
     "leaving_pid_out_of_range": {"topology": "departure_line", "processes": 3, "leaving": [7]},
     "leaving_not_a_list": {"topology": "departure_line", "processes": 3, "leaving": "01"},
     # Only a field absent from the file takes its default.
@@ -130,6 +133,14 @@ def test_bad_field_is_parse_error(tmp_path, name):
     assert cli.run_scenario(path, out=out) == cli.EXIT_PARSE
     assert out.getvalue().startswith("error=parse detail=")
     assert "steps=" not in out.getvalue()
+
+
+def test_readme_lists_exactly_the_scenario_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| field ", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` ", table, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(cli._INTEGERS) | set(cli._CHOICES) | {"leaving"}
 
 
 def test_scenario_that_is_not_an_object_is_parse_error(tmp_path):

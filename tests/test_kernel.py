@@ -313,6 +313,19 @@ def test_applications_get_the_process_record_and_its_layer():
     assert not layer.owner_alive and not layer.relays and not layer.layer_buf
 
 
+def test_stop_is_the_only_way_to_clear_active():
+    world = _with_apps(new_world(47, 3), max_relays=4)
+    ctx = world.ctx(1)
+    assert ctx.active and ctx.enabled and 1 in world._apps.order
+    ctx.stop()
+    assert not ctx.active and not ctx.enabled
+    assert world._apps.order == [0, 2]
+    # `active` reads the layer's flag: there is no second copy to assign.
+    with pytest.raises(AttributeError):
+        ctx.active = True
+    assert not ctx.active and not ctx.layer.owner_alive
+
+
 @pytest.mark.parametrize(
     "clone", [lambda w: pickle.loads(pickle.dumps(w)), copy.deepcopy], ids=["pickle", "deepcopy"]
 )
@@ -484,10 +497,10 @@ def _toggle_apps_and_mode(world, i):
         world.fairness_bound = -1
     if i == 350:
         world.processes[1].app = RandomDeliberateApp(max_relays=4)
-        world.processes[2].active = False
+        world.processes[2].app = None
     if i == 450:
         world.fairness_bound = FAIRNESS_BOUND
-        world.processes[2].active = True
+        world.processes[2].app = RandomDeliberateApp(max_relays=4)
 
 
 def _shut_down_one_by_one(world, i):
@@ -618,6 +631,14 @@ def test_incremental_scheduler_matches_full_scan(name, seed):
             ages = [reference.action_age(a) for a in actions]
             oldest = [a for a, age in zip(actions, ages) if age == max(ages)]
             assert _heap_top(world) == max(oldest, key=_reference_sort_key, default=None), f"step {i}"
+            # `holder` maps exactly the buffered envelopes, orphans included,
+            # which is what the random pick's in-layer total rests on.
+            buffered = {env.uid: None for env in world.orphan_out}
+            for layer in world.layers.values():
+                buffered.update((env.uid, None) for env in layer.layer_buf)
+                buffered.update((env.uid, relay) for relay in layer.relays.values() for env in relay.buf)
+            assert world.env_source.holder.keys() == buffered.keys(), f"step {i}"
+            assert all(world.env_source.holder[uid] is relay for uid, relay in buffered.items()), f"step {i}"
         picked.clear()
         expected = reference.step()
         world.step()

@@ -1,11 +1,12 @@
 """Graph extraction, validity properties, legality, components, export."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from relaysim import oracle, rules
-from relaysim.apps import DeliveryTracker
+from relaysim.suites import DeliveryTracker
 from relaysim.departure import build_departure_world
 from relaysim.core import (
     ActionInvocation,
@@ -568,7 +569,7 @@ def test_components_walked_from_processes_match_walks_from_every_vertex():
         world = adversarial_init(seed, 3 + seed % 4, 12, 10, "mixed")
         # Stopped processes leave their relays behind as relay-only islands.
         for pid in range(seed % 3):
-            world.processes[pid].active = False
+            world.processes[pid].stop()
         world.run(seed * 5)
         graph = oracle.extract_relay_graph(world)
         expected, dropped = _components_from_every_vertex(graph)
@@ -643,6 +644,23 @@ def test_process_components_match_the_graph_while_leavers_stop():
             _check_components(world)
         stops += sum(not p.active for p in world.processes.values())
     assert stops > 0
+
+
+def test_world_check_evaluates_each_relay_once(monkeypatch):
+    checked = Counter()
+    check_local = oracle.WorldCheck._check_relay_local
+
+    def counted(self, relay, via_deps):
+        checked[relay.id] += 1
+        return check_local(self, relay, via_deps)
+
+    monkeypatch.setattr(oracle.WorldCheck, "_check_relay_local", counted)
+    check = oracle.WorldCheck(adversarial_init(23, 4, 12, 12, "mixed"))
+    answers = {relay_id: (check.relay_violations(relay_id), check.relay_valid(relay_id))
+               for relay_id in check.relays}
+    assert all(valid == (violations == []) for violations, valid in answers.values())
+    assert any(violations for violations, _ in answers.values())
+    assert checked == dict.fromkeys(check.relays, 1)
 
 
 def test_oracle_calls_do_not_mutate_state():

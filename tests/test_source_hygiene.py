@@ -8,8 +8,8 @@ as in `_, x = pair`.
 
 The boundaries: `core` imports nothing from the package, `layer` imports
 only `core` at run time, and protocol code (`kernel`, `layer`, `departure`,
-`rules`) never imports the oracle or the suites, which are test equipment
-that read global state.
+`rules`) and the applications (`apps`) never import the oracle or the
+suites, which are test equipment that read global state.
 """
 
 import ast
@@ -137,7 +137,7 @@ def test_layer_imports_only_core_at_run_time():
     assert {m for m, at_run_time in package_imports(_tree("layer.py")) if at_run_time} == {"core"}
 
 
-@pytest.mark.parametrize("module", ["kernel.py", "layer.py", "departure.py", "rules.py"])
+@pytest.mark.parametrize("module", ["kernel.py", "layer.py", "departure.py", "rules.py", "apps.py"])
 def test_protocol_code_never_imports_the_oracle_or_the_suites(module):
     assert not {m for m, _ in package_imports(_tree(module))} & {"oracle", "suites"}
 
