@@ -6,15 +6,15 @@ The checker confirms the stayers were weakly connected at every step and
 that the end state satisfies all three departure conditions.
 """
 
-from relaysim import build_departure_world, extract_relay_graph, fdp_legitimate
-from relaysim.oracle import stayers_connected, weakly_connected_components
+from relaysim import build_departure_world, fdp_legitimate, process_components
+from relaysim.oracle import stayers_connected
 
 
 def main():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)]
     leaving = [1, 3]
     world = build_departure_world(seed=8, n_processes=5, undirected_edges=edges, leaving=leaving)
-    initial = weakly_connected_components(extract_relay_graph(world))
+    initial = process_components(world)
     print("overlay:", edges)
     print("leaving:", leaving, "| staying:", [p for p in range(5) if p not in leaving])
 
@@ -30,7 +30,7 @@ def main():
     for pid, proc in sorted(world.processes.items()):
         state = "stopped, layer gone" if not proc.active else "active"
         print(f"  process {pid}: {state}")
-    print("final components:", weakly_connected_components(extract_relay_graph(world)))
+    print("final components:", process_components(world))
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .oracle import (
     process_components,
     stayers_connected,
     to_dot,
-    weakly_connected_components,
 )
 from .rules import (
     ProcessMultigraph,
@@ -69,7 +68,6 @@ __all__ = [
     "RelayLayer",
     "RelayGraph", "WorldCheck", "extract_relay_graph", "fdp_legitimate",
     "is_legal", "process_components", "stayers_connected", "to_dot",
-    "weakly_connected_components",
     "ProcessMultigraph", "TransformPlan", "cpg", "emulate_process_rule",
     "execute_plan", "plan_transform", "relay_fusion", "relay_introduction",
     "relay_reversal",

@@ -173,6 +173,14 @@ class Ping(NamedTuple):
 
 Message = Union[Transmit, ProbeFail, NotAuthorized, InRelayClosed, OutRelayClosed, Ping, ActionInvocation]
 
+
+def relay_params(message: Message) -> list:
+    """The relay parameters of a Transmit carrying an ActionInvocation; [] for any other message."""
+    if type(message) is Transmit and type(message.action) is ActionInvocation:
+        return [p for p in message.action.params if type(p) is RelayParameter]
+    return []
+
+
 @dataclass(slots=True)
 class Envelope:
     """Buffer entry: a message plus the kernel-assigned delivery identity.

@@ -31,6 +31,7 @@ from .core import (
     Rid,
     Transmit,
     confirmed_entry,
+    relay_params,
     unconfirmed_entry,
 )
 
@@ -43,12 +44,7 @@ _NO_CONTROLS: frozenset = frozenset()
 
 def buffered_param_keys(buf: list) -> set:
     """Keys of the relay parameters riding in the Transmits of `buf`."""
-    keys = set()
-    for env in buf:
-        message = env.message
-        if isinstance(message, Transmit) and isinstance(message.action, ActionInvocation):
-            keys.update(p.key for p in message.action.params if isinstance(p, RelayParameter))
-    return keys
+    return {p.key for env in buf for p in relay_params(env.message)}
 
 
 class RelayLayer:

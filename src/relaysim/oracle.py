@@ -3,11 +3,12 @@
 Everything here is read-only.  `WorldCheck` indexes one snapshot and
 answers per-relay validity with the full property list, in-flight
 parameter validity, header validity, legality and cycle-freeness of the
-valid relays' connections.  The module functions extract the relay graph
-and its connected components, decide the departure problem's end state and
-export DOT.  `process_components` reads the process partition straight
-from the world; the extracted graph serves DOT export and is the tests'
-reference for it.  Protocol code never consults this module.
+valid relays' connections.  The module functions extract the relay graph,
+partition the processes by its weakly connected components, decide the
+departure problem's end state and export DOT.  `process_components` reads
+that partition straight from the world; the extracted graph serves DOT
+export and is the graph that the tests' reference walks.  Protocol code
+never consults this module.
 
 Vertices of the extracted graph include dead relays still draining their
 buffers: their outgoing and in-buffer reference edges are what keeps the
@@ -24,7 +25,6 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional
 
 from .core import (
-    ActionInvocation,
     InRelayClosed,
     Key,
     NotAuthorized,
@@ -38,15 +38,9 @@ from .core import (
     Rid,
     Transmit,
     belongs_to,
+    relay_params,
 )
 from .kernel import WorldState
-
-
-def _params_of(transmit: Transmit) -> list:
-    action = transmit.action
-    if not isinstance(action, ActionInvocation):
-        return []
-    return [p for p in action.params if isinstance(p, RelayParameter)]
 
 
 class WorldCheck:
@@ -109,7 +103,7 @@ class WorldCheck:
                     for k in probe.control_keys:
                         self.probes_by_control.setdefault(k, []).append((carrier, probe))
             else:
-                for p in _params_of(msg):
+                for p in relay_params(msg):
                     self.param_count[p.key] = self.param_count.get(p.key, 0) + 1
                     self.params.append((carrier, msg, p))
         elif kind is Ping:
@@ -122,7 +116,7 @@ class WorldCheck:
             self.header_key_count[msg.original.header.key] = (
                 self.header_key_count.get(msg.original.header.key, 0) + 1
             )
-            for p in _params_of(msg.original):
+            for p in relay_params(msg.original):
                 self.param_count[p.key] = self.param_count.get(p.key, 0) + 1
         elif kind is ProbeFail:
             if msg.key_sequence:
@@ -321,12 +315,7 @@ class WorldCheck:
             holder, nxt = chain[j], chain[j + 1]
             for env in holder.buf:
                 msg = env.message
-                if (
-                    isinstance(msg, Transmit)
-                    and not isinstance(msg.action, Probe)
-                    and any(p.key == key for p in _params_of(msg))
-                    and self.valid_header(msg, nxt.id)
-                ):
+                if any(p.key == key for p in relay_params(msg)) and self.valid_header(msg, nxt.id):
                     allowed = {r.id for r in chain[: j + 1]}
                     if self._no_killer_probe(key, via, allowed):
                         return True
@@ -407,7 +396,7 @@ class WorldCheck:
                     break
         if announced is None or not belongs_to(param.key, target.id.rid):
             v.append("C5")
-        rids = {p.id.rid for p in _params_of(message)}
+        rids = {p.id.rid for p in relay_params(message)}
         if len(rids) > 1:
             v.append("C6")
         if self.out_key_holders.get(param.key):
@@ -530,48 +519,17 @@ def extract_relay_graph(world: WorldState) -> RelayGraph:
         elif relay.out_id in all_relays:
             g.explicit_edges.add(((RELAY, relay.id), (RELAY, relay.out_id)))
         for env in relay.buf:
-            msg = env.message
-            if isinstance(msg, Transmit):
-                for p in _params_of(msg):
-                    if p.id in all_relays:
-                        g.implicit_edges.add(((RELAY, relay.id), (RELAY, p.id)))
+            for p in relay_params(env.message):
+                if p.id in all_relays:
+                    g.implicit_edges.add(((RELAY, relay.id), (RELAY, p.id)))
     return g
 
 
-def weakly_connected_components(graph: RelayGraph) -> list:
-    """Partition of the process vertices by weak connectivity, each part
-    sorted, the parts ordered by their smallest pid.
-
-    Walks start from process vertices only, in ascending pid order:
-    components that hold only relays are never walked.
-    """
-    adj: dict = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-            adj[b].append(a)
-    seen: set = set()
-    components = []
-    for v in sorted(v for v in graph.vertices if v[0] == PROCESS):
-        if v in seen:
-            continue
-        stack = [v]
-        seen.add(v)
-        members = []
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        components.append(sorted(n[1] for n in members if n[0] == PROCESS))
-    return components
-
-
 def process_components(world: WorldState) -> list:
-    """`weakly_connected_components(extract_relay_graph(world))`, computed
-    straight from the world.
+    """Partition of the active processes by weak connectivity of the relay
+    graph, each part sorted, the parts ordered by their smallest pid;
+    components that hold only relays are dropped.  Read straight from the
+    world, without extracting the graph.
 
     An owner edge ties each relay of an active process to its owner, so
     such a relay stands for its owner here; a relay of a process that is
@@ -595,8 +553,7 @@ def process_components(world: WorldState) -> list:
         for relay in layer.relays.values():
             targets = [] if relay.out_id is None else [relay.out_id]
             for env in relay.buf:
-                if isinstance(env.message, Transmit):
-                    targets += [p.id for p in _params_of(env.message)]
+                targets += [p.id for p in relay_params(env.message)]
             for t in targets:
                 if world.find_relay(t) is not None:
                     a, b = root(vertex(relay.id)), root(vertex(t))
@@ -654,8 +611,6 @@ def to_dot(world: WorldState) -> str:
             lines.append(f'  {_node_name(node)} [shape=box label="{node[1]}"];')
         else:
             relay = world.find_relay(node[1])
-            if relay is None:
-                continue
             direct = "d" if relay.level <= 1 else "i"
             style = ' style=dotted' if not relay.alive else ""
             label = f"{len(relay.in_set)}, {_node_name(node)}, {direct}"

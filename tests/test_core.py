@@ -22,6 +22,7 @@ from relaysim.core import (
     confirmed_entry,
     message_json,
     relay_json,
+    relay_params,
     unconfirmed_entry,
 )
 from relaysim.kernel import connect_door, new_world
@@ -126,6 +127,17 @@ def test_relay_json_is_stable_and_canonical():
     ]
     for message, expected in pinned:
         assert json.dumps(message_json(message), sort_keys=True) == expected
+
+
+def test_relay_params_reads_only_a_transmitted_action():
+    header = Header(Key(1, 1), RelayId(0, 1), RelayId(1, 1), 1)
+    param = RelayParameter(Key(0, 2), RelayId(0, 1), 2, 1)
+    param2 = RelayParameter(Key(0, 3), RelayId(2, 1), 2, 2)
+    action = ActionInvocation("a", (param, None, param2))
+    assert relay_params(Transmit(header, action)) == [param, param2]
+    assert relay_params(Transmit(header, Probe(frozenset({Key(0, 2)}), (Key(0, 2),)))) == []
+    assert relay_params(action) == []  # as a sink's buffer holds it
+    assert relay_params(NotAuthorized(Transmit(header, action))) == []
 
 
 def test_key_ordering_is_total():

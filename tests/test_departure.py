@@ -9,7 +9,7 @@ from relaysim.kernel import connect, give_door, new_world
 
 def run_departure(seed, n, edges, leaving, budget=40000, check_every=1):
     world = build_departure_world(seed, n, edges, leaving)
-    initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    initial = oracle.process_components(world)
     for step in range(budget):
         if oracle.fdp_legitimate(world, initial):
             return world, step, True
@@ -37,14 +37,14 @@ def test_staying_process_tick_is_noop():
 def test_middle_of_line_leaves_and_ends_bridge_the_gap():
     world, steps, done = run_departure(3, 3, [(0, 1), (1, 2)], leaving=[1])
     assert done
-    comps = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    comps = oracle.process_components(world)
     assert [0, 2] in comps
 
 
 def test_two_adjacent_leavers_in_line_of_four():
     world, steps, done = run_departure(4, 4, [(0, 1), (1, 2), (2, 3)], leaving=[1, 2])
     assert done
-    comps = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    comps = oracle.process_components(world)
     assert [0, 3] in comps
 
 
@@ -104,7 +104,7 @@ def test_departure_from_corrupt_start_departs_after_stabilization():
     assert res.reached
 
     world.processes[3].leaving = True
-    initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    initial = oracle.process_components(world)
     for step in range(60000):
         if oracle.fdp_legitimate(world, initial):
             break

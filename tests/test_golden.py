@@ -48,7 +48,7 @@ def adversarial_mixed():
 
 def departure_line():
     world = build_departure_world(43, 5, [(i, i + 1) for i in range(4)], [1, 3])
-    initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    initial = oracle.process_components(world)
     world.trace = []
     res = world.run_until(lambda w: oracle.fdp_legitimate(w, initial), 40_000)
     assert res.reached

@@ -521,7 +521,7 @@ def test_levels_strictly_decrease_in_valid_graph():
 
 def test_triangle_is_one_component():
     world = fig_triangle()
-    comps = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    comps = oracle.process_components(world)
     assert comps == [[0, 1, 2]]
 
 
@@ -529,7 +529,7 @@ def test_isolated_processes_are_singletons():
     world = new_world(18, 2)
     give_door(world, 0)
     give_door(world, 1)
-    comps = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    comps = oracle.process_components(world)
     assert comps == [[0], [1]]
 
 
@@ -573,7 +573,6 @@ def test_components_walked_from_processes_match_walks_from_every_vertex():
         world.run(seed * 5)
         graph = oracle.extract_relay_graph(world)
         expected, dropped = _components_from_every_vertex(graph)
-        assert oracle.weakly_connected_components(graph) == expected, seed
         assert oracle.process_components(world) == expected, seed
         islands += dropped
     assert islands > 0
@@ -583,12 +582,11 @@ def test_components_walked_from_processes_match_walks_from_every_vertex():
         explicit_edges={(r(2, 1), r(2, 2)), ((PROCESS, 3), r(0, 1)), (r(0, 1), (PROCESS, 0)),
                         (r(3, 1), (PROCESS, 2))},
     )
-    assert oracle.weakly_connected_components(graph) == [[0, 3], [1]]
     assert _components_from_every_vertex(graph) == ([[0, 3], [1]], 2)
 
 
 def _graph_components(world):
-    return oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    return _components_from_every_vertex(oracle.extract_relay_graph(world))[0]
 
 
 def _check_components(world, *_):
@@ -668,7 +666,8 @@ def test_oracle_calls_do_not_mutate_state():
     before = world.state_hash()
     oracle.is_legal(world)
     oracle.extract_relay_graph(world)
-    oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    oracle.process_components(world)
+    oracle.to_dot(world)
     check = oracle.WorldCheck(world)
     check.valid_graph_cycle_free()
     for relay_id in check.relays:
@@ -682,7 +681,7 @@ def test_fdp_legitimate_clauses():
     world = new_world(20, 3)
     connect_door(world, 0, 1)
     connect_door(world, 1, 2)
-    initial = oracle.weakly_connected_components(oracle.extract_relay_graph(world))
+    initial = oracle.process_components(world)
     assert oracle.fdp_legitimate(world, initial)  # nobody leaving
     world.processes[2].leaving = True
     assert not oracle.fdp_legitimate(world, initial)  # leaver still active

@@ -4,6 +4,7 @@ Neither `demos/` nor `relaybench/` is collected by pytest, so a public name
 they use could disappear from `src/` without any other test noticing.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,6 +17,15 @@ from relaysim.kernel import adversarial_init, random_connected_world
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# sha256 of each demo's stdout.  The demos are seeded and their output does
+# not depend on PYTHONHASHSEED, so a change here is a change of behaviour.
+DEMO_STDOUT_SHA256 = {
+    "01_relay_basics.py": "8596f7f89985753dee8b274df0b048933804cc3cc32cf41be30022a152b2f58a",
+    "02_self_stabilization.py": "3b1ab5fc9855ab943c5469adff22cad84ed9e06ca2be1fb64da2ae844e1902e2",
+    "03_topology_transform.py": "05afdc06b57fdd6450beddc30d5547bef92aac79d3102e3e2809a0694e266b4f",
+    "04_departure.py": "03b40d07243497b3e4901fe08bc574d49406256e0c785814642c2d606641364c",
+}
+
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
@@ -26,7 +36,7 @@ def test_demo_runs(demo):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo], proc.stdout
 
 
 def test_benchmark_modules_use_existing_names(monkeypatch):

@@ -17,7 +17,7 @@ def settled(world, budget=8000):
 
 
 def one_component(world):
-    return len(oracle.weakly_connected_components(oracle.extract_relay_graph(world))) == 1
+    return len(oracle.process_components(world)) == 1
 
 
 # -- cpg -------------------------------------------------------------------
