@@ -44,7 +44,13 @@ _NO_CONTROLS: frozenset = frozenset()
 
 def buffered_param_keys(buf: list) -> set:
     """Keys of the relay parameters riding in the Transmits of `buf`."""
-    return {p.key for env in buf for p in relay_params(env.message)}
+    # A loop, not a set comprehension: this runs in the repair loop, and on
+    # Python 3.11 the comprehension builds a function object every call.
+    keys = set()
+    for env in buf:
+        for p in relay_params(env.message):
+            keys.add(p.key)
+    return keys
 
 
 class RelayLayer:

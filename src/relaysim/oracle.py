@@ -144,7 +144,11 @@ class WorldCheck:
     # P4 to the holders of entries announced via an alive invalid relay.  So
     # every alive relay is valid exactly when none fails locally and none
     # points at a relay that is not alive, and then a relay is valid exactly
-    # when it is alive.  `is_legal` decides from this rule alone.
+    # when it is alive.  `is_legal` decides from this rule alone, by its own
+    # walk that restates `_check_relay_local`'s rules inline and stops at
+    # the first failure.  `_evaluate_all`, `relay_violations` and
+    # `param_violations` are the explanation it is tested against
+    # (tests/test_legal_walk.py).
 
     def _evaluate_all(self) -> None:
         if self._violations is not None:
@@ -444,13 +448,69 @@ class WorldCheck:
     # -- aggregates ---------------------------------------------------------------
 
     def is_legal(self) -> bool:
-        # Decides relay validity by the rule stated above `_evaluate_all`.
-        for relay in self.relays.values():
-            if relay.alive and (
-                self._check_relay_local(relay, {})
-                or relay.out_id is not None and not self.relays[relay.out_id].alive
-            ):
+        # Decides relay validity by the rule stated above `_evaluate_all`:
+        # the rules of `_check_relay_local`, in its order, applied to each
+        # alive relay and stopping at the first that fails.
+        relays = self.relays
+        in_key_count = self.in_key_count
+        pings_by_id = self.pings_by_id
+        orc_ids = self.orc_ids
+        notauth_by_out = self.notauth_by_out
+        out_key_holders = self.out_key_holders
+        inrelays_by_target = self.inrelays_by_target
+        for relay in relays.values():
+            if not relay.alive:
+                continue
+            relay_id = relay.id
+            rid = relay_id.rid
+            for e in relay.in_set:
+                key = e.key
+                if in_key_count[key] > 1 or key.creator != rid:  # P5
+                    return False
+                via = e.via
+                if via is not None:
+                    # P4 without its missing-announcer half: P9 fails that entry too.
+                    if via.rid != rid:  # P4
+                        return False
+                    if not self._pending_entry_backed(relay, e):  # P9
+                        return False
+            pings = pings_by_id.get(relay_id)
+            if pings:  # P6
+                pending = {e.key for e in relay.in_set if e.via is not None}
+                for ping in pings:
+                    if ping.level != relay.level or ping.sink_rid != relay.sink_rid or ping.key in pending:
+                        return False
+            if relay_id in orc_ids:  # P7
                 return False
+            for m in notauth_by_out.get(relay_id, ()):  # P8
+                if self.valid_header(m, relay_id):
+                    return False
+            out_id = relay.out_id
+            out_keys = relay.out_keys
+            if out_id is None:
+                if out_keys or relay.level != 0 or relay.sink_rid != rid:  # P10
+                    return False
+                continue
+            target = relays.get(out_id)
+            if target is None or not target.alive:  # P11b, or a dead next hop
+                return False
+            if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:  # P11c
+                return False
+            for e in target.in_set:  # P11d, its common case first
+                if e.from_rid == rid and e.key in out_keys:
+                    break
+            else:
+                if not self._one_key_anchored(relay, target):
+                    return False
+            for key in out_keys:  # P11e
+                holders = out_key_holders[key]
+                if len(holders) > 1 and any(
+                    h != relay_id and h.rid == rid and relays[h].alive for h in holders
+                ):
+                    return False
+            for m in inrelays_by_target.get(out_id, ()):  # P11f
+                if m.sender_rid == rid and m.keys & out_keys:
+                    return False
         self._alive_valid = True
         for carrier_id, message, param in self.params:
             if carrier_id is None:

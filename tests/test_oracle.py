@@ -534,9 +534,12 @@ def test_isolated_processes_are_singletons():
 
 
 def _components_from_every_vertex(graph):
-    """`weakly_connected_components` as it was: a walk from every vertex in
-    sorted order, relays included, dropping relay-only components.  Also
-    returns how many it dropped."""
+    """Weakly connected components of an extracted `RelayGraph`, found by a
+    depth-first walk over its edges taken both ways, started from every
+    vertex in sorted order, relays included.  Each component becomes the
+    sorted pids of its process vertices; a component without one is
+    dropped.  Returns the components in walk order and how many it
+    dropped."""
     adj = {v: [] for v in graph.vertices}
     for a, b in graph.edges:
         if a in adj and b in adj:
