@@ -206,12 +206,12 @@ class WorldCheck:
                     unconfirmed_keys = set()
                 unconfirmed_keys.add(e.key)
                 via = self.relays.get(e.via)
-                if via is None or e.via.rid != rid:
+                if e.via.rid != rid:
                     p4 = True
-                elif via.alive:
+                elif via is not None and via.alive:
                     # A dead announcing relay is a reversal in flight, still
-                    # draining the announcement; only an alive-but-invalid
-                    # or missing one condemns the entry.
+                    # draining the announcement; a missing one fails P9.
+                    # Only an alive-but-invalid one condemns the entry.
                     deps.append(e.via)
                 if not p9 and not self._pending_entry_backed(relay, e):
                     p9 = True
@@ -469,8 +469,7 @@ class WorldCheck:
                     return False
                 via = e.via
                 if via is not None:
-                    # P4 without its missing-announcer half: P9 fails that entry too.
-                    if via.rid != rid:  # P4
+                    if via.rid != rid:  # P4 (a missing announcer fails P9)
                         return False
                     if not self._pending_entry_backed(relay, e):  # P9
                         return False

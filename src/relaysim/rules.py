@@ -224,7 +224,8 @@ def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
     the world then runs until every queue is empty and `is_settled` holds.
     The queues are the deques `TransformApp.on_tick` pops, listed once, and
     `is_settled` re-checks its last offender before it scans, so the poll
-    after every kernel step costs amortized O(1).
+    after every kernel step costs amortized O(1).  Relays the plan does not
+    name stay as they are; an empty plan runs no kernel step.
     """
     for proc in world.processes.values():
         proc.app = TransformApp()
@@ -386,12 +387,19 @@ class _Planner:
 
     def phase_to_multiset(self, target: Counter) -> None:
         c = self.pids[0]
-        # Everybody gets an edge to c.
         parent = self.multigraph()._bfs_tree(c)
         if len(parent) != len(self.pids):
             raise PlanError("source graph is not weakly connected")
+        # The endpoints of missing edges and their tree ancestors join the
+        # hub: each gets an edge to c and one back.
+        hub = set()
+        for edge in target - Counter(self.multigraph().edges):
+            for x in edge:
+                while x is not None and x not in hub:
+                    hub.add(x)
+                    x = parent[x]
         for x in list(parent)[1:]:
-            if self.m_count(x, c) > 0:
+            if x not in hub or self.m_count(x, c) > 0:
                 continue
             p = parent[x]
             if p == c:
@@ -405,9 +413,8 @@ class _Planner:
                         raise PlanError("tree edge vanished")
                     self.frag_reversal(x, p)
                 self.frag_introduction(p, x, c)
-        # c gets an edge to everybody.
         for x in self.pids[1:]:
-            if self.m_count(c, x) == 0:
+            if x in hub and self.m_count(c, x) == 0:
                 self.frag_self_introduction(x, c)
         # Build missing target copies through the hub.
         pairs = sorted(set(target) | set(self.edge_slots))
@@ -426,23 +433,15 @@ class _Planner:
             for _ in range(extra):
                 self.frag_drop(a, b)
 
-    # -- phase 3: rebuild the target's sink trees ------------------------------
-
-    def phase_rebuild(self, target: ProcessMultigraph) -> None:
-        # Every target edge (u, v) becomes its own one-relay tree: the root v
-        # creates the sink and reverses it out to u over the mirrored edge.
-        for u, v in sorted(target.edges):
-            tree, slot = self.fresh("tree"), self.fresh("e")
-            self.steps += _swap_out(v, self._take_edge(v, u), tree, slot)
-            self._add_edge(u, v, slot)
-
 
 def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPlan:
     """Plan a transformation of the world's topology into `target`.
 
     Both the current and the target graph must be weakly connected over the
     same processes.  The target may not have self-loops; the current graph
-    may, and the plan removes them.
+    may, and the plan removes them.  Two phases: indirect relays become direct
+    edges, then the target's missing edges are added and the surplus dropped.
+    Edges the target keeps are left alone: a plan's length follows the edit.
     """
     planner = _Planner(world)
     if tuple(world.processes) != target.processes:
@@ -452,8 +451,7 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     if not target.is_weakly_connected():
         raise PlanError("target graph is not weakly connected")
     planner.phase_eliminate_indirect()
-    planner.phase_to_multiset(Counter((v, u) for u, v in target.edges))
-    planner.phase_rebuild(target)
+    planner.phase_to_multiset(Counter(target.edges))
     return TransformPlan(planner.steps, planner.initial_slots)
 
 

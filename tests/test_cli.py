@@ -316,6 +316,15 @@ def test_transform_command(tmp_path):
     assert report["connectivity_violations"] == "0"
 
 
+def test_transform_to_the_same_file_plans_nothing(tmp_path, capsys):
+    dot = tmp_path / "g.dot"
+    dot.write_text("digraph g {\n p0 -> p1;\n p0 -> p1;\n p1 -> p2;\n p2 -> p0;\n}\n")
+    assert cli.main(["transform", str(dot), str(dot)]) == cli.EXIT_OK
+    report = report_dict(capsys.readouterr().out)
+    assert report["plan_steps"] == "0"
+    assert report["final_cpg"] == "match"
+
+
 def test_transform_bad_dot_is_parse_error(tmp_path):
     src = tmp_path / "src.dot"
     tgt = tmp_path / "tgt.dot"
