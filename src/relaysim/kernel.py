@@ -493,7 +493,14 @@ class WorldState:
 
 
 def _relay_unsettled(relay: Relay) -> bool:
-    return not relay.alive or any(e.via is not None for e in relay.in_set)
+    # A loop, not `any()` over a generator: this re-checks the witness on
+    # nearly every poll.
+    if not relay.alive:
+        return True
+    for e in relay.in_set:
+        if e.via is not None:
+            return True
+    return False
 
 
 def _envelope_unsettled(relay: Optional[Relay], msg: Message) -> bool:

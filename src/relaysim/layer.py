@@ -291,14 +291,21 @@ class RelayLayer:
 
     def _activate_connection(self, relay: Relay, header: Header) -> None:
         # First message over a fresh connection confirms the announced key.
+        # Most Transmits travel over confirmed connections: for them the
+        # first loop returns before anything is built or sorted.
+        key = header.key
+        for e in relay.in_set:
+            if e.via is not None and e.key == key:
+                break
+        else:
+            return
         sender = header.in_id.rid
         # All unconfirmed under one key, so tuple order is via order.
-        announced = [e for e in relay.in_set if e.via is not None and e.key == header.key]
-        for e in sorted(announced):
+        for e in sorted(e for e in relay.in_set if e.via is not None and e.key == key):
             via = self.relays.get(e.via)
             if via is not None and via.sink_rid == sender:
                 relay.in_set.discard(e)
-                relay.in_set.add(confirmed_entry(header.key, sender))
+                relay.in_set.add(confirmed_entry(key, sender))
                 return
 
     def _sink_receipt(self, relay: Relay, m: Transmit) -> None:
@@ -338,8 +345,10 @@ class RelayLayer:
         new_key = min(relay.out_keys)
         action = m.action
         if isinstance(action, Probe):
-            sequence = action.key_sequence + (new_key,)
-            action = Probe(action.control_keys - buffered_param_keys(relay.buf), sequence)
+            controls = action.control_keys
+            if controls:
+                controls = controls - buffered_param_keys(relay.buf)
+            action = Probe(controls, action.key_sequence + (new_key,))
         self._emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
 
     # -- probe failure ---------------------------------------------------------

@@ -220,23 +220,29 @@ def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
     """Run a plan to completion, settling the world between steps.
 
     Every process gets a `TransformApp`; its queue and slots persist, so one
-    world may run several plans.  Each plan step is queued at its process;
-    the world then runs until every queue is empty and `is_settled` holds.
-    The queues are the deques `TransformApp.on_tick` pops, listed once, and
-    `is_settled` re-checks its last offender before it scans, so the poll
-    after every kernel step costs amortized O(1).  Relays the plan does not
-    name stay as they are; an empty plan runs no kernel step.
+    world may run several plans.  A plan starts only when every queue is
+    empty: a step left by a plan that failed (its process stopped, say)
+    raises `PlanError` naming that process.  Each plan step is queued at its
+    process; the world then runs until that queue is empty and `is_settled`
+    holds.  Every other queue is empty then, since only this loop fills
+    them, one step at a time, so the poll reads one deque; `is_settled`
+    re-checks its last offender before it scans, so the poll after every
+    kernel step costs amortized O(1).  Relays the plan does not name stay
+    as they are; an empty plan runs no kernel step.
     """
+    for pid, proc in world.processes.items():
+        if proc.store.get("queue"):
+            raise PlanError(f"process {pid} still queues a step of an earlier plan: {proc.store['queue'][0]}")
     for proc in world.processes.values():
         proc.app = TransformApp()
         proc.store.setdefault("queue", deque())
         proc.store.setdefault("slots", {})
     for (pid, slot), relay_id in plan.initial_slots.items():
         world.processes[pid].store["slots"][slot] = RelayRef(relay_id)
-    queues = [proc.store["queue"] for proc in world.processes.values()]
     for i, step in enumerate(plan.steps):
-        world.processes[step.pid].store["queue"].append(step)
-        res = world.run_until(lambda w: not any(queues) and w.is_settled(), PER_STEP_BUDGET)
+        queue = world.processes[step.pid].store["queue"]
+        queue.append(step)
+        res = world.run_until(lambda w: not queue and w.is_settled(), PER_STEP_BUDGET)
         if not res.reached:
             raise PlanError(f"step {i} ({step}) did not settle within {PER_STEP_BUDGET} steps")
         if on_step is not None:

@@ -354,6 +354,39 @@ def test_activation_probe_confirms_pending_entry():
     assert entry.confirmed and entry.from_rid == Rid(1)
 
 
+def test_activation_confirms_the_lowest_via_that_sinks_at_the_sender():
+    # `RescanningLayer` inherits `_activate_connection`, so no lock-step
+    # reference covers it: the choice between announcements is pinned here.
+    world = make_world(3)
+    layer = world.layer_of(0)
+    to_2, to_1, also_to_1 = (connect_door(world, 0, v).relay_id for v in (2, 1, 1))
+    assert to_2 < to_1 < also_to_1
+    sender_relay = world.layer_of(1).mint_relay_id()
+
+    def deliver(target, key):
+        probe = Probe(frozenset(), (key,))
+        layer.handle_transmit(Transmit(Header(key, sender_relay, target.id, 1), probe))
+
+    # Only the via that sorts higher sinks at the sender: its entry is the one.
+    target, key = layer.relays[layer.new_relay().relay_id], layer.mint_key()
+    target.in_set = {unconfirmed_entry(key, to_2), unconfirmed_entry(key, to_1)}
+    deliver(target, key)
+    assert target.in_set == {unconfirmed_entry(key, to_2), confirmed_entry(key, Rid(1))}
+
+    # Both vias sink at the sender: the lower one is confirmed, once.
+    target, key = layer.relays[layer.new_relay().relay_id], layer.mint_key()
+    target.in_set = {unconfirmed_entry(key, also_to_1), unconfirmed_entry(key, to_1)}
+    deliver(target, key)
+    assert target.in_set == {unconfirmed_entry(key, also_to_1), confirmed_entry(key, Rid(1))}
+
+    # A header over a confirmed-only In set leaves the set as it was.
+    target, key = layer.relays[layer.new_relay().relay_id], layer.mint_key()
+    confirmed = {confirmed_entry(key, Rid(1)), confirmed_entry(layer.mint_key(), Rid(2))}
+    target.in_set = set(confirmed)
+    deliver(target, key)
+    assert target.in_set == confirmed
+
+
 def test_transmit_to_missing_relay_answers_out_relay_closed():
     world = make_world(2)
     target = world.layer_of(1)

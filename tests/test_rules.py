@@ -252,6 +252,21 @@ def test_identity_target_plans_nothing():
     assert rules.cpg(world) == src
 
 
+def test_step_left_by_a_failed_plan_stops_the_next_plan():
+    src = rules.ProcessMultigraph.of(range(3), [(0, 1), (1, 2)])
+    world = settled(rules.build_simple_realization(22, src))
+    world.ctx(2).stop()
+    # A stopped process never ticks, so its step stays queued.
+    with pytest.raises(rules.PlanError, match="did not settle"):
+        rules.execute_plan(world, rules.TransformPlan([rules.NewRelayStep(2, "late")], {}))
+    assert list(world.ctx(2).store["queue"]) == [rules.NewRelayStep(2, "late")]
+    steps = world.step_count
+    with pytest.raises(rules.PlanError, match="process 2 "):
+        rules.execute_plan(world, rules.TransformPlan([rules.NewRelayStep(0, "fresh")], {}))
+    assert world.step_count == steps
+    assert "fresh" not in world.ctx(0).store["slots"]
+
+
 def test_plan_contains_only_rule_steps():
     src = rules.ProcessMultigraph.of(range(4), [(0, 1), (1, 2), (2, 3)])
     tgt = rules.ProcessMultigraph.of(range(4), [(3, 0), (2, 0), (1, 0)])
