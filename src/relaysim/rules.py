@@ -5,8 +5,8 @@ introduction (send a reference, keep the carrier), fusion (merge two
 same-target relays), and reversal (send a reference, then close the
 carrier).  This module expresses them as macros over the layer primitives,
 projects quiescent worlds onto process multigraphs, emulates the four
-classical process rules, and plans full topology transformations executed
-step by step inside the simulator.
+classical process rules, and plans full topology transformations, whose
+steps the executor applies in place and settles one at a time.
 
 Plans are symbolic: steps name relays through per-process slots so a plan
 can be inspected and replayed.  The receiving side of every
@@ -171,35 +171,38 @@ def initial_slots(world: WorldState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Plan execution: a bookkeeping application driving the layer primitives.
+# Plan execution: each step applied in place, settled before the next.
+
+
+def _perform(ctx: ProcessContext, step) -> None:
+    """Apply one plan step at its process, as one application action."""
+    if not ctx.active:
+        raise PlanError(f"process {ctx.pid} is stopped: {step}")
+    slots = ctx.store["slots"]
+    if isinstance(step, NewRelayStep):
+        slots[step.slot] = ctx.layer.new_relay()
+    elif isinstance(step, IntroductionStep):
+        ctx.send(slots[step.via_slot], "adopt", (slots[step.carry_slot], step.to_slot))
+    elif isinstance(step, ReversalStep):
+        via = slots.pop(step.via_slot)
+        if ctx.layer.incoming(via) != 0:
+            raise PlanError(f"reversal precondition failed at {step}")
+        label = "adopt" if step.to_slot is not None else "discard"
+        ctx.send(via, label, (slots[step.carry_slot], step.to_slot))
+        ctx.layer.delete_relay(via)
+    elif isinstance(step, FusionStep):
+        merged = ctx.layer.merge({slots.pop(step.slot_a), slots.pop(step.slot_b)})
+        if merged is None:
+            raise PlanError(f"fusion merged nothing at {step}")
+        slots[step.to_slot] = merged
 
 
 class TransformApp:
-    """Executes queued plan commands, one per tick, and files received
-    references under the slots the plan designates."""
+    """Files received references under the slots the plan designates.
+    Plan steps run through `execute_plan`, so a tick does nothing."""
 
     def on_tick(self, ctx: ProcessContext) -> None:
-        queue = ctx.store["queue"]
-        if not queue:
-            return
-        step = queue.popleft()
-        slots = ctx.store["slots"]
-        if isinstance(step, NewRelayStep):
-            slots[step.slot] = ctx.layer.new_relay()
-        elif isinstance(step, IntroductionStep):
-            ctx.send(slots[step.via_slot], "adopt", (slots[step.carry_slot], step.to_slot))
-        elif isinstance(step, ReversalStep):
-            via = slots.pop(step.via_slot)
-            if ctx.layer.incoming(via) != 0:
-                raise PlanError(f"reversal precondition failed at {step}")
-            label = "adopt" if step.to_slot is not None else "discard"
-            ctx.send(via, label, (slots[step.carry_slot], step.to_slot))
-            ctx.layer.delete_relay(via)
-        elif isinstance(step, FusionStep):
-            merged = ctx.layer.merge({slots.pop(step.slot_a), slots.pop(step.slot_b)})
-            if merged is None:
-                raise PlanError(f"fusion merged nothing at {step}")
-            slots[step.to_slot] = merged
+        pass
 
     def on_message(self, ctx: ProcessContext, action: ActionInvocation, via: RelayRef) -> None:
         if action.label == "adopt":
@@ -219,30 +222,22 @@ PER_STEP_BUDGET = 8000  # kernel steps a plan step may take to settle
 def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
     """Run a plan to completion, settling the world between steps.
 
-    Every process gets a `TransformApp`; its queue and slots persist, so one
-    world may run several plans.  A plan starts only when every queue is
-    empty: a step left by a plan that failed (its process stopped, say)
-    raises `PlanError` naming that process.  Each plan step is queued at its
-    process; the world then runs until that queue is empty and `is_settled`
-    holds.  Every other queue is empty then, since only this loop fills
-    them, one step at a time, so the poll reads one deque; `is_settled`
-    re-checks its last offender before it scans, so the poll after every
-    kernel step costs amortized O(1).  Relays the plan does not name stay
-    as they are; an empty plan runs no kernel step.
+    Every process gets a `TransformApp`; its slots persist, so one world may
+    run several plans.  Each step runs in place between two kernel steps, as
+    one application action of its process, and the world then runs until
+    `is_settled`: a `NewRelayStep` costs no kernel step.  A step at a
+    stopped process raises `PlanError` naming it.  A trace shows a step only
+    through the messages it sends; `on_step(world, i, step)` is the per-step
+    hook.  Relays the plan does not name stay as they are.
     """
-    for pid, proc in world.processes.items():
-        if proc.store.get("queue"):
-            raise PlanError(f"process {pid} still queues a step of an earlier plan: {proc.store['queue'][0]}")
     for proc in world.processes.values():
         proc.app = TransformApp()
-        proc.store.setdefault("queue", deque())
         proc.store.setdefault("slots", {})
     for (pid, slot), relay_id in plan.initial_slots.items():
         world.processes[pid].store["slots"][slot] = RelayRef(relay_id)
     for i, step in enumerate(plan.steps):
-        queue = world.processes[step.pid].store["queue"]
-        queue.append(step)
-        res = world.run_until(lambda w: not queue and w.is_settled(), PER_STEP_BUDGET)
+        _perform(world.processes[step.pid], step)
+        res = world.run_until(lambda w: w.is_settled(), PER_STEP_BUDGET)
         if not res.reached:
             raise PlanError(f"step {i} ({step}) did not settle within {PER_STEP_BUDGET} steps")
         if on_step is not None:

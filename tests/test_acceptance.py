@@ -40,10 +40,10 @@ PINNED = {
         "586b5f9fde669ac2fe555829551bbe087dc97da98995a8ade79771e97ec449ed",
         100,
     ),
-    # The trace moved when plans stopped rebuilding edges the target keeps.
+    # The trace moved when plan steps began to run in place instead of at a tick.
     "universality": (
         "criterion=universality pairs=50 matched=50 disconnections=0 pass=yes",
-        "59a4c66f8f52b34c097c5d582331a8e1108c809300dd8ac02e64eb1e2a55722a",
+        "725e93bfc40b3ca754b326182feb4b336e597b11703f597b2d0bf8b20ad1af26",
         50,
     ),
     "emulation": ("criterion=emulation cases=100 executed=100 delta_mismatches=0 pass=yes", "", 0),

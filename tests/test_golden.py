@@ -169,10 +169,10 @@ GOLDEN = {
         "835cb0d5aee871bbe7189cd7dd74bf3e07104891294688644ac90d2b67ae89d8",
         "2bc433b8e030b6da513fede84b9890562da1f0b6676139f19eb48a60de4cd622",
     ),
-    # Re-recorded when plans stopped rebuilding edges the target keeps.
+    # Re-recorded when plan steps began to run in place instead of at a tick.
     "transform": (
-        "9e35703e44687b8cfc03ee7eb7a5467b581157c605fa5eef9d5c89c338f84299",
-        "959c348e1b75d8bd1fb2c326ed3b0daabfbc30656c50f1a1655782206ea2b176",
+        "2e8a85061990640ca07e319502de54e188573cbf54b24aa9a829ab5b0ac68471",
+        "4116f7788d5262ce94fb1b0cc7b967e60e4d80620cad11a3e18eefc2fea317e5",
     ),
     "triangle": (
         "e76da3e1e969fb5df1476fb2f4c6c30e7e35f780eb62e07793cff3cd4b41655f",

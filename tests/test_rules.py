@@ -145,12 +145,7 @@ def test_reversal_rejected_with_incoming_connections():
 
 
 def run_fragment(world, steps):
-    init = {}
-    for rid, layer in world.layers.items():
-        for r in layer.relays.values():
-            init[(rid, f"w{r.id.rid}_{r.id.serial}")] = r.id
-    plan = rules.TransformPlan(steps, init)
-    rules.execute_plan(world, plan)
+    rules.execute_plan(world, rules.TransformPlan(steps, rules.initial_slots(world)))
     return world
 
 
@@ -252,19 +247,39 @@ def test_identity_target_plans_nothing():
     assert rules.cpg(world) == src
 
 
-def test_step_left_by_a_failed_plan_stops_the_next_plan():
+def test_step_at_a_stopped_process_raises_before_any_kernel_step():
     src = rules.ProcessMultigraph.of(range(3), [(0, 1), (1, 2)])
     world = settled(rules.build_simple_realization(22, src))
     world.ctx(2).stop()
-    # A stopped process never ticks, so its step stays queued.
-    with pytest.raises(rules.PlanError, match="did not settle"):
-        rules.execute_plan(world, rules.TransformPlan([rules.NewRelayStep(2, "late")], {}))
-    assert list(world.ctx(2).store["queue"]) == [rules.NewRelayStep(2, "late")]
     steps = world.step_count
     with pytest.raises(rules.PlanError, match="process 2 "):
-        rules.execute_plan(world, rules.TransformPlan([rules.NewRelayStep(0, "fresh")], {}))
+        rules.execute_plan(world, rules.TransformPlan([rules.NewRelayStep(2, "late")], {}))
     assert world.step_count == steps
-    assert "fresh" not in world.ctx(0).store["slots"]
+    assert "late" not in world.ctx(2).store["slots"]
+
+
+def test_new_relay_steps_fill_their_slots_without_a_kernel_step():
+    src = rules.ProcessMultigraph.of(range(3), [(0, 1), (1, 2)])
+    world = settled(rules.build_simple_realization(23, src))
+    steps = world.step_count
+    plan = rules.TransformPlan([rules.NewRelayStep(0, "a"), rules.NewRelayStep(2, "b")], {})
+    rules.execute_plan(world, plan)
+    assert world.step_count == steps
+    for pid, slot in ((0, "a"), (2, "b")):
+        assert world.layer_of(pid).relays[world.ctx(pid).store["slots"][slot].relay_id].alive
+
+
+def test_failed_reversal_precondition_raises_before_any_kernel_step():
+    # 1's sink has an incoming connection from 0, so 1 may not reverse it.
+    src = rules.ProcessMultigraph.of(range(2), [(0, 1)])
+    world = settled(rules.build_simple_realization(28, src))
+    init = rules.initial_slots(world)
+    sink = next(slot for (pid, slot) in init if pid == 1)
+    steps = world.step_count
+    plan = rules.TransformPlan([rules.NewRelayStep(1, "n"), rules.ReversalStep(1, sink, "n", None)], init)
+    with pytest.raises(rules.PlanError, match="reversal precondition failed"):
+        rules.execute_plan(world, plan)
+    assert world.step_count == steps
 
 
 def test_plan_contains_only_rule_steps():

@@ -26,20 +26,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from relaysim.apps import RandomDeliberateApp  # noqa: E402
 from relaysim.kernel import random_connected_world  # noqa: E402
 from relaysim.oracle import WorldCheck  # noqa: E402
+from step_split import world_size  # noqa: E402
 
 COLUMNS = ("seed", "steps", "step_us", "build_us", "is_legal_us",
            "relays", "inflight", "end_relays", "end_inflight", "illegal")
-
-
-def size(world) -> tuple[int, int]:
-    """(relays, in-flight messages) of a world."""
-    relays, inflight = 0, len(world.orphan_out)
-    for layer in world.layers.values():
-        inflight += len(layer.layer_buf)
-        relays += len(layer.relays)
-        for relay in layer.relays.values():
-            inflight += len(relay.buf)
-    return relays, inflight
 
 
 def split(seed: int, steps: int) -> dict:
@@ -61,10 +51,10 @@ def split(seed: int, steps: int) -> dict:
         row["build"] += t2 - t1
         row["is_legal"] += t3 - t2
         row["illegal"] += not legal
-        relays, inflight = size(world)
+        _, relays, inflight = world_size(world)
         row["relays"] += relays
         row["inflight"] += inflight
-    row["end_relays"], row["end_inflight"] = size(world)
+    _, row["end_relays"], row["end_inflight"] = world_size(world)
     return row
 
 
