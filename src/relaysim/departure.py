@@ -9,6 +9,13 @@ indirect reference and immediately reverses it into a pair of direct edges
 leaver anymore it stops; stopping deletes only empty sinks, so the actor
 is deliberate throughout, and it only ever forwards references of direct
 relays (doors and fresh sinks are level zero, stored edges level one).
+
+A stayer has one release rule: when a leaver's retire notice arrives, the
+stayer moves its edge to that leaver from `peers` to `discards`, always.
+This is safe because the leaver still holds its own edge to the stayer,
+and that edge keeps the two weakly connected until the leaver's bridge
+hands the stayer over to another neighbor.  A stayer's tick only drains
+`discards`.
 """
 
 from __future__ import annotations
@@ -29,14 +36,6 @@ def safe_to_stop(ctx: ProcessContext) -> bool:
     return True
 
 
-LIFELINE_GRACE = 24  # own ticks a stayer keeps its last edge to a retiree
-
-
-def _attached_elsewhere(ctx: ProcessContext, peers: dict, retired: set) -> bool:
-    """An edge to a process not known to be retiring is still alive."""
-    return any(pid not in retired and not ctx.layer.dead(ref) for pid, ref in peers.items())
-
-
 class DepartureApp:
     def on_tick(self, ctx: ProcessContext) -> None:
         """One atomic scheduling of the departure actor."""
@@ -44,7 +43,6 @@ class DepartureApp:
         peers: dict = store.setdefault("peers", {})
         retired: set = store.setdefault("retired", set())
         discards: list = store.setdefault("discards", [])
-        lifeline: dict = store.setdefault("lifeline", {})
         store.setdefault("retire_sent", set())
 
         # Drop queued references once nothing routes through them.
@@ -59,19 +57,6 @@ class DepartureApp:
         discards[:] = still
 
         if not ctx.leaving:
-            # Edges to retirees kept as lifelines are released as soon as some
-            # other attachment exists, or after a grace period: by then either
-            # the retiree's handoff has landed or this process was the
-            # component's only stayer and may stand alone.
-            held = [pid for pid in sorted(peers) if pid in retired]
-            if held:
-                others = _attached_elsewhere(ctx, peers, retired)
-                for pid in held:
-                    lifeline.setdefault(pid, LIFELINE_GRACE)
-                    lifeline[pid] -= 1
-                    if others or lifeline[pid] <= 0 or ctx.layer.dead(peers[pid]):
-                        discards.append(peers.pop(pid))
-                        lifeline.pop(pid, None)
             return
 
         sent: set = store["retire_sent"]
@@ -96,7 +81,7 @@ class DepartureApp:
             for pid, ref in live:
                 if pid == anchor_pid or ctx.layer.incoming(ref) != 0:
                     continue
-                ctx.send(ref, "bridge", (anchor_ref, anchor_pid, ctx.pid))
+                ctx.send(ref, "bridge", (anchor_ref,))
                 ctx.layer.delete_relay(ref)
                 peers.pop(pid)
                 return
@@ -104,9 +89,8 @@ class DepartureApp:
         if len(live) == 1:
             p1, r1 = live[0]
             # The last edge is cut once the peer is itself retiring, or once our
-            # sinks drained: an empty door means every process that depended on
-            # us found another attachment (their release is conditional), so the
-            # peer no longer needs us either.
+            # sinks drained: nothing points here anymore, so this process hangs
+            # off the peer alone and cutting the edge separates no one else.
             sinks_drained = all(
                 ctx.layer.incoming(ref) == 0 for ref in ctx.layer.get_relays() if ctx.layer.is_sink(ref)
             )
@@ -127,15 +111,13 @@ class DepartureApp:
             (from_pid,) = action.params
             retired.add(from_pid)
             if not ctx.leaving and from_pid in peers:
-                # Release the arc only while another attachment exists;
-                # otherwise hold it as a lifeline until the retiree's
-                # handoff lands (the tick ages it out).
-                if _attached_elsewhere(ctx, peers, retired):
-                    discards.append(peers.pop(from_pid))
+                # The retiree's own edge to us keeps us connected until its
+                # bridge lands, so ours can go now.
+                discards.append(peers.pop(from_pid))
             return
 
         if action.label == "bridge":
-            ref, _target_pid, _from_pid = action.params
+            (ref,) = action.params
             if ref is None or ctx.layer.dead(ref):
                 return
             # The bridged reference routes through the leaver; trade it for

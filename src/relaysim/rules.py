@@ -184,16 +184,17 @@ def _perform(ctx: ProcessContext, step) -> None:
     elif isinstance(step, IntroductionStep):
         ctx.send(slots[step.via_slot], "adopt", (slots[step.carry_slot], step.to_slot))
     elif isinstance(step, ReversalStep):
-        via = slots.pop(step.via_slot)
-        if ctx.layer.incoming(via) != 0:
+        if ctx.layer.incoming(slots[step.via_slot]) != 0:
             raise PlanError(f"reversal precondition failed at {step}")
+        via = slots.pop(step.via_slot)
         label = "adopt" if step.to_slot is not None else "discard"
         ctx.send(via, label, (slots[step.carry_slot], step.to_slot))
         ctx.layer.delete_relay(via)
     elif isinstance(step, FusionStep):
-        merged = ctx.layer.merge({slots.pop(step.slot_a), slots.pop(step.slot_b)})
+        merged = ctx.layer.merge({slots[step.slot_a], slots[step.slot_b]})
         if merged is None:
             raise PlanError(f"fusion merged nothing at {step}")
+        del slots[step.slot_a], slots[step.slot_b]
         slots[step.to_slot] = merged
 
 

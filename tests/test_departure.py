@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from relaysim import oracle
 from relaysim.departure import DepartureApp, build_departure_world, safe_to_stop
 from relaysim.kernel import connect, give_door, new_world
@@ -32,6 +34,48 @@ def test_staying_process_tick_is_noop():
     before = world.state_hash()
     world.processes[0].app.on_tick(world.ctx(0))
     assert world.state_hash() == before
+
+
+def test_stayer_drops_its_edge_to_a_leaver_when_the_retire_notice_arrives():
+    # Stayer 0's only peer is the leaver; the leaver's own edge to 0 is what
+    # keeps the two connected after 0 lets go of its edge.
+    world = build_departure_world(8, 2, [(0, 1)], leaving=[1])
+    initial = oracle.process_components(world)
+    notified = False
+    for _ in range(40000):
+        if oracle.fdp_legitimate(world, initial):
+            break
+        assert oracle.stayers_connected(world, initial)
+        store = world.processes[0].store
+        if 1 in store.get("retired", ()):
+            notified = True
+            assert 1 not in store["peers"]
+        world.step()
+    else:
+        raise AssertionError("departure never completed")
+    assert notified
+
+
+WIDE_SPLITS = {
+    # seed: (n, undirected edges, leavers), the `wide` starts of tools/fdp_sweep.py
+    5011: (10, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 9), (1, 5), (1, 7), (1, 9), (2, 3), (3, 6), (3, 8), (6, 7)],
+           [0, 1, 2, 3, 4, 6, 7, 9]),
+    5249: (14, [(0, 1), (0, 12), (1, 2), (1, 3), (1, 7), (2, 5), (3, 4), (3, 8), (4, 6), (4, 13), (7, 9), (7, 11),
+                (9, 10)], [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13]),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect of the departure actor: with most processes leaving, the stayers "
+    "of an initial component split apart (at seed 5011, stayers 5 and 8)",
+)
+@pytest.mark.parametrize("seed", sorted(WIDE_SPLITS))
+def test_stayers_stay_connected_when_most_processes_leave(seed):
+    n, edges, leaving = WIDE_SPLITS[seed]
+    world, steps, done = run_departure(seed, n, edges, leaving)
+    assert done
 
 
 def test_middle_of_line_leaves_and_ends_bridge_the_gap():

@@ -1,0 +1,25 @@
+"""`tools/fdp_sweep.py` on a few seeds of each shape."""
+
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_each_shape_counts_its_seeds_and_names_the_unsafe_ones(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import fdp_sweep
+
+    # The start that tests/test_departure.py pins for seed 5011.
+    n, edges, leaving = fdp_sweep.wide_start(5011)
+    assert (n, sorted(leaving)) == (10, [0, 1, 2, 3, 4, 6, 7, 9])
+    assert sorted({tuple(sorted(e)) for e in edges}) == [
+        (0, 1), (0, 2), (0, 4), (0, 5), (0, 9), (1, 5), (1, 7), (1, 9), (2, 3), (3, 6), (3, 8), (6, 7)]
+    assert fdp_sweep.main(["--count", "4"]) == 0
+    assert fdp_sweep.main(["--shape", "wide", "--first", "5010", "--count", "2"]) == 0
+    lines = [dict(field.split("=") for field in line.split()) for line in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        {"shape": "fdp", "seeds": "1800-1803", "ok": "4", "stuck": "0", "unsafe": "0",
+         "stuck_seeds": "-", "unsafe_seeds": "-"},
+        {"shape": "wide", "seeds": "5010-5011", "ok": "1", "stuck": "0", "unsafe": "1",
+         "stuck_seeds": "-", "unsafe_seeds": "5011"},
+    ]

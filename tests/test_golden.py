@@ -153,9 +153,10 @@ GOLDEN = {
         "32210e9ad27d71906c91a961e63ca43204c1d3e72467e2f4b753d5556923f9c2",
         "b5ed2e73c31194adfeb509c4db24f24e79720b8fcc63c2d9cedd099e37528213",
     ),
+    # Re-recorded when stayers began to drop an edge to a leaver on its retire notice.
     "departure_line": (
-        "f29dc0ea3806f564b4bd5b508f82558f01708c3f33f6329894301a7467a5ccf1",
-        "a63bb9486ff956650be4aed4ee59ab241f3f15969ffce83f757a9c32cbe19bea",
+        "900f848761c5e7342f5df6df0c1256a869f47900627831788ab73f331751f8d7",
+        "eca3cc44ddff73ab1a14c25c04de2da176a74712c9fbff5d656a5bc75aa8e288",
     ),
     "round_robin": (
         "0db108f13aabb2cda19b2222ec45969c39302cae99e3681b5936ab8ef5774492",

@@ -23,7 +23,7 @@ DEMO_STDOUT_SHA256 = {
     "01_relay_basics.py": "8596f7f89985753dee8b274df0b048933804cc3cc32cf41be30022a152b2f58a",
     "02_self_stabilization.py": "3b1ab5fc9855ab943c5469adff22cad84ed9e06ca2be1fb64da2ae844e1902e2",
     "03_topology_transform.py": "8212d5f80be797ac09e30c2055d36a487b3a8f1795393e60869bbd55b525fda7",
-    "04_departure.py": "03b40d07243497b3e4901fe08bc574d49406256e0c785814642c2d606641364c",
+    "04_departure.py": "7a738f2e0c11b4681a1e8c2276f07486fb03575f0facc464ed99e505341e8792",
 }
 
 

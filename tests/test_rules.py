@@ -280,6 +280,24 @@ def test_failed_reversal_precondition_raises_before_any_kernel_step():
     with pytest.raises(rules.PlanError, match="reversal precondition failed"):
         rules.execute_plan(world, plan)
     assert world.step_count == steps
+    # The failed step leaves the slot map as it found it: the sink keeps its slot.
+    assert set(world.processes[1].store["slots"]) == {slot for (pid, slot) in init if pid == 1} | {"n"}
+
+
+def test_fusion_that_merges_nothing_raises_and_keeps_both_slots():
+    # 0's relays lead to different processes, so merge returns None.
+    src = rules.ProcessMultigraph.of(range(3), [(0, 1), (0, 2)])
+    world = settled(rules.build_simple_realization(29, src))
+    init = rules.initial_slots(world)
+    layer0 = world.layer_of(0)
+    a, b = sorted(slot for (pid, slot), rid in init.items() if pid == 0 and layer0.relays[rid].out_id is not None)
+    plan = rules.TransformPlan([rules.FusionStep(0, a, b, "m")], init)
+    with pytest.raises(rules.PlanError, match="fusion merged nothing"):
+        rules.execute_plan(world, plan)
+    slots = world.processes[0].store["slots"]
+    assert {slot: ref.relay_id for slot, ref in slots.items()} == {
+        slot: rid for (pid, slot), rid in init.items() if pid == 0
+    }
 
 
 def test_plan_contains_only_rule_steps():
