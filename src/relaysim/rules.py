@@ -6,7 +6,9 @@ same-target relays), and reversal (send a reference, then close the
 carrier).  This module expresses them as macros over the layer primitives,
 projects quiescent worlds onto process multigraphs, emulates the four
 classical process rules, and plans full topology transformations, whose
-steps the executor applies in place and settles one at a time.
+steps the executor applies in place and settles one at a time.  The
+planner adds each missing edge along a shortest path between its
+endpoints, so a local edit gets a short plan at any graph size.
 
 Plans are symbolic: steps name relays through per-process slots so a plan
 can be inspected and replayed.  The receiving side of every
@@ -359,16 +361,32 @@ class _Planner:
         self.steps += emulate_process_rule("introduction", bindings, self.fresh)
         self._add_edge(v, w, slot)
 
-    def frag_reversal(self, u: int, v: int) -> None:
-        """u reverses its (u,v) edge: removes (u,v), adds (v,u)."""
-        slot = self.fresh("e")
-        bindings = dict(u=u, v=v, u_to_v=self._take_edge(u, v), result=slot)
-        self.steps += emulate_process_rule("reversal", bindings, self.fresh)
-        self._add_edge(v, u, slot)
-
     def frag_drop(self, u: int, v: int) -> None:
         """Remove one (u,v) edge; the carried throwaway is discarded by v."""
         self.steps += _swap_out(u, self._take_edge(u, v), self.fresh("n"), None)
+
+    def frag_edge(self, a: int, b: int) -> None:
+        """Add one (a,b) edge along a shortest undirected path from a to b:
+        walking back from b's neighbour, each path node x introduces its
+        predecessor v to b.  Missing (x,b) and (x,v) edges are first made by
+        self-introduction over the reverse edge."""
+        parent = self.multigraph()._bfs_tree(b)
+        if a not in parent:
+            raise PlanError("source graph is not weakly connected")
+        if parent[a] == b:
+            if self.m_count(b, a) == 0:
+                self.frag_self_introduction(a, b)
+            self.frag_self_introduction(b, a)
+            return
+        path = [a]
+        while path[-1] != b:
+            path.append(parent[path[-1]])
+        for v, x in reversed(list(zip(path, path[1:-1]))):
+            if self.m_count(x, b) == 0:
+                self.frag_self_introduction(b, x)
+            if self.m_count(x, v) == 0:
+                self.frag_self_introduction(v, x)
+            self.frag_introduction(x, v, b)
 
     # -- phase 1: eliminate indirect relays ----------------------------------
 
@@ -388,51 +406,13 @@ class _Planner:
     # -- phase 2: reach a given edge multiset ---------------------------------
 
     def phase_to_multiset(self, target: Counter) -> None:
-        c = self.pids[0]
-        parent = self.multigraph()._bfs_tree(c)
-        if len(parent) != len(self.pids):
-            raise PlanError("source graph is not weakly connected")
-        # The endpoints of missing edges and their tree ancestors join the
-        # hub: each gets an edge to c and one back.
-        hub = set()
-        for edge in target - Counter(self.multigraph().edges):
-            for x in edge:
-                while x is not None and x not in hub:
-                    hub.add(x)
-                    x = parent[x]
-        for x in list(parent)[1:]:
-            if x not in hub or self.m_count(x, c) > 0:
-                continue
-            p = parent[x]
-            if p == c:
-                if self.m_count(c, x) > 0:
-                    self.frag_self_introduction(c, x)
-                else:
-                    raise PlanError("tree edge vanished")
-            else:
-                if self.m_count(p, x) == 0:
-                    if self.m_count(x, p) == 0:
-                        raise PlanError("tree edge vanished")
-                    self.frag_reversal(x, p)
-                self.frag_introduction(p, x, c)
-        for x in self.pids[1:]:
-            if x in hub and self.m_count(c, x) == 0:
-                self.frag_self_introduction(x, c)
-        # Build missing target copies through the hub.
-        pairs = sorted(set(target) | set(self.edge_slots))
-        for (a, b) in pairs:
-            need = target.get((a, b), 0) - self.m_count(a, b)
-            for _ in range(need):
-                if a == c:
-                    self.frag_self_introduction(b, c)
-                elif b == c:
-                    self.frag_self_introduction(c, a)
-                else:
-                    self.frag_introduction(c, a, b)
-        # Drop every surplus copy.
-        for (a, b) in pairs:
-            extra = self.m_count(a, b) - target.get((a, b), 0)
-            for _ in range(extra):
+        for (a, b) in sorted(target):
+            for _ in range(target[(a, b)] - self.m_count(a, b)):
+                self.frag_edge(a, b)
+        # Drop every surplus copy; the graph holds the whole target, so it
+        # stays connected.
+        for (a, b) in sorted(self.edge_slots):
+            for _ in range(self.m_count(a, b) - target.get((a, b), 0)):
                 self.frag_drop(a, b)
 
 
@@ -442,8 +422,11 @@ def plan_transform(world: WorldState, target: ProcessMultigraph) -> TransformPla
     Both the current and the target graph must be weakly connected over the
     same processes.  The target may not have self-loops; the current graph
     may, and the plan removes them.  Two phases: indirect relays become direct
-    edges, then the target's missing edges are added and the surplus dropped.
-    Edges the target keeps are left alone: a plan's length follows the edit.
+    edges, then each missing target edge (a, b) is added by introductions
+    along a shortest undirected path from a to b, and last every surplus
+    edge is dropped.  Edges the target keeps are left alone: a plan's length
+    follows the edit and the distance between the endpoints of each added
+    edge.
     """
     planner = _Planner(world)
     if tuple(world.processes) != target.processes:

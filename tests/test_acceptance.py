@@ -40,10 +40,11 @@ PINNED = {
         "586b5f9fde669ac2fe555829551bbe087dc97da98995a8ade79771e97ec449ed",
         100,
     ),
-    # The trace moved when plan steps began to run in place instead of at a tick.
+    # The trace moved when plan steps began to run in place instead of at a tick,
+    # and when missing edges began to be added along a shortest path.
     "universality": (
         "criterion=universality pairs=50 matched=50 disconnections=0 pass=yes",
-        "725e93bfc40b3ca754b326182feb4b336e597b11703f597b2d0bf8b20ad1af26",
+        "5eedf2a1edccf0f34bc553a68980d2f0fe01a8d00c35b7a9d7caaa8a04d1ade4",
         50,
     ),
     "emulation": ("criterion=emulation cases=100 executed=100 delta_mismatches=0 pass=yes", "", 0),

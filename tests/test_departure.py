@@ -62,6 +62,7 @@ WIDE_SPLITS = {
            [0, 1, 2, 3, 4, 6, 7, 9]),
     5249: (14, [(0, 1), (0, 12), (1, 2), (1, 3), (1, 7), (2, 5), (3, 4), (3, 8), (4, 6), (4, 13), (7, 9), (7, 11),
                 (9, 10)], [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13]),
+    6178: (7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (2, 3), (4, 6)], [0, 1, 2, 3, 6]),
 }
 
 

@@ -170,10 +170,11 @@ GOLDEN = {
         "835cb0d5aee871bbe7189cd7dd74bf3e07104891294688644ac90d2b67ae89d8",
         "2bc433b8e030b6da513fede84b9890562da1f0b6676139f19eb48a60de4cd622",
     ),
-    # Re-recorded when plan steps began to run in place instead of at a tick.
+    # Re-recorded when plan steps began to run in place instead of at a tick,
+    # and again when the planner stopped routing missing edges through a hub.
     "transform": (
-        "2e8a85061990640ca07e319502de54e188573cbf54b24aa9a829ab5b0ac68471",
-        "4116f7788d5262ce94fb1b0cc7b967e60e4d80620cad11a3e18eefc2fea317e5",
+        "bd821cafc701956de1f12ad97cb32c4796b06cbc75a2aba4ac0eb1c29434ba52",
+        "d8862a8541807007ef3d73d3a0b2e0f9c9efbaa493243b55145531f286d25e0c",
     ),
     "triangle": (
         "e76da3e1e969fb5df1476fb2f4c6c30e7e35f780eb62e07793cff3cd4b41655f",

@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMO_STDOUT_SHA256 = {
     "01_relay_basics.py": "8596f7f89985753dee8b274df0b048933804cc3cc32cf41be30022a152b2f58a",
     "02_self_stabilization.py": "3b1ab5fc9855ab943c5469adff22cad84ed9e06ca2be1fb64da2ae844e1902e2",
-    "03_topology_transform.py": "8212d5f80be797ac09e30c2055d36a487b3a8f1795393e60869bbd55b525fda7",
+    "03_topology_transform.py": "72ff1cdb3c3fa273a72e0fde0d6de8e13ce9d21e1bc4f004cc7ad9b4199074b1",
     "04_departure.py": "7a738f2e0c11b4681a1e8c2276f07486fb03575f0facc464ed99e505341e8792",
 }
 

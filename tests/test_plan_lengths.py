@@ -17,4 +17,7 @@ def test_three_processes_print_one_row_per_target_kind(monkeypatch, capsys):
     identical, edit = by_kind["identical"], by_kind["edit"]
     assert identical["plan_max"] == "0" and float(identical["kernel_steps_p50"]) == 0
     assert edit["changed_max"] == "2" and int(edit["plan_max"]) > 0
+    # At 3 processes the endpoints of the added edge are 1 or 2 hops apart.
+    assert 1 <= float(edit["distance_p50"]) <= int(edit["distance_max"]) <= 2
+    assert identical["distance_p50"] == identical["distance_max"] == "-"
     assert all(row[-1] == "0" for row in rows)  # every executed plan reached its target

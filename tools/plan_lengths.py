@@ -14,6 +14,9 @@ settles the world and plans three targets:
 
 One row per (n, target kind) gives the median and maximum count of changed
 edges (the size of the multiset difference, both ways) and of plan steps.
+Edit rows also give the median and maximum undirected distance in the
+source between the endpoints of the added edge, so plan length can be read
+against path length; other rows print `-` there.
 With --execute every plan also runs in its world through `execute_plan`;
 the row then adds the median kernel steps and wall seconds (planning plus
 execution) per whole transformation, and counts transformations whose final
@@ -38,8 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from relaysim import rules  # noqa: E402
 
-COLUMNS = ("n", "target", "pairs", "changed_p50", "changed_max", "plan_p50", "plan_max",
-           "kernel_steps_p50", "wall_s_p50", "missed")
+COLUMNS = ("n", "target", "pairs", "changed_p50", "changed_max", "distance_p50", "distance_max",
+           "plan_p50", "plan_max", "kernel_steps_p50", "wall_s_p50", "missed")
 
 
 def one_edge_edit(seed: int, source: rules.ProcessMultigraph) -> rules.ProcessMultigraph:
@@ -53,6 +56,14 @@ def one_edge_edit(seed: int, source: rules.ProcessMultigraph) -> rules.ProcessMu
         target = rules.ProcessMultigraph.of(source.processes, edges + [(u, v)])
         if target != source and target.is_weakly_connected():
             return target
+
+
+def distance(graph: rules.ProcessMultigraph, a: int, b: int) -> int:
+    """Undirected hop count from `a` to `b` in `graph`."""
+    parent, hops = graph._bfs_tree(b), 0
+    while a != b:
+        a, hops = parent[a], hops + 1
+    return hops
 
 
 def transform(seed: int, source, target, execute: bool) -> dict:
@@ -85,9 +96,13 @@ def rows(sizes: list, seeds: int, execute: bool) -> list:
             }
             for kind, target in targets.items():
                 cases[kind].append(transform(seed, source, target, execute))
+            (added,) = Counter(targets["edit"].edges) - Counter(source.edges)
+            cases["edit"][-1]["distance"] = distance(source, *added)
         for kind, runs in cases.items():
             row = {"n": n, "target": kind, "pairs": len(runs)}
-            for field in ("changed", "plan"):
+            for field in ("changed", "distance", "plan"):
+                if field not in runs[0]:
+                    continue
                 values = [r[field] for r in runs]
                 row[f"{field}_p50"], row[f"{field}_max"] = statistics.median(values), max(values)
             if execute:
