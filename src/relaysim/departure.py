@@ -10,6 +10,12 @@ leaver anymore it stops; stopping deletes only empty sinks, so the actor
 is deliberate throughout, and it only ever forwards references of direct
 relays (doors and fresh sinks are level zero, stored edges level one).
 
+A leaver owes one retire notice per edge: `notified` holds the edges it
+has sent one over, so an edge adopted later (`peers[pid]` replaced by a
+`hello` or `welcome`) gets its own notice.  `hello` and `welcome` share
+one adopt rule: the older edge to that peer goes to `discards`.  A `hello`
+is answered with the door `kernel.door_of` keeps alive.
+
 A stayer has one release rule: when a leaver's retire notice arrives, the
 stayer moves its edge to that leaver from `peers` to `discards`, always.
 This is safe because the leaver still holds its own edge to the stayer,
@@ -21,7 +27,7 @@ hands the stayer over to another neighbor.  A stayer's tick only drains
 from __future__ import annotations
 
 from .core import ActionInvocation, RelayRef
-from .kernel import ProcessContext, WorldState, connect_door, give_door, new_world
+from .kernel import ProcessContext, WorldState, connect_door, door_of, give_door, new_world
 
 
 def safe_to_stop(ctx: ProcessContext) -> bool:
@@ -43,7 +49,7 @@ class DepartureApp:
         peers: dict = store.setdefault("peers", {})
         retired: set = store.setdefault("retired", set())
         discards: list = store.setdefault("discards", [])
-        store.setdefault("retire_sent", set())
+        notified: set = store.setdefault("notified", set())
 
         # Drop queued references once nothing routes through them.
         still = []
@@ -59,14 +65,11 @@ class DepartureApp:
         if not ctx.leaving:
             return
 
-        sent: set = store["retire_sent"]
-        pending = [pid for pid in sorted(peers) if pid not in sent]
+        pending = [ref for _, ref in sorted(peers.items()) if ref not in notified]
         if pending:
-            for pid in pending:
-                ref = peers[pid]
-                if not ctx.layer.dead(ref):
-                    ctx.send(ref, "retire", (ctx.pid,))
-                sent.add(pid)
+            for ref in pending:
+                ctx.send(ref, "retire", (ctx.pid,))
+            notified.update(pending)
             return
 
         for pid in [p for p, ref in peers.items() if ctx.layer.dead(ref)]:
@@ -106,19 +109,22 @@ class DepartureApp:
         peers: dict = store.setdefault("peers", {})
         retired: set = store.setdefault("retired", set())
         discards: list = store.setdefault("discards", [])
+        label, params = action
 
-        if action.label == "retire":
-            (from_pid,) = action.params
+        if label == "retire":
+            (from_pid,) = params
             retired.add(from_pid)
             if not ctx.leaving and from_pid in peers:
                 # The retiree's own edge to us keeps us connected until its
                 # bridge lands, so ours can go now.
                 discards.append(peers.pop(from_pid))
             return
+        if label not in ("bridge", "hello", "welcome") or params[0] is None:
+            return
 
-        if action.label == "bridge":
-            (ref,) = action.params
-            if ref is None or ctx.layer.dead(ref):
+        if label == "bridge":
+            (ref,) = params
+            if ctx.layer.dead(ref):
                 return
             # The bridged reference routes through the leaver; trade it for
             # a direct pair right away: send a fresh sink through, drop it.
@@ -127,39 +133,21 @@ class DepartureApp:
             ctx.layer.delete_relay(ref)
             return
 
-        if action.label == "hello":
-            ref, from_pid = action.params
-            if ref is None:
-                return
-            door = store["door"] = store.get("door") or ctx.layer.new_relay()
-            ctx.send(ref, "welcome", (door, ctx.pid))
+        ref, from_pid = params
+        if label == "hello":
+            ctx.send(ref, "welcome", (door_of(ctx.layer, store), ctx.pid))
             if from_pid in retired:
                 # The sender is weaving itself out: do not route through it,
                 # but do hand it our door; its continued handoffs are what
                 # links its dependents to us.
                 ctx.layer.delete_relay(ref)
                 return
-            _adopt_peer(store, from_pid, ref)
+        elif from_pid in retired:
+            discards.append(ref)
             return
-
-        if action.label == "welcome":
-            ref, from_pid = action.params
-            if ref is None:
-                return
-            if from_pid in retired:
-                discards.append(ref)
-                return
-            _adopt_peer(store, from_pid, ref)
-
-
-def _adopt_peer(store: dict, pid: int, ref: RelayRef) -> None:
-    """`ref` becomes the edge to `pid`; an older one is queued for release,
-    and a retire notice is owed to `pid` again."""
-    old = store["peers"].get(pid)
-    if old is not None and old != ref:
-        store["discards"].append(old)
-    store["peers"][pid] = ref
-    store["retire_sent"] = store.get("retire_sent", set()) - {pid}
+        if from_pid in peers:
+            discards.append(peers[from_pid])
+        peers[from_pid] = ref
 
 
 def build_departure_world(

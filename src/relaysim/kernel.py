@@ -536,17 +536,20 @@ def _running_layer(world: WorldState, pid: int) -> RelayLayer:
     return world.processes[pid].layer
 
 
-def give_door(world: WorldState, pid: int) -> RelayRef:
-    """Return the process's designated inbound sink relay, creating a new
-    one when there is none or the stored one is no longer an alive relay of
-    its layer (an application may delete it, and the repair loop collect it).
-    A stopped process has no alive sink, so it raises ValueError."""
-    store = world.processes[pid].store
-    door = store.get("door")
-    relay = world.find_relay(door.relay_id) if door is not None else None
-    if relay is None or not relay.alive:
-        store["door"] = _running_layer(world, pid).new_relay()
+def door_of(layer: RelayLayer, store: dict) -> Optional[RelayRef]:
+    """Return the process's designated inbound sink relay, `store["door"]`,
+    creating a new one when there is none or the stored one is no longer an
+    alive relay of its layer (an application may delete it, and the repair
+    loop collect it)."""
+    if layer.dead(store.get("door")):
+        store["door"] = layer.new_relay()
     return store["door"]
+
+
+def give_door(world: WorldState, pid: int) -> RelayRef:
+    """`door_of` a running process; a stopped process has no alive sink, so
+    it raises ValueError."""
+    return door_of(_running_layer(world, pid), world.processes[pid].store)
 
 
 def connect(world: WorldState, u: int, target_relay_id: RelayId) -> RelayRef:

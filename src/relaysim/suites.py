@@ -459,7 +459,10 @@ def run_emulation(per_rule: int = 25) -> SuiteReport:
 # 8. Departure demo: leavers stop, stayers stay connected throughout.
 
 
-def _fdp_run(seed: int) -> dict:
+def fdp_start(seed: int) -> tuple[int, list, list]:
+    """(n, undirected edges, leavers) of the departure criterion at `seed`:
+    n = 4 + seed % 5 processes, a random tree plus two random extra edges,
+    1 + seed % 3 leavers."""
     rng = random.Random(seed)
     n = 4 + seed % 5
     edges = [(i, rng.randrange(i)) for i in range(1, n)]
@@ -467,23 +470,35 @@ def _fdp_run(seed: int) -> dict:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.append((u, v))
-    leaving = rng.sample(range(n), 1 + seed % 3)
-    world = build_departure_world(seed, n, edges, leaving)
+    return n, edges, rng.sample(range(n), 1 + seed % 3)
+
+
+def depart(world: WorldState, budget: int = 40_000) -> tuple[str, int]:
+    """Step a departure world and return `(outcome, steps)`.
+
+    Before every step, `fdp_legitimate` ends the run with "ok", and a split
+    of the stayers of an initial component (`stayers_connected` fails) with
+    "unsafe"; `steps` is the number of steps taken by then.  A run that
+    reaches neither within `budget` steps is "stuck".  The initial
+    components are read from `world` as it is passed in.
+    """
     initial = oracle.process_components(world)
-    reached = False
-    safety_violations = 0
-    for _ in range(40_000):
+    for step in range(budget):
         if oracle.fdp_legitimate(world, initial):
-            reached = True
-            break
+            return "ok", step
         if not oracle.stayers_connected(world, initial):
-            safety_violations += 1
-            break
+            return "unsafe", step
         world.step()
+    return "stuck", budget
+
+
+def _fdp_run(seed: int) -> dict:
+    world = build_departure_world(seed, *fdp_start(seed))
+    outcome, _ = depart(world)
     return {
         **_end_sample(world),
-        "reached": reached,
-        "safety_violations": safety_violations,
+        "reached": outcome == "ok",
+        "safety_violations": outcome == "unsafe",
         "hash": world.state_hash(),
     }
 

@@ -2,11 +2,12 @@
 
     python3 tools/fdp_sweep.py [--shape fdp|wide] [--first S] [--count N]
 
-Every run builds a clean start with `build_departure_world` and steps it
-until `fdp_legitimate` holds (ok), `stayers_connected` fails (unsafe) or
-40,000 steps have run (stuck).  The two shapes:
+Every run builds a clean start with `build_departure_world` and runs it
+through `suites.depart`: until `fdp_legitimate` holds (ok),
+`stayers_connected` fails (unsafe) or 40,000 steps have run (stuck).  The
+two shapes:
 
-- fdp: the start of the departure criterion itself (`suites._fdp_run`):
+- fdp: the start of the departure criterion itself (`suites.fdp_start`):
   n = 4 + seed % 5 processes, a random tree plus two random extra edges,
   1 + seed % 3 leavers.  Default seeds 1800-2399.
 - wide: n = 4 + seed % 13 processes, a random tree plus `randrange(n)`
@@ -27,10 +28,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from relaysim import oracle, suites  # noqa: E402
+from relaysim import suites  # noqa: E402
 from relaysim.departure import build_departure_world  # noqa: E402
 
-BUDGET = 40_000
 DEFAULT_FIRST = {"fdp": 1800, "wide": 5000}
 DEFAULT_COUNT = {"fdp": 600, "wide": 400}
 
@@ -47,23 +47,10 @@ def wide_start(seed: int) -> tuple[int, list, list]:
     return n, edges, rng.sample(range(n), 1 + seed % (n - 1))
 
 
-def run_wide(seed: int) -> str:
-    world = build_departure_world(seed, *wide_start(seed))
-    initial = oracle.process_components(world)
-    for _ in range(BUDGET):
-        if oracle.fdp_legitimate(world, initial):
-            return "ok"
-        if not oracle.stayers_connected(world, initial):
-            return "unsafe"
-        world.step()
-    return "stuck"
-
-
-def run_fdp(seed: int) -> str:
-    result = suites._fdp_run(seed)
-    if result["safety_violations"]:
-        return "unsafe"
-    return "ok" if result["reached"] else "stuck"
+def run(shape: str, seed: int) -> str:
+    """The outcome, "ok", "stuck" or "unsafe", of the `shape` start at `seed`."""
+    start = suites.fdp_start if shape == "fdp" else wide_start
+    return suites.depart(build_departure_world(seed, *start(seed)))[0]
 
 
 def main(argv=None) -> int:
@@ -74,10 +61,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     first = DEFAULT_FIRST[args.shape] if args.first is None else args.first
     count = DEFAULT_COUNT[args.shape] if args.count is None else args.count
-    run = run_fdp if args.shape == "fdp" else run_wide
     seeds: dict[str, list[int]] = {"ok": [], "stuck": [], "unsafe": []}
     for seed in range(first, first + count):
-        seeds[run(seed)].append(seed)
+        seeds[run(args.shape, seed)].append(seed)
     listed = {k: ",".join(map(str, v)) or "-" for k, v in seeds.items()}
     print(f"shape={args.shape} seeds={first}-{first + count - 1} ok={len(seeds['ok'])} "
           f"stuck={len(seeds['stuck'])} unsafe={len(seeds['unsafe'])} "
