@@ -35,6 +35,14 @@ class ScenarioError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a bad command line into a parse error, as a bad scenario file is;
+    `--help` still prints its usage and exits."""
+
+    def error(self, message):
+        raise ScenarioError(message)
+
+
 PREDICATES = {
     "is_legal": oracle.is_legal,
     "settled": lambda w: w.is_settled(),
@@ -296,7 +304,7 @@ def run_suite(name: str, out=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="relaysim", description=__doc__)
+    parser = _Parser(prog="relaysim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario file")
@@ -315,7 +323,11 @@ def main(argv=None) -> int:
     p_suite = sub.add_parser("suite", help="run an acceptance suite")
     p_suite.add_argument("name")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except ScenarioError as e:
+        print(f"error=parse detail={e}")
+        return EXIT_PARSE
     if args.command == "run":
         return run_scenario(
             args.scenario, trace_path=args.trace, dot_every=args.dot_every,

@@ -25,6 +25,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Optional
 
 from .core import (
+    ActionInvocation,
     InRelayClosed,
     Key,
     NotAuthorized,
@@ -46,42 +47,76 @@ from .kernel import WorldState
 class WorldCheck:
     """Single-pass verification context: index once, query many times.
 
-    One pass over the relays and their buffers builds every index the
-    checks look up: relays by next hop, in-flight probes by control key,
-    ProbeFail first keys by key and InRelayClosed by target.  A full check
-    is then linear in relays plus messages in flight.
+    The build makes one pass over the relays (In-key counts and out-key
+    holders) and one over every relay, layer and orphan buffer, which
+    dispatches on the message type inline.  The `is_legal` walk allocates
+    nothing per relay; it skips the P7, P8 and P11f lookups when their
+    index is empty, and P11e when no out-key has two holders.  A full check
+    is linear in relays plus messages in flight.
     """
 
     def __init__(self, world: WorldState) -> None:
-        self.relays: dict[RelayId, Relay] = {}
-        self.in_key_count: dict[Key, int] = {}
-        self.out_key_holders: dict[Key, list] = {}
-        self.relays_by_out: dict[RelayId, list] = {}
-        self.pings_by_id: dict[RelayId, list] = {}
-        self.orc_ids: set = set()
-        self.notauth_by_out: dict[RelayId, list] = {}
-        self.probefail_starts: dict[Key, set] = {}  # key -> first keys of its ProbeFails
-        self.inrelays_by_target: dict[RelayId, list] = {}
-        self.probes_by_control: dict[Key, list] = {}  # (carrier relay id | None, Probe)
-        self.header_key_count: dict[Key, int] = {}
-        self.param_count: dict[Key, int] = {}
-        self.params: list = []  # (carrier relay id | None, Transmit, RelayParameter)
-
+        relays = self.relays = {}
+        in_key_count = self.in_key_count = {}
+        out_key_holders = self.out_key_holders = {}  # key -> ids of the relays holding it
+        out_key_total = 0  # above the count of distinct keys: some key has two holders
+        buffers = []  # (carrier relay id | None, buffer), in the order `params` keeps
         for layer in world.layers.values():
+            relays.update(layer.relays)
             for relay in layer.relays.values():
-                self.relays[relay.id] = relay
-                for e in relay.in_set:
-                    self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
-                for k in relay.out_keys:
-                    self.out_key_holders.setdefault(k, []).append(relay.id)
-                if relay.out_id is not None:
-                    self.relays_by_out.setdefault(relay.out_id, []).append(relay)
-                for env in relay.buf:
-                    self._index_message(relay.id, env.message)
-            for env in layer.layer_buf:
-                self._index_message(None, env.message)
-        for env in world.orphan_out:
-            self._index_message(None, env.message)
+                if relay.in_set:
+                    for e in relay.in_set:
+                        in_key_count[e.key] = in_key_count.get(e.key, 0) + 1
+                if relay.out_keys:
+                    out_key_total += len(relay.out_keys)
+                    for key in relay.out_keys:
+                        out_key_holders.setdefault(key, []).append(relay.id)
+                if relay.buf:
+                    buffers.append((relay.id, relay.buf))
+            buffers.append((None, layer.layer_buf))
+        buffers.append((None, world.orphan_out))
+        self.shared_out_key = out_key_total > len(out_key_holders)
+        pings_by_id = self.pings_by_id = {}
+        orc_ids = self.orc_ids = set()
+        notauth_by_out = self.notauth_by_out = {}
+        probefail_starts = self.probefail_starts = {}  # key -> first keys of its ProbeFails
+        inrelays_by_target = self.inrelays_by_target = {}
+        probes_by_control = self.probes_by_control = {}  # key -> [(carrier relay id | None, Probe)]
+        header_keys = self.header_keys = set()  # keys heading a Transmit, bare or wrapped
+        param_count = self.param_count = {}
+        params = self.params = []  # (carrier relay id | None, Transmit, RelayParameter)
+        for carrier, buf in buffers:
+            for env in buf:
+                msg = env.message
+                kind = type(msg)
+                if kind is Transmit:
+                    header_keys.add(msg.header.key)
+                    action = msg.action
+                    if type(action) is Probe:
+                        if action.control_keys and action.key_sequence:  # else it hunts nothing
+                            for key in action.control_keys:
+                                probes_by_control.setdefault(key, []).append((carrier, action))
+                    elif type(action) is ActionInvocation:
+                        for p in action.params:
+                            if type(p) is RelayParameter:
+                                param_count[p.key] = param_count.get(p.key, 0) + 1
+                                params.append((carrier, msg, p))
+                elif kind is Ping:
+                    pings_by_id.setdefault(msg.id, []).append(msg)
+                elif kind is OutRelayClosed:
+                    orc_ids.add(msg.id)
+                elif kind is NotAuthorized:
+                    original = msg.original
+                    notauth_by_out.setdefault(original.header.out_id, []).append(original)
+                    # wrapped header and parameters still occupy their keys
+                    header_keys.add(original.header.key)
+                    for p in relay_params(original):
+                        param_count[p.key] = param_count.get(p.key, 0) + 1
+                elif kind is ProbeFail:
+                    if msg.key_sequence:
+                        probefail_starts.setdefault(msg.key, set()).add(msg.key_sequence[0])
+                elif kind is InRelayClosed:
+                    inrelays_by_target.setdefault(msg.target_id, []).append(msg)
 
         self._violations: Optional[dict[RelayId, list]] = None  # built by `_evaluate_all`
         self._alive_valid = False  # set once `is_legal` finds every alive relay valid
@@ -92,42 +127,6 @@ class WorldCheck:
         relay id's own `rid`.  Built on first use for `relaybench`, which
         reads it; the checks themselves read `relay_id.rid`."""
         return {relay_id: relay_id.rid for relay_id in self.relays}
-
-    def _index_message(self, carrier, msg) -> None:
-        kind = type(msg)
-        if kind is Transmit:
-            self.header_key_count[msg.header.key] = self.header_key_count.get(msg.header.key, 0) + 1
-            if type(msg.action) is Probe:
-                probe = msg.action
-                if probe.key_sequence:  # one without a start hunts nothing
-                    for k in probe.control_keys:
-                        self.probes_by_control.setdefault(k, []).append((carrier, probe))
-            else:
-                for p in relay_params(msg):
-                    self.param_count[p.key] = self.param_count.get(p.key, 0) + 1
-                    self.params.append((carrier, msg, p))
-        elif kind is Ping:
-            self.pings_by_id.setdefault(msg.id, []).append(msg)
-        elif kind is OutRelayClosed:
-            self.orc_ids.add(msg.id)
-        elif kind is NotAuthorized:
-            self.notauth_by_out.setdefault(msg.original.header.out_id, []).append(msg.original)
-            # wrapped header and parameters still occupy their keys
-            self.header_key_count[msg.original.header.key] = (
-                self.header_key_count.get(msg.original.header.key, 0) + 1
-            )
-            for p in relay_params(msg.original):
-                self.param_count[p.key] = self.param_count.get(p.key, 0) + 1
-        elif kind is ProbeFail:
-            if msg.key_sequence:
-                self.probefail_starts.setdefault(msg.key, set()).add(msg.key_sequence[0])
-        elif kind is InRelayClosed:
-            self.inrelays_by_target.setdefault(msg.target_id, []).append(msg)
-
-    def _probe_failed(self, key: Key, via: Relay) -> bool:
-        """A ProbeFail for `key` started over one of `via`'s out-keys is in flight."""
-        starts = self.probefail_starts.get(key)
-        return starts is not None and not starts.isdisjoint(via.out_keys)
 
     # -- relay validity ------------------------------------------------------
     #
@@ -155,8 +154,11 @@ class WorldCheck:
             return
         local: dict[RelayId, list] = {}
         via_deps: dict[RelayId, list] = {}
+        relays_by_out: dict[RelayId, list] = {}
         for relay in self.relays.values():
             local[relay.id] = self._check_relay_local(relay, via_deps)
+            if relay.out_id is not None:
+                relays_by_out.setdefault(relay.out_id, []).append(relay.id)
         worklist = [rid for rid, v in local.items() if v]
         # Reverse dependency edges: if dep becomes invalid, holder gains code.
         # Next-hop edges (P11b) are `relays_by_out`.
@@ -167,7 +169,7 @@ class WorldCheck:
         while worklist:
             bad = worklist.pop()
             dependents = [(h, "P4") for h in announced_via.get(bad, ())]
-            dependents += [(r.id, "P11b") for r in self.relays_by_out.get(bad, ())]
+            dependents += [(r, "P11b") for r in relays_by_out.get(bad, ())]
             for holder, code in dependents:
                 v = local[holder]
                 if code not in v:
@@ -275,20 +277,21 @@ class WorldCheck:
             cur = nxt
         return chain
 
-    def _no_killer_probe(self, key: Key, via: Relay, allowed: set) -> bool:
+    def _no_killer_probe(self, key: Key, via: Relay, allowed: list) -> bool:
         """No probe carrying `key` as a control key, started over `via`'s
         out-keys, sits in a buffer outside the allowed chain prefix."""
         for carrier, probe in self.probes_by_control.get(key, ()):
             if probe.key_sequence[0] not in via.out_keys:
                 continue
-            if carrier is None or carrier not in allowed:
+            if carrier is None or all(r.id != carrier for r in allowed):
                 return False
         return True
 
     def _pending_entry_backed(self, relay: Relay, entry) -> bool:
         """The unconfirmed In entry still has a live confirmation path."""
         via = self.relays.get(entry.via)
-        if via is None or self._probe_failed(entry.key, via):
+        failed = self.probefail_starts.get(entry.key)  # first keys of the key's ProbeFails
+        if via is None or (failed is not None and not failed.isdisjoint(via.out_keys)):
             return False
         chain = self._chain_from(via)
         if chain is None:
@@ -297,31 +300,33 @@ class WorldCheck:
         # Far side already created its relay and the activation probe is on
         # its way back.
         sink_rid = via.sink_rid
-        for candidate in self.relays_by_out.get(relay.id, ()):
+        for holder_id in self.out_key_holders.get(key, ()):
+            candidate = self.relays[holder_id]
             if (
-                candidate.id.rid == sink_rid
-                and key in candidate.out_keys
+                candidate.out_id == relay.id
+                and holder_id.rid == sink_rid
                 and candidate.level == relay.level + 1
             ):
-                if any(
-                    isinstance(env.message, Transmit)
-                    and isinstance(env.message.action, Probe)
-                    and env.message.action.key_sequence == (key,)
-                    and not env.message.action.control_keys
-                    and self.valid_header(env.message, relay.id)
-                    for env in candidate.buf
-                ):
-                    allowed = {r.id for r in chain[:-1]}
-                    if self._no_killer_probe(key, via, allowed):
-                        return True
-        # Or the announcing message is still in transit along the chain.
-        for j in range(len(chain) - 1):
-            holder, nxt = chain[j], chain[j + 1]
-            for env in holder.buf:
-                msg = env.message
-                if any(p.key == key for p in relay_params(msg)) and self.valid_header(msg, nxt.id):
-                    allowed = {r.id for r in chain[: j + 1]}
-                    if self._no_killer_probe(key, via, allowed):
+                for env in candidate.buf:
+                    msg = env.message
+                    if (
+                        type(msg) is Transmit
+                        and type(msg.action) is Probe
+                        and msg.action.key_sequence == (key,)
+                        and not msg.action.control_keys
+                        and self.valid_header(msg, relay.id)
+                    ):
+                        if self._no_killer_probe(key, via, chain[:-1]):
+                            return True
+                        break
+        # Or the announcing message is still in transit along the chain: a
+        # chain relay carries the key, headed validly for its next hop.
+        for carrier, msg, param in self.params:
+            if param.key != key:
+                continue
+            for j in range(len(chain) - 1):
+                if chain[j].id == carrier and self.valid_header(msg, chain[j + 1].id):
+                    if self._no_killer_probe(key, via, chain[: j + 1]):
                         return True
         return False
 
@@ -405,11 +410,11 @@ class WorldCheck:
             v.append("C6")
         if self.out_key_holders.get(param.key):
             v.append("C7")
-        if self.header_key_count.get(param.key, 0) > 0:
+        if param.key in self.header_keys:
             v.append("C8")
         # No C9 check: a ProbeFail for the key over `announced` would leave the
-        # target's pending entry unbacked (`_pending_entry_backed` tests
-        # `_probe_failed`), and the target passed C3, so it has none.
+        # target's pending entry unbacked (`_pending_entry_backed` tests for
+        # one), and the target passed C3, so it has none.
         if announced is not None and not self._probe_positions_ok(param.key, announced, message):
             v.append("C10")
         if any(param.key in m.keys for m in self.inrelays_by_target.get(target.id, ())):
@@ -449,13 +454,14 @@ class WorldCheck:
 
     def is_legal(self) -> bool:
         # Decides relay validity by the rule stated above `_evaluate_all`:
-        # the rules of `_check_relay_local`, in its order, applied to each
-        # alive relay and stopping at the first that fails.
+        # the rules of `_check_relay_local` applied to each alive relay,
+        # stopping at the first that fails.
         relays = self.relays
         in_key_count = self.in_key_count
         pings_by_id = self.pings_by_id
         orc_ids = self.orc_ids
         notauth_by_out = self.notauth_by_out
+        shared_out_key = self.shared_out_key
         out_key_holders = self.out_key_holders
         inrelays_by_target = self.inrelays_by_target
         for relay in relays.values():
@@ -463,6 +469,7 @@ class WorldCheck:
                 continue
             relay_id = relay.id
             rid = relay_id.rid
+            pings = pings_by_id.get(relay_id)
             for e in relay.in_set:
                 key = e.key
                 if in_key_count[key] > 1 or key.creator != rid:  # P5
@@ -471,19 +478,19 @@ class WorldCheck:
                 if via is not None:
                     if via.rid != rid:  # P4 (a missing announcer fails P9)
                         return False
+                    if pings and any(ping.key == key for ping in pings):  # P6: pinged for a pending key
+                        return False
                     if not self._pending_entry_backed(relay, e):  # P9
                         return False
-            pings = pings_by_id.get(relay_id)
-            if pings:  # P6
-                pending = {e.key for e in relay.in_set if e.via is not None}
-                for ping in pings:
-                    if ping.level != relay.level or ping.sink_rid != relay.sink_rid or ping.key in pending:
-                        return False
-            if relay_id in orc_ids:  # P7
-                return False
-            for m in notauth_by_out.get(relay_id, ()):  # P8
-                if self.valid_header(m, relay_id):
+            for ping in pings or ():
+                if ping.level != relay.level or ping.sink_rid != relay.sink_rid:  # P6
                     return False
+            if orc_ids and relay_id in orc_ids:  # P7
+                return False
+            if notauth_by_out:
+                for m in notauth_by_out.get(relay_id, ()):  # P8
+                    if self.valid_header(m, relay_id):
+                        return False
             out_id = relay.out_id
             out_keys = relay.out_keys
             if out_id is None:
@@ -501,15 +508,17 @@ class WorldCheck:
             else:
                 if not self._one_key_anchored(relay, target):
                     return False
-            for key in out_keys:  # P11e
-                holders = out_key_holders[key]
-                if len(holders) > 1 and any(
-                    h != relay_id and h.rid == rid and relays[h].alive for h in holders
-                ):
-                    return False
-            for m in inrelays_by_target.get(out_id, ()):  # P11f
-                if m.sender_rid == rid and m.keys & out_keys:
-                    return False
+            if shared_out_key:
+                for key in out_keys:  # P11e
+                    holders = out_key_holders[key]
+                    if len(holders) > 1 and any(
+                        h != relay_id and h.rid == rid and relays[h].alive for h in holders
+                    ):
+                        return False
+            if inrelays_by_target:
+                for m in inrelays_by_target.get(out_id, ()):  # P11f
+                    if m.sender_rid == rid and m.keys & out_keys:
+                        return False
         self._alive_valid = True
         for carrier_id, message, param in self.params:
             if carrier_id is None:

@@ -181,6 +181,25 @@ def test_main_prints_to_the_current_stdout(tmp_path, capsys):
     assert report_dict(capsys.readouterr().out)["steps"] == "5"
 
 
+def test_non_integer_flag_is_parse_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
+    assert cli.main(["run", path, "--max-steps", "abc"]) == cli.EXIT_PARSE
+    out = capsys.readouterr().out
+    assert out == "error=parse detail=argument --max-steps: invalid int value: 'abc'\n"
+
+
+def test_missing_command_is_parse_error(capsys):
+    assert cli.main([]) == cli.EXIT_PARSE
+    assert capsys.readouterr().out == "error=parse detail=the following arguments are required: command\n"
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: relaysim run ")
+
+
 def test_unwritable_trace_is_parse_error_before_any_step(tmp_path, monkeypatch):
     path = write_scenario(tmp_path, seed=1, topology="triangle", predicate="none", max_steps=5)
 
