@@ -43,16 +43,22 @@ from .core import (
 )
 from .kernel import WorldState
 
+# The local relay rules in the order `relay_violations` lists their codes.
+RULES = ("P1", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "P11b", "P11c", "P11d", "P11e", "P11f")
+
 
 class WorldCheck:
     """Single-pass verification context: index once, query many times.
 
     The build makes one pass over the relays (In-key counts and out-key
     holders) and one over every relay, layer and orphan buffer, which
-    dispatches on the message type inline.  The `is_legal` walk allocates
-    nothing per relay; it skips the P7, P8 and P11f lookups when their
-    index is empty, and P11e when no out-key has two holders.  A full check
-    is linear in relays plus messages in flight.
+    dispatches on the message type inline.  One walk, `_walk`, states each
+    local relay rule once: `is_legal` runs it in decide mode, which stops
+    at the first failure and allocates nothing per relay, and
+    `relay_violations` in explain mode, which records every relay's codes.
+    Both modes skip the P7, P8 and P11f lookups when their index is empty,
+    and P11e when no out-key has two holders.  A full check is linear in
+    relays plus messages in flight.
     """
 
     def __init__(self, world: WorldState) -> None:
@@ -133,8 +139,8 @@ class WorldCheck:
     # Validity is mutually recursive: an unconfirmed entry needs a valid
     # announcing relay and a non-sink needs a valid next hop, and both kinds
     # of reference may point back at the relay itself (sending a relay's own
-    # reference via itself is allowed).  Local properties are checked first;
-    # invalidity then propagates along the two reference kinds until a
+    # reference via itself is allowed).  `_walk` states each local property
+    # once; invalidity then propagates along the two reference kinds until a
     # fixpoint.  Genuine out-connection cycles always fail locally because
     # levels cannot strictly decrease around a loop.
     #
@@ -143,35 +149,37 @@ class WorldCheck:
     # P4 to the holders of entries announced via an alive invalid relay.  So
     # every alive relay is valid exactly when none fails locally and none
     # points at a relay that is not alive, and then a relay is valid exactly
-    # when it is alive.  `is_legal` decides from this rule alone, by its own
-    # walk that restates `_check_relay_local`'s rules inline and stops at
-    # the first failure.  `_evaluate_all`, `relay_violations` and
-    # `param_violations` are the explanation it is tested against
-    # (tests/test_legal_walk.py).
+    # when it is alive.  `is_legal` decides from this rule alone: the walk in
+    # decide mode stops at the first alive relay that fails.  `_evaluate_all`
+    # runs the walk in explain mode and propagates; it, `relay_violations`
+    # and `param_violations` are the explanation that decide mode is tested
+    # against (tests/test_legal_walk.py).
 
     def _evaluate_all(self) -> None:
         if self._violations is not None:
             return
+        found: list = []
+        announced_via: dict[RelayId, list] = {}
+        self._walk(found, announced_via)
+        # Each relay with local codes lists them once, in `RULES` order.
         local: dict[RelayId, list] = {}
-        via_deps: dict[RelayId, list] = {}
-        relays_by_out: dict[RelayId, list] = {}
-        for relay in self.relays.values():
-            local[relay.id] = self._check_relay_local(relay, via_deps)
-            if relay.out_id is not None:
-                relays_by_out.setdefault(relay.out_id, []).append(relay.id)
-        worklist = [rid for rid, v in local.items() if v]
+        for relay_id, code in found:
+            local.setdefault(relay_id, set()).add(code)
+        for relay_id, codes in local.items():
+            local[relay_id] = [code for code in RULES if code in codes]
         # Reverse dependency edges: if dep becomes invalid, holder gains code.
         # Next-hop edges (P11b) are `relays_by_out`.
-        announced_via: dict[RelayId, list] = {}
-        for holder, vias in via_deps.items():
-            for via in vias:
-                announced_via.setdefault(via, []).append(holder)
+        relays_by_out: dict[RelayId, list] = {}
+        for relay in self.relays.values():
+            if relay.out_id is not None:
+                relays_by_out.setdefault(relay.out_id, []).append(relay.id)
+        worklist = list(local)
         while worklist:
             bad = worklist.pop()
             dependents = [(h, "P4") for h in announced_via.get(bad, ())]
             dependents += [(r, "P11b") for r in relays_by_out.get(bad, ())]
             for holder, code in dependents:
-                v = local[holder]
+                v = local.setdefault(holder, [])
                 if code not in v:
                     was_valid = not v
                     v.append(code)
@@ -187,81 +195,133 @@ class WorldCheck:
 
     def relay_violations(self, relay_id: RelayId) -> list:
         self._evaluate_all()
-        return self._violations.get(relay_id, ["P2"])
+        return self._violations.get(relay_id, [] if relay_id in self.relays else ["P2"])
 
-    def _check_relay_local(self, relay: Relay, via_deps: dict) -> list:
-        v: list = []
-        rid = relay.id.rid
-        if not relay.alive:
-            v.append("P1")
-        # P2: id uniqueness is structural (per-layer tables keyed by id and
-        # serials minted per layer); nothing to scan.
-        # P3: out always stores a (key set, id) pair by construction.
-        p4 = p5 = p9 = False
-        deps = []
-        unconfirmed_keys = None
-        for e in relay.in_set:
-            if not p5 and (self.in_key_count.get(e.key, 0) > 1 or not belongs_to(e.key, rid)):
-                p5 = True
-            if not e.confirmed:
-                if unconfirmed_keys is None:
-                    unconfirmed_keys = set()
-                unconfirmed_keys.add(e.key)
-                via = self.relays.get(e.via)
-                if e.via.rid != rid:
-                    p4 = True
-                elif via is not None and via.alive:
+    def _walk(self, found: Optional[list] = None, announced_via: Optional[dict] = None) -> bool:
+        """Each relay's local rules, stated once, in one of two modes.
+
+        Decide mode (no arguments) visits the alive relays and returns False
+        at the first local failure or next hop that is not alive, else True.
+        Explain mode visits every relay and appends a (relay id, code) pair
+        to `found` for each local rule it fails; it also maps each alive
+        relay that announces a pending entry to the entry holders in
+        `announced_via`.  The mode is read only where a rule fails, and once
+        per pending entry, so a legal relay pays next to nothing for
+        explain mode."""
+        decide = found is None
+        relays = self.relays
+        in_key_count = self.in_key_count
+        pings_by_id = self.pings_by_id
+        orc_ids = self.orc_ids
+        notauth_by_out = self.notauth_by_out
+        shared_out_key = self.shared_out_key
+        out_key_holders = self.out_key_holders
+        inrelays_by_target = self.inrelays_by_target
+        for relay in relays.values():
+            if not relay.alive:  # P1
+                if decide:
+                    continue
+                found.append((relay.id, "P1"))
+            # P2: id uniqueness is structural (per-layer tables keyed by id
+            # and serials minted per layer); nothing to scan.
+            # P3: out always stores a (key set, id) pair by construction.
+            relay_id = relay.id
+            rid = relay_id.rid
+            pings = pings_by_id.get(relay_id)
+            for e in relay.in_set:
+                key = e.key
+                if in_key_count[key] > 1 or key.creator != rid:  # P5
+                    if decide:
+                        return False
+                    found.append((relay_id, "P5"))
+                via = e.via
+                if via is None:  # confirmed
+                    continue
+                if via.rid != rid:  # P4 (a missing announcer fails P9)
+                    if decide:
+                        return False
+                    found.append((relay_id, "P4"))
+                elif announced_via is not None:
                     # A dead announcing relay is a reversal in flight, still
                     # draining the announcement; a missing one fails P9.
                     # Only an alive-but-invalid one condemns the entry.
-                    deps.append(e.via)
-                if not p9 and not self._pending_entry_backed(relay, e):
-                    p9 = True
-        if deps:
-            via_deps[relay.id] = deps
-        if p4:
-            v.append("P4")
-        if p5:
-            v.append("P5")
-        for ping in self.pings_by_id.get(relay.id, ()):
-            if ping.level != relay.level or ping.sink_rid != relay.sink_rid:
-                v.append("P6")
-                break
-            if unconfirmed_keys and ping.key in unconfirmed_keys:
-                v.append("P6")
-                break
-        if self.orc_ids and relay.id in self.orc_ids:
-            v.append("P7")
-        if self.notauth_by_out and any(self.valid_header(m, relay.id) for m in self.notauth_by_out.get(relay.id, ())):
-            v.append("P8")
-        if p9:
-            v.append("P9")
-        if relay.out_id is None:
-            if relay.out_keys or relay.level != 0 or relay.sink_rid != rid:
-                v.append("P10")
-        else:
-            target = self.relays.get(relay.out_id)
-            if target is None:
-                v.append("P11b")
+                    if via in relays and relays[via].alive:
+                        announced_via.setdefault(via, []).append(relay_id)
+                if pings and any(ping.key == key for ping in pings):  # P6: pinged for a pending key
+                    if decide:
+                        return False
+                    found.append((relay_id, "P6"))
+                if not self._pending_entry_backed(relay, e):  # P9
+                    if decide:
+                        return False
+                    found.append((relay_id, "P9"))
+            if pings:
+                for ping in pings:
+                    if ping.level != relay.level or ping.sink_rid != relay.sink_rid:  # P6
+                        if decide:
+                            return False
+                        found.append((relay_id, "P6"))
+                        break
+            if orc_ids and relay_id in orc_ids:  # P7
+                if decide:
+                    return False
+                found.append((relay_id, "P7"))
+            if notauth_by_out:
+                for m in notauth_by_out.get(relay_id, ()):  # P8
+                    if self.valid_header(m, relay_id):
+                        if decide:
+                            return False
+                        found.append((relay_id, "P8"))
+                        break
+            out_id = relay.out_id
+            out_keys = relay.out_keys
+            if out_id is None:
+                if out_keys or relay.level != 0 or relay.sink_rid != rid:  # P10
+                    if decide:
+                        return False
+                    found.append((relay_id, "P10"))
             else:
-                if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:
-                    v.append("P11c")
-                if not self._one_key_anchored(relay, target):
-                    v.append("P11d")
-            for key in relay.out_keys:
-                # Only alive co-holders violate uniqueness; a deleted relay
-                # keeps its out-keys until the repair loop collects it.
-                holders = self.out_key_holders[key]
-                if len(holders) > 1 and any(
-                    h != relay.id and h.rid == rid and self.relays[h].alive for h in holders
-                ):
-                    v.append("P11e")
-                    break
-            for m in self.inrelays_by_target.get(relay.out_id, ()):
-                if m.sender_rid == rid and m.keys & relay.out_keys:
-                    v.append("P11f")
-                    break
-        return v
+                target = relays.get(out_id)
+                if target is None:  # P11b
+                    if decide:
+                        return False
+                    found.append((relay_id, "P11b"))
+                else:
+                    if not target.alive and decide:  # a dead next hop; explained by propagation
+                        return False
+                    if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:  # P11c
+                        if decide:
+                            return False
+                        found.append((relay_id, "P11c"))
+                    for e in target.in_set:  # P11d, its common case first
+                        if e.from_rid == rid and e.key in out_keys:
+                            break
+                    else:
+                        if not self._one_key_anchored(relay, target):
+                            if decide:
+                                return False
+                            found.append((relay_id, "P11d"))
+                if shared_out_key:
+                    for key in out_keys:  # P11e
+                        # Only alive co-holders violate uniqueness; a deleted
+                        # relay keeps its out-keys until the repair loop
+                        # collects it.
+                        holders = out_key_holders[key]
+                        if len(holders) > 1 and any(
+                            h != relay_id and h.rid == rid and relays[h].alive for h in holders
+                        ):
+                            if decide:
+                                return False
+                            found.append((relay_id, "P11e"))
+                            break
+                if inrelays_by_target:
+                    for m in inrelays_by_target.get(out_id, ()):  # P11f
+                        if m.sender_rid == rid and m.keys & out_keys:
+                            if decide:
+                                return False
+                            found.append((relay_id, "P11f"))
+                            break
+        return True
 
     def _chain_from(self, start: Relay) -> Optional[list]:
         """Out-connection sequence from `start` to its sink; None if broken."""
@@ -453,72 +513,10 @@ class WorldCheck:
     # -- aggregates ---------------------------------------------------------------
 
     def is_legal(self) -> bool:
-        # Decides relay validity by the rule stated above `_evaluate_all`:
-        # the rules of `_check_relay_local` applied to each alive relay,
-        # stopping at the first that fails.
-        relays = self.relays
-        in_key_count = self.in_key_count
-        pings_by_id = self.pings_by_id
-        orc_ids = self.orc_ids
-        notauth_by_out = self.notauth_by_out
-        shared_out_key = self.shared_out_key
-        out_key_holders = self.out_key_holders
-        inrelays_by_target = self.inrelays_by_target
-        for relay in relays.values():
-            if not relay.alive:
-                continue
-            relay_id = relay.id
-            rid = relay_id.rid
-            pings = pings_by_id.get(relay_id)
-            for e in relay.in_set:
-                key = e.key
-                if in_key_count[key] > 1 or key.creator != rid:  # P5
-                    return False
-                via = e.via
-                if via is not None:
-                    if via.rid != rid:  # P4 (a missing announcer fails P9)
-                        return False
-                    if pings and any(ping.key == key for ping in pings):  # P6: pinged for a pending key
-                        return False
-                    if not self._pending_entry_backed(relay, e):  # P9
-                        return False
-            for ping in pings or ():
-                if ping.level != relay.level or ping.sink_rid != relay.sink_rid:  # P6
-                    return False
-            if orc_ids and relay_id in orc_ids:  # P7
-                return False
-            if notauth_by_out:
-                for m in notauth_by_out.get(relay_id, ()):  # P8
-                    if self.valid_header(m, relay_id):
-                        return False
-            out_id = relay.out_id
-            out_keys = relay.out_keys
-            if out_id is None:
-                if out_keys or relay.level != 0 or relay.sink_rid != rid:  # P10
-                    return False
-                continue
-            target = relays.get(out_id)
-            if target is None or not target.alive:  # P11b, or a dead next hop
-                return False
-            if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:  # P11c
-                return False
-            for e in target.in_set:  # P11d, its common case first
-                if e.from_rid == rid and e.key in out_keys:
-                    break
-            else:
-                if not self._one_key_anchored(relay, target):
-                    return False
-            if shared_out_key:
-                for key in out_keys:  # P11e
-                    holders = out_key_holders[key]
-                    if len(holders) > 1 and any(
-                        h != relay_id and h.rid == rid and relays[h].alive for h in holders
-                    ):
-                        return False
-            if inrelays_by_target:
-                for m in inrelays_by_target.get(out_id, ()):  # P11f
-                    if m.sender_rid == rid and m.keys & out_keys:
-                        return False
+        # Relay validity by the rule stated above `_evaluate_all`: the walk
+        # in decide mode.  Every alive relay is then valid.
+        if not self._walk():
+            return False
         self._alive_valid = True
         for carrier_id, message, param in self.params:
             if carrier_id is None:

@@ -1,29 +1,35 @@
 """Differential test of `WorldCheck.is_legal` against its full definition.
 
-`is_legal` walks the alive relays and stops at the first one that fails
-locally or points at a relay that is not alive.  The definition it stands
-for reads every relay's explanation: the world is legal when
-`relay_violations` is empty for every alive relay and every parameter
-carried by a relay passes `param_violations`, with C1 excused for a dead
-carrier.  Both are asked of fresh checks on every state `test_verdicts`
-samples, on every step of 40 runs shaped like the benchmark's
-closure_check unit (a fresh 3-process legal world, 250 steps; 28% of those
-states hold an unconfirmed entry and 18% a parameter in flight), and every
-50 steps of 12 more `mixed` 4x96 starts: 18,160 states, 17,406 of them
-legal.
+`WorldCheck._walk` states each local relay rule once and runs in two
+modes.  `is_legal` runs it in decide mode, which visits the alive relays
+and stops at the first one that fails locally or points at a relay that is
+not alive.  The definition it stands for reads every relay's explanation:
+the walk in explain mode plus the propagation of invalidity along next
+hops and announcements.  The world is legal when `relay_violations` is
+empty for every alive relay and every parameter carried by a relay passes
+`param_violations`, with C1 excused for a dead carrier.  Both are asked of
+fresh checks on every state `test_verdicts` samples, on every step of 40
+runs shaped like the benchmark's closure_check unit (a fresh 3-process
+legal world, 250 steps; 28% of those states hold an unconfirmed entry and
+18% a parameter in flight), and every 50 steps of 12 more `mixed` 4x96
+starts: 18,160 states, 17,406 of them legal.  This comparison guards what
+the two modes do differently: decide mode's exit at a next hop that is
+not alive, and the propagation that explain mode leaves to
+`_evaluate_all`.
 
-The tally also records which rule decides each illegal state alone: the
-one rule of the walk that fails anywhere in it, so that the walk without
-that rule would call the state legal.  The walk's rules are the local
-codes of `_check_relay_local`, a next hop that is not alive, and the
-parameter loop.  Of the 754 illegal sampled states only 85 are decided by
-one rule alone (P9, P11b or P11c), so every 25 steps of the closure_check
-runs each alive relay in turn gets each edit of `EDITS`, one at a time: a
-single corruption of the kind `kernel._corrupt` makes, or one stray
-message, compared and then undone.  Every rule in `RULES` decides some of
-these 32,715 states alone (from 51 for the parameter loop to 6,075 for
-P6), so dropping any one rule from the walk changes a verdict compared
-here.
+A local rule dropped from the walk is dropped from both modes, so the two
+still agree; what fails then is the `RULES` coverage assertion.  The tally
+records which rule decides each illegal state alone: the one rule that
+fails anywhere in it, read from explain mode's local codes of the alive
+relays, so that the walk without that rule would call the state legal.
+The walk's rules are its local codes, a next hop that is not alive, and
+the parameter loop.  Of the 754 illegal sampled states only 85 are decided
+by one rule alone (P9, P11b or P11c), so every 25 steps of the
+closure_check runs each alive relay in turn gets each edit of `EDITS`, one
+at a time: a single corruption of the kind `kernel._corrupt` makes, or one
+stray message, compared and then undone.  Every rule in `RULES` decides
+some of these 32,715 states alone (from 51 for the parameter loop to 6,075
+for P6), and a dropped rule decides none, which fails the assertion.
 
 The same pass compares the oracle's own header check with the layer's
 `RelayLayer.header_valid_for`: every in-flight `Transmit` header of a
@@ -85,10 +91,11 @@ def _deciding_rule(world) -> str:
     every parameter passes once each alive relay counts as valid, which is
     how the walk's parameter loop reads them."""
     check = oracle.WorldCheck(world)
-    failing = set()
+    found = []
+    check._walk(found, {})  # explain mode: each relay's local codes, before propagation
+    failing = {code for relay_id, code in found if check.relays[relay_id].alive}
     for relay in check.relays.values():
         if relay.alive:
-            failing.update(check._check_relay_local(relay, {}))
             if relay.out_id in check.relays and not check.relays[relay.out_id].alive:
                 failing.add("dead_next_hop")
     if not failing:

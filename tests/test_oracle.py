@@ -130,6 +130,15 @@ def test_unbacked_pending_entry_violates_p9():
     assert "P9" in oracle.WorldCheck(world).relay_violations(s.relay_id)
 
 
+def test_pending_entry_announced_via_another_layer_violates_p4():
+    world = new_world(9, 2)
+    layer = world.layer_of(0)
+    door = give_door(world, 1)
+    s = layer.new_relay()
+    layer.relays[s.relay_id].in_set.add(unconfirmed_entry(layer.mint_key(), door.relay_id))
+    assert "P4" in oracle.WorldCheck(world).relay_violations(s.relay_id)
+
+
 def test_sink_with_foreign_sink_rid_violates_p10():
     world = new_world(10, 2)
     door = give_door(world, 0)
@@ -649,13 +658,13 @@ def test_process_components_match_the_graph_while_leavers_stop():
 
 def test_world_check_evaluates_each_relay_once(monkeypatch):
     checked = Counter()
-    check_local = oracle.WorldCheck._check_relay_local
+    walk = oracle.WorldCheck._walk
 
-    def counted(self, relay, via_deps):
-        checked[relay.id] += 1
-        return check_local(self, relay, via_deps)
+    def counted(self, *outputs):
+        checked.update(list(self.relays))  # one visit per relay and walk
+        return walk(self, *outputs)
 
-    monkeypatch.setattr(oracle.WorldCheck, "_check_relay_local", counted)
+    monkeypatch.setattr(oracle.WorldCheck, "_walk", counted)
     check = oracle.WorldCheck(adversarial_init(23, 4, 12, 12, "mixed"))
     answers = {relay_id: (check.relay_violations(relay_id), check.relay_valid(relay_id))
                for relay_id in check.relays}

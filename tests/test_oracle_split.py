@@ -24,7 +24,8 @@ def test_one_seed_prints_its_split_and_the_sum(oracle_split, capsys):
     header, row, total = _table(capsys)
     assert header == list(oracle_split.COLUMNS)
     assert row[:2] == ["350", "50"] and total[:2] == ["all", "50"]
-    assert all(float(v) > 0 for v in row[2:7])
+    assert header[5] == "explain_us"
+    assert all(float(v) > 0 for v in row[2:8])
     assert row[-1] == total[-1] == "0"  # every checked closure state is legal
 
 
@@ -41,4 +42,13 @@ def test_sampled_shapes_check_at_their_cadence(oracle_split, capsys, shape, step
     header, *rows, total = _table(capsys)
     assert header == list(oracle_split.COLUMNS) and len(rows) == 2
     assert total[:2] == ["all", str(2 * steps)]
-    assert all(float(v) > 0 for row in rows for v in row[2:7])
+    assert all(float(v) > 0 for row in rows for v in row[2:8])
+
+
+@pytest.mark.parametrize("args", [["--seeds", "5", "3", "--steps", "10"], ["--steps", "0"],
+                                  ["--steps", "-4"]])
+def test_empty_runs_are_usage_errors(oracle_split, capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        oracle_split.main(args)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,3 +23,15 @@ def test_three_processes_print_one_row_per_target_kind(monkeypatch, capsys):
     assert 1 <= float(edit["distance_p50"]) <= int(edit["distance_max"]) <= 2
     assert identical["distance_p50"] == identical["distance_max"] == "-"
     assert all(row[-1] == "0" for row in rows)  # every executed plan reached its target
+
+
+@pytest.mark.parametrize("args", [["--sizes", "1"], ["--sizes", "3", "1"], ["--sizes", "0"],
+                                  ["--sizes", "3", "--seeds", "0"]])
+def test_empty_or_unplannable_runs_are_usage_errors(monkeypatch, capsys, args):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import plan_lengths
+
+    with pytest.raises(SystemExit) as exit_info:
+        plan_lengths.main(args)
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -23,7 +23,8 @@ execution) per whole transformation, and counts transformations whose final
 `cpg` differs from the target.  --json writes the rows to FILE.
 
 Standard library only; one process, one transformation at a time.  Exit
-status: 0, or 1 when an executed transformation missed its target.
+status: 0, 1 when an executed transformation missed its target, or 2, with
+a usage message, when a size is below 2 or K is below 1.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ def main(argv=None) -> int:
     ap.add_argument("--execute", action="store_true")
     ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
+    if min(args.sizes) < 2:
+        ap.error("--sizes: an edit moves an edge between two processes, so each N must be at least 2")
+    if args.seeds < 1:
+        ap.error("--seeds: K must be at least 1")
     table = rows(args.sizes, args.seeds, args.execute)
     print(*COLUMNS)
     for row in table:
