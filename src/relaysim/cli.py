@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from operator import methodcaller
 from pathlib import Path
 
 from . import oracle, rules
@@ -45,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 PREDICATES = {
     "is_legal": oracle.is_legal,
-    "settled": lambda w: w.is_settled(),
+    "settled": methodcaller("is_settled"),  # looked up per poll, no Python frame
     "none": lambda w: False,
     "all_stopped": lambda w: not w.layers,
 }
@@ -262,7 +263,7 @@ def run_transform(source_path: str, target_path: str, seed: int = 0, out=None) -
         print(f"error=parse detail={e}", file=out)
         return EXIT_PARSE
     world = rules.build_simple_realization(seed, source)
-    res = world.run_until(lambda w: w.is_settled(), 20000)
+    res = world.run_until(type(world).is_settled, 20000)
     if not res.reached:
         print("error=budget phase=settle", file=out)
         return EXIT_BUDGET

@@ -7,7 +7,9 @@ delivery (non-FIFO, any buffered message may go next), or one application
 action.  Same seed, same scenario, same state sequence.  The scheduler
 indexes the enabled actions as they change instead of scanning them: a
 forced pick takes the top of one heap of every enabled action, and a
-random pick walks per-layer message counts.  The heap's key is the whole
+random pick walks per-layer message counts.  A random pick's draw consumes
+exactly what `rng.randrange(len(actions))` would: the same `getrandbits`
+calls, so the same seed picks the same index.  The heap's key is the whole
 tie-break rule: (birth or last run, -rank, -rid or -pid, -uid or 0, uid
 or pid), with the ranks timeout 0, tick 1, relay buffer 2, layer buffer 3
 and orphan 4; an orphan's is (birth, -rank, -uid, 0, uid).  After the
@@ -267,8 +269,9 @@ class WorldState:
     # oldest age exceeds `fairness_bound` (always, for a bound of -1: round
     # robin), the step runs the top of the scheduling heap: the oldest
     # action with the highest sort key.  Otherwise it runs the action at
-    # `rng.randrange(len(actions))`.  The indexes below keep each kind in
-    # this order as it changes, so `step` never builds the list.
+    # `rng.randrange(len(actions))`, drawn from the same bits.  The indexes
+    # below keep each kind in this order as it changes, so `step` never
+    # builds the list.
 
     def step(self) -> None:
         action = self._pick()
@@ -307,7 +310,15 @@ class WorldState:
 
         timeouts, apps = self._timeouts.order, self._apps.order
         # `holder` maps every pending uid, orphans included; they come last.
-        i = self.rng.randrange(len(timeouts) + len(apps) + len(holder))
+        # The draw consumes exactly what `rng.randrange(n)` would: CPython's
+        # `Random._randbelow` rejects `getrandbits(n.bit_length())` until it
+        # is below n.  Inlined, the same bits give the same index without
+        # randrange's two Python frames.
+        n = len(timeouts) + len(apps) + len(holder)
+        bits, getrandbits = n.bit_length(), self.rng.getrandbits
+        i = getrandbits(bits)
+        while i >= n:
+            i = getrandbits(bits)
         if i < len(timeouts):
             return ("timeout", timeouts[i])
         i -= len(timeouts)
@@ -421,31 +432,32 @@ class WorldState:
         an offender that exists now, so edits made outside a step cannot
         make the answer stale.
         """
-        witness = self._unsettled
-        if witness is not None and self._still_offends(*witness):
-            return False
+        if self._unsettled is not None:
+            # Inlined, as this runs on nearly every poll: the witness (layer,
+            # relay, envelope) still offends when it is still in the world
+            # and still breaks settledness.
+            layer, relay, env = self._unsettled
+            if layer is None:
+                buf = self.orphan_out
+            elif self.layers.get(layer.rid) is not layer:
+                buf = ()
+            elif relay is None:
+                buf = layer.layer_buf
+            elif layer.relays.get(relay.id) is not relay:
+                buf = ()
+            elif env is None:
+                if _relay_unsettled(relay):
+                    return False
+                buf = ()
+            else:
+                buf = relay.buf
+            for e in buf:
+                if e is env:
+                    if _envelope_unsettled(relay, env.message):
+                        return False
+                    break
         self._unsettled = self._find_offender()
         return self._unsettled is None
-
-    def _still_offends(self, layer, relay, env) -> bool:
-        """The witness (layer, relay, envelope) is still in the world and
-        still breaks settledness."""
-        if layer is None:
-            buf = self.orphan_out
-        elif self.layers.get(layer.rid) is not layer:
-            return False
-        elif relay is None:
-            buf = layer.layer_buf
-        elif layer.relays.get(relay.id) is not relay:
-            return False
-        elif env is None:
-            return _relay_unsettled(relay)
-        else:
-            buf = relay.buf
-        for e in buf:
-            if e is env:
-                return _envelope_unsettled(relay, env.message)
-        return False
 
     def _find_offender(self) -> Optional[tuple]:
         """The first (layer, relay, envelope) that breaks settledness, with

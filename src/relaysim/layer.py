@@ -16,6 +16,7 @@ from .core import (
     ActionInvocation,
     Envelope,
     Header,
+    InEntry,
     InRelayClosed,
     Key,
     Message,
@@ -31,6 +32,7 @@ from .core import (
     Rid,
     Transmit,
     confirmed_entry,
+    make,
     relay_params,
     unconfirmed_entry,
 )
@@ -210,9 +212,8 @@ class RelayLayer:
             key = self.mint_key()
             target.in_set.add(unconfirmed_entry(key, relay.id))
             params[i] = RelayParameter(key, target.id, target.level + 1, target.sink_rid)
-        key = min(relay.out_keys)
-        header = Header(key, relay.id, relay.out_id, relay.level)
-        self._emit_buf(relay, Transmit(header, ActionInvocation(action.label, tuple(params))))
+        header = make(Header, (min(relay.out_keys), relay.id, relay.out_id, relay.level))
+        self._emit_buf(relay, make(Transmit, (header, ActionInvocation(action.label, tuple(params)))))
 
     def stop_process(self) -> None:
         if not self.owner_alive:
@@ -238,36 +239,50 @@ class RelayLayer:
     # -- header validity (local data only) -----------------------------------
 
     def header_valid_for(self, relay: Relay, header: Header) -> bool:
+        """`relay` takes a Transmit with `header` (see `admitting_entry`)."""
+        return self.admitting_entry(relay, header) is not None
+
+    def admitting_entry(self, relay: Relay, header: Header) -> Optional[InEntry]:
+        """The In entry under which `relay` takes a Transmit with `header`,
+        or None when the header is not valid for it.  The header's key must
+        be confirmed from the sender's layer or announced via a local relay
+        that sinks there.  An announcement wins, the lowest via first: the
+        first message over a fresh connection confirms it.  One pass finds
+        both; most Transmits travel over confirmed connections.
+        """
         if relay.id != header.out_id:
-            return False
-        sender = header.in_id.rid
+            return None
+        key, sender = header.key, header.in_id.rid
+        found = None
         for e in relay.in_set:
-            if e.key != header.key:
+            if e.key != key:
                 continue
-            if e.confirmed:
-                if e.from_rid == sender:
-                    return True
-            else:
+            if e.via is None:
+                if e.from_rid == sender and found is None:
+                    found = e
+            elif found is None or found.via is None or e.via < found.via:
                 via = self.relays.get(e.via)
                 if via is not None and via.sink_rid == sender:
-                    return True
-        return False
+                    found = e
+        return found
 
     # -- message dispatch ----------------------------------------------------
 
     def receive(self, message: Message) -> None:
-        # Transmits and pings come first: they are most of the traffic.
-        if isinstance(message, Transmit):
+        # On the exact type, transmits and pings first: they are most of the
+        # traffic.
+        kind = type(message)
+        if kind is Transmit:
             self.handle_transmit(message)
-        elif isinstance(message, Ping):
+        elif kind is Ping:
             self.handle_ping(message.id, message.level, message.sink_rid, message.key)
-        elif isinstance(message, ProbeFail):
+        elif kind is ProbeFail:
             self.handle_probefail(message.key, message.key_sequence)
-        elif isinstance(message, NotAuthorized):
+        elif kind is NotAuthorized:
             self.handle_notauthorized(message.original)
-        elif isinstance(message, InRelayClosed):
+        elif kind is InRelayClosed:
             self.handle_inrelayclosed(message.keys, message.sender_rid, message.target_id)
-        elif isinstance(message, OutRelayClosed):
+        elif kind is OutRelayClosed:
             self.handle_outrelayclosed(message.id)
         # anything else is not an internal message and is ignored
 
@@ -276,37 +291,22 @@ class RelayLayer:
     def handle_transmit(self, m: Transmit) -> None:
         header = m.header
         relay = self.relays.get(header.out_id)
-        if relay is not None and relay.alive and self.header_valid_for(relay, header):
-            self._activate_connection(relay, header)
-            if relay.out_id is None:
-                self._sink_receipt(relay, m)
-            else:
-                self._forward(relay, m)
+        if relay is None or not relay.alive:
+            if header.out_id.rid == self.rid:
+                self._emit_control(header.in_id.rid, OutRelayClosed(header.out_id))
             return
-        if relay is not None and relay.alive:
+        entry = self.admitting_entry(relay, header)
+        if entry is None:
             self._emit_control(header.in_id.rid, NotAuthorized(m))
             return
-        if header.out_id.rid == self.rid:
-            self._emit_control(header.in_id.rid, OutRelayClosed(header.out_id))
-
-    def _activate_connection(self, relay: Relay, header: Header) -> None:
-        # First message over a fresh connection confirms the announced key.
-        # Most Transmits travel over confirmed connections: for them the
-        # first loop returns before anything is built or sorted.
-        key = header.key
-        for e in relay.in_set:
-            if e.via is not None and e.key == key:
-                break
+        if entry.via is not None:
+            # The first message over a fresh connection confirms its key.
+            relay.in_set.discard(entry)
+            relay.in_set.add(confirmed_entry(entry.key, header.in_id.rid))
+        if relay.out_id is None:
+            self._sink_receipt(relay, m)
         else:
-            return
-        sender = header.in_id.rid
-        # All unconfirmed under one key, so tuple order is via order.
-        for e in sorted(e for e in relay.in_set if e.via is not None and e.key == key):
-            via = self.relays.get(e.via)
-            if via is not None and via.sink_rid == sender:
-                relay.in_set.discard(e)
-                relay.in_set.add(confirmed_entry(key, sender))
-                return
+            self._forward(relay, m)
 
     def _sink_receipt(self, relay: Relay, m: Transmit) -> None:
         action = m.action
@@ -331,11 +331,8 @@ class RelayLayer:
                 params[i] = None
                 continue
             relay_in = self.add_relay(out_keys={p.key}, out_id=p.id, level=p.level, sink_rid=p.sink_rid)
-            activation = Transmit(
-                Header(p.key, relay_in.id, p.id, relay_in.level),
-                Probe(frozenset(), (p.key,)),
-            )
-            self._emit_buf(relay_in, activation)
+            header = make(Header, (p.key, relay_in.id, p.id, relay_in.level))
+            self._emit_buf(relay_in, make(Transmit, (header, make(Probe, (_NO_CONTROLS, (p.key,))))))
             params[i] = RelayRef(relay_in.id)
         self._emit_buf(relay, ActionInvocation(action.label, tuple(params)))
 
@@ -348,8 +345,9 @@ class RelayLayer:
             controls = action.control_keys
             if controls:
                 controls = controls - buffered_param_keys(relay.buf)
-            action = Probe(controls, action.key_sequence + (new_key,))
-        self._emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
+            action = make(Probe, (controls, action.key_sequence + (new_key,)))
+        header = make(Header, (new_key, relay.id, relay.out_id, relay.level))
+        self._emit_buf(relay, make(Transmit, (header, action)))
 
     # -- probe failure ---------------------------------------------------------
 
@@ -440,18 +438,24 @@ class RelayLayer:
         # loop only removes In entries and out-keys, never adds them, so a
         # lookup that re-checks membership reads the current table, a relay
         # whose In set is empty at its turn has nothing to purge or ping, and
-        # a key with one holder in the snapshot cannot collide.
+        # a key with one holder in the snapshot cannot collide: when no key
+        # has two (`shared` false, the common case), no relay is scanned for
+        # collisions.
         table, rid, owner_alive = self.relays, self.rid, self.owner_alive
         key_count: dict[Key, int] = {}
         announced: dict[RelayId, list] = {}  # via id -> [(holder, entry)]
         holders: dict[Key, list] = {}
+        out_total = 0
         for r in table.values():
             for e in r.in_set:
                 key_count[e.key] = key_count.get(e.key, 0) + 1
                 if e.via is not None:
                     announced.setdefault(e.via, []).append((r, e))
-            for k in r.out_keys:
+            out_keys = r.out_keys
+            out_total += len(out_keys)
+            for k in out_keys:
                 holders.setdefault(k, []).append(r)
+        shared = out_total > len(holders)
 
         for relay in list(table.values()):
             relay_id, out_id = relay.id, relay.out_id
@@ -491,8 +495,9 @@ class RelayLayer:
                         drop.append(e)
                 relay.in_set.difference_update(drop)
                 confirmed.sort()
+                sink_rid = relay.sink_rid
                 for e in confirmed:
-                    self._emit_control(e.from_rid, Ping(relay_id, level, relay.sink_rid, e.key))
+                    self._emit_control(e.from_rid, make(Ping, (relay_id, level, sink_rid, e.key)))
 
             pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:
@@ -523,7 +528,7 @@ class RelayLayer:
                 and not pending_via
             ):
                 self._delete(relay)
-            if relay.alive and relay.out_keys:
+            if shared and relay.alive and relay.out_keys:
                 # Out-key collisions are resolved between alive relays only;
                 # a tombstone still holding an alive relay's key is the loser
                 # of an earlier collision, or comes from a corrupted start.
@@ -542,8 +547,7 @@ class RelayLayer:
             # buffer and prevent its own collection, probing any less would
             # strand the announcements of a stopped process.
             if controls or (relay.alive and (owner_alive or relay.in_set)):
-                for key in sorted(relay.out_keys):
-                    self._emit_buf(
-                        relay,
-                        Transmit(Header(key, relay_id, out_id, level), Probe(controls, (key,))),
-                    )
+                out_keys = relay.out_keys
+                for key in out_keys if len(out_keys) == 1 else sorted(out_keys):
+                    header = make(Header, (key, relay_id, out_id, level))
+                    self._emit_buf(relay, make(Transmit, (header, make(Probe, (controls, (key,))))))

@@ -240,7 +240,8 @@ def execute_plan(world: WorldState, plan: TransformPlan, on_step=None) -> None:
         world.processes[pid].store["slots"][slot] = RelayRef(relay_id)
     for i, step in enumerate(plan.steps):
         _perform(world.processes[step.pid], step)
-        res = world.run_until(lambda w: w.is_settled(), PER_STEP_BUDGET)
+        # Looked up per step, so a wrapper put on the class sees every poll.
+        res = world.run_until(type(world).is_settled, PER_STEP_BUDGET)
         if not res.reached:
             raise PlanError(f"step {i} ({step}) did not settle within {PER_STEP_BUDGET} steps")
         if on_step is not None:

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
@@ -85,3 +87,13 @@ def test_runs_spread_wider_than_the_bound_leave_a_metric_unresolved(monkeypatch)
     s = bp.summarize(_pairs(wide, [200 + p for p in wide]), END_TO_END)
     assert not s["metrics"]["steps_per_s"]["unresolved"]
     assert not bp.summarize(_pairs(PARENT, PARENT), END_TO_END)["metrics"]["steps_per_s"]["unresolved"]
+
+
+def test_no_pairs_is_a_usage_error(monkeypatch, capsys):
+    bp = _bench_pairs(monkeypatch)
+    args = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "transform", "--seed", "1"]
+    for pairs in ("0", "-2"):
+        with pytest.raises(SystemExit) as exit_info:
+            bp.main(args + ["--pairs", pairs])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,3 +25,14 @@ def test_each_shape_counts_its_seeds_and_names_the_unsafe_ones(monkeypatch, caps
         {"shape": "wide", "seeds": "5010-5011", "ok": "1", "stuck": "0", "unsafe": "1",
          "stuck_seeds": "-", "unsafe_seeds": "5011"},
     ]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_no_seeds_is_a_usage_error(monkeypatch, capsys, count):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import fdp_sweep
+
+    with pytest.raises(SystemExit) as exit_info:
+        fdp_sweep.main(["--count", count])
+    assert exit_info.value.code == 2
+    assert "error:" in capsys.readouterr().err

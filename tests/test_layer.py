@@ -355,7 +355,7 @@ def test_activation_probe_confirms_pending_entry():
 
 
 def test_activation_confirms_the_lowest_via_that_sinks_at_the_sender():
-    # `RescanningLayer` inherits `_activate_connection`, so no lock-step
+    # `RescanningLayer` inherits `handle_transmit`, so no lock-step
     # reference covers it: the choice between announcements is pinned here.
     world = make_world(3)
     layer = world.layer_of(0)

@@ -8,6 +8,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,48 @@ def test_benchmark_modules_use_existing_names(monkeypatch):
     assert kernel.WorldState.step is step
     assert workloads.check_state(random_connected_world(1, 3)) == (0, 0)
     assert workloads.check_state(adversarial_init(1, 4, 12, 15, "mixed"))[0] == 1
+
+
+# Span names each traced unit must record: the calls behind the per-layer
+# counts of `relaybench/spans.py`.  A hot path that inlined one of these
+# methods would leave its count at 0.
+TRACED_UNIT_SPANS = {
+    "transform": {"kernel.build", "kernel.step", "kernel.is_settled", "layer.timeout",
+                  "layer.receive.Transmit", "layer.receive.Ping", "layer.send", "layer.new_relay",
+                  "apps.tick", "apps.deliver", "oracle.graph", "rules.plan", "rules.execute"},
+    "closure_check": {"kernel.build", "kernel.step", "layer.timeout", "layer.receive.Transmit",
+                      "layer.receive.Ping", "layer.send", "layer.new_relay", "apps.tick",
+                      "apps.deliver", "oracle.check_build", "oracle.is_legal"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_UNIT_SPANS))
+def test_traced_unit_records_a_span_for_every_wrapped_call(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(ROOT / "relaybench"))
+    import refclock
+    import spans
+    import workloads
+
+    tracer = spans.Tracer()
+    tracer.install()
+    wrapped = {original.__code__ for _, _, original in tracer._patches}
+    ran = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in wrapped:
+            ran[frame.f_code] += 1
+
+    try:
+        sys.setprofile(profile)
+        try:
+            workloads.WORKLOADS[name].unit(workloads.unit_seed(name, 1, 0), 0, refclock.RefClock(), tracer)
+        finally:
+            sys.setprofile(None)
+    finally:
+        tracer.uninstall()
+    # Each wrapped original ran only through its wrapper: a caller holding
+    # the original (a reference taken before `install`) would run it
+    # without a span.
+    assert len(tracer.start) == sum(ran.values())
+    recorded = {tracer.names[i] for i in tracer.name_id}
+    assert TRACED_UNIT_SPANS[name] <= recorded, TRACED_UNIT_SPANS[name] - recorded

@@ -118,6 +118,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs: N must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     headline = spec["end_to_end"][0]["name"]
 

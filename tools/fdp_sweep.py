@@ -59,6 +59,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first", type=int)
     parser.add_argument("--count", type=int)
     args = parser.parse_args(argv)
+    if args.count is not None and args.count < 1:
+        parser.error("--count: N must be at least 1")
     first = DEFAULT_FIRST[args.shape] if args.first is None else args.first
     count = DEFAULT_COUNT[args.shape] if args.count is None else args.count
     seeds: dict[str, list[int]] = {"ok": [], "stuck": [], "unsafe": []}

@@ -1,6 +1,6 @@
 """Per-call split of a kernel step in benchmark-shaped worlds.
 
-    python3 tools/step_split.py [--shapes NAME ...] [--steps N] [--seed S]
+    python3 tools/step_split.py [--shapes NAME ...] [--steps N] [--seed S] [--against DIR]
 
 For each shape (default: transform sparse_large dense_repair) the script
 builds worlds shaped like the benchmark workload of that name, untimed, and
@@ -26,7 +26,7 @@ in flight, sampled every 16 steps.  The shapes:
   settled, then the plan to its target executed, one unit after another
   until N steps ran (the planning and the settling before it are untimed);
 - sparse_large: one 256-process sparse world under `RandomDeliberateApp`,
-  1,000 untimed warm-up steps, then N steps;
+  1,000 untimed warm-up steps, then N steps in units of 3,000;
 - dense_repair: adversarial `mixed` starts of 4 processes with 96 relays
   and 48 messages, 3,000 steps each, new worlds until N steps ran.
 
@@ -34,31 +34,60 @@ The timers wrap the methods from outside `src/` and put every original
 back afterwards; they only read state, so every trajectory is the
 untimed one.  Host seconds swing with the host: compare the rows of one
 run with each other, and two runs only side by side on one host.
-Standard library only; one process.
+
+With `--against DIR`, the script also imports `DIR/src/relaysim`, a second
+checkout (say, the parent commit), as a package of another name and runs
+every unit under both, alternating which side goes first.  Each row then
+gives both sides' microseconds per call and the quartiles, over the units,
+of this checkout's time per call over DIR's, so both sides see the same
+host minutes.  The exit status is 1 when a unit's final `state_hash`
+differs between the sides.  Standard library only; one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import sys
 from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from bench_pairs import quartiles  # noqa: E402
 from relaysim import apps, kernel, layer, rules  # noqa: E402
 
 COLUMNS = ("call", "calls", "us_per_call", "pct_of_step")
+AGAINST_COLUMNS = ("call", "calls", "us_per_call", "against_us", "ratio_q1", "ratio_p50", "ratio_q3")
 SHAPES = ("transform", "sparse_large", "dense_repair")
 SAMPLE_EVERY = 16
+UNIT_STEPS = 3000
 _MISSING = object()
+_MODULES = ("apps", "kernel", "layer", "rules")
+HERE = SimpleNamespace(apps=apps, kernel=kernel, layer=layer, rules=rules)
+
+
+def load_package(root: Path, name: str = "against_relaysim") -> SimpleNamespace:
+    """The modules of `root/src/relaysim`, imported as package `name`.  The
+    package imports itself only relatively, so both copies live side by
+    side in one process."""
+    init = root / "src" / "relaysim" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in _MODULES})
 
 
 class Recorder:
-    """Summed seconds and calls per name, and the summed world sizes."""
+    """Summed seconds and calls per name, and the summed world sizes, for
+    the calls of one package's modules."""
 
-    def __init__(self) -> None:
+    def __init__(self, pkg: SimpleNamespace = HERE) -> None:
+        self.pkg = pkg
         self.secs: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)
         self.size = [0, 0, 0]
@@ -84,7 +113,7 @@ class Recorder:
 
     def wrap_step(self) -> None:
         """Time `WorldState.step` and sample the world's size."""
-        original = kernel.WorldState.step
+        original = self.pkg.kernel.WorldState.step
         secs, calls, size = self.secs, self.calls, self.size
 
         def timed(world):
@@ -97,11 +126,11 @@ class Recorder:
                     size[i] += v
                 self.samples += 1
 
-        self._patch(kernel.WorldState, "step", timed)
+        self._patch(self.pkg.kernel.WorldState, "step", timed)
 
     def wrap_settle_poll(self) -> None:
         """Time the predicate every `run_until` call is handed."""
-        original = kernel.WorldState.run_until
+        original = self.pkg.kernel.WorldState.run_until
         secs, calls = self.secs, self.calls
 
         def run_until(world, predicate, max_steps):
@@ -114,19 +143,20 @@ class Recorder:
                     calls["settle_poll"] += 1
             return original(world, poll, max_steps)
 
-        self._patch(kernel.WorldState, "run_until", run_until)
+        self._patch(self.pkg.kernel.WorldState, "run_until", run_until)
 
     def _patch(self, owner, attr: str, replacement) -> None:
         self._patches.append((owner, attr, owner.__dict__.get(attr, _MISSING)))
         setattr(owner, attr, replacement)
 
     def install(self) -> None:
+        pkg = self.pkg
         self.wrap_step()
         self.wrap_settle_poll()
-        self.wrap(kernel.WorldState, "_pick", "pick")
-        self.wrap(layer.RelayLayer, "timeout", "timeout")
-        self.wrap(layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
-        for app in (apps.RandomDeliberateApp, rules.TransformApp):
+        self.wrap(pkg.kernel.WorldState, "_pick", "pick")
+        self.wrap(pkg.layer.RelayLayer, "timeout", "timeout")
+        self.wrap(pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
+        for app in (pkg.apps.RandomDeliberateApp, pkg.rules.TransformApp):
             self.wrap(app, "on_tick", "app.tick")
             self.wrap(app, "on_message", "app.deliver")
 
@@ -159,7 +189,12 @@ def run_timed(rec: Recorder, run) -> None:
         rec.uninstall()
 
 
-def transform(rec: Recorder, seed: int, steps: int) -> None:
+# Each shape runs its timed units one at a time and yields each unit's
+# final world.
+
+
+def transform(rec: Recorder, seed: int, steps: int):
+    kernel, rules = rec.pkg.kernel, rec.pkg.rules
     index = 0
     while rec.calls["step"] < steps:
         unit_seed = kernel.derive_seed("step_split", seed, index)
@@ -172,46 +207,110 @@ def transform(rec: Recorder, seed: int, steps: int) -> None:
             continue
         plan = rules.plan_transform(world, target)
         run_timed(rec, lambda: rules.execute_plan(world, plan))
+        yield world
 
 
-def sparse_large(rec: Recorder, seed: int, steps: int) -> None:
-    world = kernel.random_connected_world(seed, 256, 128, 16)
+def sparse_large(rec: Recorder, seed: int, steps: int):
+    world = rec.pkg.kernel.random_connected_world(seed, 256, 128, 16)
     for proc in world.processes.values():
-        proc.app = apps.RandomDeliberateApp(max_relays=8)
+        proc.app = rec.pkg.apps.RandomDeliberateApp(max_relays=8)
     world.run(1000)
-    run_timed(rec, lambda: world.run(steps))
+    while rec.calls["step"] < steps:
+        run_timed(rec, lambda: world.run(min(UNIT_STEPS, steps - rec.calls["step"])))
+        yield world
 
 
-def dense_repair(rec: Recorder, seed: int, steps: int) -> None:
+def dense_repair(rec: Recorder, seed: int, steps: int):
+    kernel = rec.pkg.kernel
     index = 0
     while rec.calls["step"] < steps:
         world = kernel.adversarial_init(kernel.derive_seed("step_split", seed, index), 4, 96, 48, "mixed")
         index += 1
         for proc in world.processes.values():
-            proc.app = apps.RandomDeliberateApp(max_relays=16)
-        run_timed(rec, lambda: world.run(min(3000, steps - rec.calls["step"])))
+            proc.app = rec.pkg.apps.RandomDeliberateApp(max_relays=16)
+        run_timed(rec, lambda: world.run(min(UNIT_STEPS, steps - rec.calls["step"])))
+        yield world
+
+
+UNITS = {"transform": transform, "sparse_large": sparse_large, "dense_repair": dense_repair}
 
 
 def split(shape: str, seed: int, steps: int) -> Recorder:
     rec = Recorder()
-    {"transform": transform, "sparse_large": sparse_large, "dense_repair": dense_repair}[shape](rec, seed, steps)
+    for _ in UNITS[shape](rec, seed, steps):
+        pass
     return rec
 
 
-def rows(rec: Recorder) -> list[list[str]]:
-    step_s = rec.secs["step"] or 1.0
+def split_against(shape: str, seed: int, steps: int, against: SimpleNamespace) -> tuple:
+    """Run the shape's units alternately here and under `against`.  Returns
+    both sides' recorders, both sides' lists of one recorder per unit, and
+    the indexes of the units whose final state hashes differ."""
+    recs = (Recorder(), Recorder(against))
+    runs = [UNITS[shape](rec, seed, steps) for rec in recs]
+    units: tuple[list, list] = ([], [])
+    mismatched = []
+    while True:
+        first = len(units[0]) % 2  # even units run here first
+        worlds = [None, None]
+        for side in (first, 1 - first):
+            before = dict(recs[side].secs), dict(recs[side].calls)
+            worlds[side] = next(runs[side], None)
+            units[side].append(_delta(recs[side], *before))
+        if worlds[0] is None or worlds[1] is None:
+            if worlds[0] is not worlds[1]:
+                mismatched.append(len(units[0]) - 1)
+            units[0].pop(), units[1].pop()
+            return recs, units, mismatched
+        if worlds[0].state_hash() != worlds[1].state_hash():
+            mismatched.append(len(units[0]) - 1)
+
+
+def _delta(rec: Recorder, secs: dict, calls: dict) -> Recorder:
+    """A recorder holding what `rec` recorded since it held `secs` and `calls`."""
+    unit = Recorder(rec.pkg)
+    for name in rec.calls:
+        unit.secs[name] = rec.secs[name] - secs.get(name, 0.0)
+        unit.calls[name] = rec.calls[name] - calls.get(name, 0)
+    return unit
+
+
+def per_call(rec: Recorder) -> dict[str, tuple[float, int, float]]:
+    """Row name -> (seconds, calls, seconds per call; 0 with no calls)."""
     inner = ["pick", "timeout"] + sorted(k for k in rec.secs if k.startswith("receive.")) + ["app.deliver", "app.tick"]
-    other = step_s - sum(rec.secs[k] for k in inner)
-    out = []
+    out = {}
     for name in ["step"] + inner + ["other", "settle_poll"]:
         if name == "other":
-            secs, calls = other, rec.calls["step"]
+            secs, calls = rec.secs["step"] - sum(rec.secs[k] for k in inner), rec.calls["step"]
         elif name in rec.calls:
             secs, calls = rec.secs[name], rec.calls[name]
         else:
             continue
-        out.append([name, str(calls), f"{secs * 1e6 / calls:.2f}" if calls else "-",
-                    f"{100 * secs / step_s:.1f}"])
+        out[name] = (secs, calls, secs / calls if calls else 0.0)
+    return out
+
+
+def rows(rec: Recorder) -> list[list[str]]:
+    step_s = rec.secs["step"] or 1.0
+    return [[name, str(calls), f"{each * 1e6:.2f}" if calls else "-", f"{100 * secs / step_s:.1f}"]
+            for name, (secs, calls, each) in per_call(rec).items()]
+
+
+def against_rows(recs: tuple, units: tuple) -> list[list[str]]:
+    """One row per call: both sides' us per call, and the quartiles over the
+    units of this side's time per call over the other side's."""
+    here, there = per_call(recs[0]), per_call(recs[1])
+    ratios = defaultdict(list)
+    for unit_here, unit_there in zip(*units):
+        a, b = per_call(unit_here), per_call(unit_there)
+        for name in a.keys() & b.keys():
+            if a[name][1] and b[name][1] and b[name][2] > 0:
+                ratios[name].append(a[name][2] / b[name][2])
+    out = []
+    for name, (_, calls, each) in here.items():
+        q = [f"{v:.3f}" for v in quartiles(ratios[name])] if ratios[name] else ["-"] * 3
+        other = there.get(name, (0, 0, 0.0))[2]
+        out.append([name, str(calls), f"{each * 1e6:.2f}", f"{other * 1e6:.2f}", *q])
     return out
 
 
@@ -220,16 +319,32 @@ def main(argv=None) -> int:
     parser.add_argument("--shapes", nargs="+", choices=SHAPES, default=list(SHAPES))
     parser.add_argument("--steps", type=int, default=30_000)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--against", type=Path, metavar="DIR")
     args = parser.parse_args(argv)
+    if args.steps < 1:
+        parser.error("--steps: N must be at least 1")
+    if args.against is not None and not (args.against / "src" / "relaysim" / "__init__.py").is_file():
+        parser.error(f"--against: {args.against} holds no src/relaysim package")
+    against = load_package(args.against.resolve()) if args.against is not None else None
+    status = 0
     for shape in args.shapes:
-        rec = split(shape, args.seed, args.steps)
+        if against is None:
+            rec = split(shape, args.seed, args.steps)
+            table, head = [list(COLUMNS)] + rows(rec), ""
+        else:
+            recs, units, mismatched = split_against(shape, args.seed, args.steps, against)
+            rec = recs[0]
+            table, head = [list(AGAINST_COLUMNS)] + against_rows(recs, units), f" units={len(units[0])}"
+            for unit in mismatched:
+                print(f"MISMATCH shape={shape} unit={unit}: the final state hashes differ")
+                status = 1
         n = rec.samples or 1
         procs, relays, inflight = (v / n for v in rec.size)
-        print(f"shape={shape} steps={rec.calls['step']} processes={procs:.1f} "
+        print(f"shape={shape} steps={rec.calls['step']}{head} processes={procs:.1f} "
               f"relays={relays:.1f} inflight={inflight:.1f}")
-        for name, *cells in [list(COLUMNS)] + rows(rec):
+        for name, *cells in table:
             print(f"{name:<22}" + "".join(f"{c:>14}" for c in cells))
-    return 0
+    return status
 
 
 if __name__ == "__main__":
