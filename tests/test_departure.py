@@ -59,6 +59,18 @@ WIDE_SPLITS = {
     5249: (14, [(0, 1), (0, 12), (1, 2), (1, 3), (1, 7), (2, 5), (3, 4), (3, 8), (4, 6), (4, 13), (7, 9), (7, 11),
                 (9, 10)], [0, 1, 2, 4, 5, 7, 8, 9, 10, 12, 13]),
     6178: (7, [(0, 1), (0, 2), (0, 5), (1, 2), (1, 4), (2, 3), (4, 6)], [0, 1, 2, 3, 6]),
+    6536: (14, [(0, 1), (0, 3), (0, 8), (1, 2), (1, 4), (1, 13), (2, 11), (3, 5), (4, 6), (6, 7), (8, 9), (8, 12),
+                (9, 10)], [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11]),
+    6733: (16, [(0, 1), (0, 2), (0, 3), (0, 9), (0, 13), (1, 4), (2, 15), (3, 5), (3, 6), (3, 9), (5, 7), (5, 8),
+                (6, 10), (10, 11), (11, 12), (13, 14)], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14, 15]),
+    6767: (11, [(0, 1), (0, 2), (0, 5), (0, 7), (1, 3), (3, 4), (3, 10), (4, 6), (4, 8), (4, 9)],
+           [0, 1, 2, 3, 5, 8, 9, 10]),
+    7158: (12, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 9), (1, 11), (2, 5), (2, 6), (3, 7), (4, 8), (8, 10)],
+           [0, 1, 2, 3, 4, 6, 7, 10, 11]),
+    7195: (10, [(0, 1), (0, 2), (1, 3), (1, 5), (2, 6), (2, 8), (3, 4), (4, 7), (4, 9), (5, 6)], [0, 1, 3, 4, 7]),
+    8115: (7, [(0, 1), (0, 5), (1, 2), (1, 6), (2, 3), (2, 4), (2, 6)], [0, 1, 2, 6]),
+    8121: (13, [(0, 1), (0, 2), (0, 4), (0, 8), (0, 11), (1, 5), (1, 9), (1, 12), (2, 3), (2, 7), (3, 10), (4, 6)],
+           [0, 1, 2, 3, 4, 5, 7, 8, 9, 11]),
 }
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from relaysim import apps, kernel, layer, rules
+from relaysim import apps, kernel, layer, oracle, rules
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,9 +31,10 @@ def _blocks(capsys) -> tuple[dict, dict]:
 
 
 def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, capsys):
-    owners = (kernel.WorldState, layer.RelayLayer, apps.RandomDeliberateApp, rules.TransformApp)
+    owners = (kernel.WorldState, layer.RelayLayer, apps.RandomDeliberateApp, rules.TransformApp,
+              oracle.WorldCheck)
     before = [dict(vars(owner)) for owner in owners]
-    assert step_split.main(["--steps", "200"]) == 0
+    assert step_split.main(["--steps", "1000"]) == 0
     assert [dict(vars(owner)) for owner in owners] == before
 
     heads, blocks = _blocks(capsys)
@@ -41,26 +42,50 @@ def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, capsy
     for shape, rows in blocks.items():
         rows = {name: (int(calls), us, float(pct)) for name, (calls, us, pct) in rows.items()}
         head = heads[shape]
-        assert int(head["steps"]) >= 200
+        assert int(head["steps"]) >= 1000
         assert all(float(head[k]) > 0 for k in ("processes", "relays", "inflight"))
         assert rows["step"][0] == rows["pick"][0] == rows["other"][0] == int(head["steps"])
         assert rows["step"][2] == 100.0
+        assert 0 < rows["execute"][0] <= rows["step"][0]
+        # pick, execute's self time, the calls nested in it and other
+        # partition step.
+        partition = [pct for name, (_, _, pct) in rows.items()
+                     if name not in ("step", "settle_poll") and not name.startswith("oracle.")]
+        assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
         assert rows["timeout"][0] > 0 and rows["receive.Transmit"][0] > 0
         assert ("settle_poll" in rows) == (shape == "transform")
+        assert ({"oracle.build", "oracle.is_legal", "oracle.explain"} <= rows.keys()) == (shape != "transform")
     assert heads["sparse_large"]["processes"] == "256.0"
 
 
 def test_against_a_checkout_prints_ratios_for_every_row(step_split, capsys):
-    assert step_split.main(["--steps", "200", "--against", str(ROOT)]) == 0
+    assert step_split.main(["--steps", "1000", "--against", str(ROOT)]) == 0
     heads, blocks = _blocks(capsys)
     assert list(blocks) == list(step_split.SHAPES)
     for shape, rows in blocks.items():
         assert int(heads[shape]["units"]) >= 1
-        assert {"step", "pick", "timeout", "receive.Transmit", "other"} <= rows.keys()
+        assert {"step", "pick", "execute", "timeout", "receive.Transmit", "other"} <= rows.keys()
+        if shape != "transform":
+            assert set(step_split.ORACLE_ROWS) <= rows.keys()
         for name, (calls, here, there, *ratios) in rows.items():
             assert int(calls) > 0 and float(here) > 0 and float(there) > 0, name
             q1, median, q3 = map(float, ratios)
             assert 0 < q1 <= median <= q3, name
+
+
+@pytest.mark.parametrize("shape, steps, checks",
+                         [("closure", 50, 50), ("dense_repair", 120, 2), ("sparse_large", 1000, 1)])
+def test_checked_shapes_check_at_their_cadence(step_split, capsys, shape, steps, checks):
+    assert step_split.main(["--shapes", shape, "--seed", "350", "--steps", str(steps)]) == 0
+    heads, blocks = _blocks(capsys)
+    rows = {name: (int(calls), float(us)) for name, (calls, us, _) in blocks[shape].items()}
+    assert heads[shape]["steps"] == str(steps)
+    # Each check builds two fresh checks: one decides, one explains.
+    assert rows["oracle.is_legal"][0] == rows["oracle.explain"][0] == checks
+    assert rows["oracle.build"][0] == 2 * checks
+    assert all(rows[name][1] > 0 for name in step_split.ORACLE_ROWS)
+    if shape == "closure":
+        assert heads[shape]["illegal"] == "0"  # every checked closure state is legal
 
 
 def test_against_a_diverging_checkout_exits_1(step_split, monkeypatch, capsys):

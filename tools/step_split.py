@@ -1,26 +1,37 @@
-"""Per-call split of a kernel step in benchmark-shaped worlds.
+"""Per-call split of a kernel step and of the oracle in benchmark-shaped worlds.
 
     python3 tools/step_split.py [--shapes NAME ...] [--steps N] [--seed S] [--against DIR]
 
-For each shape (default: transform sparse_large dense_repair) the script
-builds worlds shaped like the benchmark workload of that name, untimed, and
-then runs N kernel steps (default 30,000) with these calls timed:
+For each shape (default: transform sparse_large dense_repair closure) the
+script builds worlds shaped like the benchmark workload of that name,
+untimed, and then runs N kernel steps (default 30,000) with these calls
+timed:
 
-- `step`: one `WorldState.step`, everything below included;
+- `step`: one `WorldState.step`, the rows from `pick` to `other` included;
 - `pick`: the scheduler's choice of the action (`WorldState._pick`);
+- `execute`: one run of the chosen action (`WorldState._execute`), less
+  the timeout, `receive.*` and `app.*` calls inside it: the dispatch,
+  the buffer removal, the holder and count updates, the heap push;
 - `timeout`: one run of the repair loop (`RelayLayer.timeout`);
 - `receive.<Type>`: one message delivered to a relay layer, by type;
 - `app.deliver`: one application invocation delivered at a sink;
 - `app.tick`: one application action;
-- `other`: the rest of `step`, the kernel's own routing and bookkeeping;
+- `other`: the rest of `step`, its bookkeeping around `pick` and `execute`;
 - `settle_poll`: one poll of the plan executor's predicate, which
   `rules.execute_plan` hands to `run_until` (transform only).  It runs
-  after each step, outside it.
+  after each step, outside it;
+- `oracle.build`, `oracle.is_legal`, `oracle.explain`: a
+  `WorldCheck(world)`, its `is_legal()`, and one `relay_violations` call
+  on a second fresh check, which explains every relay (closure,
+  sparse_large and dense_repair).  The state is checked between steps,
+  outside them, after every step (closure), every 50 timed steps
+  (dense_repair) or every 1,000 (sparse_large).
 
 Each row gives the calls, the mean microseconds per call and the summed
 time as a share of the summed `step` time.  A header line per shape gives
 the mean world size over the timed steps: processes, relays and messages
-in flight, sampled every 16 steps.  The shapes:
+in flight, sampled every 16 steps, and how many checked states were
+illegal.  The shapes:
 
 - transform: random 6-8 process multigraph pairs, each source realized and
   settled, then the plan to its target executed, one unit after another
@@ -28,7 +39,9 @@ in flight, sampled every 16 steps.  The shapes:
 - sparse_large: one 256-process sparse world under `RandomDeliberateApp`,
   1,000 untimed warm-up steps, then N steps in units of 3,000;
 - dense_repair: adversarial `mixed` starts of 4 processes with 96 relays
-  and 48 messages, 3,000 steps each, new worlds until N steps ran.
+  and 48 messages, 3,000 steps each, new worlds until N steps ran;
+- closure: `random_connected_world(S + i, 3, extra_edges=1, chains=0)`
+  for unit i, 10,000 steps each, under `RandomDeliberateApp(max_relays=3)`.
 
 The timers wrap the methods from outside `src/` and put every original
 back afterwards; they only read state, so every trajectory is the
@@ -58,16 +71,18 @@ from types import SimpleNamespace
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bench_pairs import quartiles  # noqa: E402
-from relaysim import apps, kernel, layer, rules  # noqa: E402
+from relaysim import apps, kernel, layer, oracle, rules  # noqa: E402
 
 COLUMNS = ("call", "calls", "us_per_call", "pct_of_step")
 AGAINST_COLUMNS = ("call", "calls", "us_per_call", "against_us", "ratio_q1", "ratio_p50", "ratio_q3")
-SHAPES = ("transform", "sparse_large", "dense_repair")
+SHAPES = ("transform", "sparse_large", "dense_repair", "closure")
 SAMPLE_EVERY = 16
 UNIT_STEPS = 3000
+CLOSURE_UNIT_STEPS = 10_000
+ORACLE_ROWS = ("oracle.build", "oracle.is_legal", "oracle.explain")
 _MISSING = object()
-_MODULES = ("apps", "kernel", "layer", "rules")
-HERE = SimpleNamespace(apps=apps, kernel=kernel, layer=layer, rules=rules)
+_MODULES = ("apps", "kernel", "layer", "oracle", "rules")
+HERE = SimpleNamespace(apps=apps, kernel=kernel, layer=layer, oracle=oracle, rules=rules)
 
 
 def load_package(root: Path, name: str = "against_relaysim") -> SimpleNamespace:
@@ -92,6 +107,7 @@ class Recorder:
         self.calls: dict[str, int] = defaultdict(int)
         self.size = [0, 0, 0]
         self.samples = 0
+        self.illegal = 0
         self._patches: list = []
 
     def wrap(self, owner, attr: str, name) -> None:
@@ -154,11 +170,15 @@ class Recorder:
         self.wrap_step()
         self.wrap_settle_poll()
         self.wrap(pkg.kernel.WorldState, "_pick", "pick")
+        self.wrap(pkg.kernel.WorldState, "_execute", "execute")
         self.wrap(pkg.layer.RelayLayer, "timeout", "timeout")
         self.wrap(pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
         for app in (pkg.apps.RandomDeliberateApp, pkg.rules.TransformApp):
             self.wrap(app, "on_tick", "app.tick")
             self.wrap(app, "on_message", "app.deliver")
+        self.wrap(pkg.oracle.WorldCheck, "__init__", "oracle.build")
+        self.wrap(pkg.oracle.WorldCheck, "is_legal", "oracle.is_legal")
+        self.wrap(pkg.oracle.WorldCheck, "relay_violations", "oracle.explain")
 
     def uninstall(self) -> None:
         while self._patches:
@@ -210,13 +230,30 @@ def transform(rec: Recorder, seed: int, steps: int):
         yield world
 
 
-def sparse_large(rec: Recorder, seed: int, steps: int):
-    world = rec.pkg.kernel.random_connected_world(seed, 256, 128, 16)
+def deliberate(rec: Recorder, world, max_relays: int):
+    """`world`, with a `RandomDeliberateApp(max_relays)` on every process."""
     for proc in world.processes.values():
-        proc.app = rec.pkg.apps.RandomDeliberateApp(max_relays=8)
+        proc.app = rec.pkg.apps.RandomDeliberateApp(max_relays=max_relays)
+    return world
+
+
+def checked_run(rec: Recorder, world, steps: int, every: int) -> None:
+    """`steps` steps of `world`, its state checked after every `every`-th:
+    built, decided and, on a second fresh check, explained."""
+    check = rec.pkg.oracle.WorldCheck
+    for i in range(1, steps + 1):
+        world.step()
+        if i % every == 0:
+            rec.illegal += not check(world).is_legal()
+            fresh = check(world)
+            fresh.relay_violations(next(iter(fresh.relays), None))
+
+
+def sparse_large(rec: Recorder, seed: int, steps: int):
+    world = deliberate(rec, rec.pkg.kernel.random_connected_world(seed, 256, 128, 16), 8)
     world.run(1000)
     while rec.calls["step"] < steps:
-        run_timed(rec, lambda: world.run(min(UNIT_STEPS, steps - rec.calls["step"])))
+        run_timed(rec, lambda: checked_run(rec, world, min(UNIT_STEPS, steps - rec.calls["step"]), 1000))
         yield world
 
 
@@ -226,13 +263,21 @@ def dense_repair(rec: Recorder, seed: int, steps: int):
     while rec.calls["step"] < steps:
         world = kernel.adversarial_init(kernel.derive_seed("step_split", seed, index), 4, 96, 48, "mixed")
         index += 1
-        for proc in world.processes.values():
-            proc.app = rec.pkg.apps.RandomDeliberateApp(max_relays=16)
-        run_timed(rec, lambda: world.run(min(UNIT_STEPS, steps - rec.calls["step"])))
+        deliberate(rec, world, 16)
+        run_timed(rec, lambda: checked_run(rec, world, min(UNIT_STEPS, steps - rec.calls["step"]), 50))
         yield world
 
 
-UNITS = {"transform": transform, "sparse_large": sparse_large, "dense_repair": dense_repair}
+def closure(rec: Recorder, seed: int, steps: int):
+    index = 0
+    while rec.calls["step"] < steps:
+        world = deliberate(rec, rec.pkg.kernel.random_connected_world(seed + index, 3, extra_edges=1, chains=0), 3)
+        index += 1
+        run_timed(rec, lambda: checked_run(rec, world, min(CLOSURE_UNIT_STEPS, steps - rec.calls["step"]), 1))
+        yield world
+
+
+UNITS = {"transform": transform, "sparse_large": sparse_large, "dense_repair": dense_repair, "closure": closure}
 
 
 def split(shape: str, seed: int, steps: int) -> Recorder:
@@ -277,11 +322,13 @@ def _delta(rec: Recorder, secs: dict, calls: dict) -> Recorder:
 
 def per_call(rec: Recorder) -> dict[str, tuple[float, int, float]]:
     """Row name -> (seconds, calls, seconds per call; 0 with no calls)."""
-    inner = ["pick", "timeout"] + sorted(k for k in rec.secs if k.startswith("receive.")) + ["app.deliver", "app.tick"]
+    nested = ["timeout"] + sorted(k for k in rec.secs if k.startswith("receive.")) + ["app.deliver", "app.tick"]
     out = {}
-    for name in ["step"] + inner + ["other", "settle_poll"]:
-        if name == "other":
-            secs, calls = rec.secs["step"] - sum(rec.secs[k] for k in inner), rec.calls["step"]
+    for name in ["step", "pick", "execute"] + nested + ["other", "settle_poll", *ORACLE_ROWS]:
+        if name == "execute":
+            secs, calls = rec.secs["execute"] - sum(rec.secs[k] for k in nested), rec.calls["execute"]
+        elif name == "other":
+            secs, calls = rec.secs["step"] - rec.secs["pick"] - rec.secs["execute"], rec.calls["step"]
         elif name in rec.calls:
             secs, calls = rec.secs[name], rec.calls[name]
         else:
@@ -341,7 +388,7 @@ def main(argv=None) -> int:
         n = rec.samples or 1
         procs, relays, inflight = (v / n for v in rec.size)
         print(f"shape={shape} steps={rec.calls['step']}{head} processes={procs:.1f} "
-              f"relays={relays:.1f} inflight={inflight:.1f}")
+              f"relays={relays:.1f} inflight={inflight:.1f} illegal={rec.illegal}")
         for name, *cells in table:
             print(f"{name:<22}" + "".join(f"{c:>14}" for c in cells))
     return status
