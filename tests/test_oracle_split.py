@@ -1,4 +1,4 @@
-"""`tools/oracle_split.py` on short runs of each shape."""
+"""The oracle split of `tools/step_split.py`: its closure shape and oracle rows."""
 
 from pathlib import Path
 
@@ -8,47 +8,57 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def oracle_split(monkeypatch):
+def step_split(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    import oracle_split
+    import step_split
 
-    return oracle_split
-
-
-def _table(capsys):
-    return [line.split() for line in capsys.readouterr().out.splitlines()]
+    return step_split
 
 
-def test_one_seed_prints_its_split_and_the_sum(oracle_split, capsys):
-    assert oracle_split.main(["--seeds", "350", "350", "--steps", "50"]) == 0
-    header, row, total = _table(capsys)
-    assert header == list(oracle_split.COLUMNS)
-    assert row[:2] == ["350", "50"] and total[:2] == ["all", "50"]
-    assert header[5] == "explain_us"
-    assert all(float(v) > 0 for v in row[2:8])
-    assert row[-1] == total[-1] == "0"  # every checked closure state is legal
+def _closure(capsys) -> tuple[dict, dict]:
+    """The closure block's header fields and its rows (name -> cells)."""
+    head, rows, inside = None, {}, False
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("shape="):
+            inside = line.startswith("shape=closure ")
+            if inside:
+                head = dict(field.split("=") for field in line.split())
+        elif inside and line.split()[0] != "call":
+            name, *cells = line.split()
+            rows[name] = cells
+    return head, rows
 
 
-def test_closure_is_the_default_and_checks_every_step(oracle_split):
-    default, closure = oracle_split.split(350, 20), oracle_split.split(350, 20, "closure")
-    assert default["checks"] == closure["checks"] == 20
-    assert (default["relays"], default["inflight"]) == (closure["relays"], closure["inflight"])
+def test_one_seed_prints_its_split_and_the_sum(step_split, capsys):
+    assert step_split.main(["--shapes", "closure", "--seed", "350", "--steps", "50"]) == 0
+    head, rows = _closure(capsys)
+    assert head["steps"] == "50" and head["illegal"] == "0"  # every checked closure state is legal
+    pct = {name: float(cells[-1]) for name, cells in rows.items()}
+    assert pct["step"] == 100.0
+    # pick, execute's self time, the calls nested in it and other sum to step.
+    partition = [v for name, v in pct.items() if name != "step" and not name.startswith("oracle.")]
+    assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
+    assert all(float(rows[name][1]) > 0 for name in step_split.ORACLE_ROWS)
 
 
-@pytest.mark.parametrize("shape, steps, checks", [("dense_repair", 120, 2), ("sparse_large", 1000, 1)])
-def test_sampled_shapes_check_at_their_cadence(oracle_split, capsys, shape, steps, checks):
-    assert oracle_split.split(1, steps, shape)["checks"] == checks
-    assert oracle_split.main(["--shape", shape, "--seeds", "1", "2", "--steps", str(steps)]) == 0
-    header, *rows, total = _table(capsys)
-    assert header == list(oracle_split.COLUMNS) and len(rows) == 2
-    assert total[:2] == ["all", str(2 * steps)]
-    assert all(float(v) > 0 for row in rows for v in row[2:8])
+def test_closure_is_the_default_and_checks_every_step(step_split, capsys):
+    assert "closure" in step_split.SHAPES
+    assert step_split.main(["--seed", "350", "--steps", "20"]) == 0
+    default = _closure(capsys)
+    assert step_split.main(["--shapes", "closure", "--seed", "350", "--steps", "20"]) == 0
+    head, rows = _closure(capsys)
+    fields = ("steps", "processes", "relays", "inflight", "illegal")
+    assert [default[0][k] for k in fields] == [head[k] for k in fields]
+    # Each check builds two fresh checks: one decides, one explains.
+    calls = {name: int(rows[name][0]) for name in step_split.ORACLE_ROWS}
+    assert calls == {name: int(default[1][name][0]) for name in step_split.ORACLE_ROWS}
+    assert calls == {"oracle.build": 40, "oracle.is_legal": 20, "oracle.explain": 20}
 
 
-@pytest.mark.parametrize("args", [["--seeds", "5", "3", "--steps", "10"], ["--steps", "0"],
-                                  ["--steps", "-4"]])
-def test_empty_runs_are_usage_errors(oracle_split, capsys, args):
+@pytest.mark.parametrize("args", [["--shapes"], ["--shapes", "closure", "--steps", "0"],
+                                  ["--shapes", "closure", "--steps", "-4"]])
+def test_empty_runs_are_usage_errors(step_split, capsys, args):
     with pytest.raises(SystemExit) as exit_info:
-        oracle_split.main(args)
+        step_split.main(args)
     assert exit_info.value.code == 2
     assert "error:" in capsys.readouterr().err
