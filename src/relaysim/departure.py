@@ -22,6 +22,27 @@ This is safe because the leaver still holds its own edge to the stayer,
 and that edge keeps the two weakly connected until the leaver's bridge
 hands the stayer over to another neighbor.  A stayer's tick only drains
 `discards`.
+
+A leaver's last edge r1, to its one live peer p1, goes only when nothing
+routes through it (`incoming(r1) == 0`) and one of two things holds:
+
+- Its sinks drained: nothing points here, so this process hangs off p1
+  by r1 alone, and cutting r1 separates no one else.
+- The pair is isolated.  A leaver whose last peer is retired sends that
+  peer one `solo` notice over the edge, and the receiver records the sink
+  it arrived at (`store["solo"][sender] = via`).  Here p1 is retired, the
+  sinks' total `incoming` is 1, p1's `solo` arrived at a sink whose
+  `incoming` is 1, and our pid is below p1's.  While r1 lives, its key
+  sits at p1's sink, so p1's sinks have not drained, and the pid order
+  fails p1's own pair test: p1 cannot drop its edge e to us by this rule.
+  If e still stands, it is the one connection pointing here, so cutting
+  r1 leaves e holding the pair together and nothing else hangs on us.
+
+Open: nothing refreshes a `solo` belief.  p1 can still lose e another way
+(a bridge or a newer edge once p1 gains a peer).  The sink test then
+fails, unless meanwhile another process was handed an edge to that same
+sink (our door goes out in every `welcome`); no argument excludes that
+interleaving yet.  The sweeps of tools/fdp_sweep.py found none.
 """
 
 from __future__ import annotations
@@ -91,13 +112,17 @@ class DepartureApp:
             return
         if len(live) == 1:
             p1, r1 = live[0]
-            # The last edge is cut once the peer is itself retiring, or once our
-            # sinks drained: nothing points here anymore, so this process hangs
-            # off the peer alone and cutting the edge separates no one else.
-            sinks_drained = all(
-                ctx.layer.incoming(ref) == 0 for ref in ctx.layer.get_relays() if ctx.layer.is_sink(ref)
-            )
-            if ctx.layer.incoming(r1) == 0 and (p1 in retired or sinks_drained):
+            solo_sent: set = store.setdefault("solo_sent", set())
+            if p1 in retired and r1 not in solo_sent:
+                ctx.send(r1, "solo", (ctx.pid,))
+                solo_sent.add(r1)
+            # The last edge is cut once our sinks drained, or once the pair is
+            # isolated: the one connection pointing here is p1's (the module
+            # docstring gives the argument).
+            pointing = sum(ctx.layer.incoming(ref) for ref in ctx.layer.get_relays() if ctx.layer.is_sink(ref))
+            solo_sink = store.get("solo", {}).get(p1)
+            isolated = p1 in retired and pointing == 1 and ctx.layer.incoming(solo_sink) == 1 and ctx.pid < p1
+            if ctx.layer.incoming(r1) == 0 and (pointing == 0 or isolated):
                 ctx.layer.delete_relay(r1)
                 peers.pop(p1)
             return
@@ -111,6 +136,9 @@ class DepartureApp:
         discards: list = store.setdefault("discards", [])
         label, params = action
 
+        if label == "solo":
+            store.setdefault("solo", {})[params[0]] = via
+            return
         if label == "retire":
             (from_pid,) = params
             retired.add(from_pid)

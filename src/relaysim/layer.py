@@ -238,10 +238,6 @@ class RelayLayer:
 
     # -- header validity (local data only) -----------------------------------
 
-    def header_valid_for(self, relay: Relay, header: Header) -> bool:
-        """`relay` takes a Transmit with `header` (see `admitting_entry`)."""
-        return self.admitting_entry(relay, header) is not None
-
     def admitting_entry(self, relay: Relay, header: Header) -> Optional[InEntry]:
         """The In entry under which `relay` takes a Transmit with `header`,
         or None when the header is not valid for it.  The header's key must

@@ -53,9 +53,10 @@ class WorldCheck:
     The build makes one pass over the relays (In-key counts and out-key
     holders) and one over every relay, layer and orphan buffer, which
     dispatches on the message type inline.  One walk, `_walk`, states each
-    local relay rule once: `is_legal` runs it in decide mode, which stops
-    at the first failure and allocates nothing per relay, and
-    `relay_violations` in explain mode, which records every relay's codes.
+    local relay rule once as one line of evidence: `is_legal` runs it in
+    decide mode, which stops after the first relay that fails, and
+    `relay_violations` in explain mode, which records every relay's codes;
+    a legal relay pays the same in both.
     Both modes skip the P7, P8 and P11f lookups when their index is empty,
     and P11e when no out-key has two holders.  A full check is linear in
     relays plus messages in flight.
@@ -149,11 +150,11 @@ class WorldCheck:
     # P4 to the holders of entries announced via an alive invalid relay.  So
     # every alive relay is valid exactly when none fails locally and none
     # points at a relay that is not alive, and then a relay is valid exactly
-    # when it is alive.  `is_legal` decides from this rule alone: the walk in
-    # decide mode stops at the first alive relay that fails.  `_evaluate_all`
-    # runs the walk in explain mode and propagates; it, `relay_violations`
-    # and `param_violations` are the explanation that decide mode is tested
-    # against (tests/test_legal_walk.py).
+    # when it is alive.  `is_legal` decides from this rule alone: the walk
+    # in decide mode stops after the first alive relay that fails.
+    # `_evaluate_all` runs the walk in explain mode and propagates; it,
+    # `relay_violations` and `param_violations` are the explanation that
+    # decide mode is tested against (tests/test_legal_walk.py).
 
     def _evaluate_all(self) -> None:
         if self._violations is not None:
@@ -197,18 +198,19 @@ class WorldCheck:
         self._evaluate_all()
         return self._violations.get(relay_id, [] if relay_id in self.relays else ["P2"])
 
-    def _walk(self, found: Optional[list] = None, announced_via: Optional[dict] = None) -> bool:
+    def _walk(self, found: list, announced_via: Optional[dict] = None) -> bool:
         """Each relay's local rules, stated once, in one of two modes.
 
-        Decide mode (no arguments) visits the alive relays and returns False
-        at the first local failure or next hop that is not alive, else True.
-        Explain mode visits every relay and appends a (relay id, code) pair
-        to `found` for each local rule it fails; it also maps each alive
-        relay that announces a pending entry to the entry holders in
-        `announced_via`.  The mode is read only where a rule fails, and once
-        per pending entry, so a legal relay pays next to nothing for
-        explain mode."""
-        decide = found is None
+        Every rule that fails appends a (relay id, code) pair to `found`.
+        Decide mode (`found` empty, no `announced_via`) visits the alive
+        relays and returns False after the first relay with a pair, or at a
+        next hop that is not alive, else True.  Explain mode visits every
+        relay and also maps each alive relay that announces a pending entry
+        to the entry holders in `announced_via`.  The mode is read only at
+        the dead-relay skip, the announcement map, the dead-next-hop exit
+        and the end of each relay, so a legal relay pays the same in both
+        modes."""
+        decide = announced_via is None
         relays = self.relays
         in_key_count = self.in_key_count
         pings_by_id = self.pings_by_id
@@ -231,15 +233,11 @@ class WorldCheck:
             for e in relay.in_set:
                 key = e.key
                 if in_key_count[key] > 1 or key.creator != rid:  # P5
-                    if decide:
-                        return False
                     found.append((relay_id, "P5"))
                 via = e.via
                 if via is None:  # confirmed
                     continue
                 if via.rid != rid:  # P4 (a missing announcer fails P9)
-                    if decide:
-                        return False
                     found.append((relay_id, "P4"))
                 elif announced_via is not None:
                     # A dead announcing relay is a reversal in flight, still
@@ -248,58 +246,40 @@ class WorldCheck:
                     if via in relays and relays[via].alive:
                         announced_via.setdefault(via, []).append(relay_id)
                 if pings and any(ping.key == key for ping in pings):  # P6: pinged for a pending key
-                    if decide:
-                        return False
                     found.append((relay_id, "P6"))
                 if not self._pending_entry_backed(relay, e):  # P9
-                    if decide:
-                        return False
                     found.append((relay_id, "P9"))
             if pings:
                 for ping in pings:
                     if ping.level != relay.level or ping.sink_rid != relay.sink_rid:  # P6
-                        if decide:
-                            return False
                         found.append((relay_id, "P6"))
                         break
             if orc_ids and relay_id in orc_ids:  # P7
-                if decide:
-                    return False
                 found.append((relay_id, "P7"))
             if notauth_by_out:
                 for m in notauth_by_out.get(relay_id, ()):  # P8
                     if self.valid_header(m, relay_id):
-                        if decide:
-                            return False
                         found.append((relay_id, "P8"))
                         break
             out_id = relay.out_id
             out_keys = relay.out_keys
             if out_id is None:
                 if out_keys or relay.level != 0 or relay.sink_rid != rid:  # P10
-                    if decide:
-                        return False
                     found.append((relay_id, "P10"))
             else:
                 target = relays.get(out_id)
                 if target is None:  # P11b
-                    if decide:
-                        return False
                     found.append((relay_id, "P11b"))
                 else:
                     if not target.alive and decide:  # a dead next hop; explained by propagation
                         return False
                     if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:  # P11c
-                        if decide:
-                            return False
                         found.append((relay_id, "P11c"))
                     for e in target.in_set:  # P11d, its common case first
                         if e.from_rid == rid and e.key in out_keys:
                             break
                     else:
                         if not self._one_key_anchored(relay, target):
-                            if decide:
-                                return False
                             found.append((relay_id, "P11d"))
                 if shared_out_key:
                     for key in out_keys:  # P11e
@@ -310,17 +290,15 @@ class WorldCheck:
                         if len(holders) > 1 and any(
                             h != relay_id and h.rid == rid and relays[h].alive for h in holders
                         ):
-                            if decide:
-                                return False
                             found.append((relay_id, "P11e"))
                             break
                 if inrelays_by_target:
                     for m in inrelays_by_target.get(out_id, ()):  # P11f
                         if m.sender_rid == rid and m.keys & out_keys:
-                            if decide:
-                                return False
                             found.append((relay_id, "P11f"))
                             break
+            if found and decide:
+                return False
         return True
 
     def _chain_from(self, start: Relay) -> Optional[list]:
@@ -391,14 +369,11 @@ class WorldCheck:
         return False
 
     def _one_key_anchored(self, relay: Relay, target: Relay) -> bool:
+        """P11d by an announced entry; `_walk` has looked for a confirmed one."""
         rid = relay.id.rid
         for e in target.in_set:
             key = e.key
-            if key not in relay.out_keys:
-                continue
-            if e.confirmed:
-                if e.from_rid == rid:
-                    return True
+            if e.via is None or key not in relay.out_keys:
                 continue
             via = self.relays.get(e.via)
             if via is not None and via.sink_rid == rid:
@@ -515,21 +490,15 @@ class WorldCheck:
     def is_legal(self) -> bool:
         # Relay validity by the rule stated above `_evaluate_all`: the walk
         # in decide mode.  Every alive relay is then valid.
-        if not self._walk():
+        if not self._walk([]):
             return False
         self._alive_valid = True
+        # With every alive relay valid, C1 can only mean a dead carrier.  A
+        # reversal leaves the reference draining out of one; that is fine
+        # exactly as long as everything else about it is intact, because
+        # delivery then recreates a valid relay.
         for carrier_id, message, param in self.params:
-            if carrier_id is None:
-                continue
-            carrier = self.relays[carrier_id]
-            violations = self.param_violations(carrier_id, message, param)
-            if not carrier.alive:
-                # A reversal leaves the reference draining out of a dead
-                # carrier; that is fine exactly as long as everything else
-                # about it is intact, because delivery then recreates a
-                # valid relay.
-                violations = [v for v in violations if v != "C1"]
-            if violations:
+            if carrier_id is not None and self.param_violations(carrier_id, message, param) not in ([], ["C1"]):
                 return False
         return True
 

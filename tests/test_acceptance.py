@@ -48,10 +48,12 @@ PINNED = {
         50,
     ),
     "emulation": ("criterion=emulation cases=100 executed=100 delta_mismatches=0 pass=yes", "", 0),
-    # The trace moved when stayers began to drop an edge to a leaver on its retire notice.
+    # The trace moved when stayers began to drop an edge to a leaver on its retire notice,
+    # and when a leaver's last edge began to wait for its sinks to drain or for a `solo`
+    # notice from its retired peer.
     "fdp": (
         "criterion=fdp runs=100 reached_legitimate=100 safety_violations=0 pass=yes",
-        "3b53f59d9f0837dfc18740eeda1e2ee1b148302eccd2fccfa4725e318b7ff53f",
+        "4ada5ff7dc48cf32e9e4e0842dc4d108847c9106bb41d61798109243b38a11a8",
         100,
     ),
     "cycle_freeness": ("criterion=cycle_freeness sampled_states=3200 directed_cycles=0 pass=yes", "", 3200),

@@ -54,6 +54,7 @@ def test_stayer_drops_its_edge_to_a_leaver_when_the_retire_notice_arrives():
 
 WIDE_SPLITS = {
     # seed: (n, undirected edges, leavers), the `wide` starts of tools/fdp_sweep.py
+    # whose stayers split when a leaver cut its last edge to any retired peer
     5011: (10, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 9), (1, 5), (1, 7), (1, 9), (2, 3), (3, 6), (3, 8), (6, 7)],
            [0, 1, 2, 3, 4, 6, 7, 9]),
     5249: (14, [(0, 1), (0, 12), (1, 2), (1, 3), (1, 7), (2, 5), (3, 4), (3, 8), (4, 6), (4, 13), (7, 9), (7, 11),
@@ -74,12 +75,6 @@ WIDE_SPLITS = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect of the departure actor: with most processes leaving, the stayers "
-    "of an initial component split apart (at seed 5011, stayers 5 and 8)",
-)
 @pytest.mark.parametrize("seed", sorted(WIDE_SPLITS))
 def test_stayers_stay_connected_when_most_processes_leave(seed):
     n, edges, leaving = WIDE_SPLITS[seed]

@@ -16,14 +16,13 @@ def test_each_shape_counts_its_seeds_and_names_the_unsafe_ones(monkeypatch, caps
     assert (n, sorted(leaving)) == (10, [0, 1, 2, 3, 4, 6, 7, 9])
     assert sorted({tuple(sorted(e)) for e in edges}) == [
         (0, 1), (0, 2), (0, 4), (0, 5), (0, 9), (1, 5), (1, 7), (1, 9), (2, 3), (3, 6), (3, 8), (6, 7)]
-    # The outcomes of two wide seeds are forced, so the listing is tested
-    # apart from which starts the departure actor splits today (that
-    # defect is pinned by the strict xfail in tests/test_departure.py).
+    # The outcomes of two wide seeds are forced, so the listing and the
+    # failing exit status are tested apart from what the departure actor does.
     forced = {5001: "unsafe", 5002: "stuck"}
     real_run = fdp_sweep.run
     monkeypatch.setattr(fdp_sweep, "run", lambda shape, seed: forced.get(seed) or real_run(shape, seed))
     assert fdp_sweep.main(["--count", "4"]) == 0
-    assert fdp_sweep.main(["--shape", "wide", "--first", "5000", "--count", "3"]) == 0
+    assert fdp_sweep.main(["--shape", "wide", "--first", "5000", "--count", "3"]) == 1
     lines = [dict(field.split("=") for field in line.split()) for line in capsys.readouterr().out.splitlines()]
     assert lines == [
         {"shape": "fdp", "seeds": "1800-1803", "ok": "4", "stuck": "0", "unsafe": "0",

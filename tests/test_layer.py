@@ -32,6 +32,7 @@ from relaysim.kernel import (
     adversarial_init,
     connect,
     connect_door,
+    fig_triangle,
     give_door,
     new_world,
     random_connected_world,
@@ -407,6 +408,37 @@ def test_transmit_with_unknown_key_answers_not_authorized():
     target.handle_transmit(m)
     bounced = [msg for t, msg in layer_messages(target) if isinstance(msg, NotAuthorized)]
     assert bounced == [NotAuthorized(m)]
+
+
+def test_a_key_confirmed_from_another_sender_grants_no_access(monkeypatch):
+    # Access rights: v's sink lists w's key as confirmed from w.  u's relay
+    # q, holding only that key, gets its payload refused, not delivered.
+    world = fig_triangle()
+    q_ref = world.processes[0].store["out"]
+    q = world.find_relay(q_ref.relay_id)
+    sink = world.find_relay(q.out_id)
+    (w_key,) = [e.key for e in sink.in_set if e.from_rid == 2]
+    q.out_keys = {w_key}
+    received, refused = [], []
+
+    class Inbox(IdleApp):
+        def on_message(self, ctx, action, via):
+            received.append(action)
+
+    emit_control = RelayLayer._emit_control
+
+    def recording(layer, target, message):
+        if type(message) is NotAuthorized:
+            refused.append(message)
+        emit_control(layer, target, message)
+
+    monkeypatch.setattr(RelayLayer, "_emit_control", recording)
+    world.processes[1].app = Inbox()
+    world.ctx(0).send(q_ref, "payload", ())
+    for _ in range(300):
+        world.step()
+    assert received == []
+    assert refused
 
 
 def test_corrupted_multi_rid_parameters_dropped():

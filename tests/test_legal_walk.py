@@ -1,18 +1,20 @@
 """Differential test of `WorldCheck.is_legal` against its full definition.
 
-`WorldCheck._walk` states each local relay rule once and runs in two
-modes.  `is_legal` runs it in decide mode, which visits the alive relays
-and stops at the first one that fails locally or points at a relay that is
-not alive.  The definition it stands for reads every relay's explanation:
-the walk in explain mode plus the propagation of invalidity along next
-hops and announcements.  The world is legal when `relay_violations` is
-empty for every alive relay and every parameter carried by a relay passes
-`param_violations`, with C1 excused for a dead carrier.  Both are asked of
-fresh checks on every state `test_verdicts` samples, on every step of 40
-runs shaped like the benchmark's closure_check unit (a fresh 3-process
-legal world, 250 steps; 28% of those states hold an unconfirmed entry and
-18% a parameter in flight), and every 50 steps of 12 more `mixed` 4x96
-starts: 18,160 states, 17,406 of them legal.  This comparison guards what
+`WorldCheck._walk` states each local relay rule once, as one line of
+evidence, and runs in two modes.  `is_legal` runs it in decide mode, which
+visits the alive relays and stops after the first one that fails locally,
+or at one that points at a relay that is not alive; a legal relay pays the
+same in both modes.  The definition it stands for reads every relay's
+explanation: the walk in explain mode plus the propagation of invalidity
+along next hops and announcements.  The world is legal when
+`relay_violations` is empty for every alive relay and every parameter
+carried by a relay passes `param_violations`, with C1 excused for a dead
+carrier.  Both are asked of fresh checks on every state `test_verdicts`
+samples, on every step of 40 runs shaped like the benchmark's
+closure_check unit (a fresh 3-process legal world, 250 steps; 28% of those
+states hold an unconfirmed entry and 18% a parameter in flight), and every
+50 steps of 12 more `mixed` 4x96 starts: 18,160 states, 17,406 of them
+legal.  This comparison guards what
 the two modes do differently: decide mode's exit at a next hop that is
 not alive, and the propagation that explain mode leaves to
 `_evaluate_all`.
@@ -31,11 +33,11 @@ stray message, compared and then undone.  Every rule in `RULES` decides
 some of these 32,715 states alone (from 51 for the parameter loop to 6,075
 for P6), and a dropped rule decides none, which fails the assertion.
 
-The same pass compares the oracle's own header check with the layer's
-`RelayLayer.header_valid_for`: every in-flight `Transmit` header of a
-sampled state, and the header of every `NotAuthorized` original, is judged
-against every relay of the header's target layer: 2,220,921 header-relay
-pairs, 224,119 of them valid.
+The same pass compares the oracle's own header check with the one the
+layer runs on every `Transmit`, `RelayLayer.admitting_entry`: every
+in-flight `Transmit` header of a sampled state, and the header of every
+`NotAuthorized` original, is judged against every relay of the header's
+target layer: 2,220,921 header-relay pairs, 224,119 of them valid.
 """
 
 from collections import Counter
@@ -124,7 +126,8 @@ def _compare_headers(world, check, tally) -> None:
             continue
         for relay in target_layer.relays.values():
             valid = check.valid_header(message, relay.id)
-            assert valid == target_layer.header_valid_for(relay, message.header), (world.step_count, message)
+            admitted = target_layer.admitting_entry(relay, message.header) is not None
+            assert valid == admitted, (world.step_count, message)
             tally["header_valid" if valid else "header_invalid"] += 1
 
 

@@ -321,13 +321,15 @@ def test_valid_header_confirmed_and_unconfirmed_clauses():
 
 def test_oracle_rejects_the_triangle_impostor_when_the_layer_accepts_any_sender(monkeypatch):
     # The mutant of the layer's header check that drops its sender test:
-    # any listed key is accepted, whoever sent it.
+    # any listed key is admitted, whoever sent it.
     def any_sender(layer, relay, header):
-        return relay.id == header.out_id and any(
-            e.key == header.key and (e.confirmed or e.via in layer.relays) for e in relay.in_set
+        if relay.id != header.out_id:
+            return None
+        return next(
+            (e for e in relay.in_set if e.key == header.key and (e.confirmed or e.via in layer.relays)), None
         )
 
-    monkeypatch.setattr(RelayLayer, "header_valid_for", any_sender)
+    monkeypatch.setattr(RelayLayer, "admitting_entry", any_sender)
     world = fig_triangle()
     q = world.find_relay(world.processes[0].store["out"].relay_id)
     sink = world.find_relay(q.out_id)
@@ -335,7 +337,7 @@ def test_oracle_rejects_the_triangle_impostor_when_the_layer_accepts_any_sender(
     q.out_keys = {w_key}  # u's relay holds only the key confirmed from w
     impostor = Transmit(Header(w_key, q.id, sink.id, q.level), ActionInvocation("x", ()))
     check = oracle.WorldCheck(world)
-    assert world.layer_of(1).header_valid_for(sink, impostor.header)
+    assert world.layer_of(1).admitting_entry(sink, impostor.header) is not None
     assert not check.valid_header(impostor, sink.id)
     assert "P11d" in check.relay_violations(q.id)
 

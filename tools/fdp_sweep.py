@@ -15,8 +15,9 @@ two shapes:
   5000-5399.
 
 The script prints one line: the shape, the seed range, the ok, stuck and
-unsafe counts, then the stuck and the unsafe seeds (`-` for none).
-Standard library only; one process.
+unsafe counts, then the stuck and the unsafe seeds (`-` for none).  It
+exits 1 when any start is stuck or unsafe, else 0.  Standard library only;
+one process.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def main(argv=None) -> int:
     print(f"shape={args.shape} seeds={first}-{first + count - 1} ok={len(seeds['ok'])} "
           f"stuck={len(seeds['stuck'])} unsafe={len(seeds['unsafe'])} "
           f"stuck_seeds={listed['stuck']} unsafe_seeds={listed['unsafe']}")
-    return 0
+    return 1 if seeds["stuck"] or seeds["unsafe"] else 0
 
 
 if __name__ == "__main__":
