@@ -7,12 +7,15 @@ delivery (non-FIFO, any buffered message may go next), or one application
 action.  Same seed, same scenario, same state sequence.  The scheduler
 indexes the enabled actions as they change instead of scanning them: a
 forced pick takes the top of one heap of every enabled action, and a
-random pick walks per-layer message counts.  A random pick's draw consumes
-exactly what `rng.randrange(len(actions))` would: the same `getrandbits`
-calls, so the same seed picks the same index.  The heap's key is the whole
-tie-break rule: (birth or last run, -rank, -rid or -pid, -uid or 0, uid
-or pid), with the ranks timeout 0, tick 1, relay buffer 2, layer buffer 3
-and orphan 4; an orphan's is (birth, -rank, -uid, 0, uid).  After the
+random pick walks per-layer message counts to the envelope at the drawn
+position.  `WorldState.step` picks and runs the action in one call.  A
+random pick's draw consumes exactly what `rng.randrange(len(actions))`
+would: the same `getrandbits` calls, so the same seed picks the same
+index.  The heap's key is the whole tie-break rule: (birth or last run,
+-rank, -rid or -pid, -uid or 0, uid or pid), with the ranks timeout 0,
+tick 1, relay buffer 2, layer buffer 3 and orphan 4; an orphan's is
+(birth, -rank, -uid, 0, uid).  Only this module builds those keys: every
+envelope enters a buffer through `PendingIndex`'s emitters.  After the
 first `fairness_bound` steps a random pick happens only while at most
 `fairness_bound` timeouts and ticks are enabled, and every live layer has
 an enabled timeout, so that walk visits at most `fairness_bound` layers.
@@ -121,6 +124,7 @@ class ProcessContext:
 # Kind ranks in the forced pick's tie-break: among equally old actions the
 # highest rank runs first.
 _TIMEOUT, _TICK, _RELAY, _LAYER, _ORPHAN = range(5)
+_KINDS = ("timeout", "app", "relay", "layer", "orphan")  # trace names, by rank
 
 
 class _Recurring:
@@ -128,8 +132,9 @@ class _Recurring:
     application ticks.  Each one's age counts the steps since it last ran.
 
     `order` lists the enabled pids in scheduling order (ascending).  Each
-    enabling and run pushes (last run, -rank, -pid, 0, pid) into the world's
-    scheduling `heap`: live while the pid is `on` and `last[pid]` is its time.
+    enabling here and each run in `WorldState.step` pushes (last run,
+    -rank, -pid, 0, pid) into the world's scheduling `heap`: live while the
+    pid is `on` and `last[pid]` is its time.
     """
 
     __slots__ = ("last", "on", "order", "heap", "rank")
@@ -156,19 +161,19 @@ class _Recurring:
         else:
             self.order.remove(pid)
 
-    def ran(self, pid: int, now: int) -> None:
-        self.last[pid] = now
-        heappush(self.heap, (now, -self.rank, -pid, 0, pid))
-
 
 class PendingIndex:
     """Envelope uids of one world, and every pending envelope, indexed as
     buffers change.
 
-    Uids come from one monotonic counter shared by all layers of a world.
-    Layers report their emissions and merge moves through the methods
-    below; the kernel's delivery path in `WorldState._execute` updates
-    `holder` and `counts` in place when it takes an envelope out.
+    Every envelope enters a buffer through one of the two emitters below,
+    called by the layers for each message they send and by the builder of
+    adversarial starts.  An emitter mints the uid from one monotonic counter
+    shared by all layers of a world, files it in `holder`, the heap and
+    `counts`, and appends the envelope to its buffer.  Layers report merge
+    moves through `moved`, and the kernel a dead layer's buffer through
+    `orphaned`.  Delivery lives in `WorldState.step`: it takes the envelope
+    out of its buffer and updates `holder` and `counts` in place.
 
     `holder` maps each pending uid to its relay, or to None in a layer
     buffer or the orphan list.  `heap` is the world's scheduling heap: an
@@ -189,16 +194,26 @@ class PendingIndex:
         self.heap: list = []
         self.counts: list[int] = []  # by rid
 
-    def emit(self, rid: Rid, relay: Optional[Relay]) -> int:
-        """Uid of a new envelope entering `relay`'s buffer, or the layer
-        buffer of `rid` when `relay` is None."""
+    def emit_buf(self, relay: Relay, message: Message) -> None:
+        """File a new envelope of `message` at the end of `relay`'s buffer."""
         uid = self._next
         self._next = uid + 1
         self.holder[uid] = relay
-        rank = _LAYER if relay is None else _RELAY
-        heappush(self.heap, (self.stamp, -rank, -rid, -uid, uid))
+        rid = relay.id.rid
+        heappush(self.heap, (self.stamp, -_RELAY, -rid, -uid, uid))
         self.counts[rid] += 1
-        return uid
+        relay.buf.append(Envelope(uid, message))
+
+    def emit_control(self, layer: RelayLayer, target: Rid, message: Message) -> None:
+        """File a new envelope of `message`, addressed to layer `target`, at
+        the end of `layer`'s layer buffer."""
+        uid = self._next
+        self._next = uid + 1
+        self.holder[uid] = None
+        rid = layer.rid
+        heappush(self.heap, (self.stamp, -_LAYER, -rid, -uid, uid))
+        self.counts[rid] += 1
+        layer.layer_buf.append(Envelope(uid, message, target))
 
     def moved(self, envelopes: list, relay: Relay) -> None:
         """`envelopes` moved into `relay`'s buffer within the same layer."""
@@ -271,21 +286,18 @@ class WorldState:
     # action with the highest sort key.  Otherwise it runs the action at
     # `rng.randrange(len(actions))`, drawn from the same bits.  The indexes
     # below keep each kind in this order as it changes, so `step` never
-    # builds the list.
+    # builds the list.  `step` picks and runs the action in one frame, with
+    # no action record in between: a forced pick pops the heap top and finds
+    # its envelope by uid, a random pick walks to the drawn position and pops
+    # the envelope there.  A timeout or tick records its run (`last` and a
+    # heap entry) where it runs.
 
     def step(self) -> None:
-        action = self._pick()
-        if action is not None:
-            self._execute(action)
-        self.step_count += 1
-
-    def _pick(self):
-        """The action this step runs, or None when nothing is enabled."""
         now = self.step_count
         pending = self.env_source
         pending.stamp = now + 1
         heap, holder = pending.heap, pending.holder
-        recurring = (self._timeouts, self._apps)  # by rank
+        recurring = (self._timeouts, self._apps)  # by kind
         while heap:
             oldest, rank, neg_id, _, key = heap[0]
             if rank <= -_RELAY:
@@ -295,109 +307,113 @@ class WorldState:
                 break
             heappop(heap)  # delivered, disabled or run since
         else:
-            return None
+            self.step_count = now + 1
+            return
 
+        # The pick leaves `kind` and, for a timeout or tick, its pid in
+        # `key`; for a message, its buffer `buf`, its position `i` there and
+        # the rid of the layer holding it (orphans: none).
+        kind = -rank
         if now - oldest > self.fairness_bound:
-            if rank == -_TIMEOUT:
-                return ("timeout", key)
-            if rank == -_TICK:
-                return ("app", key)
-            if rank == -_RELAY:
-                return ("relay", -neg_id, holder[key].id, key)
-            if rank == -_LAYER:
-                return ("layer", -neg_id, key)
-            return ("orphan", key)
-
-        timeouts, apps = self._timeouts.order, self._apps.order
-        # `holder` maps every pending uid, orphans included; they come last.
-        # The draw consumes exactly what `rng.randrange(n)` would: CPython's
-        # `Random._randbelow` rejects `getrandbits(n.bit_length())` until it
-        # is below n.  Inlined, the same bits give the same index without
-        # randrange's two Python frames.
-        n = len(timeouts) + len(apps) + len(holder)
-        bits, getrandbits = n.bit_length(), self.rng.getrandbits
-        i = getrandbits(bits)
-        while i >= n:
+            heappop(heap)  # the top runs: its entry is stale after this step
+            if kind >= _RELAY:
+                if kind == _RELAY:
+                    rid, buf = -neg_id, holder[key].buf
+                elif kind == _LAYER:
+                    rid = -neg_id
+                    buf = self.layers[rid].layer_buf
+                else:
+                    buf = self.orphan_out
+                for i, env in enumerate(buf):
+                    if env.uid == key:
+                        break
+                else:
+                    raise KeyError(key)  # the index and the buffers disagree
+        else:
+            timeouts, apps = self._timeouts.order, self._apps.order
+            # `holder` maps every pending uid, orphans included; they come
+            # last.  The draw consumes exactly what `rng.randrange(n)` would:
+            # CPython's `Random._randbelow` rejects `getrandbits(n.bit_length())`
+            # until it is below n.  Inlined, the same bits give the same index
+            # without randrange's two Python frames.
+            n_timeouts, n_recurring, n_messages = len(timeouts), len(timeouts) + len(apps), len(holder)
+            n = n_recurring + n_messages
+            bits, getrandbits = n.bit_length(), self.rng.getrandbits
             i = getrandbits(bits)
-        if i < len(timeouts):
-            return ("timeout", timeouts[i])
-        i -= len(timeouts)
-        if i < len(apps):
-            return ("app", apps[i])
-        i -= len(apps)
-        orphan = i - (len(holder) - len(self.orphan_out))
-        if orphan >= 0:
-            return ("orphan", self.orphan_out[orphan].uid)
-        # A dead layer holds no envelopes, so the live layers cover them all.
-        counts = pending.counts
-        for layer in self.layers.values():
-            if i < counts[layer.rid]:
-                break
-            i -= counts[layer.rid]
-        for relay in layer.relays.values():
-            if i < len(relay.buf):
-                return ("relay", layer.rid, relay.id, relay.buf[i].uid)
-            i -= len(relay.buf)
-        return ("layer", layer.rid, layer.layer_buf[i].uid)
+            while i >= n:
+                i = getrandbits(bits)
+            if i < n_timeouts:
+                kind, key = _TIMEOUT, timeouts[i]
+            elif i < n_recurring:
+                kind, key = _TICK, apps[i - n_timeouts]
+            else:
+                i -= n_recurring
+                orphan = i - (n_messages - len(self.orphan_out))
+                if orphan >= 0:
+                    kind, buf, i = _ORPHAN, self.orphan_out, orphan
+                else:
+                    # A dead layer holds no envelopes, so the live layers
+                    # cover them all.  Within a layer its relay buffers
+                    # come first, its layer buffer last.
+                    counts = pending.counts
+                    for layer in self.layers.values():
+                        count = counts[layer.rid]
+                        if i < count:
+                            break
+                        i -= count
+                    rid, buf = layer.rid, layer.layer_buf
+                    in_relays = count - len(buf)
+                    if i >= in_relays:
+                        kind, i = _LAYER, i - in_relays
+                    else:
+                        kind = _RELAY
+                        for relay in layer.relays.values():
+                            buf = relay.buf
+                            if i < len(buf):
+                                break
+                            i -= len(buf)
 
-    def _execute(self, action) -> None:
-        kind = action[0]
-        now = self.step_count
-        if kind == "timeout":
-            rid = action[1]
-            layer = self.layers[rid]
-            layer.timeout()
-            self._timeouts.ran(rid, now)
-            if not layer.owner_alive and not layer.relays:
-                self.env_source.orphaned(rid, layer.layer_buf)
-                self.orphan_out.extend(layer.layer_buf)
-                layer.layer_buf.clear()
-                del self.layers[rid]
-                self._timeouts.set(rid, False)
+        if kind <= _TICK:
+            if kind == _TIMEOUT:
+                layer = self.layers[key]
+                layer.timeout()
+                if not layer.owner_alive and not layer.relays:
+                    pending.orphaned(key, layer.layer_buf)
+                    self.orphan_out.extend(layer.layer_buf)
+                    layer.layer_buf.clear()
+                    del self.layers[key]
+                    self._timeouts.set(key, False)
+            else:
+                proc = self.processes[key]
+                if proc.enabled:
+                    proc.app.on_tick(proc)
+            recurring[kind].last[key] = now
+            heappush(heap, (now, -kind, -key, 0, key))
             if self.trace is not None:
-                self._trace(kind, rid)
-            return
-        if kind == "app":
-            pid = action[1]
-            proc = self.processes[pid]
-            if proc.enabled:
-                proc.app.on_tick(proc)
-            self._apps.ran(pid, now)
+                self._trace(_KINDS[kind], key)
+        else:
+            # A message, held by its relay, or by None in a layer buffer or
+            # the orphans.  It leaves its buffer and the pending index here.
+            env = buf.pop(i)
+            relay = holder.pop(env.uid)
+            message = env.message
+            if kind != _ORPHAN:
+                pending.counts[rid] -= 1
             if self.trace is not None:
-                self._trace(kind, pid)
-            return
-        # A message, held by its relay, or by None in a layer buffer or the
-        # orphans.  It leaves its buffer and the pending index here.
-        uid = action[-1]
-        pending = self.env_source
-        relay = pending.holder.pop(uid)
-        if relay is not None:
-            rid, buf = relay.id.rid, relay.buf
-        elif kind == "layer":
-            rid, buf = action[1], self.layers[action[1]].layer_buf
-        else:
-            rid, buf = None, self.orphan_out
-        if rid is not None:
-            pending.counts[rid] -= 1
-        for i, env in enumerate(buf):
-            if env.uid == uid:
-                del buf[i]
-                break
-        else:
-            raise KeyError(uid)  # the index and the buffers disagree
-        message = env.message
-        if self.trace is not None:
-            self._trace(kind, env.target_rid if rid is None else rid, message)
-        if relay is not None and relay.out_id is None:
-            # A sink hands application invocations to its enabled owner and
-            # drops everything else.
-            proc = self.processes.get(rid)
-            if isinstance(message, ActionInvocation) and proc is not None and proc.enabled:
-                proc.app.on_message(proc, message, RelayRef(relay.id))
-            return
-        target = self.layers.get(env.target_rid if relay is None else relay.out_id.rid)
-        if target is not None:
-            target.receive(message)
+                self._trace(_KINDS[kind], env.target_rid if kind == _ORPHAN else rid, message)
+            if relay is None:
+                target = self.layers.get(env.target_rid)
+            elif relay.out_id is not None:
+                target = self.layers.get(relay.out_id.rid)
+            else:
+                # A sink hands application invocations to its enabled owner
+                # and drops everything else.
+                target, proc = None, self.processes.get(rid)
+                if isinstance(message, ActionInvocation) and proc is not None and proc.enabled:
+                    proc.app.on_message(proc, message, RelayRef(relay.id))
+            if target is not None:
+                target.receive(message)
+        self.step_count = now + 1
 
     def _trace(self, kind: str, actor: int, message: Optional[Message] = None) -> None:
         digest = "" if message is None else message_digest(message)
@@ -730,17 +746,17 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
         target = rng.randrange(n)
         layer = world.layers[target]
         if kind == 0:
-            layer._emit_control(target, Ping(_fabricated_id(world, rng), rng.randrange(4), rng.randrange(n), _some_key(world, rng)))
+            world.env_source.emit_control(layer, target, Ping(_fabricated_id(world, rng), rng.randrange(4), rng.randrange(n), _some_key(world, rng)))
         elif kind == 1:
-            layer._emit_control(target, ProbeFail(_some_key(world, rng), (_some_key(world, rng),)))
+            world.env_source.emit_control(layer, target, ProbeFail(_some_key(world, rng), (_some_key(world, rng),)))
         elif kind == 2:
-            layer._emit_control(target, InRelayClosed(frozenset({_some_key(world, rng)}), rng.randrange(n), _fabricated_id(world, rng)))
+            world.env_source.emit_control(layer, target, InRelayClosed(frozenset({_some_key(world, rng)}), rng.randrange(n), _fabricated_id(world, rng)))
         elif kind == 3:
-            layer._emit_control(target, OutRelayClosed(_fabricated_id(world, rng)))
+            world.env_source.emit_control(layer, target, OutRelayClosed(_fabricated_id(world, rng)))
         elif kind == 4:
             relay = relays[rng.randrange(len(relays))]
             header = Header(_some_key(world, rng), _fabricated_id(world, rng), relay.id, rng.randrange(4))
-            layer._emit_control(target, NotAuthorized(Transmit(header, ActionInvocation("noise", ()))))
+            world.env_source.emit_control(layer, target, NotAuthorized(Transmit(header, ActionInvocation("noise", ()))))
         else:
             relay = relays[rng.randrange(len(relays))]
             if relay.out_id is None:
@@ -749,4 +765,4 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
             params: tuple = ()
             if rng.random() < 0.5:
                 params = (RelayParameter(_some_key(world, rng), _fabricated_id(world, rng), 1 + rng.randrange(3), rng.randrange(n)),)
-            world.layers[relay.id.rid]._emit_buf(relay, Transmit(header, ActionInvocation("noise", params)))
+            world.env_source.emit_buf(relay, Transmit(header, ActionInvocation("noise", params)))

@@ -87,14 +87,6 @@ class RelayLayer:
         self.relays[relay.id] = relay
         return relay
 
-    # -- emission ----------------------------------------------------------
-
-    def _emit_buf(self, relay: Relay, message: Message) -> None:
-        relay.buf.append(Envelope(self.env_source.emit(self.rid, relay), message))
-
-    def _emit_control(self, target: Rid, message: Message) -> None:
-        self.layer_buf.append(Envelope(self.env_source.emit(self.rid, None), message, target))
-
     # -- primitives --------------------------------------------------------
 
     def new_relay(self) -> Optional[RelayRef]:
@@ -194,7 +186,7 @@ class RelayLayer:
             return
         if relay.out_id is None:
             # Sink: local delivery, references pass through unserialized.
-            self._emit_buf(relay, action)
+            self.env_source.emit_buf(relay, action)
             return
         if not relay.out_keys:
             # No key can head the message; the relay is invalid and the
@@ -213,7 +205,7 @@ class RelayLayer:
             target.in_set.add(unconfirmed_entry(key, relay.id))
             params[i] = RelayParameter(key, target.id, target.level + 1, target.sink_rid)
         header = make(Header, (min(relay.out_keys), relay.id, relay.out_id, relay.level))
-        self._emit_buf(relay, make(Transmit, (header, ActionInvocation(action.label, tuple(params)))))
+        self.env_source.emit_buf(relay, make(Transmit, (header, ActionInvocation(action.label, tuple(params)))))
 
     def stop_process(self) -> None:
         if not self.owner_alive:
@@ -228,7 +220,7 @@ class RelayLayer:
     def _delete(self, relay: Relay) -> None:
         relay.alive = False
         for rid in sorted({e.from_rid for e in relay.in_set if e.confirmed}):
-            self._emit_control(rid, OutRelayClosed(relay.id))
+            self.env_source.emit_control(self, rid, OutRelayClosed(relay.id))
         relay.in_set.clear()
 
     def _purge_unconfirmed_via(self, via: Relay) -> None:
@@ -289,11 +281,11 @@ class RelayLayer:
         relay = self.relays.get(header.out_id)
         if relay is None or not relay.alive:
             if header.out_id.rid == self.rid:
-                self._emit_control(header.in_id.rid, OutRelayClosed(header.out_id))
+                self.env_source.emit_control(self, header.in_id.rid, OutRelayClosed(header.out_id))
             return
         entry = self.admitting_entry(relay, header)
         if entry is None:
-            self._emit_control(header.in_id.rid, NotAuthorized(m))
+            self.env_source.emit_control(self, header.in_id.rid, NotAuthorized(m))
             return
         if entry.via is not None:
             # The first message over a fresh connection confirms its key.
@@ -314,7 +306,7 @@ class RelayLayer:
             if sender is not None:
                 for control_key in sorted(controls):
                     if not any(control_key in r.out_keys for r in self.relays.values()):
-                        self._emit_control(sender, ProbeFail(control_key, sequence))
+                        self.env_source.emit_control(self, sender, ProbeFail(control_key, sequence))
             return
         if not isinstance(action, ActionInvocation):
             return
@@ -328,9 +320,9 @@ class RelayLayer:
                 continue
             relay_in = self.add_relay(out_keys={p.key}, out_id=p.id, level=p.level, sink_rid=p.sink_rid)
             header = make(Header, (p.key, relay_in.id, p.id, relay_in.level))
-            self._emit_buf(relay_in, make(Transmit, (header, make(Probe, (_NO_CONTROLS, (p.key,))))))
+            self.env_source.emit_buf(relay_in, make(Transmit, (header, make(Probe, (_NO_CONTROLS, (p.key,))))))
             params[i] = RelayRef(relay_in.id)
-        self._emit_buf(relay, ActionInvocation(action.label, tuple(params)))
+        self.env_source.emit_buf(relay, ActionInvocation(action.label, tuple(params)))
 
     def _forward(self, relay: Relay, m: Transmit) -> None:
         if not relay.out_keys:
@@ -343,7 +335,7 @@ class RelayLayer:
                 controls = controls - buffered_param_keys(relay.buf)
             action = make(Probe, (controls, action.key_sequence + (new_key,)))
         header = make(Header, (new_key, relay.id, relay.out_id, relay.level))
-        self._emit_buf(relay, make(Transmit, (header, action)))
+        self.env_source.emit_buf(relay, make(Transmit, (header, action)))
 
     # -- probe failure ---------------------------------------------------------
 
@@ -366,7 +358,7 @@ class RelayLayer:
         if len(key_sequence) > 1:
             sender = self._confirmed_sender(holder, key_sequence[-2])
             if sender is not None:
-                self._emit_control(sender, ProbeFail(key, key_sequence[:-1]))
+                self.env_source.emit_control(self, sender, ProbeFail(key, key_sequence[:-1]))
         else:
             entry = unconfirmed_entry(key, holder.id)
             for announcer in self.relays.values():
@@ -386,7 +378,7 @@ class RelayLayer:
         relay.out_keys.discard(h.key)
         if relay.out_keys:
             new_key = min(relay.out_keys)
-            self._emit_buf(relay, Transmit(Header(new_key, h.in_id, h.out_id, h.level), original.action))
+            self.env_source.emit_buf(relay, Transmit(Header(new_key, h.in_id, h.out_id, h.level), original.action))
         else:
             # Outgoing link is broken: drop announcements pending via this
             # relay, then close it.
@@ -407,7 +399,7 @@ class RelayLayer:
                     # raising the level could close a relay cycle, so delete
                     self._delete(holder)
                 return
-        self._emit_control(id.rid, InRelayClosed(frozenset({key}), self.rid, id))
+        self.env_source.emit_control(self, id.rid, InRelayClosed(frozenset({key}), self.rid, id))
 
     # -- in/out relay closed --------------------------------------------------------
 
@@ -437,7 +429,7 @@ class RelayLayer:
         # a key with one holder in the snapshot cannot collide: when no key
         # has two (`shared` false, the common case), no relay is scanned for
         # collisions.
-        table, rid, owner_alive = self.relays, self.rid, self.owner_alive
+        table, rid, owner_alive, pending = self.relays, self.rid, self.owner_alive, self.env_source
         key_count: dict[Key, int] = {}
         announced: dict[RelayId, list] = {}  # via id -> [(holder, entry)]
         holders: dict[Key, list] = {}
@@ -493,7 +485,7 @@ class RelayLayer:
                 confirmed.sort()
                 sink_rid = relay.sink_rid
                 for e in confirmed:
-                    self._emit_control(e.from_rid, make(Ping, (relay_id, level, sink_rid, e.key)))
+                    pending.emit_control(self, e.from_rid, make(Ping, (relay_id, level, sink_rid, e.key)))
 
             pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
             if not relay.alive and not pending_via and not relay.buf:
@@ -510,7 +502,7 @@ class RelayLayer:
                     k for k in relay.out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
                 )
                 if closed:
-                    self._emit_control(out_id.rid, InRelayClosed(closed, rid, out_id))
+                    pending.emit_control(self, out_id.rid, InRelayClosed(closed, rid, out_id))
                 # The collected relay leaves the table, and with it the
                 # announcements it holds.
                 relay.in_set.clear()
@@ -546,4 +538,4 @@ class RelayLayer:
                 out_keys = relay.out_keys
                 for key in out_keys if len(out_keys) == 1 else sorted(out_keys):
                     header = make(Header, (key, relay_id, out_id, level))
-                    self._emit_buf(relay, make(Transmit, (header, make(Probe, (controls, (key,))))))
+                    pending.emit_buf(relay, make(Transmit, (header, make(Probe, (controls, (key,))))))

@@ -16,10 +16,10 @@ def _bench_pairs(monkeypatch):
     return bench_pairs
 
 
-def _run(steps_per_s, run_s=1.0, rss=20.0, digest="d0", failed=0):
+def _run(steps_per_s, run_s=1.0, rss=20.0, digest="d0", failed=0, correct=True):
     values = {"steps_per_s": steps_per_s, "run_s_p50": run_s, "run_s_tail": run_s,
               "setup_s": 0.001, "peak_rss_mb": rss}
-    return {"digest": digest, "attempted": 10, "failed": failed, "metrics": values}
+    return {"digest": digest, "attempted": 10, "failed": failed, "correct": correct, "metrics": values}
 
 
 def _pairs(parent, change, **change_fields):
@@ -76,6 +76,20 @@ def test_trajectory_mismatches_are_flagged(monkeypatch):
     s = bp.summarize(pairs, END_TO_END)
     assert s["trajectory"] == {"digest": "d0", "attempted": 10, "failed": 0}
     assert [(b["pair"], b["side"]) for b in s["mismatches"]] == [(1, "change"), (2, "parent")]
+
+
+def test_incorrect_runs_are_flagged_and_exit_1(monkeypatch, capsys):
+    # Equal `failed` counts hide nothing here: only `correct` tells the
+    # second change run apart.
+    bp = _bench_pairs(monkeypatch)
+    runs = iter([_run(100), _run(101), _run(102, correct=False), _run(99), _run(100), _run(101)])
+    monkeypatch.setattr(bp, "run_once", lambda checkout, workload, seed: next(runs))
+    args = ["--parent", str(ROOT), "--change", str(ROOT), "--workload", "transform", "--seed", "1"]
+    assert bp.main(args + ["--pairs", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "INCORRECT {'pair': 1, 'side': 'change'}" in out and "MISMATCH" not in out
+    s = bp.summarize(_pairs(PARENT[:2], PARENT[:2]), END_TO_END)
+    assert s["incorrect"] == [] and s["mismatches"] == []
 
 
 def test_runs_spread_wider_than_the_bound_leave_a_metric_unresolved(monkeypatch):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -360,13 +361,21 @@ def _reference_sort_key(action) -> tuple:
 class FullScanScheduler:
     """The scheduler before the incremental index, kept as the reference.
 
-    Every step rebuilds the list of enabled actions, scans every action's
-    age and breaks ties by the sort key; a message is born at the step count
-    of the first step that sees it.  It drives `world._execute` directly.
+    Before every step it rebuilds the list of enabled actions, scans every
+    action's age and breaks ties by the sort key; a message is born at the
+    step count of the first step that sees it.  It predicts the step's
+    action from the world as the step finds it, drawing a random pick's
+    index from a copy of the world's rng, then runs `world.step()` and
+    checks what ran: the trace line's kind and actor, the one uid that left
+    the pending index (none for a timeout or tick), and the world's rng
+    state against the copy's, so the kernel draws exactly `randrange`'s
+    bits.  With `check` false it only predicts and steps.
     """
 
-    def __init__(self, world):
+    def __init__(self, world, check=True):
         self.world = world
+        self.check = check
+        self.rng = random.Random()
         self.birth = {}
         self.last_timeout = {}
         self.last_app = {}
@@ -400,33 +409,70 @@ class FullScanScheduler:
             return now - self.last_app.get(action[1], 0)
         return now - self.birth.setdefault(action[-1], now)
 
-    def step(self):
-        w = self.world
+    def predict(self):
+        """The action the next step runs, or None when nothing is enabled;
+        a random pick draws from a copy of the world's rng."""
         actions = self.enabled_actions()
-        chosen = None
-        if actions:
-            max_age, oldest = -1, []
-            for a in actions:
-                age = self.action_age(a)
-                if age > max_age:
-                    max_age, oldest = age, [a]
-                elif age == max_age:
-                    oldest.append(a)
-            if max_age > w.fairness_bound:
-                chosen = max(oldest, key=_reference_sort_key)
-                self.forced += 1
-            else:
-                chosen = actions[w.rng.randrange(len(actions))]
-                self.random += 1
-            w._execute(chosen)
-            if chosen[0] == "timeout":
-                self.last_timeout[chosen[1]] = w.step_count
-            elif chosen[0] == "app":
-                self.last_app[chosen[1]] = w.step_count
-            else:
-                self.birth.pop(chosen[-1], None)
-        w.step_count += 1
+        if not actions:
+            return None
+        max_age, oldest = -1, []
+        for a in actions:
+            age = self.action_age(a)
+            if age > max_age:
+                max_age, oldest = age, [a]
+            elif age == max_age:
+                oldest.append(a)
+        if max_age > self.world.fairness_bound:
+            self.forced += 1
+            return max(oldest, key=_reference_sort_key)
+        self.random += 1
+        self.rng.setstate(self.world.rng.getstate())
+        return actions[self.rng.randrange(len(actions))]
+
+    def step(self):
+        """Predict, run and check one step of the world; the predicted action."""
+        w = self.world
+        now, pending = w.step_count, w.env_source
+        if not self.check:
+            chosen = self.predict()
+            w.step()
+            self._ran(chosen, now)
+            return chosen
+        self.rng.setstate(w.rng.getstate())  # what a forced pick must leave
+        chosen = self.predict()
+        message = chosen is not None and chosen[0] not in ("timeout", "app")
+        if message:
+            assert chosen[-1] in pending.holder
+        if chosen is not None and chosen[0] == "orphan":
+            actor = next(env.target_rid for env in w.orphan_out if env.uid == chosen[1])
+        elif chosen is not None:
+            actor = chosen[1]
+        held, minted = len(pending.holder), pending._next
+        w.trace = []
+        w.step()
+        assert w.step_count == now + 1
+        assert w.rng.getstate() == self.rng.getstate(), f"step {now}: the pick drew other bits"
+        # Every uid minted in the step is pending, so exactly the delivered
+        # one left `holder`.
+        assert len(pending.holder) == held + pending._next - minted - message, f"step {now}"
+        if chosen is None:
+            assert w.trace == [], f"step {now}"
+            return None
+        [line] = w.trace
+        assert line.split(" ")[:3] == [str(now), chosen[0], str(actor)], f"step {now}: {line} for {chosen}"
+        assert not message or chosen[-1] not in pending.holder, f"step {now}"
+        self._ran(chosen, now)
         return chosen
+
+    def _ran(self, chosen, now) -> None:
+        if chosen is None:
+            return
+        if chosen[0] == "timeout":
+            self.last_timeout[chosen[1]] = now
+        elif chosen[0] == "app":
+            self.last_app[chosen[1]] = now
+        else:
+            self.birth.pop(chosen[-1], None)
 
 
 def _indexed_age(world, action) -> int:
@@ -614,14 +660,10 @@ CASES = [(name, seed) for name in sorted(LOCKSTEP) for seed in (3, 4, 5)] + [
 @pytest.mark.parametrize("name,seed", CASES)
 def test_incremental_scheduler_matches_full_scan(name, seed):
     build, steps, between = LOCKSTEP[name]
-    ref_world, world = build(seed), build(seed)
-    reference = FullScanScheduler(ref_world)
-    picked = []
-    execute = world._execute
-    world._execute = lambda action: (picked.append(action), execute(action))
+    world = build(seed)
+    reference = FullScanScheduler(world)
     for i in range(steps):
         if between:
-            between(ref_world, i)
             between(world, i)
         if i % 97 == 0:
             actions = reference.enabled_actions()
@@ -639,11 +681,7 @@ def test_incremental_scheduler_matches_full_scan(name, seed):
                 buffered.update((env.uid, relay) for relay in layer.relays.values() for env in relay.buf)
             assert world.env_source.holder.keys() == buffered.keys(), f"step {i}"
             assert all(world.env_source.holder[uid] is relay for uid, relay in buffered.items()), f"step {i}"
-        picked.clear()
-        expected = reference.step()
-        world.step()
-        assert (picked[0] if picked else None) == expected, f"step {i}"
-    assert world.state_hash() == ref_world.state_hash()
+        reference.step()
     assert reference.forced + reference.random > 0
 
 
@@ -667,7 +705,7 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
     for name, seed in CASES:
         build, steps, between = LOCKSTEP[name]
         world = build(seed)
-        reference = FullScanScheduler(world)
+        reference = FullScanScheduler(world, check=False)  # the lock-step cases check these runs
         for i in range(steps):
             if between:
                 between(world, i)

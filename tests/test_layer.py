@@ -29,6 +29,7 @@ from relaysim.core import (
     unconfirmed_entry,
 )
 from relaysim.kernel import (
+    PendingIndex,
     adversarial_init,
     connect,
     connect_door,
@@ -425,14 +426,14 @@ def test_a_key_confirmed_from_another_sender_grants_no_access(monkeypatch):
         def on_message(self, ctx, action, via):
             received.append(action)
 
-    emit_control = RelayLayer._emit_control
+    emit_control = PendingIndex.emit_control
 
-    def recording(layer, target, message):
+    def recording(pending, layer, target, message):
         if type(message) is NotAuthorized:
             refused.append(message)
-        emit_control(layer, target, message)
+        emit_control(pending, layer, target, message)
 
-    monkeypatch.setattr(RelayLayer, "_emit_control", recording)
+    monkeypatch.setattr(PendingIndex, "emit_control", recording)
     world.processes[1].app = Inbox()
     world.ctx(0).send(q_ref, "payload", ())
     for _ in range(300):
@@ -885,7 +886,7 @@ class RescanningLayer(RelayLayer):
     kept as the reference.  `timeout` rescans the relay table for every
     relay, `_forward` tests each control key against the buffer and
     `handle_inrelayclosed` scans the relays once per key.  The method bodies
-    are copied unchanged."""
+    are copied unchanged, but for the emitter calls."""
 
     def _forward(self, relay: Relay, m: Transmit) -> None:
         if not relay.out_keys:
@@ -899,7 +900,7 @@ class RescanningLayer(RelayLayer):
                 if not any(message_carries_param_key(env.message, k) for env in relay.buf)
             )
             action = Probe(controls, sequence)
-        self._emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
+        self.env_source.emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
 
     def handle_inrelayclosed(self, keys, sender_rid, target_id) -> None:
         for key in sorted(keys):
@@ -946,7 +947,7 @@ class RescanningLayer(RelayLayer):
             relay.in_set -= bad
             for e in relay.sorted_in():
                 if e.confirmed:
-                    self._emit_control(e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
+                    self.env_source.emit_control(self, e.from_rid, Ping(relay.id, relay.level, relay.sink_rid, e.key))
             dangling = {e for e in relay.in_set if not e.confirmed and e.via not in self.relays}
             relay.in_set -= dangling
 
@@ -970,7 +971,8 @@ class RescanningLayer(RelayLayer):
                     if not any(o.alive and k in o.out_keys for o in self.relays.values())
                 )
                 if closed:
-                    self._emit_control(
+                    self.env_source.emit_control(
+                        self,
                         relay.out_id.rid,
                         InRelayClosed(closed, self.rid, relay.out_id),
                     )
@@ -1006,7 +1008,7 @@ class RescanningLayer(RelayLayer):
             # strand the announcements of a stopped process.
             if controls or (relay.alive and (self.owner_alive or relay.in_set)):
                 for key in relay.sorted_out_keys():
-                    self._emit_buf(
+                    self.env_source.emit_buf(
                         relay,
                         Transmit(Header(key, relay.id, relay.out_id, relay.level), Probe(controls, (key,))),
                     )

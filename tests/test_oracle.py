@@ -110,14 +110,14 @@ def test_contradicting_ping_violates_p6():
     world = new_world(7, 2)
     door = give_door(world, 0)
     layer = world.layer_of(0)
-    layer._emit_control(Rid(1), Ping(door.relay_id, 3, Rid(0), layer.mint_key()))
+    world.env_source.emit_control(layer, Rid(1), Ping(door.relay_id, 3, Rid(0), layer.mint_key()))
     assert "P6" in oracle.WorldCheck(world).relay_violations(door.relay_id)
 
 
 def test_out_relay_closed_in_flight_violates_p7():
     world = new_world(8, 2)
     door = give_door(world, 0)
-    world.layer_of(1)._emit_control(Rid(0), OutRelayClosed(door.relay_id))
+    world.env_source.emit_control(world.layer_of(1), Rid(0), OutRelayClosed(door.relay_id))
     assert "P7" in oracle.WorldCheck(world).relay_violations(door.relay_id)
 
 
@@ -151,7 +151,7 @@ def test_in_relay_closed_matching_keys_violates_p11f():
     ref = connect_door(world, 0, 1)
     layer = world.layer_of(0)
     relay = layer.relays[ref.relay_id]
-    layer._emit_control(Rid(1), InRelayClosed(frozenset(relay.out_keys), Rid(0), relay.out_id))
+    world.env_source.emit_control(layer, Rid(1), InRelayClosed(frozenset(relay.out_keys), Rid(0), relay.out_id))
     assert "P11f" in oracle.WorldCheck(world).relay_violations(ref.relay_id)
 
 
@@ -178,7 +178,7 @@ def test_not_authorized_against_held_permission_violates_p8():
     key = next(iter(door.in_set)).key
     rejected = Transmit(Header(key, sender.relay_id, door.id, 1), ActionInvocation("x", ()))
     assert oracle.WorldCheck(world).relay_violations(door.id) == []
-    layer1._emit_control(Rid(0), NotAuthorized(rejected))
+    world.env_source.emit_control(layer1, Rid(0), NotAuthorized(rejected))
     assert oracle.WorldCheck(world).relay_violations(door.id) == ["P8"]
 
 
@@ -214,7 +214,7 @@ def _resend(world, carrier, params):
 def test_second_copy_of_parameter_violates_c2():
     world, via, carrier, param = _sent_parameter(28)
     (env,) = world.layer_of(0).relays[carrier].buf
-    world.layer_of(1)._emit_control(Rid(0), env.message)
+    world.env_source.emit_control(world.layer_of(1), Rid(0), env.message)
     assert _param_violations(world, carrier, param) == ["C2"]
 
 
@@ -247,20 +247,20 @@ def test_parameter_its_target_never_announced_violates_c5(seed):
 def test_parameter_key_heading_a_transmit_violates_c8():
     world, via, carrier, param = _sent_parameter(31)
     stray = Transmit(Header(param.key, via.id, via.out_id, via.level), ActionInvocation("x", ()))
-    world.layer_of(1)._emit_control(Rid(0), stray)
+    world.env_source.emit_control(world.layer_of(1), Rid(0), stray)
     assert _param_violations(world, carrier, param) == ["C8"]
 
 
 def test_ping_naming_an_unconfirmed_key_violates_p6():
     world, via, carrier, param = _sent_parameter(32)
     target = world.layer_of(0).relays[param.id]
-    world.layer_of(1)._emit_control(Rid(0), Ping(target.id, target.level, target.sink_rid, param.key))
+    world.env_source.emit_control(world.layer_of(1), Rid(0), Ping(target.id, target.level, target.sink_rid, param.key))
     assert oracle.WorldCheck(world).relay_violations(param.id) == ["P6"]
 
 
 def test_probefail_for_announced_key_rejects_parameter():
     world, via, carrier, param = _sent_parameter(24)
-    world.layer_of(1)._emit_control(Rid(0), ProbeFail(param.key, (min(via.out_keys),)))
+    world.env_source.emit_control(world.layer_of(1), Rid(0), ProbeFail(param.key, (min(via.out_keys),)))
     # The same ProbeFail leaves the target's pending entry unbacked (P9), so
     # the parameter fails on its target (C3); this is why the oracle has no
     # separate C9 check.
@@ -274,7 +274,7 @@ def test_probe_hunting_pending_key_off_its_chain_violates_p9():
     # The hunted key is not the probe's first control key, and the probe
     # sits in a layer buffer, off the announcing relay's chain.
     hunter = Probe(frozenset({Key(Rid(0), 0), param.key}), (key,))
-    world.layer_of(0)._emit_control(Rid(1), Transmit(Header(key, via.id, via.out_id, via.level), hunter))
+    world.env_source.emit_control(world.layer_of(0), Rid(1), Transmit(Header(key, via.id, via.out_id, via.level), hunter))
     assert oracle.WorldCheck(world).relay_violations(param.id) == ["P9"]
     assert _param_violations(world, carrier, param) == ["C3"]
 
@@ -283,14 +283,14 @@ def test_probe_ahead_of_its_announcement_violates_c10():
     world, via, carrier, param = _sent_parameter(25)
     key = min(via.out_keys)
     hunter = Probe(frozenset({param.key}), (key,))
-    world.layer_of(0)._emit_buf(via, Transmit(Header(key, via.id, via.out_id, via.level), hunter))
+    world.env_source.emit_buf(via, Transmit(Header(key, via.id, via.out_id, via.level), hunter))
     assert oracle.WorldCheck(world).relay_violations(param.id) == []
     assert _param_violations(world, carrier, param) == ["C10"]
 
 
 def test_in_relay_closed_for_parameter_key_violates_c11():
     world, via, carrier, param = _sent_parameter(27)
-    world.layer_of(1)._emit_control(Rid(0), InRelayClosed(frozenset({param.key}), Rid(1), param.id))
+    world.env_source.emit_control(world.layer_of(1), Rid(0), InRelayClosed(frozenset({param.key}), Rid(1), param.id))
     assert oracle.WorldCheck(world).relay_violations(param.id) == []
     assert _param_violations(world, carrier, param) == ["C11"]
 
@@ -405,7 +405,7 @@ def test_parameter_violation_alone_makes_the_world_illegal():
     world, via, carrier, param = _sent_parameter(33)
     assert oracle.is_legal(world)
     stray = Transmit(Header(param.key, via.id, via.out_id, via.level), ActionInvocation("x", ()))
-    world.layer_of(1)._emit_control(Rid(0), stray)
+    world.env_source.emit_control(world.layer_of(1), Rid(0), stray)
     check = oracle.WorldCheck(world)
     assert all(check.relay_violations(relay_id) == [] for relay_id in check.relays)
     assert _param_violations(world, carrier, param) == ["C8"]

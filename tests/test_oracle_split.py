@@ -35,7 +35,7 @@ def test_one_seed_prints_its_split_and_the_sum(step_split, capsys):
     assert head["steps"] == "50" and head["illegal"] == "0"  # every checked closure state is legal
     pct = {name: float(cells[-1]) for name, cells in rows.items()}
     assert pct["step"] == 100.0
-    # pick, execute's self time, the calls nested in it and other sum to step.
+    # kernel and the calls nested in step sum to step.
     partition = [v for name, v in pct.items() if name != "step" and not name.startswith("oracle.")]
     assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
     assert all(float(rows[name][1]) > 0 for name in step_split.ORACLE_ROWS)

@@ -30,12 +30,29 @@ def _blocks(capsys) -> tuple[dict, dict]:
     return heads, blocks
 
 
-def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, capsys):
-    owners = (kernel.WorldState, layer.RelayLayer, apps.RandomDeliberateApp, rules.TransformApp,
-              oracle.WorldCheck)
-    before = [dict(vars(owner)) for owner in owners]
+WRAPPED = {
+    (kernel.WorldState, "step"), (kernel.WorldState, "run_until"),
+    (layer.RelayLayer, "timeout"), (layer.RelayLayer, "receive"),
+    (apps.RandomDeliberateApp, "on_tick"), (apps.RandomDeliberateApp, "on_message"),
+    (rules.TransformApp, "on_tick"), (rules.TransformApp, "on_message"),
+    (oracle.WorldCheck, "__init__"), (oracle.WorldCheck, "is_legal"), (oracle.WorldCheck, "relay_violations"),
+}
+
+
+def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, monkeypatch, capsys):
+    patched = []
+    install = step_split.Recorder.install
+
+    def recorded(rec):
+        install(rec)
+        patched.append({(owner, attr) for owner, attr, _ in rec._patches})
+
+    monkeypatch.setattr(step_split.Recorder, "install", recorded)
+    owners = {owner for owner, _ in WRAPPED}
+    before = {owner: dict(vars(owner)) for owner in owners}
     assert step_split.main(["--steps", "1000"]) == 0
-    assert [dict(vars(owner)) for owner in owners] == before
+    assert patched and all(p == WRAPPED for p in patched)
+    assert {owner: dict(vars(owner)) for owner in owners} == before
 
     heads, blocks = _blocks(capsys)
     assert list(blocks) == list(step_split.SHAPES)
@@ -44,11 +61,10 @@ def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, capsy
         head = heads[shape]
         assert int(head["steps"]) >= 1000
         assert all(float(head[k]) > 0 for k in ("processes", "relays", "inflight"))
-        assert rows["step"][0] == rows["pick"][0] == rows["other"][0] == int(head["steps"])
+        assert rows["step"][0] == rows["kernel"][0] == int(head["steps"])
         assert rows["step"][2] == 100.0
-        assert 0 < rows["execute"][0] <= rows["step"][0]
-        # pick, execute's self time, the calls nested in it and other
-        # partition step.
+        assert 0 < rows["kernel"][2] < 100.0
+        # kernel and the calls nested in step partition step.
         partition = [pct for name, (_, _, pct) in rows.items()
                      if name not in ("step", "settle_poll") and not name.startswith("oracle.")]
         assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
@@ -64,7 +80,7 @@ def test_against_a_checkout_prints_ratios_for_every_row(step_split, capsys):
     assert list(blocks) == list(step_split.SHAPES)
     for shape, rows in blocks.items():
         assert int(heads[shape]["units"]) >= 1
-        assert {"step", "pick", "execute", "timeout", "receive.Transmit", "other"} <= rows.keys()
+        assert {"step", "kernel", "timeout", "receive.Transmit"} <= rows.keys()
         if shape != "transform":
             assert set(step_split.ORACLE_ROWS) <= rows.keys()
         for name, (calls, here, there, *ratios) in rows.items():

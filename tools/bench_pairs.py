@@ -13,12 +13,13 @@ interquartile range), whether any median is worse than the metric's bound
 in `BENCHMARK.json` allows, and whether a metric is unresolved (either
 side's interquartile range is wider than the bound, and not every change
 run beats every parent run).  Any run whose `digest`, `attempted` or
-`failed` differs from the first parent run is flagged.  With `--out`, every
-run and the summary are written to FILE as JSON.
+`failed` differs from the first parent run is flagged, and so is any run
+that reports `correct: false`.  With `--out`, every run and the summary are
+written to FILE as JSON.
 
 Standard library only.  Quartiles are `statistics.quantiles(..., n=4,
-method="inclusive")`.  Exit status: 0, or 1 when a trajectory mismatch was
-flagged or a run failed.
+method="inclusive")`.  Exit status: 0, or 1 when a trajectory mismatch or
+an incorrect run was flagged or a run failed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ def quartiles(values: list) -> list:
 
 def summarize(pairs: list, end_to_end: list) -> dict:
     """Per-metric verdicts over `pairs`, each {"parent": run, "change": run}
-    where a run is {"digest", "attempted", "failed", "metrics": {name: value}};
+    where a run is {"digest", "attempted", "failed", "correct", "metrics":
+    {name: value}};
     `end_to_end` is `BENCHMARK.json`'s list of metric declarations."""
     n = len(pairs)
     metrics = {}
@@ -74,7 +76,10 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         for side in ("parent", "change")
         if any(p[side][k] != first[k] for k in TRAJECTORY)
     ]
-    return {"pairs": n, "trajectory": first, "mismatches": mismatches, "metrics": metrics}
+    incorrect = [{"pair": i, "side": side} for i, p in enumerate(pairs)
+                 for side in ("parent", "change") if not p[side]["correct"]]
+    return {"pairs": n, "trajectory": first, "mismatches": mismatches, "incorrect": incorrect,
+            "metrics": metrics}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -106,6 +111,8 @@ def report(summary: dict) -> str:
         )
     for bad in summary["mismatches"]:
         lines.append(f"MISMATCH {bad}")
+    for bad in summary["incorrect"]:
+        lines.append(f"INCORRECT {bad}: the run reported correct: false")
     return "\n".join(lines)
 
 
@@ -143,7 +150,7 @@ def main(argv=None) -> int:
         record = {"workload": args.workload, "seed": args.seed, "run_seconds": spec["run_seconds"],
                   "runs": pairs, "summary": summary}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 1 if summary["mismatches"] else 0
+    return 1 if summary["mismatches"] or summary["incorrect"] else 0
 
 
 if __name__ == "__main__":

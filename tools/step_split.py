@@ -7,16 +7,17 @@ script builds worlds shaped like the benchmark workload of that name,
 untimed, and then runs N kernel steps (default 30,000) with these calls
 timed:
 
-- `step`: one `WorldState.step`, the rows from `pick` to `other` included;
-- `pick`: the scheduler's choice of the action (`WorldState._pick`);
-- `execute`: one run of the chosen action (`WorldState._execute`), less
-  the timeout, `receive.*` and `app.*` calls inside it: the dispatch,
-  the buffer removal, the holder and count updates, the heap push;
+- `step`: one `WorldState.step`, the rows from `kernel` to `app.tick`
+  included;
+- `kernel`: `step` less every wrapped call nested in it: the pick, the
+  dispatch, the buffer removal, the holder and count updates, the heap
+  push and the trace check.  It reads no kernel method but `step`, so it
+  means the same in a checkout that splits its step into other methods.
+  An emission counts in the row of the call that makes it;
 - `timeout`: one run of the repair loop (`RelayLayer.timeout`);
 - `receive.<Type>`: one message delivered to a relay layer, by type;
 - `app.deliver`: one application invocation delivered at a sink;
 - `app.tick`: one application action;
-- `other`: the rest of `step`, its bookkeeping around `pick` and `execute`;
 - `settle_poll`: one poll of the plan executor's predicate, which
   `rules.execute_plan` hands to `run_until` (transform only).  It runs
   after each step, outside it;
@@ -169,8 +170,6 @@ class Recorder:
         pkg = self.pkg
         self.wrap_step()
         self.wrap_settle_poll()
-        self.wrap(pkg.kernel.WorldState, "_pick", "pick")
-        self.wrap(pkg.kernel.WorldState, "_execute", "execute")
         self.wrap(pkg.layer.RelayLayer, "timeout", "timeout")
         self.wrap(pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
         for app in (pkg.apps.RandomDeliberateApp, pkg.rules.TransformApp):
@@ -324,11 +323,9 @@ def per_call(rec: Recorder) -> dict[str, tuple[float, int, float]]:
     """Row name -> (seconds, calls, seconds per call; 0 with no calls)."""
     nested = ["timeout"] + sorted(k for k in rec.secs if k.startswith("receive.")) + ["app.deliver", "app.tick"]
     out = {}
-    for name in ["step", "pick", "execute"] + nested + ["other", "settle_poll", *ORACLE_ROWS]:
-        if name == "execute":
-            secs, calls = rec.secs["execute"] - sum(rec.secs[k] for k in nested), rec.calls["execute"]
-        elif name == "other":
-            secs, calls = rec.secs["step"] - rec.secs["pick"] - rec.secs["execute"], rec.calls["step"]
+    for name in ["step", "kernel"] + nested + ["settle_poll", *ORACLE_ROWS]:
+        if name == "kernel":
+            secs, calls = rec.secs["step"] - sum(rec.secs[k] for k in nested), rec.calls["step"]
         elif name in rec.calls:
             secs, calls = rec.secs[name], rec.calls[name]
         else:
