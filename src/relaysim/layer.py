@@ -445,6 +445,14 @@ class RelayLayer:
                 holders.setdefault(k, []).append(r)
         shared = out_total > len(holders)
 
+        # Each relay is tested once for being steady: alive, its owner
+        # running, no announcement pending via it, and either a sink or a
+        # holder of an out-key.  A steady relay takes none of the recovery
+        # branches (the `in_buf` set, the keyless purge, `pending_via`,
+        # collection, the stopped-owner delete and `controls`), since each of
+        # them needs one of those four to fail.  Any relay without out-keys
+        # at the collision check (every sink, among others) leaves there: it
+        # has no key to collide on or to probe over.
         for relay in list(table.values()):
             relay_id, out_id = relay.id, relay.out_id
             if out_id is None:
@@ -455,20 +463,23 @@ class RelayLayer:
                 level = relay.level
                 if level < 1:
                     relay.level = level = 1
-            # Announcements via this relay whose announcing message still sits
-            # in its buffer (`in_buf`) are neither purged nor probed for: the
-            # far side confirms them on delivery.
-            via_me = announced.get(relay_id, ())
-            in_buf = buffered_param_keys(relay.buf) if via_me else ()
-            if out_id is not None and not relay.out_keys:
-                # Keyless non-sink: the outgoing link is unusable, exactly
-                # the exhaustion case of the not-authorized handler, so
-                # announcements via this relay can never be probed again.
-                for holder, e in via_me:
-                    if e.key not in in_buf:
-                        holder.in_set.discard(e)
-                if relay.alive:
-                    self._delete(relay)
+            out_keys = relay.out_keys
+            steady = (out_id is None or out_keys) and relay.alive and owner_alive and relay_id not in announced
+            if not steady:
+                via_me = announced.get(relay_id, ())
+                # Announcements via this relay whose announcing message still
+                # sits in its buffer (`in_buf`) are neither purged nor probed
+                # for: the far side confirms them on delivery.
+                in_buf = buffered_param_keys(relay.buf) if via_me else ()
+                if out_id is not None and not out_keys:
+                    # Keyless non-sink: the outgoing link is unusable, exactly
+                    # the exhaustion case of the not-authorized handler, so
+                    # announcements via this relay can never be probed again.
+                    for holder, e in via_me:
+                        if e.key not in in_buf:
+                            holder.in_set.discard(e)
+                    if relay.alive:
+                        self._delete(relay)
             if relay.in_set:
                 # One pass: drop duplicated, foreign and dangling entries,
                 # and ping every confirmed sender in key order (confirmed
@@ -481,53 +492,58 @@ class RelayLayer:
                         confirmed.append(e)
                     elif e.via not in table:
                         drop.append(e)
-                relay.in_set.difference_update(drop)
+                if drop:
+                    relay.in_set.difference_update(drop)
                 confirmed.sort()
                 sink_rid = relay.sink_rid
                 for e in confirmed:
                     pending.emit_control(self, e.from_rid, make(Ping, (relay_id, level, sink_rid, e.key)))
-
-            pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
-            if not relay.alive and not pending_via and not relay.buf:
-                # Removal waits for the buffer: a deleted relay keeps
-                # delivering what was already sent through it.
-                if out_id is None:
-                    self._delete(relay)
+            if not steady:
+                pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
+                if not relay.alive and not pending_via and not relay.buf:
+                    # Removal waits for the buffer: a deleted relay keeps
+                    # delivering what was already sent through it.
+                    if out_id is None:
+                        self._delete(relay)
+                        del table[relay_id]
+                        continue
+                    # A key an alive relay also holds stays in use: a tombstone
+                    # that lost an out-key collision, or comes from a corrupted
+                    # start, must not revoke it (`merge` leaves its originals
+                    # keyless).
+                    closed = frozenset(
+                        k for k in out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
+                    )
+                    if closed:
+                        pending.emit_control(self, out_id.rid, InRelayClosed(closed, rid, out_id))
+                    # The collected relay leaves the table, and with it the
+                    # announcements it holds.
+                    relay.in_set.clear()
                     del table[relay_id]
                     continue
-                # A key an alive relay also holds stays in use: a tombstone that
-                # lost an out-key collision, or comes from a corrupted start,
-                # must not revoke it (`merge` leaves its originals keyless).
-                closed = frozenset(
-                    k for k in relay.out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
-                )
-                if closed:
-                    pending.emit_control(self, out_id.rid, InRelayClosed(closed, rid, out_id))
-                # The collected relay leaves the table, and with it the
-                # announcements it holds.
-                relay.in_set.clear()
-                del table[relay_id]
+                if (
+                    not owner_alive
+                    and relay.alive
+                    and not relay.in_set
+                    and not relay.buf
+                    and not pending_via
+                ):
+                    self._delete(relay)
+            if not out_keys:
                 continue
-            if (
-                not owner_alive
-                and relay.alive
-                and not relay.in_set
-                and not relay.buf
-                and not pending_via
-            ):
-                self._delete(relay)
-            if shared and relay.alive and relay.out_keys:
+            if shared and relay.alive:
                 # Out-key collisions are resolved between alive relays only;
                 # a tombstone still holding an alive relay's key is the loser
                 # of an earlier collision, or comes from a corrupted start.
-                for k in relay.out_keys:
+                for k in out_keys:
                     others = holders[k]
                     if len(others) > 1 and any(o.alive and o.id > relay_id and k in o.out_keys for o in others):
                         self._delete(relay)
                         break
+            # `via_me` and `in_buf` exist only off the steady path.
             controls = (
                 frozenset(e.key for holder, e in via_me if e.key not in in_buf and e in holder.in_set)
-                if via_me else _NO_CONTROLS
+                if not steady and via_me else _NO_CONTROLS
             )
             # Alive relays probe while their owner lives or keys may still
             # arrive.  A dead relay probes only while announcements made via
@@ -535,7 +551,6 @@ class RelayLayer:
             # buffer and prevent its own collection, probing any less would
             # strand the announcements of a stopped process.
             if controls or (relay.alive and (owner_alive or relay.in_set)):
-                out_keys = relay.out_keys
                 for key in out_keys if len(out_keys) == 1 else sorted(out_keys):
                     header = make(Header, (key, relay_id, out_id, level))
                     pending.emit_buf(relay, make(Transmit, (header, make(Probe, (controls, (key,))))))

@@ -377,16 +377,20 @@ class WorldCheck:
                 continue
             via = self.relays.get(e.via)
             if via is not None and via.sink_rid == rid:
-                if any(
-                    isinstance(env.message, Transmit)
-                    and isinstance(env.message.action, Probe)
-                    and env.message.header.key == key
-                    and env.message.header.in_id == relay.id
-                    and env.message.header.out_id == relay.out_id
-                    and env.message.action.key_sequence == (key,)
-                    for env in relay.buf
-                ):
-                    return True
+                # Plain loops here and in `param_violations`: on Python 3.11
+                # a generator or comprehension builds a function object on
+                # every call.
+                for env in relay.buf:
+                    msg = env.message
+                    if (
+                        isinstance(msg, Transmit)
+                        and isinstance(msg.action, Probe)
+                        and msg.header.key == key
+                        and msg.header.in_id == relay.id
+                        and msg.header.out_id == relay.out_id
+                        and msg.action.key_sequence == (key,)
+                    ):
+                        return True
         return False
 
     # -- header validity -------------------------------------------------------
@@ -440,7 +444,9 @@ class WorldCheck:
                     break
         if announced is None or not belongs_to(param.key, target.id.rid):
             v.append("C5")
-        rids = {p.id.rid for p in relay_params(message)}
+        rids = set()
+        for p in relay_params(message):
+            rids.add(p.id.rid)
         if len(rids) > 1:
             v.append("C6")
         if self.out_key_holders.get(param.key):
@@ -452,8 +458,10 @@ class WorldCheck:
         # one), and the target passed C3, so it has none.
         if announced is not None and not self._probe_positions_ok(param.key, announced, message):
             v.append("C10")
-        if any(param.key in m.keys for m in self.inrelays_by_target.get(target.id, ())):
-            v.append("C11")
+        for m in self.inrelays_by_target.get(target.id, ()):
+            if param.key in m.keys:
+                v.append("C11")
+                break
         return v
 
     def _probe_positions_ok(self, key: Key, announced: Relay, message: Transmit) -> bool:
@@ -574,26 +582,34 @@ def process_components(world: WorldState) -> list:
     order.
     """
     active = {pid for pid, proc in world.processes.items() if proc.active}
+    tables = {rid: layer.relays for rid, layer in world.layers.items()}
     up: dict = {}  # vertex -> parent; a vertex without one is a root
-
-    def vertex(relay_id):
-        return relay_id.rid if relay_id.rid in active else relay_id
 
     def root(v):
         while v in up:
             up[v] = v = up.get(up[v], up[v])  # path halving
         return v
 
-    for layer in world.layers.values():
-        for relay in layer.relays.values():
-            targets = [] if relay.out_id is None else [relay.out_id]
-            for env in relay.buf:
-                targets += [p.id for p in relay_params(env.message)]
+    for table in tables.values():
+        for relay_id, relay in table.items():
+            out_id, buf = relay.out_id, relay.buf
+            if out_id is None and not buf:
+                continue  # a sink with nothing in flight has no link
+            targets = [] if out_id is None else [out_id]
+            for env in buf:
+                m = env.message
+                if type(m) is Transmit and type(m.action) is ActionInvocation:
+                    for p in m.action.params:
+                        if type(p) is RelayParameter:
+                            targets.append(p.id)
+            # The relay's root, kept current as its links join it to others.
+            a = root(relay_id.rid if relay_id.rid in active else relay_id)
             for t in targets:
-                if world.find_relay(t) is not None:
-                    a, b = root(vertex(relay.id)), root(vertex(t))
+                there = tables.get(t.rid)
+                if there is not None and t in there:
+                    b = root(t.rid if t.rid in active else t)
                     if a != b:
-                        up[a] = b
+                        up[a] = a = b
     parts: dict = {}
     for pid in sorted(active):
         parts.setdefault(root(pid), []).append(pid)

@@ -1118,6 +1118,18 @@ def test_repair_runs_cover_purge_collision_collection_and_dead_probes(monkeypatc
             if e.via in keyless and count[e.key] == 1 and belongs_to(e.key, layer.rid)
         ]
         may_collide = [r for r in layer.relays.values() if r.alive and r.out_keys and r.out_id is not None]
+        # The steady test, per relay: each trigger that keeps a relay off
+        # the steady path counts on its own.
+        via = {e.via for r in layer.relays.values() for e in r.in_set if e.via is not None}
+        for r in layer.relays.values():
+            triggers = [name for name, hit in (
+                ("off steady: announcement via it", r.id in via),
+                ("off steady: stopped owner", not layer.owner_alive),
+                ("off steady: dead", not r.alive),
+                ("off steady: keyless non-sink", r.out_id is not None and not r.out_keys),
+            ) if hit]
+            seen.update(triggers)
+            seen["steady"] += not triggers
         sent, first_uid = len(layer.layer_buf), layer.env_source._next
         timeout(layer)
         # An entry of an alive holder, neither duplicated nor foreign, can
@@ -1147,7 +1159,9 @@ def test_repair_runs_cover_purge_collision_collection_and_dead_probes(monkeypatc
             between(world, i)
             world.step()
     assert min(seen[k] for k in ("keyless purge", "collision delete", "collected with InRelayClosed",
-                                 "dead relay probes with controls", "merge")) > 0, seen
+                                 "dead relay probes with controls", "merge", "steady",
+                                 "off steady: announcement via it", "off steady: stopped owner",
+                                 "off steady: dead", "off steady: keyless non-sink")) > 0, seen
 
 
 def test_collected_relay_stops_counting_its_announcements():

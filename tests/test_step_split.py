@@ -36,6 +36,7 @@ WRAPPED = {
     (apps.RandomDeliberateApp, "on_tick"), (apps.RandomDeliberateApp, "on_message"),
     (rules.TransformApp, "on_tick"), (rules.TransformApp, "on_message"),
     (oracle.WorldCheck, "__init__"), (oracle.WorldCheck, "is_legal"), (oracle.WorldCheck, "relay_violations"),
+    (oracle, "process_components"),
 }
 
 
@@ -64,13 +65,17 @@ def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, monke
         assert rows["step"][0] == rows["kernel"][0] == int(head["steps"])
         assert rows["step"][2] == 100.0
         assert 0 < rows["kernel"][2] < 100.0
-        # kernel and the calls nested in step partition step.
+        # kernel and the calls nested in step partition step; the settle
+        # poll and the oracle rows, the components check included, run
+        # between steps.
         partition = [pct for name, (_, _, pct) in rows.items()
                      if name not in ("step", "settle_poll") and not name.startswith("oracle.")]
         assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
         assert rows["timeout"][0] > 0 and rows["receive.Transmit"][0] > 0
         assert ("settle_poll" in rows) == (shape == "transform")
         assert ({"oracle.build", "oracle.is_legal", "oracle.explain"} <= rows.keys()) == (shape != "transform")
+        # One connectivity check per executed plan step.
+        assert ("oracle.components" in rows) == (shape == "transform")
     assert heads["sparse_large"]["processes"] == "256.0"
 
 
@@ -83,6 +88,8 @@ def test_against_a_checkout_prints_ratios_for_every_row(step_split, capsys):
         assert {"step", "kernel", "timeout", "receive.Transmit"} <= rows.keys()
         if shape != "transform":
             assert set(step_split.ORACLE_ROWS) <= rows.keys()
+        else:
+            assert step_split.COMPONENTS_ROW in rows
         for name, (calls, here, there, *ratios) in rows.items():
             assert int(calls) > 0 and float(here) > 0 and float(there) > 0, name
             q1, median, q3 = map(float, ratios)

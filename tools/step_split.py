@@ -21,6 +21,10 @@ timed:
 - `settle_poll`: one poll of the plan executor's predicate, which
   `rules.execute_plan` hands to `run_until` (transform only).  It runs
   after each step, outside it;
+- `oracle.components`: one `oracle.process_components` call, the
+  connectivity check the transform benchmark runs after each plan step
+  through `execute_plan`'s `on_step` hook (transform only; outside the
+  steps);
 - `oracle.build`, `oracle.is_legal`, `oracle.explain`: a
   `WorldCheck(world)`, its `is_legal()`, and one `relay_violations` call
   on a second fresh check, which explains every relay (closure,
@@ -35,8 +39,9 @@ in flight, sampled every 16 steps, and how many checked states were
 illegal.  The shapes:
 
 - transform: random 6-8 process multigraph pairs, each source realized and
-  settled, then the plan to its target executed, one unit after another
-  until N steps ran (the planning and the settling before it are untimed);
+  settled, then the plan to its target executed with the connectivity
+  check after each plan step, one unit after another until N steps ran
+  (the planning and the settling before it are untimed);
 - sparse_large: one 256-process sparse world under `RandomDeliberateApp`,
   1,000 untimed warm-up steps, then N steps in units of 3,000;
 - dense_repair: adversarial `mixed` starts of 4 processes with 96 relays
@@ -81,6 +86,7 @@ SAMPLE_EVERY = 16
 UNIT_STEPS = 3000
 CLOSURE_UNIT_STEPS = 10_000
 ORACLE_ROWS = ("oracle.build", "oracle.is_legal", "oracle.explain")
+COMPONENTS_ROW = "oracle.components"
 _MISSING = object()
 _MODULES = ("apps", "kernel", "layer", "oracle", "rules")
 HERE = SimpleNamespace(apps=apps, kernel=kernel, layer=layer, oracle=oracle, rules=rules)
@@ -178,6 +184,7 @@ class Recorder:
         self.wrap(pkg.oracle.WorldCheck, "__init__", "oracle.build")
         self.wrap(pkg.oracle.WorldCheck, "is_legal", "oracle.is_legal")
         self.wrap(pkg.oracle.WorldCheck, "relay_violations", "oracle.explain")
+        self.wrap(pkg.oracle, "process_components", COMPONENTS_ROW)
 
     def uninstall(self) -> None:
         while self._patches:
@@ -213,7 +220,13 @@ def run_timed(rec: Recorder, run) -> None:
 
 
 def transform(rec: Recorder, seed: int, steps: int):
-    kernel, rules = rec.pkg.kernel, rec.pkg.rules
+    kernel, oracle, rules = rec.pkg.kernel, rec.pkg.oracle, rec.pkg.rules
+
+    def on_step(w, i, step):
+        # The benchmark's per-plan-step connectivity check, looked up per
+        # call so the timer sees it.
+        oracle.process_components(w)
+
     index = 0
     while rec.calls["step"] < steps:
         unit_seed = kernel.derive_seed("step_split", seed, index)
@@ -225,7 +238,7 @@ def transform(rec: Recorder, seed: int, steps: int):
         if not world.run_until(lambda w: w.is_settled(), 20_000).reached:
             continue
         plan = rules.plan_transform(world, target)
-        run_timed(rec, lambda: rules.execute_plan(world, plan))
+        run_timed(rec, lambda: rules.execute_plan(world, plan, on_step=on_step))
         yield world
 
 
@@ -323,7 +336,7 @@ def per_call(rec: Recorder) -> dict[str, tuple[float, int, float]]:
     """Row name -> (seconds, calls, seconds per call; 0 with no calls)."""
     nested = ["timeout"] + sorted(k for k in rec.secs if k.startswith("receive.")) + ["app.deliver", "app.tick"]
     out = {}
-    for name in ["step", "kernel"] + nested + ["settle_poll", *ORACLE_ROWS]:
+    for name in ["step", "kernel"] + nested + ["settle_poll", *ORACLE_ROWS, COMPONENTS_ROW]:
         if name == "kernel":
             secs, calls = rec.secs["step"] - sum(rec.secs[k] for k in nested), rec.calls["step"]
         elif name in rec.calls:
