@@ -252,7 +252,8 @@ class WorldState:
         # Scheduler state, indexed by pid (which is also the rid).
         self._timeouts = _Recurring(self.env_source.heap, _TIMEOUT)
         self._apps = _Recurring(self.env_source.heap, _TICK)
-        # The offender the last `is_settled` found, re-checked before a scan.
+        # The container the last `is_settled` found unsettled, re-checked
+        # before a scan.
         self._unsettled: Optional[tuple] = None
 
     # -- construction ------------------------------------------------------
@@ -440,57 +441,42 @@ class WorldState:
         entries, dead relays, application payloads in transit, teardown
         notifications - must have drained.
 
-        An unsettled answer keeps its first offender as a witness, and the
-        next call re-checks that witness against the live state before it
-        scans: polling every step costs amortized O(1), because a world
-        usually stays unsettled for the same reason from one step to the
-        next.  True only ever comes from a full scan, and False only from
-        an offender that exists now, so edits made outside a step cannot
-        make the answer stale.
+        An unsettled answer keeps the container that broke settledness as
+        a witness: a relay, a layer buffer or the orphans.  The next call
+        re-checks that container, if it is still in the world, with the
+        predicate the scan uses, and scans only when it has settled:
+        polling every step costs amortized O(1), because a world usually
+        stays unsettled for the same reason from one step to the next.
+        True only ever comes from a full scan, and False only from a
+        container that is in the world and unsettled now, so edits made
+        outside a step cannot make the answer stale.
         """
         if self._unsettled is not None:
-            # Inlined, as this runs on nearly every poll: the witness (layer,
-            # relay, envelope) still offends when it is still in the world
-            # and still breaks settledness.
-            layer, relay, env = self._unsettled
+            layer, relay = self._unsettled
             if layer is None:
-                buf = self.orphan_out
-            elif self.layers.get(layer.rid) is not layer:
-                buf = ()
-            elif relay is None:
-                buf = layer.layer_buf
-            elif layer.relays.get(relay.id) is not relay:
-                buf = ()
-            elif env is None:
-                if _relay_unsettled(relay):
+                if not _pings_only(self.orphan_out):
                     return False
-                buf = ()
-            else:
-                buf = relay.buf
-            for e in buf:
-                if e is env:
-                    if _envelope_unsettled(relay, env.message):
+            elif self.layers.get(layer.rid) is layer:
+                if relay is None:
+                    if not _pings_only(layer.layer_buf):
                         return False
-                    break
+                elif layer.relays.get(relay.id) is relay and _relay_unsettled(relay):
+                    return False
         self._unsettled = self._find_offender()
         return self._unsettled is None
 
     def _find_offender(self) -> Optional[tuple]:
-        """The first (layer, relay, envelope) that breaks settledness, with
-        None in the parts that do not apply; None if the world is settled."""
+        """The first container that breaks settledness: (layer, relay), or
+        (layer, None) for a layer buffer, or (None, None) for the orphans;
+        None if the world is settled."""
         for layer in self.layers.values():
             for relay in layer.relays.values():
                 if _relay_unsettled(relay):
-                    return (layer, relay, None)
-                for env in relay.buf:
-                    if _envelope_unsettled(relay, env.message):
-                        return (layer, relay, env)
-            for env in layer.layer_buf:
-                if _envelope_unsettled(None, env.message):
-                    return (layer, None, env)
-        for env in self.orphan_out:
-            if _envelope_unsettled(None, env.message):
-                return (None, None, env)
+                    return (layer, relay)
+            if not _pings_only(layer.layer_buf):
+                return (layer, None)
+        if not _pings_only(self.orphan_out):
+            return (None, None)
         return None
 
     def find_relay(self, relay_id: RelayId) -> Optional[Relay]:
@@ -521,22 +507,28 @@ class WorldState:
 
 
 def _relay_unsettled(relay: Relay) -> bool:
-    # A loop, not `any()` over a generator: this re-checks the witness on
+    """The relay is dead, has an unconfirmed In entry, or holds anything
+    but a control-free probe in its buffer."""
+    # Loops, not `any()` over a generator: this re-checks the witness on
     # nearly every poll.
     if not relay.alive:
         return True
     for e in relay.in_set:
         if e.via is not None:
             return True
+    for env in relay.buf:
+        msg = env.message
+        if not isinstance(msg, Transmit) or not isinstance(msg.action, Probe) or msg.action.control_keys:
+            return True
     return False
 
 
-def _envelope_unsettled(relay: Optional[Relay], msg: Message) -> bool:
-    """A relay buffer may hold control-free probes, a layer buffer or the
-    orphan list (relay None) pings; anything else is transient work."""
-    if relay is None:
-        return not isinstance(msg, Ping)
-    return not isinstance(msg, Transmit) or not isinstance(msg.action, Probe) or bool(msg.action.control_keys)
+def _pings_only(buf: list[Envelope]) -> bool:
+    """A layer buffer or the orphan list may hold pings and nothing else."""
+    for env in buf:
+        if not isinstance(env.message, Ping):
+            return False
+    return True
 
 
 # Canonical JSON text: sorted keys, no spaces.

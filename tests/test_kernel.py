@@ -805,14 +805,14 @@ def full_scan_settled(world) -> bool:
 
 
 def _witness_kind(witness) -> str:
-    layer, relay, env = witness
+    layer, relay = witness
     if layer is None:
         return "orphan"
     if relay is None:
         return "layer_buf"
-    if env is not None:
-        return "relay_buf"
-    return "unconfirmed" if relay.alive else "dead"
+    if not relay.alive:
+        return "dead"
+    return "unconfirmed" if any(not e.confirmed for e in relay.in_set) else "relay_buf"
 
 
 class SettleProbe:
@@ -934,8 +934,9 @@ def _merge_moves_witnessed_envelope(seed):
     ctx = world.ctx(0)
     ctx.send(a, "note", ("x",))
     assert not world.is_settled()
-    _, relay, env = world._unsettled
-    assert relay.id == a.relay_id and env is not None
+    _, relay = world._unsettled
+    assert relay.id == a.relay_id
+    (env,) = [e for e in relay.buf if isinstance(e.message.action, ActionInvocation)]
     merged = world.find_relay(ctx.layer.merge({a, b}).relay_id)
     assert any(e is env for e in merged.buf)
     assert not world.is_settled()
@@ -967,6 +968,44 @@ def test_settle_cases_cover_every_witness_kind_hits_and_scans(monkeypatch):
         SETTLE_RUNS[name](seed)
     assert set(probe.kinds) == {"dead", "unconfirmed", "relay_buf", "layer_buf", "orphan"}
     assert probe.scans > 0 and probe.polls - probe.scans > 0
+
+
+@pytest.mark.parametrize("kind", ["relay_buf", "unconfirmed", "layer_buf"])
+def test_witness_still_unsettled_answers_without_a_scan(monkeypatch, kind):
+    # The witnessed container holds two offenders.  Once the first is gone
+    # it is still unsettled, so the next poll answers False from it alone.
+    world = _settle(random_connected_world(3, 4, 2, 1))
+    layer = world.layers[Rid(1)]
+    relay = world.find_relay(connect_door(world, 1, 0).relay_id)
+    _settle(world)
+    header = Header(next(iter(relay.out_keys)), relay.id, relay.out_id, relay.level)
+    payloads = [Envelope(10**9 + i, Transmit(header, ActionInvocation("note", (i,)))) for i in range(2)]
+    closed = [Envelope(10**9 + i, OutRelayClosed(relay.id), Rid(0)) for i in range(2)]
+    if kind == "unconfirmed":
+        entry = unconfirmed_entry(layer.mint_key(), relay.id)
+        relay.in_set.add(entry)
+        relay.buf.append(payloads[0])
+        clear_first, clear_second = lambda: relay.in_set.discard(entry), lambda: relay.buf.remove(payloads[0])
+    else:
+        buf, (first, second) = (relay.buf, payloads) if kind == "relay_buf" else (layer.layer_buf, closed)
+        buf += [first, second]
+        clear_first, clear_second = lambda: buf.remove(first), lambda: buf.remove(second)
+
+    scans = 0
+    scan = WorldState._find_offender
+
+    def scanned(w):
+        nonlocal scans
+        scans += 1
+        return scan(w)
+
+    monkeypatch.setattr(WorldState, "_find_offender", scanned)
+    assert not world.is_settled() and scans == 1
+    assert _witness_kind(world._unsettled) == kind
+    clear_first()
+    assert not world.is_settled() and scans == 1
+    clear_second()
+    assert world.is_settled() and scans == 2
 
 
 def test_settle_polling_rarely_scans(monkeypatch):

@@ -1,4 +1,5 @@
-"""`tools/step_split.py` on short runs of each shape."""
+"""`tools/step_split.py` on short runs of each shape, the closure shape's
+oracle split included."""
 
 from pathlib import Path
 
@@ -31,7 +32,7 @@ def _blocks(capsys) -> tuple[dict, dict]:
 
 
 WRAPPED = {
-    (kernel.WorldState, "step"), (kernel.WorldState, "run_until"),
+    (kernel.WorldState, "step"), (kernel.WorldState, "run_until"), (kernel.WorldState, "_find_offender"),
     (layer.RelayLayer, "timeout"), (layer.RelayLayer, "receive"),
     (apps.RandomDeliberateApp, "on_tick"), (apps.RandomDeliberateApp, "on_message"),
     (rules.TransformApp, "on_tick"), (rules.TransformApp, "on_message"),
@@ -66,13 +67,17 @@ def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, monke
         assert rows["step"][2] == 100.0
         assert 0 < rows["kernel"][2] < 100.0
         # kernel and the calls nested in step partition step; the settle
-        # poll and the oracle rows, the components check included, run
-        # between steps.
+        # poll, its full scans and the oracle rows, the components check
+        # included, run between steps.
         partition = [pct for name, (_, _, pct) in rows.items()
-                     if name not in ("step", "settle_poll") and not name.startswith("oracle.")]
+                     if name not in ("step", "settle_poll", "settle_scan") and not name.startswith("oracle.")]
         assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
         assert rows["timeout"][0] > 0 and rows["receive.Transmit"][0] > 0
-        assert ("settle_poll" in rows) == (shape == "transform")
+        assert ("settle_poll" in rows) == ("settle_scan" in rows) == (shape == "transform")
+        if shape == "transform":
+            # Every plan step's settling ends in a full scan; most polls
+            # end at their witness.
+            assert 0 < rows["settle_scan"][0] < rows["settle_poll"][0]
         assert ({"oracle.build", "oracle.is_legal", "oracle.explain"} <= rows.keys()) == (shape != "transform")
         # One connectivity check per executed plan step.
         assert ("oracle.components" in rows) == (shape == "transform")
@@ -89,7 +94,7 @@ def test_against_a_checkout_prints_ratios_for_every_row(step_split, capsys):
         if shape != "transform":
             assert set(step_split.ORACLE_ROWS) <= rows.keys()
         else:
-            assert step_split.COMPONENTS_ROW in rows
+            assert {step_split.COMPONENTS_ROW, "settle_poll", "settle_scan"} <= rows.keys()
         for name, (calls, here, there, *ratios) in rows.items():
             assert int(calls) > 0 and float(here) > 0 and float(there) > 0, name
             q1, median, q3 = map(float, ratios)
@@ -124,8 +129,39 @@ def test_against_a_diverging_checkout_exits_1(step_split, monkeypatch, capsys):
     assert "MISMATCH shape=dense_repair unit=0" in capsys.readouterr().out
 
 
+def test_one_seed_prints_its_split_and_the_sum(step_split, capsys):
+    assert step_split.main(["--shapes", "closure", "--seed", "350", "--steps", "50"]) == 0
+    heads, blocks = _blocks(capsys)
+    head, rows = heads["closure"], blocks["closure"]
+    assert head["steps"] == "50" and head["illegal"] == "0"  # every checked closure state is legal
+    pct = {name: float(cells[-1]) for name, cells in rows.items()}
+    assert pct["step"] == 100.0
+    # kernel and the calls nested in step sum to step.
+    partition = [v for name, v in pct.items() if name != "step" and not name.startswith("oracle.")]
+    assert sum(partition) == pytest.approx(100.0, abs=0.1 * len(partition))
+    assert all(float(rows[name][1]) > 0 for name in step_split.ORACLE_ROWS)
+
+
+def test_closure_is_the_default_and_checks_every_step(step_split, capsys):
+    assert "closure" in step_split.SHAPES
+    assert step_split.main(["--seed", "350", "--steps", "20"]) == 0
+    heads, blocks = _blocks(capsys)
+    default = heads["closure"], blocks["closure"]
+    assert step_split.main(["--shapes", "closure", "--seed", "350", "--steps", "20"]) == 0
+    heads, blocks = _blocks(capsys)
+    head, rows = heads["closure"], blocks["closure"]
+    fields = ("steps", "processes", "relays", "inflight", "illegal")
+    assert [default[0][k] for k in fields] == [head[k] for k in fields]
+    # Each check builds two fresh checks: one decides, one explains.
+    calls = {name: int(rows[name][0]) for name in step_split.ORACLE_ROWS}
+    assert calls == {name: int(default[1][name][0]) for name in step_split.ORACLE_ROWS}
+    assert calls == {"oracle.build": 40, "oracle.is_legal": 20, "oracle.explain": 20}
+
+
 @pytest.mark.parametrize("args", [["--steps", "0"], ["--steps", "-3"],
-                                  ["--against", str(ROOT / "tests")]])
+                                  ["--against", str(ROOT / "tests")],
+                                  ["--shapes"], ["--shapes", "closure", "--steps", "0"],
+                                  ["--shapes", "closure", "--steps", "-4"]])
 def test_empty_runs_and_missing_checkouts_are_usage_errors(step_split, capsys, args):
     with pytest.raises(SystemExit) as exit_info:
         step_split.main(args)

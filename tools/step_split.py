@@ -21,6 +21,10 @@ timed:
 - `settle_poll`: one poll of the plan executor's predicate, which
   `rules.execute_plan` hands to `run_until` (transform only).  It runs
   after each step, outside it;
+- `settle_scan`: one full scan for unsettled state
+  (`WorldState._find_offender`), which a poll runs when its witness no
+  longer holds; `calls` is the exact number of full scans (transform
+  only; nested in `settle_poll`);
 - `oracle.components`: one `oracle.process_components` call, the
   connectivity check the transform benchmark runs after each plan step
   through `execute_plan`'s `on_step` hook (transform only; outside the
@@ -176,6 +180,7 @@ class Recorder:
         pkg = self.pkg
         self.wrap_step()
         self.wrap_settle_poll()
+        self.wrap(pkg.kernel.WorldState, "_find_offender", "settle_scan")
         self.wrap(pkg.layer.RelayLayer, "timeout", "timeout")
         self.wrap(pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
         for app in (pkg.apps.RandomDeliberateApp, pkg.rules.TransformApp):
@@ -336,7 +341,7 @@ def per_call(rec: Recorder) -> dict[str, tuple[float, int, float]]:
     """Row name -> (seconds, calls, seconds per call; 0 with no calls)."""
     nested = ["timeout"] + sorted(k for k in rec.secs if k.startswith("receive.")) + ["app.deliver", "app.tick"]
     out = {}
-    for name in ["step", "kernel"] + nested + ["settle_poll", *ORACLE_ROWS, COMPONENTS_ROW]:
+    for name in ["step", "kernel"] + nested + ["settle_poll", "settle_scan", *ORACLE_ROWS, COMPONENTS_ROW]:
         if name == "kernel":
             secs, calls = rec.secs["step"] - sum(rec.secs[k] for k in nested), rec.calls["step"]
         elif name in rec.calls:
