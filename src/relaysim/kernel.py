@@ -385,9 +385,10 @@ class WorldState:
                     del self.layers[key]
                     self._timeouts.set(key, False)
             else:
+                # `_apps` schedules a tick only while its process is enabled:
+                # the `app` setter and `stop()` report every change to it.
                 proc = self.processes[key]
-                if proc.enabled:
-                    proc.app.on_tick(proc)
+                proc.app.on_tick(proc)
             recurring[kind].last[key] = now
             heappush(heap, (now, -kind, -key, 0, key))
             if self.trace is not None:
@@ -408,9 +409,9 @@ class WorldState:
                 target = self.layers.get(relay.out_id.rid)
             else:
                 # A sink hands application invocations to its enabled owner
-                # and drops everything else.
-                target, proc = None, self.processes.get(rid)
-                if isinstance(message, ActionInvocation) and proc is not None and proc.enabled:
+                # (`processes` never drops one) and drops everything else.
+                target, proc = None, self.processes[rid]
+                if isinstance(message, ActionInvocation) and proc.enabled:
                     proc.app.on_message(proc, message, RelayRef(relay.id))
             if target is not None:
                 target.receive(message)

@@ -38,7 +38,6 @@ from .core import (
     RelayParameter,
     Rid,
     Transmit,
-    belongs_to,
     relay_params,
 )
 from .kernel import WorldState
@@ -429,20 +428,19 @@ class WorldCheck:
             return v
         if param.level != target.level + 1 or param.sink_rid != target.sink_rid:
             v.append("C4")
+        # C5 asks only for the target's pending entry for the key, announced
+        # via a relay that sinks where the carrier does.  The target passed
+        # C3, so its own rules settle the rest: the announcer exists (P9) in
+        # the target's layer (P4) and is valid unless dead (P4, propagated),
+        # and the key is the target layer's (P5).
         announced = None
         for e in target.in_set:
             if not e.confirmed and e.key == param.key:
-                via = self.relays.get(e.via)
-                if (
-                    via is not None
-                    and e.via.rid == target.id.rid
-                    and (not via.alive or self.relay_valid(via.id))
-                    and carrier is not None
-                    and via.sink_rid == carrier.sink_rid
-                ):
+                via = self.relays[e.via]
+                if carrier is not None and via.sink_rid == carrier.sink_rid:
                     announced = via
                     break
-        if announced is None or not belongs_to(param.key, target.id.rid):
+        if announced is None:
             v.append("C5")
         rids = set()
         for p in relay_params(message):
@@ -473,9 +471,10 @@ class WorldCheck:
         ]
         if not relevant:
             return True
+        # The caller's target passed C3, so its entry is backed (P9): the
+        # announcer's chain exists and `_no_killer_probe` put every relevant
+        # probe in one of its buffers.
         chain = self._chain_from(announced)
-        if chain is None:
-            return False
         positions = {r.id: i for i, r in enumerate(chain)}
         message_pos = None
         for i, r in enumerate(chain):
@@ -484,10 +483,11 @@ class WorldCheck:
                 break
         for carrier, probe in relevant:
             k = len(probe.key_sequence)
-            if carrier is None or positions.get(carrier) != k - 1:
+            if positions[carrier] != k - 1:
                 return False
+            # At chain index k - 1, the probe's k keys all have a chain relay.
             for j, seq_key in enumerate(probe.key_sequence):
-                if j >= len(chain) or seq_key not in chain[j].out_keys:
+                if seq_key not in chain[j].out_keys:
                     return False
             if message_pos is None or message_pos < k:
                 return False

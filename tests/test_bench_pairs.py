@@ -111,3 +111,23 @@ def test_no_pairs_is_a_usage_error(monkeypatch, capsys):
             bp.main(args + ["--pairs", pairs])
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_each_run_starts_without_bytecode_caches(monkeypatch, tmp_path):
+    bp = _bench_pairs(monkeypatch)
+    seen = []
+
+    def fake_run(args, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], cache, cache.is_dir() and not any(cache.iterdir())))
+        context = {"digest": "d0"}
+        result = {"attempted": 10, "failed": 0, "correct": True, "metrics": {"steps_per_s": {"value": 5.0}}}
+        return bp.subprocess.CompletedProcess(args, 0, stdout=f"{json.dumps(context)}\n{json.dumps(result)}\n")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    runs = [bp.run_once(tmp_path, "transform", 1) for _ in range(2)]
+    assert runs[0] == {"digest": "d0", "attempted": 10, "failed": 0, "correct": True,
+                       "metrics": {"steps_per_s": 5.0}}
+    # Each run gets its own empty cache directory, removed after the run.
+    assert [(cwd, flag, empty) for cwd, flag, _, empty in seen] == [(tmp_path, "1", True)] * 2
+    assert not any(cache.exists() for _, _, cache, _ in seen)

@@ -189,16 +189,32 @@ def _param_violations(world, carrier, param):
     return check.param_violations(carrier, message, param)
 
 
-def _sent_parameter(seed):
+def _sent_parameter(seed, hops=1):
     """A two-process world with one freshly sent parameter: (world, the
-    announcing relay, the parameter's carrier id, the parameter)."""
+    announcing relay, the parameter's carrier id, the parameter).  The
+    announcing relay and the `hops - 1` relays after it on its chain to
+    process 1's door belong to process 0."""
     world = new_world(seed, 2)
-    via = connect_door(world, 0, 1)
+    via = give_door(world, 1)
+    for _ in range(hops):
+        via = connect(world, 0, via.relay_id)
     layer = world.layer_of(0)
     world.ctx(0).send(via, "meet", (layer.new_relay(),))
     carrier, _, param = oracle.WorldCheck(world).params[0]
     assert _param_violations(world, carrier, param) == []
     return world, layer.relays[via.relay_id], carrier, param
+
+
+def _forward(world, carrier, hops):
+    """Deliver the one envelope in `carrier`'s buffer `hops` hops down its
+    chain; returns the id of the relay that then holds it."""
+    for _ in range(hops):
+        relay = world.find_relay(carrier)
+        (env,) = relay.buf
+        relay.buf.clear()
+        carrier = relay.out_id
+        world.layers[carrier.rid].handle_transmit(env.message)
+    return carrier
 
 
 def _resend(world, carrier, params):
@@ -268,8 +284,16 @@ def test_probefail_for_announced_key_rejects_parameter():
     assert _param_violations(world, carrier, param) == ["C3"]
 
 
-def test_probe_hunting_pending_key_off_its_chain_violates_p9():
+@pytest.mark.parametrize("activated", [False, True], ids=["in_transit", "activated"])
+def test_probe_hunting_pending_key_off_its_chain_violates_p9(activated):
     world, via, carrier, param = _sent_parameter(26)
+    if activated:
+        # The door has taken a copy of the announcement too: the relay it
+        # made holds an activation probe, which backs the entry but for the
+        # hunter below.
+        (env,) = via.buf
+        world.layer_of(1).handle_transmit(env.message)
+        assert oracle.WorldCheck(world).relay_violations(param.id) == []
     key = min(via.out_keys)
     # The hunted key is not the probe's first control key, and the probe
     # sits in a layer buffer, off the announcing relay's chain.
@@ -286,6 +310,26 @@ def test_probe_ahead_of_its_announcement_violates_c10():
     world.env_source.emit_buf(via, Transmit(Header(key, via.id, via.out_id, via.level), hunter))
     assert oracle.WorldCheck(world).relay_violations(param.id) == []
     assert _param_violations(world, carrier, param) == ["C10"]
+
+
+@pytest.mark.parametrize(
+    "tail, codes", [((), ["C10"]), ((Key(Rid(0), 0),), ["C10"]), (None, [])], ids=["position", "sequence", "on_chain"]
+)
+def test_probe_off_its_place_behind_its_announcement_violates_c10(tail, codes):
+    # The announcement sits two hops down a chain of three relays and the
+    # door.  A probe hunting its key one hop down trails it only with two
+    # keys along the chain, the middle relay's second (on_chain).  One key
+    # puts it off its position; a second key off the chain, its sequence.
+    world, via, carrier, param = _sent_parameter(39, hops=3)
+    carrier = _forward(world, carrier, 2)
+    middle = world.find_relay(via.out_id)
+    if tail is None:
+        tail = (min(middle.out_keys),)
+    hunter = Probe(frozenset({param.key}), (min(via.out_keys),) + tail)
+    header = Header(min(middle.out_keys), middle.id, middle.out_id, middle.level)
+    world.env_source.emit_buf(middle, Transmit(header, hunter))
+    assert oracle.WorldCheck(world).relay_violations(param.id) == []
+    assert _param_violations(world, carrier, param) == codes
 
 
 def test_in_relay_closed_for_parameter_key_violates_c11():

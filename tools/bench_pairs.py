@@ -17,6 +17,11 @@ run beats every parent run).  Any run whose `digest`, `attempted` or
 that reports `correct: false`.  With `--out`, every run and the summary are
 written to FILE as JSON.
 
+Each run neither reads nor leaves bytecode caches: it starts with
+`PYTHONDONTWRITEBYTECODE=1` and `PYTHONPYCACHEPREFIX` set to a fresh empty
+directory, so a `__pycache__` that one checkout holds and the other lacks
+cannot move `setup_s` or `peak_rss_mb`.
+
 Standard library only.  Quartiles are `statistics.quantiles(..., n=4,
 method="inclusive")`.  Exit status: 0, or 1 when a trajectory mismatch or
 an incorrect run was flagged or a run failed.
@@ -26,9 +31,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 TRAJECTORY = ("digest", "attempted", "failed")
@@ -83,11 +90,14 @@ def summarize(pairs: list, end_to_end: list) -> dict:
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced run of `workload` in `checkout`, reduced to its record."""
-    proc = subprocess.run(
-        [sys.executable, "relaybench/run.py", "--workload", workload, "--seed", str(seed)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    )
+    """One untraced run of `workload` in `checkout`, reduced to its record;
+    the run compiles every module it imports from source."""
+    with tempfile.TemporaryDirectory() as no_cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": no_cache}
+        proc = subprocess.run(
+            [sys.executable, "relaybench/run.py", "--workload", workload, "--seed", str(seed)],
+            cwd=checkout, env=env, capture_output=True, text=True, check=True,
+        )
     context, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
     return {
         "digest": context["digest"],

@@ -18,7 +18,7 @@ timed:
 - `receive.<Type>`: one message delivered to a relay layer, by type;
 - `app.deliver`: one application invocation delivered at a sink;
 - `app.tick`: one application action;
-- `settle_poll`: one poll of the plan executor's predicate, which
+- `settle_poll`: one `WorldState.is_settled` call, the predicate that
   `rules.execute_plan` hands to `run_until` (transform only).  It runs
   after each step, outside it;
 - `settle_scan`: one full scan for unsettled state
@@ -53,18 +53,20 @@ illegal.  The shapes:
 - closure: `random_connected_world(S + i, 3, extra_edges=1, chains=0)`
   for unit i, 10,000 steps each, under `RandomDeliberateApp(max_relays=3)`.
 
-The timers wrap the methods from outside `src/` and put every original
-back afterwards; they only read state, so every trajectory is the
-untimed one.  Host seconds swing with the host: compare the rows of one
-run with each other, and two runs only side by side on one host.
+Every row times one method, which the timers wrap on its class or module
+from outside `src/` and put back afterwards; they only read state, so
+every trajectory is the untimed one.  Host seconds swing with the host:
+compare the rows of one run with each other, and two runs only side by
+side on one host.
 
 With `--against DIR`, the script also imports `DIR/src/relaysim`, a second
 checkout (say, the parent commit), as a package of another name and runs
 every unit under both, alternating which side goes first.  Each row then
-gives both sides' microseconds per call and the quartiles, over the units,
-of this checkout's time per call over DIR's, so both sides see the same
-host minutes.  The exit status is 1 when a unit's final `state_hash`
-differs between the sides.  Standard library only; one process.
+gives both sides' calls and microseconds per call and the quartiles, over
+the units, of this checkout's time per call over DIR's, so both sides see
+the same host minutes.  The exit status is 1 when a unit's final
+`state_hash` differs between the sides.  Standard library only; one
+process.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -84,7 +87,7 @@ from bench_pairs import quartiles  # noqa: E402
 from relaysim import apps, kernel, layer, oracle, rules  # noqa: E402
 
 COLUMNS = ("call", "calls", "us_per_call", "pct_of_step")
-AGAINST_COLUMNS = ("call", "calls", "us_per_call", "against_us", "ratio_q1", "ratio_p50", "ratio_q3")
+AGAINST_COLUMNS = ("call", "calls", "against_calls", "us_per_call", "against_us", "ratio_q1", "ratio_p50", "ratio_q3")
 SHAPES = ("transform", "sparse_large", "dense_repair", "closure")
 SAMPLE_EVERY = 16
 UNIT_STEPS = 3000
@@ -155,23 +158,6 @@ class Recorder:
 
         self._patch(self.pkg.kernel.WorldState, "step", timed)
 
-    def wrap_settle_poll(self) -> None:
-        """Time the predicate every `run_until` call is handed."""
-        original = self.pkg.kernel.WorldState.run_until
-        secs, calls = self.secs, self.calls
-
-        def run_until(world, predicate, max_steps):
-            def poll(w):
-                t0 = perf_counter()
-                try:
-                    return predicate(w)
-                finally:
-                    secs["settle_poll"] += perf_counter() - t0
-                    calls["settle_poll"] += 1
-            return original(world, poll, max_steps)
-
-        self._patch(self.pkg.kernel.WorldState, "run_until", run_until)
-
     def _patch(self, owner, attr: str, replacement) -> None:
         self._patches.append((owner, attr, owner.__dict__.get(attr, _MISSING)))
         setattr(owner, attr, replacement)
@@ -179,7 +165,7 @@ class Recorder:
     def install(self) -> None:
         pkg = self.pkg
         self.wrap_step()
-        self.wrap_settle_poll()
+        self.wrap(pkg.kernel.WorldState, "is_settled", "settle_poll")
         self.wrap(pkg.kernel.WorldState, "_find_offender", "settle_scan")
         self.wrap(pkg.layer.RelayLayer, "timeout", "timeout")
         self.wrap(pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
@@ -297,34 +283,28 @@ def closure(rec: Recorder, seed: int, steps: int):
 UNITS = {"transform": transform, "sparse_large": sparse_large, "dense_repair": dense_repair, "closure": closure}
 
 
-def split(shape: str, seed: int, steps: int) -> Recorder:
-    rec = Recorder()
-    for _ in UNITS[shape](rec, seed, steps):
-        pass
-    return rec
-
-
-def split_against(shape: str, seed: int, steps: int, against: SimpleNamespace) -> tuple:
-    """Run the shape's units alternately here and under `against`.  Returns
-    both sides' recorders, both sides' lists of one recorder per unit, and
-    the indexes of the units whose final state hashes differ."""
-    recs = (Recorder(), Recorder(against))
+def split(shape: str, seed: int, steps: int, against: Optional[SimpleNamespace] = None) -> tuple:
+    """Run the shape's units here and, given `against`, alternately under it
+    too.  Returns each side's recorder, each side's list of one recorder per
+    unit, and the indexes of the units whose final state hashes differ."""
+    recs = (Recorder(),) if against is None else (Recorder(), Recorder(against))
     runs = [UNITS[shape](rec, seed, steps) for rec in recs]
-    units: tuple[list, list] = ([], [])
+    units = tuple([] for _ in recs)
     mismatched = []
     while True:
-        first = len(units[0]) % 2  # even units run here first
-        worlds = [None, None]
-        for side in (first, 1 - first):
+        first = len(units[0]) % len(recs)  # even units run here first
+        worlds = [None] * len(recs)
+        for side in (first, 1 - first)[: len(recs)]:
             before = dict(recs[side].secs), dict(recs[side].calls)
             worlds[side] = next(runs[side], None)
             units[side].append(_delta(recs[side], *before))
-        if worlds[0] is None or worlds[1] is None:
-            if worlds[0] is not worlds[1]:
+        if any(w is None for w in worlds):
+            if any(w is not None for w in worlds):
                 mismatched.append(len(units[0]) - 1)
-            units[0].pop(), units[1].pop()
+            for side_units in units:
+                side_units.pop()
             return recs, units, mismatched
-        if worlds[0].state_hash() != worlds[1].state_hash():
+        if any(w.state_hash() != worlds[0].state_hash() for w in worlds[1:]):
             mismatched.append(len(units[0]) - 1)
 
 
@@ -359,8 +339,9 @@ def rows(rec: Recorder) -> list[list[str]]:
 
 
 def against_rows(recs: tuple, units: tuple) -> list[list[str]]:
-    """One row per call: both sides' us per call, and the quartiles over the
-    units of this side's time per call over the other side's."""
+    """One row per call: both sides' calls and us per call, and the
+    quartiles over the units of this side's time per call over the other
+    side's."""
     here, there = per_call(recs[0]), per_call(recs[1])
     ratios = defaultdict(list)
     for unit_here, unit_there in zip(*units):
@@ -371,8 +352,8 @@ def against_rows(recs: tuple, units: tuple) -> list[list[str]]:
     out = []
     for name, (_, calls, each) in here.items():
         q = [f"{v:.3f}" for v in quartiles(ratios[name])] if ratios[name] else ["-"] * 3
-        other = there.get(name, (0, 0, 0.0))[2]
-        out.append([name, str(calls), f"{each * 1e6:.2f}", f"{other * 1e6:.2f}", *q])
+        _, other_calls, other = there.get(name, (0, 0, 0.0))
+        out.append([name, str(calls), str(other_calls), f"{each * 1e6:.2f}", f"{other * 1e6:.2f}", *q])
     return out
 
 
@@ -390,16 +371,15 @@ def main(argv=None) -> int:
     against = load_package(args.against.resolve()) if args.against is not None else None
     status = 0
     for shape in args.shapes:
+        recs, units, mismatched = split(shape, args.seed, args.steps, against)
+        rec = recs[0]
         if against is None:
-            rec = split(shape, args.seed, args.steps)
             table, head = [list(COLUMNS)] + rows(rec), ""
         else:
-            recs, units, mismatched = split_against(shape, args.seed, args.steps, against)
-            rec = recs[0]
             table, head = [list(AGAINST_COLUMNS)] + against_rows(recs, units), f" units={len(units[0])}"
-            for unit in mismatched:
-                print(f"MISMATCH shape={shape} unit={unit}: the final state hashes differ")
-                status = 1
+        for unit in mismatched:
+            print(f"MISMATCH shape={shape} unit={unit}: the final state hashes differ")
+            status = 1
         n = rec.samples or 1
         procs, relays, inflight = (v / n for v in rec.size)
         print(f"shape={shape} steps={rec.calls['step']}{head} processes={procs:.1f} "
