@@ -6,19 +6,20 @@ by a seeded weakly fair scheduler: a layer timeout, a single message
 delivery (non-FIFO, any buffered message may go next), or one application
 action.  Same seed, same scenario, same state sequence.  The scheduler
 indexes the enabled actions as they change instead of scanning them: a
-forced pick takes the top of one heap of every enabled action, and a
-random pick walks per-layer message counts to the envelope at the drawn
-position.  `WorldState.step` picks and runs the action in one call.  A
-random pick's draw consumes exactly what `rng.randrange(len(actions))`
-would: the same `getrandbits` calls, so the same seed picks the same
-index.  The heap's key is the whole tie-break rule: (birth or last run,
--rank, -rid or -pid, -uid or 0, uid or pid), with the ranks timeout 0,
-tick 1, relay buffer 2, layer buffer 3 and orphan 4; an orphan's is
-(birth, -rank, -uid, 0, uid).  Only this module builds those keys: every
-envelope enters a buffer through `PendingIndex`'s emitters.  After the
-first `fairness_bound` steps a random pick happens only while at most
-`fairness_bound` timeouts and ticks are enabled, and every live layer has
-an enabled timeout, so that walk visits at most `fairness_bound` layers.
+forced pick takes the head of one queue of every enabled action, kept in
+ascending key order, and a random pick walks per-layer message counts to
+the envelope at the drawn position.  `WorldState.step` picks and runs the
+action in one call.  A random pick's draw consumes exactly what
+`rng.randrange(len(actions))` would: the same `getrandbits` calls, so the
+same seed picks the same index.  The queue's key is the whole tie-break
+rule: (birth or last run, -rank, -rid or -pid, -uid or 0, uid or pid),
+with the ranks timeout 0, tick 1, relay buffer 2, layer buffer 3 and
+orphan 4; an orphan's is (birth, -rank, -uid, 0, uid).  Only this module
+builds those keys: every envelope enters a buffer through `PendingIndex`'s
+emitters.  After the first `fairness_bound` steps a random pick happens
+only while at most `fairness_bound` timeouts and ticks are enabled, and
+every live layer has an enabled timeout, so that walk visits at most
+`fairness_bound` layers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import hashlib
 import json
 import random
 from bisect import insort
-from heapq import heappop, heappush
+from collections import deque
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
@@ -132,18 +133,18 @@ class _Recurring:
     application ticks.  Each one's age counts the steps since it last ran.
 
     `order` lists the enabled pids in scheduling order (ascending).  Each
-    enabling here and each run in `WorldState.step` pushes (last run,
-    -rank, -pid, 0, pid) into the world's scheduling `heap`: live while the
+    enabling here and each run in `WorldState.step` files (last run, -rank,
+    -pid, 0, pid) in `new`, the world's `PendingIndex.new`: live while the
     pid is `on` and `last[pid]` is its time.
     """
 
-    __slots__ = ("last", "on", "order", "heap", "rank")
+    __slots__ = ("last", "on", "order", "new", "rank")
 
-    def __init__(self, heap: list, rank: int) -> None:
+    def __init__(self, new: list, rank: int) -> None:
         self.last: list[int] = []  # by pid; 0 until the first run
         self.on: list[bool] = []
         self.order: list[int] = []
-        self.heap = heap
+        self.new = new
         self.rank = rank
 
     def add(self, enabled: bool) -> None:
@@ -157,7 +158,7 @@ class _Recurring:
         self.on[pid] = enabled
         if enabled:
             insort(self.order, pid)
-            heappush(self.heap, (self.last[pid], -self.rank, -pid, 0, pid))
+            self.new.append((self.last[pid], -self.rank, -pid, 0, pid))
         else:
             self.order.remove(pid)
 
@@ -169,19 +170,23 @@ class PendingIndex:
     Every envelope enters a buffer through one of the two emitters below,
     called by the layers for each message they send and by the builder of
     adversarial starts.  An emitter mints the uid from one monotonic counter
-    shared by all layers of a world, files it in `holder`, the heap and
+    shared by all layers of a world, files it in `holder`, `new` and
     `counts`, and appends the envelope to its buffer.  Layers report merge
     moves through `moved`, and the kernel a dead layer's buffer through
     `orphaned`.  Delivery lives in `WorldState.step`: it takes the envelope
     out of its buffer and updates `holder` and `counts` in place.
 
     `holder` maps each pending uid to its relay, or to None in a layer
-    buffer or the orphan list.  `heap` is the world's scheduling heap: an
-    envelope's entry is (birth, -rank, -rid, -uid, uid), an orphan's (birth,
-    -rank, -uid, 0, uid), live while the uid is in `holder`.  The forced
-    pick drops stale entries when they reach the top.  `counts`
-    holds the pending envelopes of each layer, by rid: the random pick
-    walks them to find its layer.  Orphans are the kernel's own list.
+    buffer or the orphan list.  `queue` and `new` hold the world's
+    scheduling entries: an envelope's is (birth, -rank, -rid, -uid, uid),
+    an orphan's (birth, -rank, -uid, 0, uid), live while the uid is in
+    `holder`.  `queue` is in ascending key order.  `new` collects every
+    entry filed since the current step began; it is one list object,
+    shared with both `_Recurring`s, so it is cleared and never rebound.
+    Each step sorts `new` into `queue` when it begins and then drops the
+    stale entries at the head.  `counts` holds the pending envelopes of
+    each layer, by rid: the random pick walks them to find its layer.
+    Orphans are the kernel's own list.
 
     An envelope's birth is the step count of the first `step()` that can
     pick it: the kernel sets `stamp` to that value when a step begins.
@@ -191,7 +196,8 @@ class PendingIndex:
         self._next = 0
         self.stamp = 0
         self.holder: dict[int, Optional[Relay]] = {}
-        self.heap: list = []
+        self.queue: deque = deque()
+        self.new: list = []
         self.counts: list[int] = []  # by rid
 
     def emit_buf(self, relay: Relay, message: Message) -> None:
@@ -200,7 +206,7 @@ class PendingIndex:
         self._next = uid + 1
         self.holder[uid] = relay
         rid = relay.id.rid
-        heappush(self.heap, (self.stamp, -_RELAY, -rid, -uid, uid))
+        self.new.append((self.stamp, -_RELAY, -rid, -uid, uid))
         self.counts[rid] += 1
         relay.buf.append(Envelope(uid, message))
 
@@ -211,7 +217,7 @@ class PendingIndex:
         self._next = uid + 1
         self.holder[uid] = None
         rid = layer.rid
-        heappush(self.heap, (self.stamp, -_LAYER, -rid, -uid, uid))
+        self.new.append((self.stamp, -_LAYER, -rid, -uid, uid))
         self.counts[rid] += 1
         layer.layer_buf.append(Envelope(uid, message, target))
 
@@ -228,9 +234,9 @@ class PendingIndex:
         self.counts[rid] -= len(moving)
         # Once per dead layer: the births are read back from the layer-buffer
         # entries, which stay live behind the new ones (same birth, lower rank).
-        for entry in [e for e in self.heap if e[1] == -_LAYER and e[-1] in moving]:
-            uid = entry[-1]
-            heappush(self.heap, (entry[0], -_ORPHAN, -uid, 0, uid))
+        self.new.extend([(e[0], -_ORPHAN, -e[-1], 0, e[-1])
+                         for entries in (self.queue, self.new) for e in entries
+                         if e[1] == -_LAYER and e[-1] in moving])
 
 
 class RunResult(NamedTuple):
@@ -250,8 +256,8 @@ class WorldState:
         self.step_count = 0
         self.trace: Optional[list] = None
         # Scheduler state, indexed by pid (which is also the rid).
-        self._timeouts = _Recurring(self.env_source.heap, _TIMEOUT)
-        self._apps = _Recurring(self.env_source.heap, _TICK)
+        self._timeouts = _Recurring(self.env_source.new, _TIMEOUT)
+        self._apps = _Recurring(self.env_source.new, _TICK)
         # The container the last `is_settled` found unsettled, re-checked
         # before a scan.
         self._unsettled: Optional[tuple] = None
@@ -283,30 +289,51 @@ class WorldState:
     # or application's age counts the steps since it last ran (since step 0
     # if never); a message's age counts the steps since its birth.  When the
     # oldest age exceeds `fairness_bound` (always, for a bound of -1: round
-    # robin), the step runs the top of the scheduling heap: the oldest
+    # robin), the step runs the head of the scheduling queue: the oldest
     # action with the highest sort key.  Otherwise it runs the action at
     # `rng.randrange(len(actions))`, drawn from the same bits.  The indexes
     # below keep each kind in this order as it changes, so `step` never
     # builds the list.  `step` picks and runs the action in one frame, with
-    # no action record in between: a forced pick pops the heap top and finds
-    # its envelope by uid, a random pick walks to the drawn position and pops
-    # the envelope there.  A timeout or tick records its run (`last` and a
-    # heap entry) where it runs.
+    # no action record in between: a forced pick pops the queue's head and
+    # finds its envelope by uid, a random pick walks to the drawn position
+    # and pops the envelope there.  A timeout or tick records its run
+    # (`last` and an entry in `new`) where it runs.
+    #
+    # A step begins by merging `new`, sorted, into the queue: a plain
+    # `extend` unless the batch starts below the queue's tail.  The queue
+    # holds what was filed before the previous step began: messages born
+    # at now - 1 or earlier and runs before now - 1.  Since then come
+    # messages born at now and the previous step's run, re-entered at
+    # now - 1 with rank 0 or 1, which sorts after every message born at
+    # now - 1.  Only older births are inserted in place: never-run actions
+    # (last run 0) that tie with step 0's run or join mid-run, a re-enabled
+    # tick, and orphaned layer-buffer envelopes.
 
     def step(self) -> None:
         now = self.step_count
         pending = self.env_source
         pending.stamp = now + 1
-        heap, holder = pending.heap, pending.holder
+        queue, new, holder = pending.queue, pending.new, pending.holder
+        if new:
+            new.sort()
+            if queue and new[0] < queue[-1]:
+                for entry in new:
+                    if entry < queue[-1]:
+                        insort(queue, entry)
+                    else:
+                        queue.append(entry)
+            else:
+                queue.extend(new)
+            new.clear()
         recurring = (self._timeouts, self._apps)  # by kind
-        while heap:
-            oldest, rank, neg_id, _, key = heap[0]
+        while queue:
+            oldest, rank, neg_id, _, key = queue[0]
             if rank <= -_RELAY:
                 if key in holder:
                     break
             elif recurring[-rank].on[key] and recurring[-rank].last[key] == oldest:
                 break
-            heappop(heap)  # delivered, disabled or run since
+            queue.popleft()  # delivered, disabled or run since
         else:
             self.step_count = now + 1
             return
@@ -316,7 +343,7 @@ class WorldState:
         # the rid of the layer holding it (orphans: none).
         kind = -rank
         if now - oldest > self.fairness_bound:
-            heappop(heap)  # the top runs: its entry is stale after this step
+            queue.popleft()  # the head runs: its entry is stale after this step
             if kind >= _RELAY:
                 if kind == _RELAY:
                     rid, buf = -neg_id, holder[key].buf
@@ -390,7 +417,7 @@ class WorldState:
                 proc = self.processes[key]
                 proc.app.on_tick(proc)
             recurring[kind].last[key] = now
-            heappush(heap, (now, -kind, -key, 0, key))
+            new.append((now, -kind, -key, 0, key))
             if self.trace is not None:
                 self._trace(_KINDS[kind], key)
         else:

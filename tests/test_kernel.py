@@ -3,12 +3,12 @@
 import copy
 import pickle
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
 
-from relaysim import oracle, rules
+from relaysim import kernel, oracle, rules
 from relaysim.apps import RandomDeliberateApp
 from relaysim.core import (
     ActionInvocation,
@@ -483,13 +483,20 @@ def _indexed_age(world, action) -> int:
     elif kind == "app":
         last = world._apps.last[action[1]]
     else:
-        last = min(e[0] for e in world.env_source.heap if e[1] <= -_RELAY and e[-1] == action[-1])
+        last = min(e[0] for e in _scheduled(world) if e[1] <= -_RELAY and e[-1] == action[-1])
     return world.step_count - last
 
 
-def _heap_top(world):
-    """The action whose entry is the smallest live one in the kernel's
-    scheduling heap, decoded by kind rank; None when no entry is live."""
+def _scheduled(world) -> list:
+    """Every scheduling entry: the queue's and those in `new`, which the
+    next step merges into it."""
+    return [*world.env_source.queue, *world.env_source.new]
+
+
+def _queue_head(world):
+    """The action whose entry is the smallest live one among the kernel's
+    scheduling entries, which the next step finds at the queue's head,
+    decoded by kind rank; None when no entry is live."""
     holder, recurring = world.env_source.holder, (world._timeouts, world._apps)
 
     def live(entry):
@@ -498,7 +505,7 @@ def _heap_top(world):
         kind = recurring[-entry[1]]
         return kind.on[entry[-1]] and kind.last[entry[-1]] == entry[0]
 
-    entries = [e for e in world.env_source.heap if live(e)]
+    entries = [e for e in _scheduled(world) if live(e)]
     if not entries:
         return None
     _, rank, neg_id, _, key = min(entries)
@@ -672,7 +679,9 @@ def test_incremental_scheduler_matches_full_scan(name, seed):
             assert [_indexed_age(world, a) for a in actions] == [reference.action_age(a) for a in actions]
             ages = [reference.action_age(a) for a in actions]
             oldest = [a for a, age in zip(actions, ages) if age == max(ages)]
-            assert _heap_top(world) == max(oldest, key=_reference_sort_key, default=None), f"step {i}"
+            assert _queue_head(world) == max(oldest, key=_reference_sort_key, default=None), f"step {i}"
+            queue = list(world.env_source.queue)
+            assert queue == sorted(queue), f"step {i}"
             # `holder` maps exactly the buffered envelopes, orphans included,
             # which is what the random pick's in-layer total rests on.
             buffered = {env.uid: None for env in world.orphan_out}
@@ -700,11 +709,22 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
     tied = []
     sort_key = _reference_sort_key
     monkeypatch.setitem(globals(), "_reference_sort_key", lambda a: tied.append(a[0]) or sort_key(a))
-    ties = Counter()
+    # A step inserts an entry into the queue only when it sorts below the
+    # queue's tail; every other entry is appended.
+    inserted, insort = [], kernel.insort
+
+    def recording_insort(entries, entry):
+        if isinstance(entries, deque):  # the queue, not a `_Recurring.order`
+            inserted.append(entry)
+        insort(entries, entry)
+
+    monkeypatch.setattr(kernel, "insort", recording_insort)
+    ties, sources = Counter(), Counter()
     forced = random_picks = orphans = 0
     for name, seed in CASES:
         build, steps, between = LOCKSTEP[name]
         world = build(seed)
+        initial = len(world.processes)
         reference = FullScanScheduler(world, check=False)  # the lock-step cases check these runs
         for i in range(steps):
             if between:
@@ -713,6 +733,16 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
             orphans += action is not None and action[0] == "orphan"
             ties.update(combinations(sorted(set(tied)), 2))
             tied.clear()
+            for birth, rank, _, _, key in inserted:
+                if i == 1:
+                    sources["step_0_tie"] += birth == 0 and rank >= -_TICK
+                elif rank == -_ORPHAN:
+                    sources["orphan", name] += 1
+                elif rank >= -_TICK and key >= initial:
+                    sources["added", name] += birth == 0
+                elif rank == -_TICK:
+                    sources["re-enabled", name] += birth > 0
+            inserted.clear()
         forced += reference.forced
         random_picks += reference.random
     assert forced > 1000 and random_picks > 1000
@@ -720,6 +750,12 @@ def test_lockstep_cases_cover_both_pick_paths_orphans_and_merges(monkeypatch):
     # Forced picks whose oldest set spans two kinds, for every pair of kinds.
     kinds = ("app", "layer", "orphan", "relay", "timeout")
     assert set(ties) == set(combinations(kinds, 2)), ties
+    # Entries filed below the queue's tail, from each source of old births:
+    # step 0's run tying with the never-run actions, processes added
+    # mid-run, a tick re-enabled with its last run and orphaned envelopes.
+    wanted = ["step_0_tie", ("added", "add_processes"), ("re-enabled", "outside_changes"),
+              ("orphan", "shutdown"), ("orphan", "shutdown_tight")]
+    assert all(sources[source] > 0 for source in wanted), sources
 
 
 # -- give_door -------------------------------------------------------------------

@@ -63,6 +63,7 @@ def test_each_shape_prints_its_split_and_puts_the_methods_back(step_split, monke
         head = heads[shape]
         assert int(head["steps"]) >= 1000
         assert all(float(head[k]) > 0 for k in ("processes", "relays", "inflight"))
+        assert 0 <= float(head["forced"]) <= 1
         assert rows["step"][0] == rows["kernel"][0] == int(head["steps"])
         assert rows["step"][2] == 100.0
         assert 0 < rows["kernel"][2] < 100.0
@@ -95,11 +96,18 @@ def test_against_a_checkout_prints_ratios_for_every_row(step_split, capsys):
             assert set(step_split.ORACLE_ROWS) <= rows.keys()
         else:
             assert {step_split.COMPONENTS_ROW, "settle_poll", "settle_scan"} <= rows.keys()
-        # Both sides run the same code, so each row counts the same calls.
+        # Both sides run the same code, so each row counts the same calls
+        # and the same sampled steps are forced.
         for name, (calls, against_calls, here, there, *ratios) in rows.items():
             assert int(calls) == int(against_calls) > 0 and float(here) > 0 and float(there) > 0, name
             q1, median, q3 = map(float, ratios)
             assert 0 < q1 <= median <= q3, name
+        assert heads[shape]["forced"] == heads[shape]["against_forced"]
+    # 512 timeouts and ticks overdue by a bound of 64 force nearly every
+    # sparse_large pick; a 3-process closure world's actions reach that age
+    # far less often (0.113 of the sampled steps here).
+    assert float(heads["sparse_large"]["forced"]) > 0.9
+    assert float(heads["closure"]["forced"]) < 0.5
 
 
 @pytest.mark.parametrize("shape, steps, checks", [("dense_repair", 120, 2), ("sparse_large", 1000, 1)])

@@ -10,9 +10,10 @@ timed:
 - `step`: one `WorldState.step`, the rows from `kernel` to `app.tick`
   included;
 - `kernel`: `step` less every wrapped call nested in it: the pick, the
-  dispatch, the buffer removal, the holder and count updates, the heap
-  push and the trace check.  It reads no kernel method but `step`, so it
-  means the same in a checkout that splits its step into other methods.
+  dispatch, the buffer removal, the holder and count updates, the queue
+  merge and append, and the trace check.  It reads no kernel method but
+  `step`, so it means the same in a checkout that splits its step into
+  other methods.
   An emission counts in the row of the call that makes it;
 - `timeout`: one run of the repair loop (`RelayLayer.timeout`);
 - `receive.<Type>`: one message delivered to a relay layer, by type;
@@ -39,8 +40,10 @@ timed:
 Each row gives the calls, the mean microseconds per call and the summed
 time as a share of the summed `step` time.  A header line per shape gives
 the mean world size over the timed steps: processes, relays and messages
-in flight, sampled every 16 steps, and how many checked states were
-illegal.  The shapes:
+in flight, sampled every 16 steps; `forced`, the share of those sampled
+steps whose pick drew no bits from `world.rng` (a forced pick, read from
+the rng state before and after the step, outside the timed span, so it
+reads no scheduler structure); and how many checked states were illegal.  The shapes:
 
 - transform: random 6-8 process multigraph pairs, each source realized and
   settled, then the plan to its target executed with the connectivity
@@ -121,6 +124,7 @@ class Recorder:
         self.calls: dict[str, int] = defaultdict(int)
         self.size = [0, 0, 0]
         self.samples = 0
+        self.forced = 0
         self.illegal = 0
         self._patches: list = []
 
@@ -142,16 +146,21 @@ class Recorder:
         self._patch(owner, attr, timed)
 
     def wrap_step(self) -> None:
-        """Time `WorldState.step` and sample the world's size."""
+        """Time `WorldState.step`, and sample the world's size and whether
+        the step's pick was forced."""
         original = self.pkg.kernel.WorldState.step
         secs, calls, size = self.secs, self.calls, self.size
 
         def timed(world):
+            sampled = (calls["step"] + 1) % SAMPLE_EVERY == 0
+            if sampled:
+                state = world.rng.getstate()
             t0 = perf_counter()
             original(world)
             secs["step"] += perf_counter() - t0
             calls["step"] += 1
-            if calls["step"] % SAMPLE_EVERY == 0:
+            if sampled:
+                self.forced += world.rng.getstate() == state
                 for i, v in enumerate(world_size(world)):
                     size[i] += v
                 self.samples += 1
@@ -373,10 +382,12 @@ def main(argv=None) -> int:
     for shape in args.shapes:
         recs, units, mismatched = split(shape, args.seed, args.steps, against)
         rec = recs[0]
+        forced = [f"{r.forced / (r.samples or 1):.3f}" for r in recs]
         if against is None:
-            table, head = [list(COLUMNS)] + rows(rec), ""
+            table, head = [list(COLUMNS)] + rows(rec), f" forced={forced[0]}"
         else:
-            table, head = [list(AGAINST_COLUMNS)] + against_rows(recs, units), f" units={len(units[0])}"
+            table = [list(AGAINST_COLUMNS)] + against_rows(recs, units)
+            head = f" units={len(units[0])} forced={forced[0]} against_forced={forced[1]}"
         for unit in mismatched:
             print(f"MISMATCH shape={shape} unit={unit}: the final state hashes differ")
             status = 1
