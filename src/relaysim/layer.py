@@ -404,9 +404,11 @@ class RelayLayer:
     # -- in/out relay closed --------------------------------------------------------
 
     def handle_inrelayclosed(self, keys: frozenset, sender_rid: Rid, target_id: RelayId) -> None:
-        for r in self.relays.values():
-            gone = {e for e in r.in_set if e.confirmed and e.key in keys}
-            r.in_set -= gone
+        # The sender revokes only what it holds: its confirmed entries in
+        # the relay it names.
+        relay = self.relays.get(target_id)
+        if relay is not None:
+            relay.in_set -= {e for e in relay.in_set if e.from_rid == sender_rid and e.key in keys}
 
     def handle_outrelayclosed(self, id: RelayId) -> None:
         for relay in self.relays.values():
@@ -422,37 +424,33 @@ class RelayLayer:
         """Periodically executed self-repair; guard is always true."""
         # One snapshot of the relay table per call: In-key multiplicity
         # (duplicated In keys are purged everywhere), the unconfirmed entries
-        # announced via each relay, and the holders of each out-key.  The
-        # loop only removes In entries and out-keys, never adds them, so a
-        # lookup that re-checks membership reads the current table, a relay
+        # announced via each relay, and whether any out-key has two holders.
+        # The loop only removes In entries and out-keys, never adds them, so
+        # a lookup that re-checks membership reads the current table, a relay
         # whose In set is empty at its turn has nothing to purge or ping, and
-        # a key with one holder in the snapshot cannot collide: when no key
-        # has two (`shared` false, the common case), no relay is scanned for
-        # collisions.
+        # when no out-key has two holders (`shared` false, the common case)
+        # none can collide and a collected tombstone closes all its keys, so
+        # the table is scanned for neither.
         table, rid, owner_alive, pending = self.relays, self.rid, self.owner_alive, self.env_source
         key_count: dict[Key, int] = {}
         announced: dict[RelayId, list] = {}  # via id -> [(holder, entry)]
-        holders: dict[Key, list] = {}
+        distinct: set = set()  # every out-key held
         out_total = 0
         for r in table.values():
             for e in r.in_set:
                 key_count[e.key] = key_count.get(e.key, 0) + 1
                 if e.via is not None:
                     announced.setdefault(e.via, []).append((r, e))
-            out_keys = r.out_keys
-            out_total += len(out_keys)
-            for k in out_keys:
-                holders.setdefault(k, []).append(r)
-        shared = out_total > len(holders)
+            out_total += len(r.out_keys)
+            distinct.update(r.out_keys)
+        shared = out_total > len(distinct)
 
-        # Each relay is tested once for being steady: alive, its owner
-        # running, no announcement pending via it, and either a sink or a
-        # holder of an out-key.  A steady relay takes none of the recovery
-        # branches (the `in_buf` set, the keyless purge, `pending_via`,
-        # collection, the stopped-owner delete and `controls`), since each of
-        # them needs one of those four to fail.  Any relay without out-keys
-        # at the collision check (every sink, among others) leaves there: it
-        # has no key to collide on or to probe over.
+        # Each recovery branch is guarded by its own trigger: announcements
+        # via the relay (`via_me`), a keyless non-sink, and a dead relay or
+        # a stopped owner.  Almost every relay of a settling world has none
+        # of them.  Any relay without out-keys at the collision check (every
+        # sink, among others) leaves there: it has no key to collide on or
+        # to probe over.
         for relay in list(table.values()):
             relay_id, out_id = relay.id, relay.out_id
             if out_id is None:
@@ -464,22 +462,20 @@ class RelayLayer:
                 if level < 1:
                     relay.level = level = 1
             out_keys = relay.out_keys
-            steady = (out_id is None or out_keys) and relay.alive and owner_alive and relay_id not in announced
-            if not steady:
-                via_me = announced.get(relay_id, ())
-                # Announcements via this relay whose announcing message still
-                # sits in its buffer (`in_buf`) are neither purged nor probed
-                # for: the far side confirms them on delivery.
-                in_buf = buffered_param_keys(relay.buf) if via_me else ()
-                if out_id is not None and not out_keys:
-                    # Keyless non-sink: the outgoing link is unusable, exactly
-                    # the exhaustion case of the not-authorized handler, so
-                    # announcements via this relay can never be probed again.
-                    for holder, e in via_me:
-                        if e.key not in in_buf:
-                            holder.in_set.discard(e)
-                    if relay.alive:
-                        self._delete(relay)
+            via_me = announced.get(relay_id, ())
+            # Announcements via this relay whose announcing message still
+            # sits in its buffer (`in_buf`) are neither purged nor probed
+            # for: the far side confirms them on delivery.
+            in_buf = buffered_param_keys(relay.buf) if via_me else ()
+            if out_id is not None and not out_keys:
+                # Keyless non-sink: the outgoing link is unusable, exactly
+                # the exhaustion case of the not-authorized handler, so
+                # announcements via this relay can never be probed again.
+                for holder, e in via_me:
+                    if e.key not in in_buf:
+                        holder.in_set.discard(e)
+                if relay.alive:
+                    self._delete(relay)
             if relay.in_set:
                 # One pass: drop duplicated, foreign and dangling entries,
                 # and ping every confirmed sender in key order (confirmed
@@ -498,8 +494,8 @@ class RelayLayer:
                 sink_rid = relay.sink_rid
                 for e in confirmed:
                     pending.emit_control(self, e.from_rid, make(Ping, (relay_id, level, sink_rid, e.key)))
-            if not steady:
-                pending_via = bool(via_me) and any(e in holder.in_set for holder, e in via_me)
+            if not relay.alive or not owner_alive:
+                pending_via = any(e in holder.in_set for holder, e in via_me)
                 if not relay.alive and not pending_via and not relay.buf:
                     # Removal waits for the buffer: a deleted relay keeps
                     # delivering what was already sent through it.
@@ -511,9 +507,9 @@ class RelayLayer:
                     # that lost an out-key collision, or comes from a corrupted
                     # start, must not revoke it (`merge` leaves its originals
                     # keyless).
-                    closed = frozenset(
-                        k for k in out_keys if not any(o.alive and k in o.out_keys for o in holders[k])
-                    )
+                    closed = frozenset(out_keys)
+                    if shared:
+                        closed = closed.difference(*(o.out_keys for o in table.values() if o.alive))
                     if closed:
                         pending.emit_control(self, out_id.rid, InRelayClosed(closed, rid, out_id))
                     # The collected relay leaves the table, and with it the
@@ -521,13 +517,8 @@ class RelayLayer:
                     relay.in_set.clear()
                     del table[relay_id]
                     continue
-                if (
-                    not owner_alive
-                    and relay.alive
-                    and not relay.in_set
-                    and not relay.buf
-                    and not pending_via
-                ):
+                if relay.alive and not relay.in_set and not relay.buf and not pending_via:
+                    # An alive relay here has a stopped owner.
                     self._delete(relay)
             if not out_keys:
                 continue
@@ -535,15 +526,11 @@ class RelayLayer:
                 # Out-key collisions are resolved between alive relays only;
                 # a tombstone still holding an alive relay's key is the loser
                 # of an earlier collision, or comes from a corrupted start.
-                for k in out_keys:
-                    others = holders[k]
-                    if len(others) > 1 and any(o.alive and o.id > relay_id and k in o.out_keys for o in others):
-                        self._delete(relay)
-                        break
-            # `via_me` and `in_buf` exist only off the steady path.
+                if any(o.alive and o.id > relay_id and not out_keys.isdisjoint(o.out_keys) for o in table.values()):
+                    self._delete(relay)
             controls = (
                 frozenset(e.key for holder, e in via_me if e.key not in in_buf and e in holder.in_set)
-                if not steady and via_me else _NO_CONTROLS
+                if via_me else _NO_CONTROLS
             )
             # Alive relays probe while their owner lives or keys may still
             # arrive.  A dead relay probes only while announcements made via

@@ -671,6 +671,35 @@ def test_in_relay_closed_removes_confirmed_entry():
     assert not door.in_set
 
 
+@pytest.mark.parametrize("named", ["another sender", "another relay"])
+def test_in_relay_closed_spares_an_entry_it_does_not_name(named):
+    # Door's entry is confirmed from layer 0; the message names another
+    # sender or another relay, so it revokes nothing of the door.
+    world = make_world(3)
+    layer = world.layer_of(1)
+    door = layer.relays[give_door(world, 1).relay_id]
+    connect(world, 0, door.id)
+    entry = next(iter(door.in_set))
+    sender, target = (Rid(2), door.id) if named == "another sender" else (Rid(0), layer.new_relay().relay_id)
+    layer.handle_inrelayclosed(frozenset({entry.key}), sender, target)
+    assert door.in_set == {entry}
+
+
+def test_forged_in_relay_closed_keeps_a_legal_world_legal():
+    # Closure: a legal world with an InRelayClosed in flight from a layer
+    # that holds no key of the relay it names stays legal.
+    world = make_world(3)
+    door = give_door(world, 1)
+    connect(world, 0, door.relay_id)
+    key = next(iter(world.find_relay(door.relay_id).in_set)).key
+    layer = world.layer_of(2)
+    layer.env_source.emit_control(layer, Rid(1), InRelayClosed(frozenset({key}), Rid(2), door.relay_id))
+    assert oracle.is_legal(world)
+    for _ in range(2000):
+        world.step()
+        assert oracle.is_legal(world)
+
+
 def test_in_relay_closed_spares_unconfirmed_entries():
     world = make_world(2)
     layer = world.layer_of(0)
@@ -885,8 +914,10 @@ class RescanningLayer(RelayLayer):
     """The relay layer before its repair loop took one snapshot per call,
     kept as the reference.  `timeout` rescans the relay table for every
     relay, `_forward` tests each control key against the buffer and
-    `handle_inrelayclosed` scans the relays once per key.  The method bodies
-    are copied unchanged, but for the emitter calls."""
+    `handle_inrelayclosed` scans the In set of the relay it names once per
+    key.  The method bodies are copied unchanged, but for the emitter calls
+    and for `handle_inrelayclosed` revoking only the sender's entries in
+    that relay, as the layer's own handler does."""
 
     def _forward(self, relay: Relay, m: Transmit) -> None:
         if not relay.out_keys:
@@ -903,10 +934,11 @@ class RescanningLayer(RelayLayer):
         self.env_source.emit_buf(relay, Transmit(Header(new_key, relay.id, relay.out_id, relay.level), action))
 
     def handle_inrelayclosed(self, keys, sender_rid, target_id) -> None:
+        relay = self.relays.get(target_id)
         for key in sorted(keys):
-            for r in self.relays.values():
-                gone = {e for e in r.in_set if e.confirmed and e.key == key}
-                r.in_set -= gone
+            if relay is not None:
+                gone = {e for e in relay.in_set if e.confirmed and e.from_rid == sender_rid and e.key == key}
+                relay.in_set -= gone
 
     def timeout(self) -> None:
         """Periodically executed self-repair; guard is always true."""
@@ -1118,18 +1150,19 @@ def test_repair_runs_cover_purge_collision_collection_and_dead_probes(monkeypatc
             if e.via in keyless and count[e.key] == 1 and belongs_to(e.key, layer.rid)
         ]
         may_collide = [r for r in layer.relays.values() if r.alive and r.out_keys and r.out_id is not None]
-        # The steady test, per relay: each trigger that keeps a relay off
-        # the steady path counts on its own.
+        # The triggers that guard the recovery branches, per relay: an
+        # announcement via it, a keyless non-sink, and a dead relay or a
+        # stopped owner (counted apart).  Each counts on its own.
         via = {e.via for r in layer.relays.values() for e in r.in_set if e.via is not None}
         for r in layer.relays.values():
             triggers = [name for name, hit in (
-                ("off steady: announcement via it", r.id in via),
-                ("off steady: stopped owner", not layer.owner_alive),
-                ("off steady: dead", not r.alive),
-                ("off steady: keyless non-sink", r.out_id is not None and not r.out_keys),
+                ("trigger: announcement via it", r.id in via),
+                ("trigger: keyless non-sink", r.out_id is not None and not r.out_keys),
+                ("trigger: dead", not r.alive),
+                ("trigger: stopped owner", not layer.owner_alive),
             ) if hit]
             seen.update(triggers)
-            seen["steady"] += not triggers
+            seen["no trigger"] += not triggers
         sent, first_uid = len(layer.layer_buf), layer.env_source._next
         timeout(layer)
         # An entry of an alive holder, neither duplicated nor foreign, can
@@ -1159,9 +1192,9 @@ def test_repair_runs_cover_purge_collision_collection_and_dead_probes(monkeypatc
             between(world, i)
             world.step()
     assert min(seen[k] for k in ("keyless purge", "collision delete", "collected with InRelayClosed",
-                                 "dead relay probes with controls", "merge", "steady",
-                                 "off steady: announcement via it", "off steady: stopped owner",
-                                 "off steady: dead", "off steady: keyless non-sink")) > 0, seen
+                                 "dead relay probes with controls", "merge", "no trigger",
+                                 "trigger: announcement via it", "trigger: keyless non-sink",
+                                 "trigger: dead", "trigger: stopped owner")) > 0, seen
 
 
 def test_collected_relay_stops_counting_its_announcements():

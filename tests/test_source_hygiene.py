@@ -1,10 +1,13 @@
 """Dead names and import boundaries in the package.
 
-Dead names are imports nobody reads and locals nobody reads.  The checks
+Dead names are imports, locals and parameters nobody reads.  The checks
 read the source with `ast` only.  `__init__.py` is exempt from the import
 check, since its imports are the package's re-exports, and so is
-`from __future__`.  A local whose name starts with `_` is unread on purpose,
-as in `_, x = pair`.
+`from __future__`.  A local or parameter whose name starts with `_` is
+unread on purpose, as in `_, x = pair`.  So are `self` and `cls`, and the
+parameters of callbacks whose signature the caller fixes: the application
+hooks `on_tick` and `on_message`, the suites' `on_step` and `summarise`,
+and lambdas.
 
 The boundaries: `core` imports nothing from the package, `layer` imports
 only `core` at run time, and protocol code (`kernel`, `layer`, `departure`,
@@ -21,6 +24,7 @@ PACKAGE = "relaysim"
 SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_CALLBACKS = {"on_tick", "on_message", "on_step", "summarise"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -103,6 +107,20 @@ def unread_locals(name: str) -> list:
     return found
 
 
+def unread_params(tree: ast.Module) -> list:
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name not in _CALLBACKS:
+            a = func.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            reads = _reads(func)
+            found += [
+                f"{func.name}:{n}" for n in params
+                if n not in reads and n not in ("self", "cls") and not n.startswith("_")
+            ]
+    return found
+
+
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__.py"])
 def test_every_import_is_read(module):
     assert unread_imports(module) == []
@@ -111,6 +129,11 @@ def test_every_import_is_read(module):
 @pytest.mark.parametrize("module", MODULES)
 def test_no_function_binds_a_local_it_never_reads(module):
     assert unread_locals(module) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_parameter_it_never_reads(module):
+    assert unread_params(_tree(module)) == []
 
 
 def test_the_checks_see_what_they_look_for():
@@ -127,6 +150,14 @@ def test_the_checks_see_what_they_look_for():
     tree = ast.parse(source)
     assert sorted(_own_stores(tree.body[2]) - _reads(tree.body[2])) == ["_spare", "dead", "idx"]
     assert "os" not in _reads(tree) and "Optional" in _reads(tree)
+    params = ast.parse(
+        "class C:\n"
+        "    def m(self, used, unused, _spare, *rest, key=None, **extra):\n"
+        "        return lambda ignored: used + key\n"
+        "    def on_tick(self, ctx):\n"
+        "        pass\n"
+    )
+    assert unread_params(params) == ["m:unused", "m:rest", "m:extra"]
 
 
 def test_core_imports_nothing_from_the_package():
