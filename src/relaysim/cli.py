@@ -172,19 +172,16 @@ def run_scenario(path: str, trace_path: str = None, dot_every: int = 0, dot_dir:
 
     if trace_path:
         world.trace = []
-    frames = 0
 
-    steps = 0
-    reached = predicate(world)
-    while not reached and steps < budget:
-        world.step()
-        steps += 1
-        if dot_every and steps % dot_every == 0:
-            frame = Path(dot_dir) / f"frame_{frames:05d}.dot"
-            frame.write_text(oracle.to_dot(world))
-            frames += 1
-        reached = predicate(world)
+    def watched(w: WorldState) -> bool:
+        # run_until asks before each step and once after the budget: the
+        # points where a frame is due.  A scenario's world starts at step 0.
+        k = w.step_count
+        if dot_every and k and k % dot_every == 0:
+            (Path(dot_dir) / f"frame_{k // dot_every - 1:05d}.dot").write_text(oracle.to_dot(w))
+        return predicate(w)
 
+    steps, reached = world.run_until(watched, budget)
     check = oracle.WorldCheck(world)
     legal = check.is_legal()
     cycle_free = check.valid_graph_cycle_free()

@@ -636,6 +636,27 @@ def fig_triangle(seed: int = 0) -> WorldState:
     return world
 
 
+def _wired_world(seed: int, n: int, rng: random.Random, edges: int) -> tuple[WorldState, dict]:
+    """A world of `n` processes, each with its door, and `edges` draws of
+    door connections: a spanning tree over pids 1..min(n - 1, edges), each
+    to a parent below it, then random `(u, v)` pairs, of which only the
+    distinct ones connect.  Returns the world and its `(u, v) -> ref` map.
+    """
+    world = new_world(seed, n)
+    for pid in range(n):
+        give_door(world, pid)
+    edge_refs = {}
+    tree = range(1, min(n, edges + 1))
+    for pid in tree:
+        parent = rng.randrange(pid)
+        edge_refs[(pid, parent)] = connect_door(world, pid, parent)
+    for _ in range(edges - len(tree)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edge_refs[(u, v)] = connect_door(world, u, v)
+    return world, edge_refs
+
+
 def random_connected_world(
     seed: int,
     n_processes: int,
@@ -644,17 +665,7 @@ def random_connected_world(
 ) -> WorldState:
     """Legal, weakly connected world: spanning tree plus extras and chains."""
     rng = random.Random(seed)
-    world = new_world(seed, n_processes)
-    for pid in range(n_processes):
-        give_door(world, pid)
-    edge_refs = {}
-    for pid in range(1, n_processes):
-        parent = rng.randrange(pid)
-        edge_refs[(pid, parent)] = connect_door(world, pid, parent)
-    for _ in range(extra_edges):
-        u, v = rng.randrange(n_processes), rng.randrange(n_processes)
-        if u != v:
-            edge_refs[(u, v)] = connect_door(world, u, v)
+    world, edge_refs = _wired_world(seed, n_processes, rng, n_processes - 1 + max(0, extra_edges))
     candidates = sorted(edge_refs.items())  # edge keys are distinct: refs never compare
     for _ in range(chains if candidates else 0):
         # A second-hop relay feeding an existing non-sink relay.
@@ -684,20 +695,7 @@ def adversarial_init(
     if corruption_profile not in CORRUPTION_PROFILES:
         raise ValueError(f"unknown corruption profile: {corruption_profile}")
     rng = random.Random(derive_seed(seed, corruption_profile))
-    world = new_world(seed, n_processes)
-    for pid in range(n_processes):
-        give_door(world, pid)
-    budget = max(0, n_relays - n_processes)
-    for pid in range(1, n_processes):
-        if budget <= 0:
-            break
-        connect_door(world, pid, rng.randrange(pid))
-        budget -= 1
-    while budget > 0:
-        u, v = rng.randrange(n_processes), rng.randrange(n_processes)
-        if u != v:
-            connect_door(world, u, v)
-        budget -= 1
+    world, _ = _wired_world(seed, n_processes, rng, max(0, n_relays - n_processes))
     if corruption_profile == "none":
         return world
     _corrupt(world, rng, n_messages)

@@ -50,10 +50,11 @@ PINNED = {
     "emulation": ("criterion=emulation cases=100 executed=100 delta_mismatches=0 pass=yes", "", 0),
     # The trace moved when stayers began to drop an edge to a leaver on its retire notice,
     # and when a leaver's last edge began to wait for its sinks to drain or for a `solo`
-    # notice from its retired peer.
+    # notice from its retired peer, and when each run began to hold the end state through
+    # a closure window of CLOSURE_WINDOW steps after first reaching it.
     "fdp": (
         "criterion=fdp runs=100 reached_legitimate=100 safety_violations=0 pass=yes",
-        "4ada5ff7dc48cf32e9e4e0842dc4d108847c9106bb41d61798109243b38a11a8",
+        "6acf1175841b103eaf1f6dca764c7224cba54d3288c616bed921f71cc3d5ed6d",
         100,
     ),
     "cycle_freeness": ("criterion=cycle_freeness sampled_states=3200 directed_cycles=0 pass=yes", "", 3200),

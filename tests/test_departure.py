@@ -5,6 +5,7 @@ import random
 import pytest
 
 from relaysim import oracle
+from relaysim.apps import IdleApp
 from relaysim.departure import DepartureApp, build_departure_world, safe_to_stop
 from relaysim.kernel import connect, give_door, new_world
 from relaysim.suites import depart
@@ -127,6 +128,33 @@ def test_all_leaving_component_drains_completely():
     assert done
     res = world.run_until(lambda w: not w.layers, 20000)
     assert res.reached
+
+
+class Vanish:
+    """Deletes every relay and stops on its first tick."""
+
+    def on_tick(self, ctx):
+        for ref in ctx.layer.get_relays():
+            ctx.layer.delete_relay(ref)
+        ctx.stop()
+
+    def on_message(self, ctx, action, via):
+        pass
+
+
+def test_departure_that_splits_the_stayers_after_reaching_the_end_state_is_unsafe():
+    # Stayers 0 and 2 are joined only through the stopped leaver's tombstones:
+    # the end state holds after the leaver's first tick, and is lost when
+    # the tombstones are collected.
+    world = build_departure_world(5, 3, [(0, 1), (1, 2)], [1])
+    world.processes[1].app = Vanish()
+    assert depart(world, 5000) == ("unsafe", 3)
+
+
+def test_leaver_that_never_acts_is_stuck():
+    world = build_departure_world(5, 3, [(0, 1), (1, 2)], [1])
+    world.processes[1].app = IdleApp()
+    assert depart(world, 500) == ("stuck", 500)
 
 
 def test_safe_to_stop_predicate():

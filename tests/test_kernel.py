@@ -137,6 +137,19 @@ def test_adversarial_none_profile_is_legal():
     assert oracle.is_legal(world)
 
 
+# Relay budgets below n - 1: the spanning tree stops short and no extras are drawn.
+SHORT_TREES = {
+    (3, 5, 7, 0, "none"): "ef4b1ff148ed14736b1b653204fcb7c70b7a7a49ae9a0122c19b24e036a3197f",
+    (3, 5, 7, 4, "mixed"): "bb0cee72f9749406bb09866b8ff27eb5ce6899aed3bdc25af97c58ae4cc56162",
+    (4, 6, 4, 0, "none"): "19f42bb7d5670b9692edb394afa7ab258e53bd85f04b284509678ff584d0fb73",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SHORT_TREES))
+def test_adversarial_short_tree_is_pinned(args):
+    assert adversarial_init(*args).state_hash() == SHORT_TREES[args]
+
+
 def test_adversarial_ids_reference_existing_processes():
     world = adversarial_init(13, 4, 12, 15, "mixed")
     pids = set(world.processes)

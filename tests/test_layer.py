@@ -178,6 +178,24 @@ def test_merge_different_targets_does_nothing():
     assert layer.relays[a.relay_id].alive and layer.relays[b.relay_id].alive
 
 
+def test_merge_refuses_sinks():
+    world = make_world()
+    layer = world.layer_of(0)
+    a, b = layer.new_relay(), layer.new_relay()
+    before = world.state_hash()
+    assert layer.merge({a, b}) is None
+    assert world.state_hash() == before
+
+
+def test_merge_refuses_refs_it_does_not_hold():
+    world = make_world()
+    layer = merge_pair(world)[0]  # holds relays, but none of the two refs
+    door = world.layer_of(1).get_relays()[0]
+    before = world.state_hash()
+    assert layer.merge({door, RelayRef(RelayId(0, 999))}) is None
+    assert world.state_hash() == before
+
+
 def test_merge_requires_empty_in():
     world = make_world()
     layer, a, b = merge_pair(world)

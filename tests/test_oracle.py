@@ -748,6 +748,26 @@ def test_fdp_legitimate_clauses():
     assert res.reached
 
 
+def test_fdp_legitimate_needs_every_stayer_active():
+    # Stayer 0 is the only stayer of its component, so the stayers are
+    # connected; only its being stopped makes the state illegitimate.
+    world = build_departure_world(8, 2, [(0, 1)], [1])
+    initial = oracle.process_components(world)
+    world.ctx(0).stop()
+    world.ctx(1).stop()
+    assert oracle.stayers_connected(world, initial)
+    assert not oracle.fdp_legitimate(world, initial)
+
+
+def test_stayers_connected_fails_when_an_initial_component_splits():
+    world = new_world(21, 3)
+    connect_door(world, 0, 1)
+    initial = [[0, 1, 2]]  # now 0 and 1 are joined and 2 is apart
+    assert not oracle.stayers_connected(world, initial)
+    world.processes[2].leaving = True
+    assert oracle.stayers_connected(world, initial)
+
+
 def test_dot_export_shape():
     world = fig_triangle()
     dot = oracle.to_dot(world)

@@ -3,8 +3,10 @@
     python3 tools/fdp_sweep.py [--shape fdp|wide] [--first S] [--count N]
 
 Every run builds a clean start with `build_departure_world` and runs it
-through `suites.depart`: until `fdp_legitimate` holds (ok),
-`stayers_connected` fails (unsafe) or 40,000 steps have run (stuck).  The
+through `suites.depart`: until `fdp_legitimate` holds and then the
+stayers stay connected through `suites.CLOSURE_WINDOW` more steps (ok),
+until `stayers_connected` fails, before or in that window (unsafe), or
+until 40,000 steps have run without reaching the end state (stuck).  The
 two shapes:
 
 - fdp: the start of the departure criterion itself (`suites.fdp_start`):
