@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 
 # A layer's address is the pid of the process that owns it: one layer per
@@ -203,13 +203,98 @@ class Envelope:
     target_rid: Optional[Rid] = None
 
 
+def _reindexing(edit):
+    """The `set` method `edit`, then its `InSet`'s key index rebuilt."""
+
+    def reindexed(self, *args):
+        result = edit(self, *args)
+        self._reindex()
+        return result
+
+    return reindexed
+
+
+class InSet(set):
+    """A relay's In entries, indexed by key.
+
+    A set of `InEntry` values whose mutators also keep `by_key` current: it
+    maps each key to the list of its entries, in no set order, and holds no
+    key without one.  Each mutator makes the edits the plain `set` method
+    makes, so the set itself holds and iterates exactly as a plain set
+    given the same edits would.  Edit it in place: an expression such as
+    `s - t` or `s.copy()` yields a plain set.
+    """
+
+    __slots__ = ("by_key",)
+
+    def __init__(self, entries: Iterable = ()) -> None:
+        # Every relay builds an empty one, so that case calls nothing.
+        self.by_key = {}
+        if entries:
+            set.__init__(self, entries)
+            self._reindex()
+
+    def _reindex(self) -> None:
+        by_key = self.by_key = {}
+        for e in self:
+            by_key.setdefault(e.key, []).append(e)
+
+    def add(self, entry: InEntry) -> None:
+        if entry not in self:
+            set.add(self, entry)
+            group = self.by_key.get(entry.key)
+            if group is None:
+                self.by_key[entry.key] = [entry]
+            else:
+                group.append(entry)
+
+    def discard(self, entry: InEntry) -> None:
+        if entry in self:
+            set.discard(self, entry)
+            group = self.by_key[entry.key]
+            if len(group) == 1:
+                del self.by_key[entry.key]
+            else:
+                group.remove(entry)
+
+    def clear(self) -> None:
+        set.clear(self)
+        self.by_key.clear()
+
+    def difference_update(self, *others: Iterable) -> None:
+        # The plain method discards one entry after another and leaves the
+        # table's size alone, but clears a set subtracted from itself.
+        for other in others:
+            if other is self:
+                self.clear()
+            else:
+                for e in other:
+                    self.discard(e)
+
+    def __isub__(self, other: Iterable) -> InSet:
+        self.difference_update(other)
+        return self
+
+    # The rarer mutators (`|=` in `merge`, the rest in tests at most): the
+    # plain edit, then the index built afresh.
+    update = _reindexing(set.update)
+    __ior__ = _reindexing(set.__ior__)
+    pop = _reindexing(set.pop)
+    remove = _reindexing(set.remove)
+    intersection_update = _reindexing(set.intersection_update)
+    symmetric_difference_update = _reindexing(set.symmetric_difference_update)
+    __iand__ = _reindexing(set.__iand__)
+    __ixor__ = _reindexing(set.__ixor__)
+
+
 @dataclass(slots=True)
 class Relay:
     """Per-process socket record.
 
     `buf` is insert-only for the protocol; only the simulated link layer
     removes entries.  `out_id` absent means the relay is a sink and local
-    sends deliver to the owning process.
+    sends deliver to the owning process.  `in_set` is built with the relay
+    and only ever edited in place, so its key index stays current.
     """
 
     id: RelayId
@@ -218,7 +303,7 @@ class Relay:
     out_id: Optional[RelayId] = None
     level: int = 0
     sink_rid: Rid = None  # type: ignore[assignment]
-    in_set: set = field(default_factory=set)
+    in_set: InSet = field(default_factory=InSet, init=False)
     buf: list = field(default_factory=list)
 
     def sorted_in(self) -> list:

@@ -754,8 +754,10 @@ def _corrupt(world: WorldState, rng: random.Random, n_messages: int) -> None:
     if n >= 2:
         la, lb = world.layer_of(0), world.layer_of(1)
         ka, kb = la.mint_key(), lb.mint_key()
-        a = la.add_relay(out_keys={kb}, level=1, sink_rid=0, in_set={confirmed_entry(ka, 1)})
-        b = lb.add_relay(out_keys={ka}, out_id=a.id, level=1, sink_rid=1, in_set={confirmed_entry(kb, 0)})
+        a = la.add_relay(out_keys={kb}, level=1, sink_rid=0)
+        b = lb.add_relay(out_keys={ka}, out_id=a.id, level=1, sink_rid=1)
+        a.in_set.add(confirmed_entry(ka, 1))
+        b.in_set.add(confirmed_entry(kb, 0))
         a.out_id = b.id
 
     relays = [r for layer in world.layers.values() for r in layer.relays.values()]

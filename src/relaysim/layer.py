@@ -219,14 +219,18 @@ class RelayLayer:
 
     def _delete(self, relay: Relay) -> None:
         relay.alive = False
-        for rid in sorted({e.from_rid for e in relay.in_set if e.confirmed}):
-            self.env_source.emit_control(self, rid, OutRelayClosed(relay.id))
-        relay.in_set.clear()
+        if relay.in_set:
+            for rid in sorted({e.from_rid for e in relay.in_set if e.via is None}):
+                self.env_source.emit_control(self, rid, OutRelayClosed(relay.id))
+            relay.in_set.clear()
 
     def _purge_unconfirmed_via(self, via: Relay) -> None:
+        via_id = via.id
         for r in self.relays.values():
-            stale = {e for e in r.in_set if not e.confirmed and e.via == via.id}
-            r.in_set -= stale
+            if r.in_set:
+                stale = [e for e in r.in_set if e.via == via_id]
+                if stale:
+                    r.in_set.difference_update(stale)
 
     # -- header validity (local data only) -----------------------------------
 
@@ -235,16 +239,18 @@ class RelayLayer:
         or None when the header is not valid for it.  The header's key must
         be confirmed from the sender's layer or announced via a local relay
         that sinks there.  An announcement wins, the lowest via first: the
-        first message over a fresh connection confirms it.  One pass finds
-        both; most Transmits travel over confirmed connections.
+        first message over a fresh connection confirms it.  One pass over
+        the key's entries finds both; most Transmits travel over confirmed
+        connections.
         """
         if relay.id != header.out_id:
             return None
-        key, sender = header.key, header.in_id.rid
+        entries = relay.in_set.by_key.get(header.key)
+        if entries is None:
+            return None
+        sender = header.in_id.rid
         found = None
-        for e in relay.in_set:
-            if e.key != key:
-                continue
+        for e in entries:
             if e.via is None:
                 if e.from_rid == sender and found is None:
                     found = e
@@ -342,7 +348,11 @@ class RelayLayer:
     @staticmethod
     def _confirmed_sender(relay: Relay, key: Key) -> Optional[Rid]:
         """The lowest sender address confirmed under `key` in `relay`'s In set."""
-        return min((e.from_rid for e in relay.in_set if e.via is None and e.key == key), default=None)
+        sender = None
+        for e in relay.in_set.by_key.get(key, ()):
+            if e.via is None and (sender is None or e.from_rid < sender):
+                sender = e.from_rid
+        return sender
 
     def handle_probefail(self, key: Key, key_sequence: tuple) -> None:
         # The holder and announcer lookups take the first match in table
@@ -405,10 +415,16 @@ class RelayLayer:
 
     def handle_inrelayclosed(self, keys: frozenset, sender_rid: Rid, target_id: RelayId) -> None:
         # The sender revokes only what it holds: its confirmed entries in
-        # the relay it names.
+        # the relay it names, under the keys it names.
         relay = self.relays.get(target_id)
-        if relay is not None:
-            relay.in_set -= {e for e in relay.in_set if e.from_rid == sender_rid and e.key in keys}
+        if relay is None:
+            return
+        in_set = relay.in_set
+        for key in keys:
+            for e in in_set.by_key.get(key, ()):
+                if e.from_rid == sender_rid:
+                    in_set.discard(e)
+                    break  # a key has one entry per sender
 
     def handle_outrelayclosed(self, id: RelayId) -> None:
         for relay in self.relays.values():

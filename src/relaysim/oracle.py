@@ -274,12 +274,15 @@ class WorldCheck:
                         return False
                     if relay.level != target.level + 1 or relay.sink_rid != target.sink_rid:  # P11c
                         found.append((relay_id, "P11c"))
-                    for e in target.in_set:  # P11d, its common case first
-                        if e.from_rid == rid and e.key in out_keys:
-                            break
-                    else:
-                        if not self._one_key_anchored(relay, target):
-                            found.append((relay_id, "P11d"))
+                    # P11d, its common case first: an out-key confirmed
+                    # from this layer.
+                    anchors, anchored = target.in_set.by_key, False
+                    for key in out_keys:
+                        for e in anchors.get(key, ()):
+                            if e.from_rid == rid:
+                                anchored = True
+                    if not anchored and not self._one_key_anchored(relay, target):
+                        found.append((relay_id, "P11d"))
                 if shared_out_key:
                     for key in out_keys:  # P11e
                         # Only alive co-holders violate uniqueness; a deleted
@@ -370,26 +373,27 @@ class WorldCheck:
     def _one_key_anchored(self, relay: Relay, target: Relay) -> bool:
         """P11d by an announced entry; `_walk` has looked for a confirmed one."""
         rid = relay.id.rid
-        for e in target.in_set:
-            key = e.key
-            if e.via is None or key not in relay.out_keys:
-                continue
-            via = self.relays.get(e.via)
-            if via is not None and via.sink_rid == rid:
-                # Plain loops here and in `param_violations`: on Python 3.11
-                # a generator or comprehension builds a function object on
-                # every call.
-                for env in relay.buf:
-                    msg = env.message
-                    if (
-                        isinstance(msg, Transmit)
-                        and isinstance(msg.action, Probe)
-                        and msg.header.key == key
-                        and msg.header.in_id == relay.id
-                        and msg.header.out_id == relay.out_id
-                        and msg.action.key_sequence == (key,)
-                    ):
-                        return True
+        anchors = target.in_set.by_key
+        for key in relay.out_keys:
+            for e in anchors.get(key, ()):
+                if e.via is None:
+                    continue
+                via = self.relays.get(e.via)
+                if via is not None and via.sink_rid == rid:
+                    # Plain loops here and in `param_violations`: on Python
+                    # 3.11 a generator or comprehension builds a function
+                    # object on every call.
+                    for env in relay.buf:
+                        msg = env.message
+                        if (
+                            isinstance(msg, Transmit)
+                            and isinstance(msg.action, Probe)
+                            and msg.header.key == key
+                            and msg.header.in_id == relay.id
+                            and msg.header.out_id == relay.out_id
+                            and msg.action.key_sequence == (key,)
+                        ):
+                            return True
         return False
 
     # -- header validity -------------------------------------------------------
@@ -403,10 +407,8 @@ class WorldCheck:
         if relay is None or relay_id != header.out_id:
             return False
         sender = header.in_id.rid
-        for e in relay.in_set:
-            if e.key != header.key:
-                continue
-            if e.confirmed:
+        for e in relay.in_set.by_key.get(header.key, ()):
+            if e.via is None:
                 if e.from_rid == sender:
                     return True
             elif e.via.rid == relay_id.rid and e.via in self.relays and self.relays[e.via].sink_rid == sender:
@@ -434,8 +436,8 @@ class WorldCheck:
         # the target's layer (P4) and is valid unless dead (P4, propagated),
         # and the key is the target layer's (P5).
         announced = None
-        for e in target.in_set:
-            if not e.confirmed and e.key == param.key:
+        for e in target.in_set.by_key.get(param.key, ()):
+            if e.via is not None:
                 via = self.relays[e.via]
                 if carrier is not None and via.sink_rid == carrier.sink_rid:
                     announced = via

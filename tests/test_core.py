@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from relaysim.core import (
     Header,
     InEntry,
     InRelayClosed,
+    InSet,
     Key,
     NotAuthorized,
     OutRelayClosed,
@@ -173,3 +176,68 @@ def test_in_entry_sort_key_orders_like_dataclass_tuple(entries):
     # compare.)
     for kind in ([e for e in entries if e.confirmed], [e for e in entries if not e.confirmed]):
         assert sorted(kind) == sorted(kind, key=InEntry.sort_key)
+
+
+# Edits of an In set, each with its argument: an entry, a list of entries
+# (which may repeat one) or nothing.
+entry_lists = st.lists(in_entries, max_size=6)
+in_set_edits = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "discard", "remove"]), in_entries),
+        st.tuples(st.sampled_from(["-=", "|=", "&=", "^=", "difference_update", "update"]), entry_lists),
+        st.tuples(st.sampled_from(["clear", "pop", "-= itself"]), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def _edit(s: set, op: str, arg) -> set:
+    """`s` after the edit, which must leave it the same object."""
+    before = s
+    if op == "-=":
+        s -= set(arg)
+    elif op == "|=":
+        s |= set(arg)
+    elif op == "&=":
+        s &= set(arg)
+    elif op == "^=":
+        s ^= set(arg)
+    elif op == "-= itself":
+        s -= s
+    elif op in ("clear", "pop"):
+        if s:
+            getattr(s, op)()
+    elif op == "remove":
+        if arg in s:
+            s.remove(arg)
+    else:
+        getattr(s, op)(arg)  # add and discard take an entry, the others a list
+    assert s is before
+    return s
+
+
+@given(in_set_edits)
+def test_in_set_index_groups_its_entries_through_every_edit(edits):
+    indexed, plain = InSet(), set()
+    for op, arg in edits:
+        indexed, plain = _edit(indexed, op, arg), _edit(plain, op, arg)
+        # The same entries in the same iteration order as a plain set: the
+        # index changes nothing about the set itself.
+        assert indexed == plain and list(indexed) == list(plain)
+        grouped = {}
+        for e in plain:
+            grouped.setdefault(e.key, []).append(e)
+        assert {k: sorted(v, key=InEntry.sort_key) for k, v in indexed.by_key.items()} == {
+            k: sorted(v, key=InEntry.sort_key) for k, v in grouped.items()
+        }
+
+
+def test_in_set_copies_keep_the_index_and_expressions_are_plain_sets():
+    key = Key(Rid(0), 1)
+    a, b = confirmed_entry(key, Rid(1)), unconfirmed_entry(key, RelayId(Rid(0), 2))
+    s = InSet([a, b, confirmed_entry(Key(Rid(0), 2), Rid(1))])
+    for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert type(twin) is InSet and twin == s
+        assert sorted(twin.by_key[key], key=InEntry.sort_key) == [a, b] and len(twin.by_key) == 2
+    for derived in (s - {a}, s | {a}, s & {a}, s.copy()):
+        assert type(derived) is set

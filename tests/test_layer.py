@@ -389,20 +389,20 @@ def test_activation_confirms_the_lowest_via_that_sinks_at_the_sender():
 
     # Only the via that sorts higher sinks at the sender: its entry is the one.
     target, key = layer.relays[layer.new_relay().relay_id], layer.mint_key()
-    target.in_set = {unconfirmed_entry(key, to_2), unconfirmed_entry(key, to_1)}
+    target.in_set.update({unconfirmed_entry(key, to_2), unconfirmed_entry(key, to_1)})
     deliver(target, key)
     assert target.in_set == {unconfirmed_entry(key, to_2), confirmed_entry(key, Rid(1))}
 
     # Both vias sink at the sender: the lower one is confirmed, once.
     target, key = layer.relays[layer.new_relay().relay_id], layer.mint_key()
-    target.in_set = {unconfirmed_entry(key, also_to_1), unconfirmed_entry(key, to_1)}
+    target.in_set.update({unconfirmed_entry(key, also_to_1), unconfirmed_entry(key, to_1)})
     deliver(target, key)
     assert target.in_set == {unconfirmed_entry(key, also_to_1), confirmed_entry(key, Rid(1))}
 
     # A header over a confirmed-only In set leaves the set as it was.
     target, key = layer.relays[layer.new_relay().relay_id], layer.mint_key()
     confirmed = {confirmed_entry(key, Rid(1)), confirmed_entry(layer.mint_key(), Rid(2))}
-    target.in_set = set(confirmed)
+    target.in_set.update(confirmed)
     deliver(target, key)
     assert target.in_set == confirmed
 

@@ -4,7 +4,10 @@ A verdict can agree while an index is wrong: a message the build missed may
 be one that no check of that state needed.  So every index the build fills
 is compared with the one `ReferenceIndex` builds, one message at a time,
 over the same buffers in the same order: each layer's relay buffers, then
-its layer buffer, and the orphan list last.
+its layer buffer, and the orphan list last.  So is each relay's own key
+index over its In entries, which every edit of the set keeps current: the
+walks below edit In sets through the layer's handlers and primitives,
+`merge`, `connect` and `_corrupt`.
 """
 
 import pytest
@@ -14,6 +17,7 @@ from relaysim.core import (
     ActionInvocation,
     Envelope,
     Header,
+    InEntry,
     InRelayClosed,
     Key,
     NotAuthorized,
@@ -36,6 +40,7 @@ class ReferenceIndex:
     def __init__(self, world):
         self.relays = {}
         self.in_key_count = {}
+        self.in_by_key = {}  # relay id -> key -> that relay's entries under it
         self.out_key_holders = {}
         self.pings_by_id = {}
         self.orc_ids = set()
@@ -51,6 +56,7 @@ class ReferenceIndex:
                 self.relays[relay.id] = relay
                 for e in relay.in_set:
                     self.in_key_count[e.key] = self.in_key_count.get(e.key, 0) + 1
+                    self.in_by_key.setdefault(relay.id, {}).setdefault(e.key, []).append(e)
                 for k in relay.out_keys:
                     self.out_key_holders.setdefault(k, []).append(relay.id)
                 for env in relay.buf:
@@ -97,10 +103,18 @@ def _by_identity(index):
     return {k: [tuple(map(id, v)) if type(v) is tuple else id(v) for v in vs] for k, vs in index.items()}
 
 
+def _in_order(groups):
+    """Each key's entries in `sort_key` order: a relay's key index keeps
+    them in no set order."""
+    return {k: sorted(v, key=InEntry.sort_key) for k, v in groups.items()}
+
+
 def assert_same_indexes(world):
     check, ref = WorldCheck(world), ReferenceIndex(world)
     assert list(check.relays.items()) == list(ref.relays.items())
     assert check.in_key_count == ref.in_key_count
+    for relay_id, relay in check.relays.items():
+        assert _in_order(relay.in_set.by_key) == _in_order(ref.in_by_key.get(relay_id, {})), relay_id
     assert check.out_key_holders == ref.out_key_holders
     assert check.shared_out_key == any(len(h) > 1 for h in ref.out_key_holders.values())
     assert _by_identity(check.pings_by_id) == _by_identity(ref.pings_by_id)

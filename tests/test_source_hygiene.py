@@ -13,6 +13,11 @@ The boundaries: `core` imports nothing from the package, `layer` imports
 only `core` at run time, and protocol code (`kernel`, `layer`, `departure`,
 `rules`) and the applications (`apps`) never import the oracle or the
 suites, which are test equipment that read global state.
+
+A relay's In set keeps a key index that only its own edits keep current,
+so no code under `src/` or `tests/` assigns a relay's `in_set` attribute
+(augmented assignment edits the set in place and is allowed); the relay
+builds its set itself.
 """
 
 import ast
@@ -21,7 +26,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = "relaysim"
-SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / PACKAGE
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 _CALLBACKS = {"on_tick", "on_message", "on_step", "summarise"}
@@ -171,6 +177,52 @@ def test_layer_imports_only_core_at_run_time():
 @pytest.mark.parametrize("module", ["kernel.py", "layer.py", "departure.py", "rules.py", "apps.py"])
 def test_protocol_code_never_imports_the_oracle_or_the_suites(module):
     assert not {m for m, _ in package_imports(_tree(module))} & {"oracle", "suites"}
+
+
+def in_set_rebinds(tree: ast.AST) -> list:
+    """Line numbers of the statements and calls that assign an `in_set`
+    attribute: `x.in_set = ...` (a target of a plain or annotated
+    assignment, unpacking included), `setattr(x, "in_set", ...)`, and an
+    `in_set=` keyword."""
+    found = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            named = isinstance(node.func, ast.Name) and node.func.id == "setattr"
+            if named and len(node.args) > 1 and getattr(node.args[1], "value", None) == "in_set":
+                found.append(node.lineno)
+            found += [node.lineno for kw in node.keywords if kw.arg == "in_set"]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr == "in_set":
+                    found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.relative_to(ROOT).as_posix() for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+)
+def test_nothing_rebinds_a_relays_in_set(path):
+    assert in_set_rebinds(ast.parse((ROOT / path).read_text(), filename=path)) == []
+
+
+def test_the_rebind_check_sees_every_form():
+    source = (
+        "r.in_set = set()\n"
+        "a, b.in_set = 1, set()\n"
+        "r.in_set: set = set()\n"
+        "setattr(r, 'in_set', set())\n"
+        "Relay(id, in_set=set())\n"
+        "r.in_set -= stale\n"
+        "r.in_set |= fresh\n"
+        "r.in_set.add(e)\n"
+        "in_set = r.in_set\n"
+    )
+    assert in_set_rebinds(ast.parse(source)) == [1, 2, 3, 4, 5]
 
 
 def test_the_import_reader_sees_every_form():

@@ -1,6 +1,9 @@
 """`tools/step_split.py` on short runs of each shape, the closure shape's
 oracle split included."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,9 @@ def step_split(monkeypatch):
     import step_split
 
     return step_split
+
+
+_ORACLE = ("oracle.build", "oracle.is_legal", "oracle.explain")
 
 
 def _blocks(capsys) -> tuple[dict, dict]:
@@ -165,6 +171,45 @@ def test_closure_is_the_default_and_checks_every_step(step_split, capsys):
     calls = {name: int(rows[name][0]) for name in step_split.ORACLE_ROWS}
     assert calls == {name: int(default[1][name][0]) for name in step_split.ORACLE_ROWS}
     assert calls == {"oracle.build": 40, "oracle.is_legal": 20, "oracle.explain": 20}
+
+
+def test_counts_repeat_exactly_across_processes_and_hash_seeds():
+    # Two processes at once, under two string-hash seeds: every number
+    # either prints must be the same.
+    args = [sys.executable, str(ROOT / "tools" / "step_split.py"), "--count", "--shapes", "closure", "--steps", "2000"]
+    runs = [
+        subprocess.Popen(args, env={**os.environ, "PYTHONHASHSEED": seed}, stdout=subprocess.PIPE, text=True)
+        for seed in ("0", "1")
+    ]
+    outs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0] == outs[1]
+    head, names, *lines = outs[0].splitlines()
+    assert head.startswith("shape=closure steps=2000 ") and "illegal=0" in head
+    assert names.split() == ["call", "calls", "py_calls", "c_calls", "opcodes"]
+    rows = {name: [float(v) for v in cells] for name, *cells in map(str.split, lines)}
+    assert {"step", "kernel", "timeout", "receive.Transmit", *_ORACLE} <= rows.keys()
+    assert rows["step"][0] == rows["kernel"][0] == 2000
+    assert all(calls > 0 and py >= 1 and ops > 0 for name, (calls, py, _, ops) in rows.items() if name != "kernel")
+    # The rows nested in a step sum, with `kernel`, to `step`, up to the
+    # rounding of each printed mean.
+    nested = [name for name in rows if name.startswith(("timeout", "receive.", "app."))]
+    rounding = 0.005 * (2 * 2000 + sum(rows[n][0] for n in nested))
+    for i in (1, 2, 3):
+        total = rows["kernel"][i] * 2000 + sum(rows[n][0] * rows[n][i] for n in nested)
+        assert total == pytest.approx(rows["step"][i] * 2000, abs=rounding)
+
+
+def test_counts_against_the_same_checkout_are_equal_side_by_side(step_split, capsys):
+    args = ["--count", "--shapes", "dense_repair", "--steps", "300", "--against", str(ROOT)]
+    assert step_split.main(args) == 0
+    head, names, *lines = capsys.readouterr().out.splitlines()
+    fields = dict(field.split("=") for field in head.split())
+    for what in ("py_calls", "c_calls", "opcodes"):
+        assert fields[f"all_{what}"] == fields[f"against_all_{what}"] and float(fields[f"all_{what}"]) > 0
+    assert names.split()[:3] == ["call", "calls", "against_calls"]
+    for name, calls, against_calls, *work in map(str.split, lines):
+        assert calls == against_calls and work[:3] == work[3:], name
 
 
 @pytest.mark.parametrize("args", [["--steps", "0"], ["--steps", "-3"],

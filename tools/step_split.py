@@ -1,6 +1,6 @@
 """Per-call split of a kernel step and of the oracle in benchmark-shaped worlds.
 
-    python3 tools/step_split.py [--shapes NAME ...] [--steps N] [--seed S] [--against DIR]
+    python3 tools/step_split.py [--shapes NAME ...] [--steps N] [--seed S] [--against DIR] [--count]
 
 For each shape (default: transform sparse_large dense_repair closure) the
 script builds worlds shaped like the benchmark workload of that name,
@@ -68,8 +68,21 @@ every unit under both, alternating which side goes first.  Each row then
 gives both sides' calls and microseconds per call and the quartiles, over
 the units, of this checkout's time per call over DIR's, so both sides see
 the same host minutes.  The exit status is 1 when a unit's final
-`state_hash` differs between the sides.  Standard library only; one
-process.
+`state_hash` differs between the sides.
+
+With `--count`, the same units run untimed under `sys.settrace` (opcode
+events on) and `sys.setprofile`, and each row gives, per call, the Python
+calls (frames entered), C calls and opcodes its method executed, nested
+calls included; `kernel` is again `step` less the rows nested in it.  The
+header adds the counts of everything run per step (`all_*`: the oracle
+rows and this script's loop included).  The counts are exact: they repeat
+to the last digit across runs and `PYTHONHASHSEED` values, so two
+checkouts differ in them only where their code does.  They leave out
+waiting and the cost of each opcode, so they explain a timing and screen
+candidates; they measure no speed.  Counting runs about 8x as long as
+timing.  With `--against DIR`, each row gives both sides' counts.
+
+Standard library only; one process.
 """
 
 from __future__ import annotations
@@ -97,6 +110,7 @@ UNIT_STEPS = 3000
 CLOSURE_UNIT_STEPS = 10_000
 ORACLE_ROWS = ("oracle.build", "oracle.is_legal", "oracle.explain")
 COMPONENTS_ROW = "oracle.components"
+COUNTS = ("py_calls", "c_calls", "opcodes")
 _MISSING = object()
 _MODULES = ("apps", "kernel", "layer", "oracle", "rules")
 HERE = SimpleNamespace(apps=apps, kernel=kernel, layer=layer, oracle=oracle, rules=rules)
@@ -172,19 +186,9 @@ class Recorder:
         setattr(owner, attr, replacement)
 
     def install(self) -> None:
-        pkg = self.pkg
         self.wrap_step()
-        self.wrap(pkg.kernel.WorldState, "is_settled", "settle_poll")
-        self.wrap(pkg.kernel.WorldState, "_find_offender", "settle_scan")
-        self.wrap(pkg.layer.RelayLayer, "timeout", "timeout")
-        self.wrap(pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__)
-        for app in (pkg.apps.RandomDeliberateApp, pkg.rules.TransformApp):
-            self.wrap(app, "on_tick", "app.tick")
-            self.wrap(app, "on_message", "app.deliver")
-        self.wrap(pkg.oracle.WorldCheck, "__init__", "oracle.build")
-        self.wrap(pkg.oracle.WorldCheck, "is_legal", "oracle.is_legal")
-        self.wrap(pkg.oracle.WorldCheck, "relay_violations", "oracle.explain")
-        self.wrap(pkg.oracle, "process_components", COMPONENTS_ROW)
+        for owner, attr, name in row_methods(self.pkg)[1:]:
+            self.wrap(owner, attr, name)
 
     def uninstall(self) -> None:
         while self._patches:
@@ -193,6 +197,142 @@ class Recorder:
                 delattr(owner, attr)
             else:
                 setattr(owner, attr, original)
+
+
+def row_methods(pkg: SimpleNamespace) -> list:
+    """(owner, attribute, row name) of every method a row measures, `step`
+    first.  A name is a string or a function of the call's arguments."""
+    out = [
+        (pkg.kernel.WorldState, "step", "step"),
+        (pkg.kernel.WorldState, "is_settled", "settle_poll"),
+        (pkg.kernel.WorldState, "_find_offender", "settle_scan"),
+        (pkg.layer.RelayLayer, "timeout", "timeout"),
+        (pkg.layer.RelayLayer, "receive", lambda a: "receive." + type(a[1]).__name__),
+    ]
+    for app in (pkg.apps.RandomDeliberateApp, pkg.rules.TransformApp):
+        out += [(app, "on_tick", "app.tick"), (app, "on_message", "app.deliver")]
+    return out + [
+        (pkg.oracle.WorldCheck, "__init__", "oracle.build"),
+        (pkg.oracle.WorldCheck, "is_legal", "oracle.is_legal"),
+        (pkg.oracle.WorldCheck, "relay_violations", "oracle.explain"),
+        (pkg.oracle, "process_components", COMPONENTS_ROW),
+    ]
+
+
+class Counter(Recorder):
+    """Exact work per row instead of time: the Python calls (frames entered,
+    a resumed generator included), C calls and opcodes executed while each
+    row's method runs, nested rows included, as `Recorder` times them.
+
+    It wraps nothing: `sys.settrace` sees a row's method by its code object
+    when its frame starts and turns on opcode events (`f_trace_opcodes`) for
+    every frame, and `sys.setprofile` counts the calls.  The counts need no
+    timer and no sampling, so the sizes and `forced` stay unrecorded.
+    A row's count includes its own method's call."""
+
+    def __init__(self, pkg: SimpleNamespace = HERE) -> None:
+        super().__init__(pkg)
+        self.work: dict[str, list] = defaultdict(lambda: [0, 0, 0])  # row -> [Python calls, C calls, opcodes]
+        self.total = [0, 0, 0]  # everything counted while installed
+        self._saved: tuple = ()
+
+    def install(self) -> None:
+        rows = {getattr(owner, attr).__code__: name for owner, attr, name in row_methods(self.pkg)}
+        work, calls, total = self.work, self.calls, self.total
+        open_rows = []  # (row, counts when its frame started)
+        py = cc = ops = 0
+
+        def profile(frame, event, arg):
+            nonlocal py, cc
+            if event == "call":
+                py += 1
+            elif event == "c_call":
+                cc += 1
+
+        def opcodes(frame, event, arg):
+            nonlocal ops
+            if event == "opcode":
+                ops += 1
+            return opcodes
+
+        def row_opcodes(frame, event, arg):
+            nonlocal ops
+            if event == "opcode":
+                ops += 1
+            elif event == "return":
+                name, p, c, o = open_rows.pop()
+                w = work[name]
+                w[0] += py - p
+                w[1] += cc - c
+                w[2] += ops - o
+            return row_opcodes
+
+        def trace(frame, event, arg):
+            # Called as each frame starts, before `profile` counts its call,
+            # so a row counts its own method's call.
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            name = rows.get(frame.f_code)
+            if name is None:
+                return opcodes
+            if not isinstance(name, str):
+                code = frame.f_code
+                name = name([frame.f_locals[v] for v in code.co_varnames[: code.co_argcount]])
+            calls[name] += 1
+            open_rows.append((name, py, cc, ops))
+            return row_opcodes
+
+        def settle() -> None:
+            for i, n in enumerate((py, cc, ops)):
+                total[i] += n
+
+        self._saved = (sys.gettrace(), sys.getprofile(), settle)
+        sys.setprofile(profile)
+        sys.settrace(trace)
+
+    def uninstall(self) -> None:
+        trace, profile, settle = self._saved
+        sys.settrace(trace)
+        sys.setprofile(profile)
+        settle()
+
+
+def per_call_counts(counter: Counter) -> dict[str, tuple]:
+    """Row name -> (calls, Python calls, C calls and opcodes per call); the
+    rows and their nesting as in `per_call`."""
+    work = counter.work
+    nested = ["timeout"] + sorted(k for k in work if k.startswith("receive.")) + ["app.deliver", "app.tick"]
+    out = {}
+    for name in ["step", "kernel"] + nested + ["settle_poll", "settle_scan", *ORACLE_ROWS, COMPONENTS_ROW]:
+        if name == "kernel":
+            counts = [work["step"][i] - sum(work[k][i] for k in nested if k in work) for i in range(3)]
+            calls = counter.calls["step"]
+        elif name in work:
+            counts, calls = work[name], counter.calls[name]
+        else:
+            continue
+        out[name] = (calls, *(n / calls for n in counts))
+    return out
+
+
+def count_columns(sides: int) -> list[str]:
+    prefixes = ("", "against_")[:sides]
+    return ["call", "calls", *(f"{p}calls" for p in prefixes[1:])] + [f"{p}{what}" for p in prefixes for what in COUNTS]
+
+
+def count_rows(counters: tuple) -> list[list[str]]:
+    """One row per call: the calls, then each side's Python calls, C calls
+    and opcodes per call."""
+    sides = [per_call_counts(c) for c in counters]
+    out = []
+    for name, (calls, *work) in sides[0].items():
+        cells = [str(calls)] + [f"{v:.2f}" for v in work]
+        for other in sides[1:]:
+            other_calls, *other_work = other.get(name, (0, 0.0, 0.0, 0.0))
+            cells[1:1] = [str(other_calls)]
+            cells += [f"{v:.2f}" for v in other_work]
+        out.append([name] + cells)
+    return out
 
 
 def world_size(world) -> tuple[int, int, int]:
@@ -292,11 +432,12 @@ def closure(rec: Recorder, seed: int, steps: int):
 UNITS = {"transform": transform, "sparse_large": sparse_large, "dense_repair": dense_repair, "closure": closure}
 
 
-def split(shape: str, seed: int, steps: int, against: Optional[SimpleNamespace] = None) -> tuple:
+def split(shape: str, seed: int, steps: int, against: Optional[SimpleNamespace] = None, kind=Recorder) -> tuple:
     """Run the shape's units here and, given `against`, alternately under it
-    too.  Returns each side's recorder, each side's list of one recorder per
+    too, each side measured by a `kind` (a `Recorder` or a `Counter`).
+    Returns each side's recorder, each side's list of one recorder per
     unit, and the indexes of the units whose final state hashes differ."""
-    recs = (Recorder(),) if against is None else (Recorder(), Recorder(against))
+    recs = (kind(),) if against is None else (kind(), kind(against))
     runs = [UNITS[shape](rec, seed, steps) for rec in recs]
     units = tuple([] for _ in recs)
     mismatched = []
@@ -372,6 +513,7 @@ def main(argv=None) -> int:
     parser.add_argument("--steps", type=int, default=30_000)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--against", type=Path, metavar="DIR")
+    parser.add_argument("--count", action="store_true", help="count calls and opcodes instead of timing")
     args = parser.parse_args(argv)
     if args.steps < 1:
         parser.error("--steps: N must be at least 1")
@@ -380,23 +522,34 @@ def main(argv=None) -> int:
     against = load_package(args.against.resolve()) if args.against is not None else None
     status = 0
     for shape in args.shapes:
-        recs, units, mismatched = split(shape, args.seed, args.steps, against)
+        recs, units, mismatched = split(shape, args.seed, args.steps, against, Counter if args.count else Recorder)
         rec = recs[0]
-        forced = [f"{r.forced / (r.samples or 1):.3f}" for r in recs]
-        if against is None:
-            table, head = [list(COLUMNS)] + rows(rec), f" forced={forced[0]}"
-        else:
-            table = [list(AGAINST_COLUMNS)] + against_rows(recs, units)
-            head = f" units={len(units[0])} forced={forced[0]} against_forced={forced[1]}"
         for unit in mismatched:
             print(f"MISMATCH shape={shape} unit={unit}: the final state hashes differ")
             status = 1
-        n = rec.samples or 1
-        procs, relays, inflight = (v / n for v in rec.size)
-        print(f"shape={shape} steps={rec.calls['step']}{head} processes={procs:.1f} "
-              f"relays={relays:.1f} inflight={inflight:.1f} illegal={rec.illegal}")
+        if args.count:
+            table = [count_columns(len(recs))] + count_rows(recs)
+            # Everything counted per step, the oracle and this script's loop
+            # around the steps included.
+            head = f" units={len(units[0])}" + "".join(
+                f" {prefix}all_{what}={n / r.calls['step']:.2f}"
+                for r, prefix in zip(recs, ("", "against_"))
+                for what, n in zip(COUNTS, r.total)
+            )
+        else:
+            forced = [f"{r.forced / (r.samples or 1):.3f}" for r in recs]
+            if against is None:
+                table, head = [list(COLUMNS)] + rows(rec), f" forced={forced[0]}"
+            else:
+                table = [list(AGAINST_COLUMNS)] + against_rows(recs, units)
+                head = f" units={len(units[0])} forced={forced[0]} against_forced={forced[1]}"
+            n = rec.samples or 1
+            procs, relays, inflight = (v / n for v in rec.size)
+            head += f" processes={procs:.1f} relays={relays:.1f} inflight={inflight:.1f}"
+        print(f"shape={shape} steps={rec.calls['step']}{head} illegal={rec.illegal}")
+        width = 18 if args.count else 14
         for name, *cells in table:
-            print(f"{name:<22}" + "".join(f"{c:>14}" for c in cells))
+            print(f"{name:<22}" + "".join(f"{c:>{width}}" for c in cells))
     return status
 
 
