@@ -1,6 +1,7 @@
 """`tools/step_split.py` on short runs of each shape, the closure shape's
 oracle split included."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -210,6 +211,30 @@ def test_counts_against_the_same_checkout_are_equal_side_by_side(step_split, cap
     assert names.split()[:3] == ["call", "calls", "against_calls"]
     for name, calls, against_calls, *work in map(str.split, lines):
         assert calls == against_calls and work[:3] == work[3:], name
+
+
+def test_counts_leave_out_garbage_collections(step_split, capsys):
+    # A collection runs the process's `gc.callbacks` wherever its earlier
+    # allocations put it.  A low threshold and a Python callback would put
+    # collections inside every counted unit; the counts must not see them.
+    args = ["--count", "--shapes", "dense_repair", "--steps", "300"]
+    assert step_split.main(args) == 0
+    quiet = capsys.readouterr().out
+    phases = []
+
+    def callback(phase, info):
+        phases.append(phase)
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(callback)
+    gc.set_threshold(50)
+    try:
+        assert step_split.main(args) == 0
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(callback)
+    assert phases and gc.isenabled()
+    assert capsys.readouterr().out == quiet
 
 
 @pytest.mark.parametrize("args", [["--steps", "0"], ["--steps", "-3"],

@@ -75,7 +75,11 @@ events on) and `sys.setprofile`, and each row gives, per call, the Python
 calls (frames entered), C calls and opcodes its method executed, nested
 calls included; `kernel` is again `step` less the rows nested in it.  The
 header adds the counts of everything run per step (`all_*`: the oracle
-rows and this script's loop included).  The counts are exact: they repeat
+rows and this script's loop included).  The garbage collector is off
+while a unit counts: a collection lands where the process's earlier
+allocations put it and runs whatever `gc.callbacks` and finalizers the
+process holds (a test runner may register one), so it would count work
+that is not the unit's.  The counts are exact: they repeat
 to the last digit across runs and `PYTHONHASHSEED` values, so two
 checkouts differ in them only where their code does.  They leave out
 waiting and the cost of each opcode, so they explain a timing and screen
@@ -88,6 +92,7 @@ Standard library only; one process.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import sys
@@ -228,7 +233,9 @@ class Counter(Recorder):
     when its frame starts and turns on opcode events (`f_trace_opcodes`) for
     every frame, and `sys.setprofile` counts the calls.  The counts need no
     timer and no sampling, so the sizes and `forced` stay unrecorded.
-    A row's count includes its own method's call."""
+    A row's count includes its own method's call.  The garbage collector
+    stays off while it is installed, so no collection's callbacks or
+    finalizers count."""
 
     def __init__(self, pkg: SimpleNamespace = HERE) -> None:
         super().__init__(pkg)
@@ -286,14 +293,17 @@ class Counter(Recorder):
             for i, n in enumerate((py, cc, ops)):
                 total[i] += n
 
-        self._saved = (sys.gettrace(), sys.getprofile(), settle)
+        self._saved = (sys.gettrace(), sys.getprofile(), gc.isenabled(), settle)
+        gc.disable()
         sys.setprofile(profile)
         sys.settrace(trace)
 
     def uninstall(self) -> None:
-        trace, profile, settle = self._saved
+        trace, profile, collecting, settle = self._saved
         sys.settrace(trace)
         sys.setprofile(profile)
+        if collecting:
+            gc.enable()
         settle()
 
 
